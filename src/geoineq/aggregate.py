@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, time
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 from zoneinfo import ZoneInfo
 
@@ -35,6 +36,12 @@ BUCKET_KEYS = ("all", "visitor", "local", "super_local")
 _MASK_VISITOR = 1
 _MASK_LOCAL = 2
 _MASK_SUPER = 4
+
+# Texts per hashtag-extraction chunk. It bounds the per-text tag lists
+# alive at once, and keeping them below the interpreter's young-generation
+# GC threshold (700 allocations by default) means extraction triggers
+# almost no collections.
+_TAG_CHUNK = 512
 
 
 @dataclass
@@ -265,6 +272,30 @@ def merge_tag_components(a: dict, b: dict) -> dict:
     return out
 
 
+def _intern_tags(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Every event's hashtags as dense integer ids.
+
+    Returns the per-event tag counts, the id of every tag occurrence in
+    event order, and the casefolded vocabulary the ids index (in order
+    of first appearance). Casefolding and interning run once per
+    distinct raw tag, not per occurrence.
+    """
+    vocab: dict[str, int] = {}  # casefolded tag -> id
+    id_of: dict[str, int] = {}  # raw tag -> id
+    counts = [np.empty(0, dtype=np.int64)]
+    ids = [np.empty(0, dtype=np.int64)]
+    findall = TAG_PATTERN.findall
+    for start in range(0, len(texts), _TAG_CHUNK):
+        found = list(map(findall, texts[start : start + _TAG_CHUNK]))
+        flat = list(chain.from_iterable(found))
+        for raw in dict.fromkeys(flat):
+            if raw not in id_of:
+                id_of[raw] = vocab.setdefault(raw.casefold(), len(vocab))
+        counts.append(np.fromiter(map(len, found), dtype=np.int64, count=len(found)))
+        ids.append(np.fromiter(map(id_of.__getitem__, flat), dtype=np.int64, count=len(flat)))
+    return np.concatenate(counts), np.concatenate(ids), list(vocab)
+
+
 def aggregate_batch(
     tract_ids: Sequence[str],
     tract_idx: np.ndarray,
@@ -294,16 +325,15 @@ def aggregate_batch(
     n_months = len(uniq_months)
     month_keys = [month_tuple(m) for m in uniq_months]
 
-    # per-event tag counts; tag_count/unique_tags accumulate per bucket below
-    tag_counts = np.zeros(n, dtype=np.int64)
-    tagged: list[tuple[int, list[str]]] = []
-    findall = TAG_PATTERN.findall
-    for i, text in enumerate(texts):
-        if "#" in text:
-            raw = findall(text)
-            if raw:
-                tag_counts[i] = len(raw)
-                tagged.append((i, [t.casefold() for t in raw]))
+    tag_counts, tag_ids, vocab = _intern_tags(texts)
+    n_vocab = len(vocab)
+    tag_owner = np.repeat(np.arange(n), tag_counts)
+    tag_tract = tract_idx[tag_owner]
+    tag_masks = masks[tag_owner]
+    # distinct (tract, tag, cohort mask) triples, ordered by tract, then tag
+    triples = np.unique((tag_tract * n_vocab + tag_ids) * 8 + tag_masks)
+    triple_pair = triples >> 3
+    triple_mask = triples & 7
 
     bucket_sel = {
         "all": None,
@@ -315,32 +345,43 @@ def aggregate_batch(
         bit = bucket_sel[key]
         if bit is None:
             idx = tract_idx
-            sel = slice(None)
+            sel = tag_sel = slice(None)
         else:
             sel = (masks & bit) != 0
+            tag_sel = (tag_masks & bit) != 0
             idx = tract_idx[sel]
         if idx.size == 0:
             continue
+        tag_h = np.bincount(tag_tract[tag_sel], minlength=n_tracts).tolist()
+        # a pair seen under several masks repeats; the set below drops it
+        pairs = triple_pair if bit is None else triple_pair[(triple_mask & bit) != 0]
+        pair_tract, pair_tag = np.divmod(pairs, n_vocab)  # empty when n_vocab is 0
+        pair_tags = [vocab[t] for t in pair_tag.tolist()]
+        pair_bounds = np.searchsorted(pair_tract, np.arange(n_tracts + 1)).tolist()
         ev_count = np.bincount(idx, minlength=n_tracts)
-        hour_h = np.bincount(idx * 24 + hour[sel], minlength=n_tracts * 24)
-        dow_h = np.bincount(idx * 7 + dow[sel], minlength=n_tracts * 7)
-        dn = np.bincount(idx * 2 + is_day[sel], minlength=n_tracts * 2)
-        mon_h = np.bincount(idx * n_months + month_code[sel], minlength=n_tracts * n_months)
-        for ti in np.nonzero(ev_count)[0]:
+        hour_h = np.bincount(idx * 24 + hour[sel], minlength=n_tracts * 24).tolist()
+        dow_h = np.bincount(idx * 7 + dow[sel], minlength=n_tracts * 7).tolist()
+        dn = np.bincount(idx * 2 + is_day[sel], minlength=n_tracts * 2).tolist()
+        mon_h = np.bincount(
+            idx * n_months + month_code[sel], minlength=n_tracts * n_months
+        ).tolist()
+        for ti in np.flatnonzero(ev_count).tolist():
             agg = out.get(tract_ids[ti])
             if agg is None:
                 agg = out[tract_ids[ti]] = TractAggregate(tract_ids[ti])
             st = agg.stats(key)
             st.event_count = int(ev_count[ti])
-            st.hour_histogram = [int(v) for v in hour_h[ti * 24 : (ti + 1) * 24]]
-            st.dow_histogram = [int(v) for v in dow_h[ti * 7 : (ti + 1) * 7]]
-            st.night_count = int(dn[ti * 2])
-            st.day_count = int(dn[ti * 2 + 1])
+            st.hour_histogram = hour_h[ti * 24 : (ti + 1) * 24]
+            st.dow_histogram = dow_h[ti * 7 : (ti + 1) * 7]
+            st.night_count = dn[ti * 2]
+            st.day_count = dn[ti * 2 + 1]
             st.month_histogram = {
-                month_keys[m]: int(c)
+                month_keys[m]: c
                 for m, c in enumerate(mon_h[ti * n_months : (ti + 1) * n_months])
                 if c
             }
+            st.tag_count = tag_h[ti]
+            st.unique_tags = set(pair_tags[pair_bounds[ti] : pair_bounds[ti + 1]])
         tc = tag_counts[sel]
         event_totals[key] = int(idx.size)
         tag_components[key] = (
@@ -350,19 +391,4 @@ def aggregate_batch(
             int((tc >= 6).sum()),
             int((tc >= 11).sum()),
         )
-
-    keys_by_mask = {
-        _MASK_VISITOR: ("all", "visitor"),
-        _MASK_LOCAL: ("all", "local"),
-        _MASK_LOCAL | _MASK_SUPER: ("all", "local", "super_local"),
-    }
-    tidx_list = tract_idx.tolist()
-    mask_list = np.asarray(masks).tolist()
-    for i, tags in tagged:
-        agg = out[tract_ids[tidx_list[i]]]
-        n_tags = len(tags)
-        for key in keys_by_mask[mask_list[i]]:
-            st = agg.cohorts[key]
-            st.tag_count += n_tags
-            st.unique_tags.update(tags)
     return BatchAggregation(out, tag_components, event_totals)

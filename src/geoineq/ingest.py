@@ -10,6 +10,19 @@ Event parsing is skip-and-count: a bad record is tallied under its error
 kind and the stream continues. Multi-million-row exports always contain
 some noise, and one broken line must never abort a run. Tract and census
 files are small and authoritative, so they fail fast instead.
+
+Event parsing is columnar, in chunks of ``_CHUNK`` lines. Quote-free
+CSV lines with exactly four commas take the columnar path: they are
+split in bulk, one join and one split per chunk. Quoted CSV records and
+JSONL rows are split one record at a time. All fields then go through
+vector checks: ``float`` over each coordinate column with a range mask,
+and a byte-view decode of timestamps in the fixed-width
+``YYYY-MM-DDTHH:MM:SS+HH:MM`` shape. Every record those checks do not
+accept (a ``Z`` or compact offset, an unparseable coordinate, a bad
+date, a missing field) falls back to the per-record rule, which accepts
+it or skips and counts it exactly as a record-at-a-time parse would
+(``oracles.validate_event_fields`` is that reference). Row order and
+tallies never depend on the route a record took.
 """
 
 from __future__ import annotations
@@ -17,11 +30,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import chain, compress, islice, repeat
 from typing import Iterator
 
 import numpy as np
@@ -45,8 +60,21 @@ EVENT_COLUMNS = ("user_id", "lat", "lon", "timestamp", "text")
 TAG_PATTERN = re.compile(r"#(\w+)")
 
 _TS_RE = re.compile(
-    r"(\d{4}-\d{2}-\d{2})T(\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:?\d{2})$"
+    r"(\d{4}-\d{2}-\d{2})T(\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:?\d{2})$", re.ASCII
 )
+
+# Lines (JSONL: records) per columnar chunk. It bounds the transient
+# field strings a bulk split holds at once: coordinates and timestamps
+# are dropped after their chunk, only user ids and texts are kept.
+_CHUNK = 8192
+
+# the vector-decoded timestamp shape: YYYY-MM-DDTHH:MM:SS+HH:MM
+_TS_WIDTH = 25
+_TS_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 23, 24])
+_TS_SEP_POS = np.array([4, 7, 10, 13, 16, 22])
+_TS_SEP = np.frombuffer(b"--T:::", dtype=np.uint8)
+_TS_SIGN_POS = 19
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 Ring = tuple[tuple[float, float], ...]
 Polygon = tuple[Ring, ...]  # exterior ring first, holes after
@@ -191,31 +219,58 @@ def _csv_parse_quoted(record: str) -> list[str] | None:
     return rows[0]
 
 
-def _iter_csv_fields(text: str) -> Iterator[list[str] | None]:
-    """Yield one field list per CSV record; None marks an unparseable one.
+def _csv_chunks(lines: list[str]) -> Iterator[tuple[list[str], list]]:
+    """Yield the CSV records of ``lines`` in chunks of at most ``_CHUNK``
+    lines, as ``(flat, fielded)``: ``flat`` holds one four-comma line per
+    record, ``fielded`` the ``(position, fields)`` of every record that is
+    not a quote-free line with exactly four commas, split one by one
+    (fields None when unparseable; its ``flat`` slot is a placeholder).
 
-    The common quote-free line takes a plain split() path; lines with
-    quotes go through the csv module, accumulating continuation lines
-    until the quote parity closes (newlines inside quoted fields).
+    A line with an odd number of quotes opens a record that runs to the
+    next such line (newlines inside quoted fields); those records and
+    other quoted lines go through the csv module. Blank lines between
+    records are skipped. Only lines that are not plain records are
+    visited one at a time.
     """
-    pending: str | None = None
-    for line in text.split("\n"):
-        if pending is not None:
-            pending += "\n" + line
-            if line.count('"') % 2 == 1:
-                yield _csv_parse_quoted(pending)
+    pending: list[str] | None = None  # lines of a record whose quote is open
+    for start in range(0, len(lines), _CHUNK):
+        block = lines[start : start + _CHUNK]
+        n = len(block)
+        commas = np.fromiter(map(str.count, block, repeat(",")), dtype=np.int64, count=n)
+        quotes = np.fromiter(map(str.count, block, repeat('"')), dtype=np.int64, count=n)
+        odd = quotes & 1
+        # a quote is open after this line: continuation lines and the
+        # line that opens a quoted record (the closing one has quotes)
+        inside = (np.cumsum(odd) + (pending is not None)) & 1
+        special = np.flatnonzero(inside | (quotes != 0) | (commas != 4)).tolist()
+        flat: list[str] = []
+        fielded: list[tuple[int, list[str] | None]] = []
+        prev = 0
+        for i in special:
+            flat += block[prev:i]
+            prev = i + 1
+            line = block[i]
+            if pending is not None:
+                pending.append(line)
+                if not odd[i]:
+                    continue
+                fields = _csv_parse_quoted("\n".join(pending))
                 pending = None
-            continue
-        if not line:
-            continue
-        if '"' not in line:
-            yield line.split(",")
-        elif line.count('"') % 2 == 0:
-            yield _csv_parse_quoted(line)
-        else:
-            pending = line
+            elif not line:
+                continue
+            elif odd[i]:
+                pending = [line]
+                continue
+            elif quotes[i]:
+                fields = _csv_parse_quoted(line)
+            else:
+                fields = line.split(",")
+            fielded.append((len(flat), fields))
+            flat.append(",,,,")
+        flat += block[prev:]
+        yield flat, fielded
     if pending is not None:
-        yield None  # unterminated quote at EOF
+        yield [",,,,"], [(0, None)]  # unterminated quote at EOF
 
 
 def _iter_jsonl_fields(text: str) -> Iterator[list[str] | None]:
@@ -260,42 +315,15 @@ def _day_base(date_s: str, off_s: str) -> tuple[float, int]:
     return datetime(int(y), int(mo), int(d), tzinfo=tz).timestamp(), off
 
 
-def _second_of_day(hms: str) -> int:
-    h = int(hms[0:2])
-    mi = int(hms[3:5])
-    sec = int(hms[6:8])
-    if h > 23 or mi > 59 or sec > 59 or hms[2] != ":" or hms[5] != ":":
-        raise ValueError(hms)
-    return h * 3600 + mi * 60 + sec
-
-
-def _timestamp_to_epoch(s: str, day_cache: dict, sod_cache: dict) -> tuple[float, int]:
-    """Parse an ISO-8601 timestamp with a mandatory UTC offset.
+def _timestamp_to_epoch(s: str, day_cache: dict) -> tuple[float, int]:
+    """Parse one ISO-8601 timestamp with a mandatory UTC offset.
 
     Returns (epoch seconds, offset seconds); raises ValueError on any
-    problem. The fixed-width ``YYYY-MM-DDTHH:MM:SS+HH:MM`` shape takes a
-    sliced-and-cached path; anything else falls back to a regex form and
-    then to ``datetime.fromisoformat``.
+    problem. Every numeric field must be ASCII digits. The
+    ``YYYY-MM-DDTHH:MM:SS`` shape with a ``Z``, ``+HH:MM`` or ``+HHMM``
+    offset takes a regex path with a per-(date, offset) cache; anything
+    else falls back to ``datetime.fromisoformat``.
     """
-    if len(s) == 25 and s[10] == "T" and (s[19] == "+" or s[19] == "-") and s[22] == ":":
-        date_s = s[0:10]
-        off_s = s[19:25]
-        key = date_s + off_s
-        cached = day_cache.get(key)
-        hms = s[11:19]
-        sod = sod_cache.get(hms)
-        if cached is not None and sod is not None:
-            return cached[0] + sod, cached[1]
-        if s[4] == "-" and s[7] == "-":
-            if cached is None:
-                cached = _day_base(date_s, off_s)
-                if len(day_cache) < 4096:
-                    day_cache[key] = cached
-            if sod is None:
-                sod = _second_of_day(hms)
-                if len(sod_cache) < 90000:
-                    sod_cache[hms] = sod
-            return cached[0] + sod, cached[1]
     m = _TS_RE.match(s)
     if m:
         date_s, hh, mm, ss, off_s = m.groups()
@@ -311,7 +339,7 @@ def _timestamp_to_epoch(s: str, day_cache: dict, sod_cache: dict) -> tuple[float
         if h > 23 or mi > 59 or sec > 59:
             raise ValueError(s)
         return cached[0] + h * 3600 + mi * 60 + sec, cached[1]
-    # general ISO-8601 fallback
+    # general ISO-8601 fallback; it reads ASCII digits only
     if s.endswith("Z"):
         s = s[:-1] + "+00:00"
     dt = datetime.fromisoformat(s)
@@ -320,30 +348,124 @@ def _timestamp_to_epoch(s: str, day_cache: dict, sod_cache: dict) -> tuple[float
     return dt.timestamp(), int(dt.utcoffset().total_seconds())
 
 
-def validate_event_fields(fields: list[str]):
-    """Validate one raw record; returns (user_id, lat, lon, epoch,
-    offset_seconds, text) or raises the matching ingest error.
-
-    Convenience wrapper over the same rules the batch loop applies
-    inline; handy for testing single records.
-    """
-    if len(fields) != len(EVENT_COLUMNS):
-        raise MalformedRecord(f"expected {len(EVENT_COLUMNS)} fields, got {len(fields)}")
-    uid, lat_s, lon_s, ts_s, text = fields
+def _check_record(uid: str, lat_s: str, lon_s: str, ts_s: str, day_cache: dict):
+    """The per-record rule for a five-field record: (lat, lon, epoch,
+    offset) when it is valid, else the name of its error kind."""
     if not uid:
-        raise MalformedRecord("empty user_id")
+        return "MalformedRecord"
     try:
         lat = float(lat_s)
         lon = float(lon_s)
     except ValueError:
-        raise MalformedRecord(f"non-numeric coordinate {lat_s!r},{lon_s!r}") from None
+        return "MalformedRecord"
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-        raise OutOfRangeCoordinate(f"({lat_s}, {lon_s})")
+        return "OutOfRangeCoordinate"
     try:
-        epoch, off = _timestamp_to_epoch(ts_s, {}, {})
+        epoch, off = _timestamp_to_epoch(ts_s, day_cache)
     except ValueError:
-        raise BadTimestamp(ts_s) from None
-    return uid, lat, lon, epoch, off, text
+        return "BadTimestamp"
+    return lat, lon, epoch, off
+
+
+def _columns(flat: list[str], fielded: list) -> list[list[str]]:
+    """The five field columns of a chunk of records.
+
+    ``flat`` is split in bulk; each five-field list in ``fielded`` then
+    overwrites its placeholder row. A record without five fields keeps
+    the empty placeholder, and its empty user id makes the per-record
+    rule count it as a MalformedRecord.
+    """
+    fields = ",".join(flat).split(",")
+    cols = [fields[c::5] for c in range(5)]
+    for i, rec in fielded:
+        if rec is not None and len(rec) == 5:
+            for col, value in zip(cols, rec):
+                col[i] = value
+    return cols
+
+
+def _float_column(strings: list[str]) -> np.ndarray:
+    """``float`` of every string; NaN where ``float`` raises, so that
+    row fails the range mask and the per-record rule names its error."""
+    it = iter(strings)
+    out: list[float] = []
+    while True:
+        try:
+            out.extend(map(float, it))  # keeps what it took before a raise
+            return np.array(out, dtype=np.float64)
+        except ValueError:
+            out.append(math.nan)
+
+
+def _fixed_width_epochs(stamps: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode 25-character ``YYYY-MM-DDTHH:MM:SS+HH:MM`` timestamps from a
+    byte view: (epoch seconds, offset seconds, accepted mask).
+
+    A stamp is accepted when every digit position holds an ASCII digit,
+    every separator matches, and the date, time and offset are in range;
+    the epoch is then exactly what the per-record rule computes. Days
+    come from days-from-civil arithmetic (proleptic Gregorian).
+    """
+    b = np.frombuffer("".join(stamps).encode("ascii", "replace"), dtype=np.uint8)
+    b = b.reshape(-1, _TS_WIDTH)
+    d = b[:, _TS_DIGITS].astype(np.int64) - ord("0")
+    sign = b[:, _TS_SIGN_POS]
+    ok = ((d >= 0) & (d <= 9)).all(axis=1)
+    ok &= (b[:, _TS_SEP_POS] == _TS_SEP).all(axis=1)
+    ok &= (sign == ord("+")) | (sign == ord("-"))
+    v = d[:, 0::2] * 10 + d[:, 1::2]  # two-digit fields
+    year = v[:, 0] * 100 + v[:, 1]
+    month, day, hh, mi, ss, oh, om = v[:, 2:].T
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + ((month == 2) & leap)
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    ok &= (hh <= 23) & (mi <= 59) & (ss <= 59) & (oh <= 23) & (om <= 59)
+    off = np.where(sign == ord("-"), -1, 1) * (oh * 3600 + om * 60)
+    y = year - (month <= 2)  # March-based year
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    epochs = days * 86400 + hh * 3600 + mi * 60 + ss - off
+    return epochs.astype(np.float64), off, ok
+
+
+def _parse_chunk(flat: list[str], fielded: list, stats: ParseStats, day_cache: dict):
+    """Validate one chunk of records (see :func:`_csv_chunks`); returns
+    the accepted rows as (user ids, texts, (lats, lons, epochs,
+    offsets)) in input order."""
+    uids, lat_s, lon_s, ts_s, texts = _columns(flat, fielded)
+    n = len(uids)
+    lats = _float_column(lat_s)
+    lons = _float_column(lon_s)
+    ok = np.fromiter(map(bool, uids), dtype=bool, count=n)
+    ok &= (lats >= -90.0) & (lats <= 90.0) & (lons >= -180.0) & (lons <= 180.0)
+    epochs = np.zeros(n, dtype=np.float64)
+    offs = np.zeros(n, dtype=np.int32)
+    ts_ok = np.zeros(n, dtype=bool)
+    wide = np.fromiter(map(len, ts_s), dtype=np.int64, count=n) == _TS_WIDTH
+    epochs[wide], offs[wide], ts_ok[wide] = _fixed_width_epochs(
+        list(compress(ts_s, wide.tolist()))
+    )
+    ok &= ts_ok
+    # the per-record rule decides every row the vector checks did not accept
+    for i in np.flatnonzero(~ok).tolist():
+        res = _check_record(uids[i], lat_s[i], lon_s[i], ts_s[i], day_cache)
+        if res.__class__ is str:
+            stats.count_error(res)
+        else:
+            lats[i], lons[i], epochs[i], offs[i] = res
+            ok[i] = True
+    n_ok = int(ok.sum())
+    stats.records_ok += n_ok
+    if n_ok == n:
+        return uids, texts, (lats, lons, epochs, offs)
+    keep = ok.tolist()
+    return (
+        list(compress(uids, keep)),
+        list(compress(texts, keep)),
+        (lats[ok], lons[ok], epochs[ok], offs[ok]),
+    )
 
 
 def parse_event_batch(
@@ -365,67 +487,36 @@ def parse_event_batch(
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     if format == "csv":
-        rows = _iter_csv_fields(text)
+        chunks = _csv_chunks(text.split("\n"))
         if expect_header:
-            header = next(rows, None)
+            flat, fielded = next((c for c in chunks if c[0]), ([], []))
+            if fielded and fielded[0][0] == 0:
+                header = fielded.pop(0)[1]
+            else:
+                header = flat[0].split(",") if flat else None
             if header is None or [h.strip() for h in header] != list(EVENT_COLUMNS):
                 raise MalformedRecord(
                     f"CSV header must be {','.join(EVENT_COLUMNS)}, got {header!r}"
                 )
+            chunks = chain([(flat[1:], [(i - 1, f) for i, f in fielded])], chunks)
     else:
-        rows = _iter_jsonl_fields(text)
-
+        records = _iter_jsonl_fields(text)
+        chunks = (
+            ([",,,,"] * len(recs), list(enumerate(recs)))
+            for recs in iter(lambda: list(islice(records, _CHUNK)), [])
+        )
     uids: list[str] = []
-    lats: list[float] = []
-    lons: list[float] = []
-    epochs: list[float] = []
-    offs: list[int] = []
     texts: list[str] = []
+    parts = [(np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=np.int32))]
     day_cache: dict = {}
-    sod_cache: dict = {}
-    # same rules as validate_event_fields, inlined: this loop is the hot
-    # path for multi-million-row files
-    u_app, la_app, lo_app = uids.append, lats.append, lons.append
-    ep_app, of_app, tx_app = epochs.append, offs.append, texts.append
-    ok = 0
-    for fields in rows:
-        if fields is None or len(fields) != 5:
-            stats.count_error("MalformedRecord")
-            continue
-        uid, lat_s, lon_s, ts_s, text_v = fields
-        if not uid:
-            stats.count_error("MalformedRecord")
-            continue
-        try:
-            lat = float(lat_s)
-            lon = float(lon_s)
-        except ValueError:
-            stats.count_error("MalformedRecord")
-            continue
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            stats.count_error("OutOfRangeCoordinate")
-            continue
-        try:
-            epoch, off = _timestamp_to_epoch(ts_s, day_cache, sod_cache)
-        except ValueError:
-            stats.count_error("BadTimestamp")
-            continue
-        ok += 1
-        u_app(uid)
-        la_app(lat)
-        lo_app(lon)
-        ep_app(epoch)
-        of_app(off)
-        tx_app(text_v)
-    stats.records_ok += ok
-    return EventBatch(
-        uids,
-        np.asarray(lats, dtype=np.float64),
-        np.asarray(lons, dtype=np.float64),
-        np.asarray(epochs, dtype=np.float64),
-        np.asarray(offs, dtype=np.int32),
-        texts,
-    )
+    for flat, fielded in chunks:
+        if flat:
+            c_uids, c_texts, arrays = _parse_chunk(flat, fielded, stats, day_cache)
+            uids += c_uids
+            texts += c_texts
+            parts.append(arrays)
+    lats, lons, epochs, offs = (np.concatenate(col) for col in zip(*parts))
+    return EventBatch(uids, lats, lons, epochs, offs, texts)
 
 
 def parse_events(

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+from .errors import BadTimestamp, MalformedRecord, OutOfRangeCoordinate
 from .geo import Tract
+from .ingest import EVENT_COLUMNS, _timestamp_to_epoch
 
 
 def gini_pairwise(values: Sequence[float]) -> float:
@@ -152,3 +154,32 @@ def assign_batch_naive(lats, lons, tracts: Iterable[Tract]):
             out[i] = tract.tract_id
         unassigned[hit] = False
     return out
+
+
+def validate_event_fields(fields: list[str]):
+    """Per-record reference for event parsing: validate one raw record;
+    returns (user_id, lat, lon, epoch, offset_seconds, text) or raises
+    the matching ingest error.
+
+    The columnar parser must accept, reject and tally every record
+    exactly as this does when applied record by record. Only the scalar
+    timestamp grammar is shared with ingest: it is the rule that the
+    vector timestamp decoder is checked against.
+    """
+    if len(fields) != len(EVENT_COLUMNS):
+        raise MalformedRecord(f"expected {len(EVENT_COLUMNS)} fields, got {len(fields)}")
+    uid, lat_s, lon_s, ts_s, text = fields
+    if not uid:
+        raise MalformedRecord("empty user_id")
+    try:
+        lat = float(lat_s)
+        lon = float(lon_s)
+    except ValueError:
+        raise MalformedRecord(f"non-numeric coordinate {lat_s!r},{lon_s!r}") from None
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        raise OutOfRangeCoordinate(f"({lat_s}, {lon_s})")
+    try:
+        epoch, off = _timestamp_to_epoch(ts_s, {})
+    except ValueError:
+        raise BadTimestamp(ts_s) from None
+    return uid, lat, lon, epoch, off, text

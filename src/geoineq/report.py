@@ -221,16 +221,10 @@ def _user_partials(batch: EventBatch, kept_idx, tz: str) -> tuple[_Partition, di
         return _Partition(batch, kept_idx, np.empty(0, np.int64), []), {}
     clock = LocalClock(tz, float(batch.epochs.min()), float(batch.epochs.max()))
     _, _, month_nums = clock.local_fields(batch.epochs)
-    code_of: dict[str, int] = {}
-    uids: list[str] = []
-    codes = np.empty(n, dtype=np.int64)
-    for i, uid in enumerate(batch.user_ids):
-        c = code_of.get(uid)
-        if c is None:
-            c = len(uids)
-            code_of[uid] = c
-            uids.append(uid)
-        codes[i] = c
+    # codes in order of first appearance
+    uids = list(dict.fromkeys(batch.user_ids))
+    code_of = dict(zip(uids, range(len(uids))))
+    codes = np.fromiter(map(code_of.__getitem__, batch.user_ids), dtype=np.int64, count=n)
     n_users = len(uids)
     counts = np.bincount(codes, minlength=n_users)
     order = np.argsort(codes, kind="stable")

@@ -2,7 +2,7 @@ from datetime import datetime, time, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from geoineq.aggregate import (
@@ -13,7 +13,9 @@ from geoineq.aggregate import (
     cohort_buckets,
     cohort_mask,
     day_night_split,
+    merge_aggregate_maps,
     merge_aggregates,
+    merge_tag_components,
     normalize_density,
     tag_summary,
     tag_summary_from_counts,
@@ -207,43 +209,61 @@ class TestMerge:
             merge_aggregates(TractAggregate("T1"), TractAggregate("T2"))
 
 
+_TRACT_IDS = ("T1", "T2", "T3")
+_COHORTS = [VISITOR, LOCAL, SUPER]
+_BASE = datetime(2013, 1, 1, tzinfo=UTC)
+_TZ = "America/New_York"
+_ROWS = st.lists(
+    st.tuples(
+        st.integers(0, 2),  # tract
+        st.integers(0, 3 * 365 * 86400),  # seconds after 2013-01-01
+        st.sampled_from(
+            [
+                "", "#a", "#A #b", "x #c1 #c1", "no tags, here",
+                # casefolding and interning: one tag spelled two ways, tags
+                # run together, bare and doubled '#', dotted capital I
+                "#Straße #STRASSE", "#café#2021", "##x #_ #", "#İzmir",
+            ]
+        ),
+        st.sampled_from([0, 1, 2]),  # cohort: visitor / local / super
+    ),
+    max_size=60,
+)
+
+
+def _aggregate_rows(rows):
+    """aggregate_batch over (tract, seconds after _BASE, text, cohort) rows."""
+    epochs = np.array([(_BASE + timedelta(seconds=secs)).timestamp() for _, secs, _, _ in rows])
+    idx = np.array([tract for tract, _, _, _ in rows], dtype=np.int64)
+    masks = np.array([cohort_mask(_COHORTS[who]) for _, _, _, who in rows], dtype=np.uint8)
+    clock = LocalClock(_TZ, float(epochs.min()), float(epochs.max())) if rows else None
+    return aggregate_batch(_TRACT_IDS, idx, epochs, [text for _, _, text, _ in rows], masks, clock)
+
+
 class TestBatchEquivalence:
     """The vectorized path must reproduce the per-event reference op."""
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 2),  # tract
-                st.integers(0, 3 * 365 * 86400),  # seconds after 2013-01-01
-                st.sampled_from(["", "#a", "#A #b", "x #c1 #c1", "no tags, here"]),
-                st.sampled_from([0, 1, 2]),  # cohort: visitor / local / super
-            ),
-            max_size=60,
-        )
-    )
+    @given(_ROWS)
     def test_matches_reference(self, rows):
-        tz = "America/New_York"
-        tract_ids = ("T1", "T2", "T3")
-        cohorts = [VISITOR, LOCAL, SUPER]
-        base = datetime(2013, 1, 1, tzinfo=UTC)
-        assigned = []
-        for tract, secs, text, who in rows:
-            assigned.append(
-                (ev(base + timedelta(seconds=secs), text), tract_ids[tract], cohorts[who])
-            )
-        want = aggregate_by_tract(assigned, tz)
+        assigned = [
+            (ev(_BASE + timedelta(seconds=secs), text), _TRACT_IDS[tract], _COHORTS[who])
+            for tract, secs, text, who in rows
+        ]
+        assert _aggregate_rows(rows).aggregates == aggregate_by_tract(assigned, _TZ)
 
-        if rows:
-            epochs = np.array([e.timestamp.timestamp() for e, _, _ in assigned])
-            idx = np.array([tract for tract, _, _, _ in rows], dtype=np.int64)
-            masks = np.array([cohort_mask(c) for _, _, c in assigned], dtype=np.uint8)
-            clock = LocalClock(tz, float(epochs.min()), float(epochs.max()))
-            got = aggregate_batch(
-                tract_ids, idx, epochs, [e.text for e, _, _ in assigned], masks, clock
-            ).aggregates
-        else:
-            got = {}
-        assert got == want
+    @given(_ROWS, st.integers(0, 60))
+    @example(  # the halves number the same tags differently
+        [(0, 0, "#b #a", 1), (1, 9, "#c", 0), (0, 99, "#A", 2), (1, 7, "#C #B", 1)], 2
+    )
+    def test_halves_merge_to_whole(self, rows, cut):
+        whole = _aggregate_rows(rows)
+        a = _aggregate_rows(rows[:cut])
+        b = _aggregate_rows(rows[cut:])
+        assert merge_aggregate_maps(a.aggregates, b.aggregates) == whole.aggregates
+        assert merge_tag_components(a.tag_components, b.tag_components) == whole.tag_components
+        totals = {k: a.event_totals.get(k, 0) + b.event_totals.get(k, 0)
+                  for k in a.event_totals | b.event_totals}
+        assert totals == whole.event_totals
 
 
 def test_cohort_buckets_mapping():

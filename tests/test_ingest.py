@@ -1,5 +1,7 @@
 import json
+import random
 import re
+from collections import Counter
 from datetime import datetime, timedelta
 
 import pytest
@@ -10,6 +12,7 @@ from conftest import events_csv, feature_collection, square_feature
 from geoineq.errors import (
     BadTimestamp,
     DuplicateTractId,
+    IngestError,
     MalformedRecord,
     MissingTractId,
     NonNumericValue,
@@ -19,6 +22,8 @@ from geoineq.errors import (
     UnclosedRing,
 )
 from geoineq.ingest import (
+    _CHUNK,
+    EVENT_COLUMNS,
     ParseStats,
     extract_hashtags,
     parse_census,
@@ -27,8 +32,8 @@ from geoineq.ingest import (
     parse_tracts,
     partition_byte_ranges,
     read_byte_range,
-    validate_event_fields,
 )
+from geoineq.oracles import validate_event_fields
 
 
 class TestParseEvents:
@@ -158,6 +163,25 @@ class TestParseEvents:
         epochs = {ev.timestamp.timestamp() for ev in events}
         assert len(epochs) == 1
 
+    @pytest.mark.parametrize(
+        "ts",
+        [
+            "2014-+3-01T08:03:00-05:00",  # int() takes a sign
+            "2014-03-01T0 :03:00-05:00",  # ... and surrounding spaces
+            "2_01-03-01T08:03:00-05:00",  # ... and underscores
+            "\u0662\u0660\u0661\u0664-03-01T08:03:00-05:00",  # ... and Arabic-Indic digits
+            "2014-03-01T08:03:0\u0660Z",  # the Z and compact-offset forms too
+            "2014-03-01T08:03:00-05\u06600",
+        ],
+    )
+    def test_timestamp_fields_need_ascii_digits(self, ts):
+        stats = ParseStats()
+        batch = parse_event_batch(events_csv([f"u,40.7,-74.0,{ts},x"]), "csv", stats)
+        assert len(batch) == 0
+        assert stats.errors == Counter({"BadTimestamp": 1})
+        with pytest.raises(BadTimestamp):
+            validate_event_fields(["u", "40.7", "-74.0", ts, "x"])
+
     @given(
         st.lists(
             st.tuples(
@@ -179,6 +203,184 @@ class TestParseEvents:
         got = list(parse_events(events_csv(lines) if lines else b"user_id,lat,lon,timestamp,text\n", "csv", stats))
         assert stats.records_ok + stats.records_skipped == len(lines)
         assert len(got) == stats.records_ok
+
+
+def _fixed_width_stamp(y, mo, d, h, mi, sec, sign, oh, om):
+    return f"{y:04d}-{mo:02d}-{d:02d}T{h:02d}:{mi:02d}:{sec:02d}{sign}{oh:02d}:{om:02d}"
+
+
+_UIDS = st.sampled_from(["u1", "L00042", "", "ü", "a b", 'q"u', "c,d"])
+_COORDS = st.one_of(
+    st.sampled_from(
+        ["40.7", "-74.0", "0", "-0", "90", "-180", "90.0001", "-181", "nan", "inf",
+         "1_0", " 12 ", "1e1", "abc", "", "\u0663"]
+    ),
+    st.floats(-200, 200).map(repr),
+)
+_STAMPS = st.one_of(
+    st.sampled_from(
+        [
+            "2014-03-01T08:03:00-05:00",
+            "2014-03-01T13:03:00Z",
+            "2014-03-01T08:03:00-0500",
+            "2014-03-01T08:03:00.5-05:00",
+            "2014-03-01T08:03:00",
+            "2014-03-01 08:03:00-05:00",
+            "2014-02-29T08:03:00+01:00",
+            "2016-02-29T08:03:00+01:00",
+            "2014-03-01T24:00:00+00:00",
+            "2014-03-01T08:03:00+05:75",
+            "2014-03-01T08:03:00+23:99",
+            "1900-02-29T08:03:00+00:00",
+            "2000-02-29T08:03:00+00:00",
+            "2014-+3-01T08:03:00-05:00",
+            "never",
+            "",
+        ]
+    ),
+    st.builds(  # valid
+        lambda t, off: _fixed_width_stamp(
+            t.year, t.month, t.day, t.hour, t.minute, t.second,
+            "-" if off < 0 else "+", abs(off) // 60, abs(off) % 60,
+        ),
+        st.datetimes(datetime(1, 1, 2), datetime(9999, 12, 30)),
+        st.integers(-1439, 1439),
+    ),
+    # fixed width, in and out of range: month 0/13, day 0/32, hour 24, ...
+    st.builds(
+        _fixed_width_stamp,
+        st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
+        st.integers(0, 24), st.integers(0, 60), st.integers(0, 60),
+        st.sampled_from("+-"), st.integers(0, 24), st.integers(0, 99),
+    ),
+)
+_TEXTS = st.text(alphabet=st.sampled_from(list('ab #,"\n') + ["é", "İ"]), max_size=12)
+_RECORDS = st.lists(
+    st.tuples(
+        st.tuples(_UIDS, _COORDS, _COORDS, _STAMPS, _TEXTS),
+        st.integers(4, 6),  # field count
+        st.booleans(),  # quote every field
+        st.booleans(),  # blank line before the record
+    ),
+    max_size=25,
+)
+
+
+def _csv_line(fields, quote_all):
+    return ",".join(
+        '"' + f.replace('"', '""') + '"' if quote_all or any(c in f for c in ',"\n') else f
+        for f in fields
+    )
+
+
+def _reference(records):
+    """validate_event_fields applied record by record: (rows, tallies)."""
+    rows, errors = [], Counter()
+    for fields in records:
+        try:
+            rows.append(validate_event_fields(fields))
+        except IngestError as e:
+            errors[type(e).__name__] += 1
+    return rows, errors
+
+
+def _assert_matches_reference(batch, stats, records):
+    rows, errors = _reference(records)
+    got = list(
+        zip(batch.user_ids, batch.lats.tolist(), batch.lons.tolist(),
+            batch.epochs.tolist(), batch.offsets.tolist(), batch.texts)
+    )
+    assert got == rows
+    assert stats.errors == errors
+    assert stats.records_ok == len(rows)
+    assert stats.records_skipped == len(records) - len(rows)
+
+
+class TestColumnarParse:
+    """parse_event_batch must equal the per-record reference, record by
+    record, whichever route (bulk split, vector checks, fallback) each
+    record takes."""
+
+    @given(_RECORDS, st.booleans(), st.booleans())
+    def test_csv_matches_reference(self, drawn, crlf, header):
+        records, lines = [], ["user_id,lat,lon,timestamp,text"] if header else []
+        for fields, n_fields, quote_all, blank in drawn:
+            fields = list(fields[:n_fields]) + ["x"] * (n_fields - 5)
+            records.append(fields)
+            lines += [""] * blank + [_csv_line(fields, quote_all)]
+        body = ("\r\n" if crlf else "\n").join(lines) + "\n"
+        stats = ParseStats()
+        batch = parse_event_batch(body.encode(), "csv", stats, expect_header=header)
+        _assert_matches_reference(batch, stats, records)
+
+    @given(_RECORDS, st.booleans())
+    def test_jsonl_matches_reference(self, drawn, crlf):
+        records, lines = [], []
+        for fields, n_fields, _, blank in drawn:
+            if n_fields == 5:
+                records.append(list(fields))
+                lines.append(json.dumps(dict(zip(EVENT_COLUMNS, fields))))
+            else:
+                records.append([])  # not JSON: a MalformedRecord
+                lines.append("{not json")
+            lines += [""] * blank
+        body = ("\r\n" if crlf else "\n").join(lines)
+        stats = ParseStats()
+        batch = parse_event_batch(body.encode(), "jsonl", stats)
+        _assert_matches_reference(batch, stats, records)
+
+    def test_timestamp_boundaries(self):
+        stamps = [
+            "0000-01-01T00:00:00+00:00", "0001-01-01T00:00:00+01:00",
+            "9999-12-31T23:59:59-23:59", "1970-01-01T00:00:00-00:00",
+            "2014-03-01T24:00:00+00:00", "2014-03-01T23:60:00+00:00",
+            "2014-03-01T23:59:60+00:00", "2014-03-01T08:03:00+24:00",
+            "2014-03-01T08:03:00+23:60", "2014-03-01T08:03:00+23:99",
+            "2014-03-01T08:03:00+05:75", "1900-02-29T08:03:00+00:00",
+            "2000-02-29T08:03:00+00:00", "2100-02-29T08:03:00+00:00",
+            "2014-02-29T08:03:00+00:00", "2016-02-29T08:03:00+00:00",
+            "2014-04-31T08:03:00+00:00", "2014-00-10T08:03:00+00:00",
+            "2014-13-10T08:03:00+00:00", "2014-12-00T08:03:00+00:00",
+            "2014-12-32T08:03:00+00:00", "2014-03-01T08:03:00*05:00",
+            "2014/03/01T08:03:00+05:00", "2014-03-01t08:03:00+05:00",
+        ]
+        records = [["u", "40.7", "-74.0", ts, ""] for ts in stamps]
+        stats = ParseStats()
+        batch = parse_event_batch(events_csv([",".join(r) for r in records]), "csv", stats)
+        _assert_matches_reference(batch, stats, records)
+
+    def test_quoted_record_across_chunk_boundary(self):
+        # the header is line 0, so the quoted record opens on the chunk's
+        # last line and its middle line, which looks like a plain record,
+        # starts the next chunk
+        records = [[f"u{i}", "40.7", "-74.0", "2014-03-01T08:03:00-05:00", ""]
+                   for i in range(_CHUNK - 2)]
+        records.append(["v", "40.7", "-74.0", "2014-03-01T08:03:00-05:00", "x\na,b,c,d,e\ny"])
+        records.append(["w", "40.7", "-74.0", "2014-03-01T08:03:00-05:00", ""])
+        stats = ParseStats()
+        batch = parse_event_batch(events_csv([_csv_line(r, False) for r in records]), "csv", stats)
+        _assert_matches_reference(batch, stats, records)
+
+    def test_input_longer_than_a_chunk(self):
+        rng = random.Random(3)
+        kinds = [
+            lambda i: [f"u{i % 97}", "40.7", "-74.0", f"2014-03-{i % 28 + 1:02d}T08:03:00-05:00", ""],
+            lambda i: [f"u{i % 89}", "40.7", "-74.0", f"2014-03-{i % 28 + 1:02d}T13:03:00Z", "b"],
+            lambda i: [f"u{i % 83}", "40.7", "-74.0", "2014-03-01T08:03:00-05:00", f"x,\n{i}"],
+            lambda i: [f"u{i}", f"lat{i}", "-74.0", "2014-03-01T08:03:00-05:00", ""],
+            lambda i: [f"u{i}", "91", "-74.0", "2014-03-01T08:03:00-05:00", ""],
+            lambda i: [f"u{i}", "40.7", "-74.0", "2014-02-30T08:03:00-05:00", ""],
+            lambda i: [f"u{i}", "40.7", "-74.0", "2014-03-01T08:03:00-05:00"],
+            lambda i: ["", "40.7", "-74.0", "2014-03-01T08:03:00-05:00", ""],
+        ]
+        weights = [80, 5, 5, 3, 3, 2, 2, 2]
+        records = [rng.choices(kinds, weights)[0](i) for i in range(5 * _CHUNK // 2)]
+        body = "user_id,lat,lon,timestamp,text\n" + "".join(
+            _csv_line(f, False) + "\n" for f in records
+        )
+        stats = ParseStats()
+        batch = parse_event_batch(body.encode(), "csv", stats)
+        _assert_matches_reference(batch, stats, records)
 
 
 class TestPartitioning:
