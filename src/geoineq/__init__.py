@@ -4,20 +4,10 @@ event streams aggregated over census tracts."""
 from .aggregate import (
     TagSummary,
     TractAggregate,
-    aggregate_by_tract,
-    day_night_split,
     merge_aggregates,
     normalize_density,
-    tag_summary,
 )
-from .cohort import (
-    Cohort,
-    UserActivity,
-    build_user_activity,
-    classify_user,
-    is_super_local,
-    merge_user_activity,
-)
+from .cohort import Cohort
 from .geo import (
     SpatialIndex,
     Tract,
@@ -28,12 +18,10 @@ from .geo import (
 )
 from .ingest import (
     CensusRecord,
-    GeoEvent,
     ParseStats,
     RawTractFeature,
     extract_hashtags,
     parse_census,
-    parse_events,
     parse_tracts,
 )
 from .metrics import (
@@ -58,7 +46,6 @@ from .report import (
     Report,
     emit_choropleth,
     emit_lorenz_svg,
-    emit_report,
     run_pipeline,
     run_pipeline_full,
 )
@@ -70,7 +57,6 @@ __all__ = [
     "CensusRecord",
     "Cohort",
     "Distribution",
-    "GeoEvent",
     "IndexSuite",
     "LorenzCurve",
     "ParseStats",
@@ -83,30 +69,21 @@ __all__ = [
     "TagSummary",
     "Tract",
     "TractAggregate",
-    "UserActivity",
-    "aggregate_by_tract",
     "assign_tract",
     "build_spatial_index",
-    "build_user_activity",
-    "classify_user",
     "day_night_rank_table",
-    "day_night_split",
     "emit_choropleth",
     "emit_lorenz_svg",
-    "emit_report",
     "extract_hashtags",
     "generate_city",
     "gini",
     "hoover",
     "index_suite",
-    "is_super_local",
     "lorenz_curve",
     "merge_aggregates",
-    "merge_user_activity",
     "min_units_for_share",
     "normalize_density",
     "parse_census",
-    "parse_events",
     "parse_tracts",
     "percentile_ratio",
     "polygon_area_km2",
@@ -114,7 +91,6 @@ __all__ = [
     "run_pipeline",
     "run_pipeline_full",
     "suite_ratio",
-    "tag_summary",
     "theil",
     "top_share",
     "tract_from_feature",

@@ -14,22 +14,19 @@ Sunday-first, "day" is the local interval 07:00:00..18:59:59 inclusive
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime, time
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
-from zoneinfo import ZoneInfo
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .cohort import Cohort
-from .errors import DegenerateArea, EmptyCohort, MissingArea, TractIdMismatch
-from .ingest import TAG_PATTERN, GeoEvent, extract_hashtags
+from .errors import DegenerateArea, MissingArea, TractIdMismatch
+from .ingest import TAG_PATTERN
 from .timebins import LocalClock, month_tuple
 
 DAY_START_SECOND = 7 * 3600  # 07:00:00 local, inclusive
 DAY_END_SECOND = 19 * 3600  # 19:00:00 local, exclusive
 
-BUCKET_ALL = "all"
 BUCKET_KEYS = ("all", "visitor", "local", "super_local")
 
 # bitmask per user for the batch path; "all" is implicit
@@ -91,66 +88,12 @@ class TagSummary:
         return self.images_gt10_tags / self.image_count
 
 
-def cohort_buckets(cohort: Cohort) -> tuple[str, ...]:
-    if cohort.kind == "visitor":
-        return ("all", "visitor")
-    if cohort.super_local:
-        return ("all", "local", "super_local")
-    return ("all", "local")
-
-
 def cohort_mask(cohort: Cohort) -> int:
     if cohort.kind == "visitor":
         return _MASK_VISITOR
     if cohort.super_local:
         return _MASK_LOCAL | _MASK_SUPER
     return _MASK_LOCAL
-
-
-def day_night_split(t: datetime | time) -> str:
-    """'day' for local wall-clock 07:00:00 through 18:59:59, else 'night'.
-
-    Comparison is on whole seconds (sub-second parts truncate).
-    """
-    tt = t.time() if isinstance(t, datetime) else t
-    sod = tt.hour * 3600 + tt.minute * 60 + tt.second
-    return "day" if DAY_START_SECOND <= sod < DAY_END_SECOND else "night"
-
-
-def aggregate_by_tract(
-    assigned: Iterable[tuple[GeoEvent, str, Cohort]], tz: str | ZoneInfo
-) -> dict[str, TractAggregate]:
-    """Reduce (event, tract_id, cohort) triples into per-tract aggregates.
-
-    Reference single-pass implementation; the pipeline's array path in
-    :func:`aggregate_batch` must produce identical results.
-    """
-    tzinfo = ZoneInfo(tz) if isinstance(tz, str) else tz
-    out: dict[str, TractAggregate] = {}
-    for ev, tract_id, cohort in assigned:
-        loc = ev.timestamp.astimezone(tzinfo)
-        hour = loc.hour
-        dow = (loc.weekday() + 1) % 7  # Sunday-first
-        month = (loc.year, loc.month)
-        is_day = day_night_split(loc) == "day"
-        tags = extract_hashtags(ev.text)
-        agg = out.get(tract_id)
-        if agg is None:
-            agg = out[tract_id] = TractAggregate(tract_id)
-        for key in cohort_buckets(cohort):
-            st = agg.stats(key)
-            st.event_count += 1
-            st.hour_histogram[hour] += 1
-            st.dow_histogram[dow] += 1
-            st.month_histogram[month] = st.month_histogram.get(month, 0) + 1
-            if is_day:
-                st.day_count += 1
-            else:
-                st.night_count += 1
-            if tags:
-                st.tag_count += len(tags)
-                st.unique_tags.update(tags)
-    return out
 
 
 def merge_aggregates(a: TractAggregate, b: TractAggregate) -> TractAggregate:
@@ -219,17 +162,6 @@ def normalize_density(
     return out
 
 
-def tag_summary_from_counts(counts: Sequence[int]) -> TagSummary:
-    n = len(counts)
-    if n == 0:
-        raise EmptyCohort("tag summary over zero events")
-    total = int(sum(counts))
-    with_tags = sum(1 for c in counts if c > 0)
-    gt5 = sum(1 for c in counts if c >= 6)
-    gt10 = sum(1 for c in counts if c >= 11)
-    return tag_summary_from_components(n, total, with_tags, gt5, gt10)
-
-
 def tag_summary_from_components(
     n: int, total: int, with_tags: int, gt5: int, gt10: int
 ) -> TagSummary:
@@ -244,11 +176,6 @@ def tag_summary_from_components(
         mean_tags_per_image=total / n,
         mean_tags_per_tagged_image=(total / with_tags) if with_tags else None,
     )
-
-
-def tag_summary(events: Iterable[GeoEvent]) -> TagSummary:
-    """Hashtag usage statistics over the events of one cohort."""
-    return tag_summary_from_counts([len(extract_hashtags(ev.text)) for ev in events])
 
 
 # --- batch (array) path -----------------------------------------------------
@@ -304,7 +231,9 @@ def aggregate_batch(
     masks: np.ndarray,
     clock: LocalClock,
 ) -> BatchAggregation:
-    """Vectorized equivalent of :func:`aggregate_by_tract`.
+    """Per-tract aggregates of one batch of events, in array operations.
+
+    ``oracles.aggregate_by_tract`` is the per-event reference.
 
     ``tract_idx`` indexes into ``tract_ids`` (every event already
     assigned), ``masks`` carries the per-event cohort bitmask from

@@ -5,22 +5,28 @@ last posts are strictly more than ``window_days`` (in seconds) apart;
 everyone else is a visitor, including single-post users, whose posts
 trivially fit inside any window. Super-locals are locals who posted in
 every calendar month of the collection span.
+
+Classification is global while events are partitioned, so it runs in
+three steps: :func:`user_partials` summarises each partition's events
+per user, :func:`merge_partials` folds the partitions' summaries (in any
+order), and :func:`classify_partials` labels every user from the merged
+summaries. ``oracles.classify_users_direct`` is the per-event reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from typing import Iterable, Mapping, Sequence
-from zoneinfo import ZoneInfo
+from typing import Sequence
 
-from .errors import EmptyDatasetMonths
-from .ingest import GeoEvent
+import numpy as np
+
+from .timebins import LocalClock, month_tuple
 
 VISITOR = "visitor"
 LOCAL = "local"
 
-DEFAULT_WINDOW_DAYS = 12
+# month numbers are shifted non-negative to pack (user, month) pairs
+_MONTH_SHIFT = 500_000
 
 
 @dataclass(frozen=True)
@@ -35,15 +41,6 @@ class Cohort:
             raise ValueError("super_local implies local")
 
 
-@dataclass(frozen=True)
-class UserActivity:
-    user_id: str
-    first_ts: datetime
-    last_ts: datetime
-    post_count: int
-    months_present: frozenset[tuple[int, int]]  # (year, month) in display tz
-
-
 def spans_more_than_window(post_count: int, span_seconds: float, window_days: int) -> bool:
     """The local rule: >= 2 posts strictly more than window_days apart.
 
@@ -54,80 +51,79 @@ def spans_more_than_window(post_count: int, span_seconds: float, window_days: in
     return post_count >= 2 and span_seconds > window_days * 86400.0
 
 
-def build_user_activity(
-    events: Iterable[GeoEvent], tz: str | ZoneInfo
-) -> dict[str, UserActivity]:
-    """Per-user first/last instants, post counts, and months touched.
+def user_partials(
+    user_ids: Sequence[str], epochs: np.ndarray, tz: str
+) -> tuple[list[str], np.ndarray, dict]:
+    """Per-user activity of one partition's events.
 
-    Events are expected to be tract-filtered already; month membership
-    uses the display timezone, like every other temporal binning.
+    Returns the distinct user ids in order of first appearance, each
+    event's index into them, and the partials: user id -> (first epoch,
+    last epoch, post count, ascending month numbers in the display
+    timezone ``tz``). Partials of different partitions merge with
+    :func:`merge_partials`.
     """
-    tzinfo = ZoneInfo(tz) if isinstance(tz, str) else tz
-    acc: dict[str, list] = {}
-    for ev in events:
-        epoch = ev.timestamp.timestamp()
-        loc = ev.timestamp.astimezone(tzinfo)
-        month = (loc.year, loc.month)
-        slot = acc.get(ev.user_id)
-        if slot is None:
-            acc[ev.user_id] = [epoch, epoch, 1, {month}]
-        else:
-            if epoch < slot[0]:
-                slot[0] = epoch
-            if epoch > slot[1]:
-                slot[1] = epoch
-            slot[2] += 1
-            slot[3].add(month)
-    return {
-        uid: UserActivity(
-            uid,
-            datetime.fromtimestamp(first, timezone.utc),
-            datetime.fromtimestamp(last, timezone.utc),
-            count,
-            frozenset(months),
-        )
-        for uid, (first, last, count, months) in acc.items()
+    n = len(user_ids)
+    if n == 0:
+        return [], np.empty(0, np.int64), {}
+    clock = LocalClock(tz, float(epochs.min()), float(epochs.max()))
+    _, _, month_nums = clock.local_fields(epochs)
+    uids = list(dict.fromkeys(user_ids))
+    code_of = dict(zip(uids, range(len(uids))))
+    codes = np.fromiter(map(code_of.__getitem__, user_ids), dtype=np.int64, count=n)
+    n_users = len(uids)
+    counts = np.bincount(codes, minlength=n_users)
+    order = np.argsort(codes, kind="stable")
+    starts = np.searchsorted(codes[order], np.arange(n_users), side="left")
+    ep_sorted = epochs[order]
+    firsts = np.minimum.reduceat(ep_sorted, starts)
+    lasts = np.maximum.reduceat(ep_sorted, starts)
+    pairs = np.unique(codes * 1_000_000 + (month_nums + _MONTH_SHIFT))
+    months_per_user: list[list[int]] = [[] for _ in range(n_users)]
+    for p in pairs:
+        c, m = divmod(int(p), 1_000_000)
+        months_per_user[c].append(m - _MONTH_SHIFT)
+    partials = {
+        uids[c]: (float(firsts[c]), float(lasts[c]), int(counts[c]), tuple(months_per_user[c]))
+        for c in range(n_users)
     }
+    return uids, codes, partials
 
 
-def merge_user_activity(
-    a: Mapping[str, UserActivity], b: Mapping[str, UserActivity]
-) -> dict[str, UserActivity]:
-    """Merge per-partition activity maps.
-
-    (min first, max last, summed counts, union of months) is associative
-    and commutative, so any partitioning of the event stream merges to
-    the same result.
-    """
+def merge_partials(a: dict, b: dict) -> dict:
+    """(min first, max last, summed counts, union of months) per user;
+    associative and commutative, so any partitioning merges alike."""
     out = dict(a)
-    for uid, act in b.items():
+    for uid, (mn, mx, cnt, months) in b.items():
         cur = out.get(uid)
         if cur is None:
-            out[uid] = act
+            out[uid] = (mn, mx, cnt, months)
         else:
-            out[uid] = UserActivity(
-                uid,
-                min(cur.first_ts, act.first_ts),
-                max(cur.last_ts, act.last_ts),
-                cur.post_count + act.post_count,
-                cur.months_present | act.months_present,
+            out[uid] = (
+                min(cur[0], mn),
+                max(cur[1], mx),
+                cur[2] + cnt,
+                tuple(sorted(set(cur[3]) | set(months))),
             )
     return out
 
 
-def classify_user(activity: UserActivity, window_days: int = DEFAULT_WINDOW_DAYS) -> Cohort:
-    if window_days < 1:
-        raise ValueError("window_days must be >= 1")
-    span = (activity.last_ts - activity.first_ts).total_seconds()
-    if spans_more_than_window(activity.post_count, span, window_days):
-        return Cohort(LOCAL)
-    return Cohort(VISITOR)
-
-
-def is_super_local(
-    activity: UserActivity, dataset_months: Sequence[tuple[int, int]]
-) -> bool:
-    """True when the user posted in every month of the collection span."""
-    if not dataset_months:
-        raise EmptyDatasetMonths("dataset_months must not be empty")
-    return set(dataset_months) <= activity.months_present
+def classify_partials(
+    partials: dict, window_days: int
+) -> tuple[dict[str, Cohort], list[tuple[int, int]]]:
+    """Cohort per user from merged partials, and the dataset months as
+    (year, month): the contiguous range between the earliest and latest
+    observed month."""
+    labels: dict[str, Cohort] = {}
+    if not partials:
+        return labels, []
+    all_months = set()
+    for _, _, _, months in partials.values():
+        all_months.update(months)
+    dataset_nums = list(range(min(all_months), max(all_months) + 1))
+    dataset_set = set(dataset_nums)
+    for uid, (mn, mx, cnt, months) in partials.items():
+        if spans_more_than_window(cnt, mx - mn, window_days):
+            labels[uid] = Cohort(LOCAL, super_local=dataset_set <= set(months))
+        else:
+            labels[uid] = Cohort(VISITOR)
+    return labels, [month_tuple(m) for m in dataset_nums]

@@ -62,20 +62,10 @@ class DegeneratePolygon(GeoIneqError):
     """Polygon whose area is zero within tolerance."""
 
 
-# --- cohort ---------------------------------------------------------------
-
-class EmptyDatasetMonths(GeoIneqError):
-    pass
-
-
 # --- aggregate ------------------------------------------------------------
 
 class TractIdMismatch(GeoIneqError):
     pass
-
-
-class EmptyCohort(GeoIneqError):
-    """Statistics requested over zero events."""
 
 
 class MissingArea(GeoIneqError):

@@ -27,6 +27,7 @@ tallies never depend on the route a record took.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -60,7 +61,7 @@ EVENT_COLUMNS = ("user_id", "lat", "lon", "timestamp", "text")
 TAG_PATTERN = re.compile(r"#(\w+)")
 
 _TS_RE = re.compile(
-    r"(\d{4}-\d{2}-\d{2})T(\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:?\d{2})$", re.ASCII
+    r"(\d{4}-\d{2}-\d{2})T(\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:?\d{2})\Z", re.ASCII
 )
 
 # Lines (JSONL: records) per columnar chunk. It bounds the transient
@@ -78,17 +79,6 @@ _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 Ring = tuple[tuple[float, float], ...]
 Polygon = tuple[Ring, ...]  # exterior ring first, holes after
-
-
-@dataclass(slots=True)
-class GeoEvent:
-    """One geo-tagged post: who, where, when, and the raw text."""
-
-    user_id: str
-    lat: float
-    lon: float
-    timestamp: datetime  # timezone-aware; original UTC offset preserved
-    text: str
 
 
 @dataclass(frozen=True)
@@ -138,17 +128,12 @@ class ParseStats:
 
 @dataclass
 class EventBatch:
-    """Columnar view of parsed events (the pipeline's fast path).
-
-    Produced by the same row pipeline as :func:`parse_events`, so both
-    views see identical validation and error accounting.
-    """
+    """Parsed events as columns, in input order."""
 
     user_ids: list[str]
     lats: np.ndarray
     lons: np.ndarray
     epochs: np.ndarray  # seconds since the Unix epoch (UTC)
-    offsets: np.ndarray  # original UTC offsets, in seconds
     texts: list[str]
 
     def __len__(self) -> int:
@@ -163,25 +148,8 @@ class EventBatch:
             self.lats[indices],
             self.lons[indices],
             self.epochs[indices],
-            self.offsets[indices],
             [self.texts[i] for i in idx],
         )
-
-    def to_events(self) -> Iterator[GeoEvent]:
-        tzs: dict[int, timezone] = {}
-        for i in range(len(self.user_ids)):
-            off = int(self.offsets[i])
-            tz = tzs.get(off)
-            if tz is None:
-                tz = tzs.setdefault(off, timezone(timedelta(seconds=off)))
-            ts = datetime.fromtimestamp(float(self.epochs[i]), tz)
-            yield GeoEvent(
-                self.user_ids[i],
-                float(self.lats[i]),
-                float(self.lons[i]),
-                ts,
-                self.texts[i],
-            )
 
 
 def extract_hashtags(text: str) -> list[str]:
@@ -300,29 +268,30 @@ def _iter_jsonl_fields(text: str) -> Iterator[list[str] | None]:
         yield [str(uid), str(lat), str(lon), ts, text_v]
 
 
-def _day_base(date_s: str, off_s: str) -> tuple[float, int]:
-    """Epoch of local midnight plus the fixed offset for one (date,
-    offset) pair; raises ValueError for bad dates or offsets."""
+def _day_base(date_s: str, off_s: str) -> float:
+    """Epoch of local midnight for one (date, offset) pair; raises
+    ValueError for bad dates or offsets."""
     if off_s == "Z":
-        off = 0
         tz = timezone.utc
     else:
+        if int(off_s[-2:]) > 59:
+            raise ValueError(f"offset minutes out of range: {off_s}")
         off = int(off_s[1:3]) * 3600 + int(off_s[-2:]) * 60
         if off_s[0] == "-":
             off = -off
         tz = timezone(timedelta(seconds=off))
     y, mo, d = date_s.split("-")
-    return datetime(int(y), int(mo), int(d), tzinfo=tz).timestamp(), off
+    return datetime(int(y), int(mo), int(d), tzinfo=tz).timestamp()
 
 
-def _timestamp_to_epoch(s: str, day_cache: dict) -> tuple[float, int]:
+def _timestamp_to_epoch(s: str, day_cache: dict) -> float:
     """Parse one ISO-8601 timestamp with a mandatory UTC offset.
 
-    Returns (epoch seconds, offset seconds); raises ValueError on any
-    problem. Every numeric field must be ASCII digits. The
-    ``YYYY-MM-DDTHH:MM:SS`` shape with a ``Z``, ``+HH:MM`` or ``+HHMM``
-    offset takes a regex path with a per-(date, offset) cache; anything
-    else falls back to ``datetime.fromisoformat``.
+    Returns epoch seconds; raises ValueError on any problem. Every
+    numeric field must be ASCII digits. The ``YYYY-MM-DDTHH:MM:SS`` shape
+    with a ``Z``, ``+HH:MM`` or ``+HHMM`` offset takes a regex path with a
+    per-(date, offset) cache; anything else falls back to
+    ``datetime.fromisoformat``.
     """
     m = _TS_RE.match(s)
     if m:
@@ -338,19 +307,19 @@ def _timestamp_to_epoch(s: str, day_cache: dict) -> tuple[float, int]:
         sec = int(ss)
         if h > 23 or mi > 59 or sec > 59:
             raise ValueError(s)
-        return cached[0] + h * 3600 + mi * 60 + sec, cached[1]
+        return cached + h * 3600 + mi * 60 + sec
     # general ISO-8601 fallback; it reads ASCII digits only
     if s.endswith("Z"):
         s = s[:-1] + "+00:00"
     dt = datetime.fromisoformat(s)
     if dt.tzinfo is None or dt.utcoffset() is None:
         raise ValueError("timestamp lacks a UTC offset")
-    return dt.timestamp(), int(dt.utcoffset().total_seconds())
+    return dt.timestamp()
 
 
 def _check_record(uid: str, lat_s: str, lon_s: str, ts_s: str, day_cache: dict):
-    """The per-record rule for a five-field record: (lat, lon, epoch,
-    offset) when it is valid, else the name of its error kind."""
+    """The per-record rule for a five-field record: (lat, lon, epoch)
+    when it is valid, else the name of its error kind."""
     if not uid:
         return "MalformedRecord"
     try:
@@ -361,10 +330,10 @@ def _check_record(uid: str, lat_s: str, lon_s: str, ts_s: str, day_cache: dict):
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         return "OutOfRangeCoordinate"
     try:
-        epoch, off = _timestamp_to_epoch(ts_s, day_cache)
+        epoch = _timestamp_to_epoch(ts_s, day_cache)
     except ValueError:
         return "BadTimestamp"
-    return lat, lon, epoch, off
+    return lat, lon, epoch
 
 
 def _columns(flat: list[str], fielded: list) -> list[list[str]]:
@@ -397,9 +366,9 @@ def _float_column(strings: list[str]) -> np.ndarray:
             out.append(math.nan)
 
 
-def _fixed_width_epochs(stamps: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fixed_width_epochs(stamps: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Decode 25-character ``YYYY-MM-DDTHH:MM:SS+HH:MM`` timestamps from a
-    byte view: (epoch seconds, offset seconds, accepted mask).
+    byte view: (epoch seconds, accepted mask).
 
     A stamp is accepted when every digit position holds an ASCII digit,
     every separator matches, and the date, time and offset are in range;
@@ -427,13 +396,13 @@ def _fixed_width_epochs(stamps: list[str]) -> tuple[np.ndarray, np.ndarray, np.n
     doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
     days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
     epochs = days * 86400 + hh * 3600 + mi * 60 + ss - off
-    return epochs.astype(np.float64), off, ok
+    return epochs.astype(np.float64), ok
 
 
 def _parse_chunk(flat: list[str], fielded: list, stats: ParseStats, day_cache: dict):
     """Validate one chunk of records (see :func:`_csv_chunks`); returns
-    the accepted rows as (user ids, texts, (lats, lons, epochs,
-    offsets)) in input order."""
+    the accepted rows as (user ids, texts, (lats, lons, epochs)) in
+    input order."""
     uids, lat_s, lon_s, ts_s, texts = _columns(flat, fielded)
     n = len(uids)
     lats = _float_column(lat_s)
@@ -441,10 +410,9 @@ def _parse_chunk(flat: list[str], fielded: list, stats: ParseStats, day_cache: d
     ok = np.fromiter(map(bool, uids), dtype=bool, count=n)
     ok &= (lats >= -90.0) & (lats <= 90.0) & (lons >= -180.0) & (lons <= 180.0)
     epochs = np.zeros(n, dtype=np.float64)
-    offs = np.zeros(n, dtype=np.int32)
     ts_ok = np.zeros(n, dtype=bool)
     wide = np.fromiter(map(len, ts_s), dtype=np.int64, count=n) == _TS_WIDTH
-    epochs[wide], offs[wide], ts_ok[wide] = _fixed_width_epochs(
+    epochs[wide], ts_ok[wide] = _fixed_width_epochs(
         list(compress(ts_s, wide.tolist()))
     )
     ok &= ts_ok
@@ -454,17 +422,17 @@ def _parse_chunk(flat: list[str], fielded: list, stats: ParseStats, day_cache: d
         if res.__class__ is str:
             stats.count_error(res)
         else:
-            lats[i], lons[i], epochs[i], offs[i] = res
+            lats[i], lons[i], epochs[i] = res
             ok[i] = True
     n_ok = int(ok.sum())
     stats.records_ok += n_ok
     if n_ok == n:
-        return uids, texts, (lats, lons, epochs, offs)
+        return uids, texts, (lats, lons, epochs)
     keep = ok.tolist()
     return (
         list(compress(uids, keep)),
         list(compress(texts, keep)),
-        (lats[ok], lons[ok], epochs[ok], offs[ok]),
+        (lats[ok], lons[ok], epochs[ok]),
     )
 
 
@@ -507,7 +475,7 @@ def parse_event_batch(
         )
     uids: list[str] = []
     texts: list[str] = []
-    parts = [(np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=np.int32))]
+    parts = [(np.empty(0), np.empty(0), np.empty(0))]
     day_cache: dict = {}
     for flat, fielded in chunks:
         if flat:
@@ -515,19 +483,8 @@ def parse_event_batch(
             uids += c_uids
             texts += c_texts
             parts.append(arrays)
-    lats, lons, epochs, offs = (np.concatenate(col) for col in zip(*parts))
-    return EventBatch(uids, lats, lons, epochs, offs, texts)
-
-
-def parse_events(
-    source, format: str = "csv", stats: ParseStats | None = None
-) -> Iterator[GeoEvent]:
-    """Yield validated events in input order, skip-and-count on errors.
-
-    Pass a :class:`ParseStats` to receive the ok/skipped/error tallies.
-    """
-    batch = parse_event_batch(source, format=format, stats=stats)
-    yield from batch.to_events()
+    lats, lons, epochs = (np.concatenate(col) for col in zip(*parts))
+    return EventBatch(uids, lats, lons, epochs, texts)
 
 
 def partition_byte_ranges(path, k: int, format: str = "csv") -> list[tuple[int, int]]:
@@ -537,7 +494,7 @@ def partition_byte_ranges(path, k: int, format: str = "csv") -> list[tuple[int, 
     quote characters, so records with quoted embedded newlines never
     straddle two ranges (JSONL lines always have balanced quotes, which
     makes the same scan valid there). The first range starts after the
-    CSV header line.
+    CSV header line, or after a JSONL file's UTF-8 byte order mark.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -548,7 +505,7 @@ def partition_byte_ranges(path, k: int, format: str = "csv") -> list[tuple[int, 
         nl = blob.find(b"\n")
         start = nl + 1 if nl >= 0 else len(blob)
     else:
-        start = 0
+        start = len(codecs.BOM_UTF8) if blob.startswith(codecs.BOM_UTF8) else 0
     end = len(blob)
     if k == 1 or end - start == 0:
         return [(start, end)]

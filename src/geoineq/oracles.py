@@ -10,11 +10,13 @@ route.
 from __future__ import annotations
 
 import math
+from datetime import datetime
 from typing import Iterable, Sequence
+from zoneinfo import ZoneInfo
 
 from .errors import BadTimestamp, MalformedRecord, OutOfRangeCoordinate
 from .geo import Tract
-from .ingest import EVENT_COLUMNS, _timestamp_to_epoch
+from .ingest import EVENT_COLUMNS, _timestamp_to_epoch, extract_hashtags
 
 
 def gini_pairwise(values: Sequence[float]) -> float:
@@ -158,8 +160,8 @@ def assign_batch_naive(lats, lons, tracts: Iterable[Tract]):
 
 def validate_event_fields(fields: list[str]):
     """Per-record reference for event parsing: validate one raw record;
-    returns (user_id, lat, lon, epoch, offset_seconds, text) or raises
-    the matching ingest error.
+    returns (user_id, lat, lon, epoch, text) or raises the matching
+    ingest error.
 
     The columnar parser must accept, reject and tally every record
     exactly as this does when applied record by record. Only the scalar
@@ -179,7 +181,80 @@ def validate_event_fields(fields: list[str]):
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         raise OutOfRangeCoordinate(f"({lat_s}, {lon_s})")
     try:
-        epoch, off = _timestamp_to_epoch(ts_s, {})
+        epoch = _timestamp_to_epoch(ts_s, {})
     except ValueError:
         raise BadTimestamp(ts_s) from None
-    return uid, lat, lon, epoch, off, text
+    return uid, lat, lon, epoch, text
+
+
+def _local_month(epoch: float, zone: ZoneInfo) -> tuple[int, int]:
+    t = datetime.fromtimestamp(epoch, zone)
+    return t.year, t.month
+
+
+def classify_users_direct(posts: Iterable[tuple[str, float]], tz: str, window_days: int):
+    """Per-event reference for cohorts over (user_id, epoch) posts.
+
+    Returns ({user_id: (kind, super_local)}, dataset months): a user is
+    "local" when their posts number two or more and their first and last
+    lie more than window_days * 86400 seconds apart, otherwise
+    "visitor"; the dataset months are every (year, month) in ``tz`` from
+    the earliest post's to the latest post's, and a super-local is a
+    local who posted in each of them.
+    """
+    zone = ZoneInfo(tz)
+    by_user: dict[str, list[float]] = {}
+    for uid, epoch in posts:
+        by_user.setdefault(uid, []).append(epoch)
+    if not by_user:
+        return {}, []
+    months = {uid: {_local_month(e, zone) for e in epochs} for uid, epochs in by_user.items()}
+    seen = set().union(*months.values())
+    (y, m), last = min(seen), max(seen)
+    dataset = []
+    while (y, m) <= last:
+        dataset.append((y, m))
+        y, m = (y + 1, 1) if m == 12 else (y, m + 1)
+    labels = {}
+    for uid, epochs in by_user.items():
+        if len(epochs) > 1 and max(epochs) - min(epochs) > window_days * 86400:
+            labels[uid] = ("local", all(dm in months[uid] for dm in dataset))
+        else:
+            labels[uid] = ("visitor", False)
+    return labels, dataset
+
+
+def aggregate_by_tract(rows: Iterable, tz: str) -> dict[str, dict[str, dict]]:
+    """Per-event reference for ``aggregate.aggregate_batch`` over
+    (epoch, text, tract_id, cohort) rows, where a cohort has ``kind``
+    and ``super_local``.
+
+    Returns {tract_id: {bucket: stats}}, where the buckets are "all",
+    the cohort's kind, and "super_local" for super-locals, and stats
+    holds the fields of ``aggregate.CohortTractStats``: local hour,
+    Sunday-first weekday and (year, month) histograms, day (07:00:00
+    through 18:59:59 local) and night counts, hashtag occurrences and
+    the set of distinct hashtags.
+    """
+    zone = ZoneInfo(tz)
+    out: dict[str, dict[str, dict]] = {}
+    for epoch, text, tract_id, cohort in rows:
+        loc = datetime.fromtimestamp(epoch, zone)
+        is_day = 7 <= loc.hour < 19
+        tags = extract_hashtags(text)
+        buckets = ["all", cohort.kind] + (["super_local"] if cohort.super_local else [])
+        for key in buckets:
+            st = out.setdefault(tract_id, {}).setdefault(key, {
+                "event_count": 0, "tag_count": 0, "unique_tags": set(),
+                "hour_histogram": [0] * 24, "dow_histogram": [0] * 7,
+                "month_histogram": {}, "day_count": 0, "night_count": 0,
+            })
+            st["event_count"] += 1
+            st["tag_count"] += len(tags)
+            st["unique_tags"].update(tags)
+            st["hour_histogram"][loc.hour] += 1
+            st["dow_histogram"][loc.isoweekday() % 7] += 1
+            month = (loc.year, loc.month)
+            st["month_histogram"][month] = st["month_histogram"].get(month, 0) + 1
+            st["day_count" if is_day else "night_count"] += 1
+    return out

@@ -6,11 +6,15 @@ indexes, deterministically: identical inputs and config give
 byte-identical report JSON, no matter how many partitions the event
 stream was split into.
 
-Partitioned runs split the event file at record boundaries and hand each
-range to a worker process. Classification is global (a user's posts can
-land in any partition), so workers run two phases: parse+assign+user
-activity first, then aggregation once the parent has merged activities
-and broadcast the cohort labels.
+The event file is split at record boundaries into one byte range per
+partition, and each range is processed by the same two-phase job.
+Classification is global (a user's posts can land in any partition), so
+the job first parses, assigns and summarises user activity, then waits
+for the cohort labels the parent classifies from every partition's
+summaries, then aggregates. With ``--partitions 1`` the job runs in the
+parent process; otherwise each range gets a forked worker, which uses
+the spatial index it inherits and talks to the parent over a pipe. The
+parent's merge and classify code is the same for every partition count.
 """
 
 from __future__ import annotations
@@ -21,20 +25,21 @@ import multiprocessing as mp
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
 from . import jsonio
 from .aggregate import (
-    BatchAggregation,
     TractAggregate,
-    tag_summary_from_components,
     aggregate_batch,
+    cohort_mask,
     merge_aggregate_maps,
     merge_tag_components,
     normalize_density,
+    tag_summary_from_components,
 )
-from .cohort import Cohort, spans_more_than_window
+from .cohort import Cohort, classify_partials, merge_partials, user_partials
 from .errors import (
     AllZero,
     BadBreakCount,
@@ -45,7 +50,6 @@ from .errors import (
 )
 from .geo import Tract, build_spatial_index, tract_from_feature
 from .ingest import (
-    EventBatch,
     ParseStats,
     parse_census,
     parse_event_batch,
@@ -66,12 +70,11 @@ from .metrics import (
     suite_ratio,
     top_share,
 )
-from .timebins import LocalClock, month_tuple
+from .timebins import LocalClock
 
 DISTRIBUTION_NAMES = ("images", "tags", "unique_tags")
 DEFAULT_COHORTS = ("visitor", "local", "super_local", "all")
 DEFAULT_CHOROPLETH_BREAKS = 5
-_MONTH_SHIFT = 500_000
 
 OUTPUT_NAMES = {
     "report": "report.json",
@@ -104,6 +107,10 @@ class PipelineConfig:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.events_format not in ("csv", "jsonl"):
             raise ValueError(f"unknown events format {self.events_format!r}")
+        try:
+            ZoneInfo(self.timezone)
+        except (ZoneInfoNotFoundError, ValueError):
+            raise ValueError(f"unknown timezone {self.timezone!r}") from None
         bad = [c for c in self.cohorts if c not in DEFAULT_COHORTS]
         if bad:
             raise ValueError(f"unknown cohorts {bad}")
@@ -186,130 +193,81 @@ def suite_to_dict(suite: IndexSuite | None) -> dict | None:
     }
 
 
-# --- partition phases -------------------------------------------------------
+# --- partition job ----------------------------------------------------------
 
 
-@dataclass
-class _Partition:
-    """One partition's parsed/assigned events plus its user-code table;
-    kept in worker memory between the two phases."""
-
-    sub: EventBatch
-    kept_idx: np.ndarray
-    codes: np.ndarray  # per-event index into uids
-    uids: list[str]
-
-
-def _phase_parse_assign(events_path, fmt, byte_range, index, tz):
-    raw = read_byte_range(events_path, byte_range)
+def _parse_assign(events_path, fmt, byte_range, index):
+    """Parse one byte range and assign tracts: (parse stats, number of
+    events outside every tract, the events inside, their tract indexes)."""
     stats = ParseStats()
-    batch = parse_event_batch(raw, fmt, stats, expect_header=False)
-    tract_idx = index.assign_batch(batch.lats, batch.lons)
-    keep = np.nonzero(tract_idx >= 0)[0]
-    dropped = len(batch) - len(keep)
-    sub = batch.take(keep)
-    kept_idx = tract_idx[keep]
-    part, partials = _user_partials(sub, kept_idx, tz)
-    return stats, dropped, part, partials
-
-
-def _user_partials(batch: EventBatch, kept_idx, tz: str) -> tuple[_Partition, dict]:
-    """Per-user (first epoch, last epoch, count, month numbers) for this
-    partition; mergeable across partitions."""
-    n = len(batch)
-    if n == 0:
-        return _Partition(batch, kept_idx, np.empty(0, np.int64), []), {}
-    clock = LocalClock(tz, float(batch.epochs.min()), float(batch.epochs.max()))
-    _, _, month_nums = clock.local_fields(batch.epochs)
-    # codes in order of first appearance
-    uids = list(dict.fromkeys(batch.user_ids))
-    code_of = dict(zip(uids, range(len(uids))))
-    codes = np.fromiter(map(code_of.__getitem__, batch.user_ids), dtype=np.int64, count=n)
-    n_users = len(uids)
-    counts = np.bincount(codes, minlength=n_users)
-    order = np.argsort(codes, kind="stable")
-    starts = np.searchsorted(codes[order], np.arange(n_users), side="left")
-    ep_sorted = batch.epochs[order]
-    firsts = np.minimum.reduceat(ep_sorted, starts)
-    lasts = np.maximum.reduceat(ep_sorted, starts)
-    pairs = np.unique(codes * 1_000_000 + (month_nums + _MONTH_SHIFT))
-    months_per_user: list[list[int]] = [[] for _ in range(n_users)]
-    for p in pairs:
-        c, m = divmod(int(p), 1_000_000)
-        months_per_user[c].append(m - _MONTH_SHIFT)
-    partials = {
-        uids[c]: (float(firsts[c]), float(lasts[c]), int(counts[c]), tuple(months_per_user[c]))
-        for c in range(n_users)
-    }
-    return _Partition(batch, kept_idx, codes, uids), partials
-
-
-def _merge_partials(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for uid, (mn, mx, cnt, months) in b.items():
-        cur = out.get(uid)
-        if cur is None:
-            out[uid] = (mn, mx, cnt, months)
-        else:
-            out[uid] = (
-                min(cur[0], mn),
-                max(cur[1], mx),
-                cur[2] + cnt,
-                tuple(sorted(set(cur[3]) | set(months))),
-            )
-    return out
-
-
-def _classify_partials(partials: dict, window_days: int):
-    """Cohort per user from merged activity; dataset months are the
-    contiguous range between the earliest and latest observed month."""
-    labels: dict[str, Cohort] = {}
-    if not partials:
-        return labels, []
-    all_months = set()
-    for _, _, _, months in partials.values():
-        all_months.update(months)
-    dataset_nums = list(range(min(all_months), max(all_months) + 1))
-    dataset_set = set(dataset_nums)
-    for uid, (mn, mx, cnt, months) in partials.items():
-        if spans_more_than_window(cnt, mx - mn, window_days):
-            labels[uid] = Cohort("local", super_local=dataset_set <= set(months))
-        else:
-            labels[uid] = Cohort("visitor")
-    return labels, [month_tuple(m) for m in dataset_nums]
-
-
-def _phase_aggregate(part: _Partition, labels, tract_ids, tz) -> BatchAggregation:
-    from .aggregate import cohort_mask
-
-    sub = part.sub
-    if len(sub) == 0:
-        return BatchAggregation({}, {}, {})
-    clock = LocalClock(tz, float(sub.epochs.min()), float(sub.epochs.max()))
-    mask_per_code = np.fromiter(
-        (cohort_mask(labels[uid]) for uid in part.uids),
-        dtype=np.uint8,
-        count=len(part.uids),
+    batch = parse_event_batch(
+        read_byte_range(events_path, byte_range), fmt, stats, expect_header=False
     )
-    masks = mask_per_code[part.codes]
-    return aggregate_batch(tract_ids, part.kept_idx, sub.epochs, sub.texts, masks, clock)
+    tract_idx = index.assign_batch(batch.lats, batch.lons)
+    keep = np.flatnonzero(tract_idx >= 0)
+    return stats, len(batch) - len(keep), batch.take(keep), tract_idx[keep]
 
 
-def _worker_main(conn, events_path, fmt, byte_range, tracts_path, tz):
+def _partition_job(events_path, fmt, byte_range, index, tz):
+    """The two phases of one partition, as a generator.
+
+    Phase 1 yields (parse stats, events outside every tract, user
+    partials); the job is then sent the global cohort labels, and phase
+    2 yields the partition's (aggregates, tag components, event totals).
+    """
+    stats, dropped, batch, tract_idx = _parse_assign(events_path, fmt, byte_range, index)
+    uids, codes, partials = user_partials(batch.user_ids, batch.epochs, tz)
+    labels = yield stats, dropped, partials
+    mask_per_code = np.fromiter(
+        (cohort_mask(labels[uid]) for uid in uids), dtype=np.uint8, count=len(uids)
+    )
+    clock = None
+    if len(batch):
+        clock = LocalClock(tz, float(batch.epochs.min()), float(batch.epochs.max()))
+    agg = aggregate_batch(
+        index.tract_ids, tract_idx, batch.epochs, batch.texts, mask_per_code[codes], clock
+    )
+    yield agg.aggregates, agg.tag_components, agg.event_totals
+
+
+class _InProcess:
+    """Drives a partition job in this process through the calls the
+    parent makes on a worker's pipe."""
+
+    def __init__(self, job):
+        self._job = job
+        self._labels = None  # a fresh generator must first be sent None
+
+    def send(self, labels):
+        self._labels = labels
+
+    def recv(self):
+        return "ok", self._job.send(self._labels)
+
+    def close(self):
+        self._job.close()
+
+
+def _worker_main(conn, *job_args):
     try:
-        feats = parse_tracts(Path(tracts_path).read_bytes())
-        index = build_spatial_index([tract_from_feature(f) for f in feats])
-        stats, dropped, part, partials = _phase_parse_assign(
-            events_path, fmt, byte_range, index, tz
-        )
-        conn.send(("ok", (stats, dropped, partials)))
-        labels = conn.recv()
-        agg = _phase_aggregate(part, labels, index.tract_ids, tz)
-        conn.send(("ok", (agg.aggregates, agg.tag_components, agg.event_totals)))
+        job = _partition_job(*job_args)
+        conn.send(("ok", next(job)))
+        conn.send(("ok", job.send(conn.recv())))
     except Exception:
         conn.send(("err", traceback.format_exc()))
     finally:
         conn.close()
+
+
+def _replies(conns, ranges):
+    """Each partition's next reply, in partition order."""
+    for i, (conn, (start, end)) in enumerate(zip(conns, ranges)):
+        status, payload = conn.recv()
+        if status != "ok":
+            raise InternalInvariantError(
+                f"partition {i} (bytes {start}-{end}) failed:\n{payload}"
+            )
+        yield payload
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -337,72 +295,52 @@ def run_pipeline_full(
     feats = parse_tracts(tracts_path.read_bytes())
     index = build_spatial_index([tract_from_feature(f) for f in feats])
     ranges = partition_byte_ranges(events_path, partitions, config.events_format)
-
-    stats = ParseStats()
-    dropped_total = 0
-    partials: dict = {}
+    job_args = [
+        (str(events_path), config.events_format, r, index, config.timezone) for r in ranges
+    ]
+    conns: list = []
+    procs = []
     if partitions == 1:
-        p_stats, dropped, part, p_partials = _phase_parse_assign(
-            events_path, config.events_format, ranges[0], index, config.timezone
-        )
-        stats.merge(p_stats)
-        dropped_total += dropped
-        partials = _merge_partials(partials, p_partials)
-        labels, dataset_months = _classify_partials(partials, config.window_days)
-        agg = _phase_aggregate(part, labels, index.tract_ids, config.timezone)
-        aggregates = agg.aggregates
-        tag_components = agg.tag_components
-        event_totals = agg.event_totals
+        conns.append(_InProcess(_partition_job(*job_args[0])))
     else:
         ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
-        pipes = []
-        procs = []
-        for r in ranges:
+        for args in job_args:
             parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(
-                    child_conn,
-                    str(events_path),
-                    config.events_format,
-                    r,
-                    str(tracts_path),
-                    config.timezone,
-                ),
-            )
+            proc = ctx.Process(target=_worker_main, args=(child_conn, *args))
             proc.start()
             child_conn.close()
-            pipes.append(parent_conn)
+            conns.append(parent_conn)
             procs.append(proc)
-        try:
-            for conn in pipes:
-                status, payload = conn.recv()
-                if status != "ok":
-                    raise InternalInvariantError(f"partition worker failed:\n{payload}")
-                p_stats, dropped, p_partials = payload
-                stats.merge(p_stats)
-                dropped_total += dropped
-                partials = _merge_partials(partials, p_partials)
-            labels, dataset_months = _classify_partials(partials, config.window_days)
-            for conn in pipes:
-                conn.send(labels)
-            aggregates: dict[str, TractAggregate] = {}
-            tag_components: dict = {}
-            event_totals: dict = {}
-            for conn in pipes:
-                status, payload = conn.recv()
-                if status != "ok":
-                    raise InternalInvariantError(f"partition worker failed:\n{payload}")
-                p_aggs, p_tags, p_totals = payload
-                aggregates = merge_aggregate_maps(aggregates, p_aggs)
-                tag_components = merge_tag_components(tag_components, p_tags)
-                for key, n in p_totals.items():
-                    event_totals[key] = event_totals.get(key, 0) + n
-        finally:
-            for conn in pipes:
-                conn.close()
-            for proc in procs:
-                proc.join()
+    try:
+        stats = ParseStats()
+        dropped_total = 0
+        partials: dict = {}
+        for p_stats, dropped, p_partials in _replies(conns, ranges):
+            stats.merge(p_stats)
+            dropped_total += dropped
+            partials = merge_partials(partials, p_partials)
+        labels, dataset_months = classify_partials(partials, config.window_days)
+        for conn in conns:
+            conn.send(labels)
+        aggregates: dict[str, TractAggregate] = {}
+        tag_components: dict = {}
+        event_totals: dict = {}
+        for p_aggs, p_tags, p_totals in _replies(conns, ranges):
+            aggregates = merge_aggregate_maps(aggregates, p_aggs)
+            tag_components = merge_tag_components(tag_components, p_tags)
+            for key, n in p_totals.items():
+                event_totals[key] = event_totals.get(key, 0) + n
+    except BaseException:
+        # a forked worker holds copies of the parent's pipe ends, so one
+        # waiting for labels would never see them close
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join()
 
     report = _build_report(
         config,
@@ -774,32 +712,6 @@ def _tracts_csv(report: Report, internals: PipelineInternals) -> str:
     return _csv_lines(rows)
 
 
-def emit_report(report: Report, out_dir, format: str = "json", internals=None) -> list[Path]:
-    """Write report tables; 'json' -> report.json, 'csv' -> the four CSVs."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    if format == "json":
-        p = out / OUTPUT_NAMES["report"]
-        p.write_text(jsonio.dumps(report.to_json_dict()), encoding="utf-8")
-        written.append(p)
-    elif format == "csv":
-        for name, text in (
-            ("indexes", _indexes_csv(report)),
-            ("tags", _tags_csv(report)),
-            ("ranks", _ranks_csv(report)),
-            ("tracts", _tracts_csv(report, internals) if internals else ""),
-        ):
-            if not text:
-                continue
-            p = out / OUTPUT_NAMES[name]
-            p.write_text(text, encoding="utf-8")
-            written.append(p)
-    else:
-        raise ValueError(f"unknown report format {format!r}")
-    return written
-
-
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
@@ -890,29 +802,26 @@ def emit_outputs(
     table_format: str = "all",
     choropleth_breaks: int = DEFAULT_CHOROPLETH_BREAKS,
 ) -> list[Path]:
-    """Write every artifact for a run and stamp the manifest into the
-    report before report.json is serialized."""
+    """Write every artifact for a run: report.json, the four CSV tables
+    unless ``table_format`` is "json", the Lorenz SVG when there are
+    curves, and the choropleth. The manifest is stamped into the report
+    before report.json is serialized."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = [OUTPUT_NAMES["report"]]
+    texts: dict[str, str] = {}
     if table_format in ("csv", "all"):
-        manifest += [
-            OUTPUT_NAMES["indexes"],
-            OUTPUT_NAMES["tags"],
-            OUTPUT_NAMES["ranks"],
-            OUTPUT_NAMES["tracts"],
-        ]
+        texts["indexes"] = _indexes_csv(report)
+        texts["tags"] = _tags_csv(report)
+        texts["ranks"] = _ranks_csv(report)
+        texts["tracts"] = _tracts_csv(report, internals)
     if report.lorenz_curves:
-        manifest.append(OUTPUT_NAMES["lorenz"])
-    manifest.append(OUTPUT_NAMES["choropleth"])
-    report.manifest = manifest
-
-    written = emit_report(report, out, "json")
-    if table_format in ("csv", "all"):
-        written += emit_report(report, out, "csv", internals=internals)
-    if report.lorenz_curves:
-        p = out / OUTPUT_NAMES["lorenz"]
-        p.write_text(emit_lorenz_svg(report.lorenz_curves), encoding="utf-8")
+        texts["lorenz"] = emit_lorenz_svg(report.lorenz_curves)
+    report.manifest = [OUTPUT_NAMES[name] for name in ("report", *texts, "choropleth")]
+    texts = {"report": jsonio.dumps(report.to_json_dict()), **texts}
+    written = []
+    for name, text in texts.items():
+        p = out / OUTPUT_NAMES[name]
+        p.write_text(text, encoding="utf-8")
         written.append(p)
     raw = json.loads(Path(report.config.tracts_path).read_text(encoding="utf-8"))
     cloro = emit_choropleth(raw, report.choropleth_values, choropleth_breaks)

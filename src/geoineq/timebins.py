@@ -69,7 +69,3 @@ class LocalClock:
 def month_tuple(month_num: int) -> tuple[int, int]:
     y, m = divmod(int(month_num), 12)
     return (1970 + y, m + 1)
-
-
-def month_number(year: int, month: int) -> int:
-    return (year - 1970) * 12 + (month - 1)

@@ -1,33 +1,30 @@
-from datetime import datetime, time, timedelta, timezone
+from dataclasses import asdict
+from datetime import datetime, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from geoineq import oracles
 from geoineq.aggregate import (
     CohortTractStats,
     TractAggregate,
     aggregate_batch,
-    aggregate_by_tract,
-    cohort_buckets,
     cohort_mask,
-    day_night_split,
     merge_aggregate_maps,
     merge_aggregates,
     merge_tag_components,
     normalize_density,
-    tag_summary,
-    tag_summary_from_counts,
+    tag_summary_from_components,
 )
 from geoineq.cohort import Cohort
 from geoineq.errors import (
     DegenerateArea,
-    EmptyCohort,
     MissingArea,
     TractIdMismatch,
 )
-from geoineq.ingest import GeoEvent
 from geoineq.timebins import LocalClock
 
 UTC = timezone.utc
@@ -36,37 +33,45 @@ VISITOR = Cohort("visitor")
 SUPER = Cohort("local", super_local=True)
 
 
-def ev(ts, text="", user_id="u"):
-    return GeoEvent(user_id, 40.7, -74.0, ts, text)
+def aggregate(rows, tz="UTC"):
+    """aggregate_batch over (epoch, text, tract_id, cohort) rows, the
+    input of oracles.aggregate_by_tract."""
+    tract_ids = sorted({tid for _, _, tid, _ in rows})
+    epochs = np.array([epoch for epoch, _, _, _ in rows], dtype=np.float64)
+    idx = np.array([tract_ids.index(tid) for _, _, tid, _ in rows], dtype=np.int64)
+    masks = np.array([cohort_mask(c) for _, _, _, c in rows], dtype=np.uint8)
+    clock = LocalClock(tz, float(epochs.min()), float(epochs.max())) if rows else None
+    return aggregate_batch(tract_ids, idx, epochs, [text for _, text, _, _ in rows], masks, clock)
+
+
+def row(ts, text="", tract_id="T1", cohort=LOCAL):
+    return ts.timestamp(), text, tract_id, cohort
 
 
 class TestAggregateByTract:
     def test_tag_counts(self):
         base = datetime(2014, 3, 15, 12, 0, tzinfo=UTC)
-        assigned = [
-            (ev(base, "#a #b"), "T1", LOCAL),
-            (ev(base + timedelta(hours=1), "#a"), "T1", LOCAL),
-        ]
-        agg = aggregate_by_tract(assigned, "UTC")["T1"]
-        st_ = agg.cohorts["local"]
+        rows = [row(base, "#a #b"), row(base + timedelta(hours=1), "#a")]
+        st_ = aggregate(rows).aggregates["T1"].cohorts["local"]
         assert st_.event_count == 2
         assert st_.tag_count == 3
         assert st_.unique_tags == {"a", "b"}
 
     def test_sunday_first_dow_and_hour_bins(self):
         # 1970-01-04 was a Sunday
-        assigned = [(ev(datetime(1970, 1, 4, 10, 0, tzinfo=UTC)), "T1", VISITOR)]
-        st_ = aggregate_by_tract(assigned, "UTC")["T1"].cohorts["visitor"]
+        rows = [row(datetime(1970, 1, 4, 10, 0, tzinfo=UTC), cohort=VISITOR)]
+        st_ = aggregate(rows).aggregates["T1"].cohorts["visitor"]
         assert st_.dow_histogram[0] == 1 and sum(st_.dow_histogram) == 1
         assert st_.hour_histogram[10] == 1 and sum(st_.hour_histogram) == 1
         assert st_.month_histogram == {(1970, 1): 1}
 
     def test_empty_input(self):
-        assert aggregate_by_tract([], "UTC") == {}
+        agg = aggregate([])
+        assert (agg.aggregates, agg.tag_components, agg.event_totals) == ({}, {}, {})
 
     def test_super_local_counts_in_both_buckets(self):
-        assigned = [(ev(datetime(2014, 3, 15, 12, 0, tzinfo=UTC)), "T1", SUPER)]
-        agg = aggregate_by_tract(assigned, "UTC")["T1"]
+        rows = [row(datetime(2014, 3, 15, 12, 0, tzinfo=UTC), cohort=SUPER)]
+        agg = aggregate(rows).aggregates["T1"]
         assert agg.cohorts["local"].event_count == 1
         assert agg.cohorts["super_local"].event_count == 1
         assert agg.cohorts["all"].event_count == 1
@@ -74,8 +79,8 @@ class TestAggregateByTract:
 
     def test_binning_uses_display_timezone(self):
         # 02:30 UTC on Mar 16 is 22:30 on Mar 15 in New York
-        assigned = [(ev(datetime(2014, 3, 16, 2, 30, tzinfo=UTC)), "T1", LOCAL)]
-        st_ = aggregate_by_tract(assigned, "America/New_York")["T1"].cohorts["local"]
+        rows = [row(datetime(2014, 3, 16, 2, 30, tzinfo=UTC))]
+        st_ = aggregate(rows, "America/New_York").aggregates["T1"].cohorts["local"]
         assert st_.hour_histogram[22] == 1
         assert st_.night_count == 1 and st_.day_count == 0
 
@@ -93,15 +98,15 @@ class TestDayNight:
         ],
     )
     def test_boundaries(self, hms, expect):
-        assert day_night_split(time(*hms)) == expect
-        assert day_night_split(datetime(2014, 3, 15, *hms, tzinfo=UTC)) == expect
+        for tz in ("UTC", "America/New_York"):
+            ts = datetime(2014, 3, 15, *hms, tzinfo=ZoneInfo(tz))
+            st_ = aggregate([row(ts)], tz).aggregates["T1"].cohorts["local"]
+            assert (st_.day_count, st_.night_count) == ((1, 0) if expect == "day" else (0, 1))
 
     def test_invariant_day_plus_night(self):
         base = datetime(2014, 3, 15, 0, 0, tzinfo=UTC)
-        assigned = [
-            (ev(base + timedelta(minutes=37 * i)), "T1", LOCAL) for i in range(40)
-        ]
-        st_ = aggregate_by_tract(assigned, "UTC")["T1"].cohorts["local"]
+        rows = [row(base + timedelta(minutes=37 * i)) for i in range(40)]
+        st_ = aggregate(rows).aggregates["T1"].cohorts["local"]
         assert st_.day_count + st_.night_count == st_.event_count
         assert sum(st_.hour_histogram) == st_.event_count
         assert sum(st_.dow_histogram) == st_.event_count
@@ -125,9 +130,16 @@ class TestNormalizeDensity:
             normalize_density({"T1": 1}, {})
 
 
+def tag_summary(tag_counts):
+    """The summary of one event per count, each with that many tags."""
+    base = datetime(2014, 3, 15, 12, 0, tzinfo=UTC)
+    rows = [row(base, " ".join(f"#t{j}" for j in range(c))) for c in tag_counts]
+    return tag_summary_from_components(*aggregate(rows).tag_components["all"])
+
+
 class TestTagSummary:
     def test_hand_counts(self):
-        ts = tag_summary_from_counts([0, 0, 3, 7])
+        ts = tag_summary([0, 0, 3, 7])
         assert ts.proportion_with_tags == 0.5
         assert ts.proportion_gt5 == 0.25
         assert ts.proportion_gt10 == 0.0
@@ -135,23 +147,20 @@ class TestTagSummary:
         assert ts.mean_tags_per_tagged_image == 5.0
 
     def test_gt5_means_six_or_more(self):
-        ts = tag_summary_from_counts([5, 6, 10, 11])
+        ts = tag_summary([5, 6, 10, 11])
         assert ts.images_gt5_tags == 3
         assert ts.images_gt10_tags == 1
 
     def test_all_untagged(self):
-        ts = tag_summary_from_counts([0, 0])
+        ts = tag_summary([0, 0])
         assert ts.mean_tags_per_tagged_image is None
         assert ts.mean_tags_per_image == 0.0
 
-    def test_empty_cohort(self):
-        with pytest.raises(EmptyCohort):
-            tag_summary_from_counts([])
-
     def test_from_events(self):
         base = datetime(2014, 3, 15, 12, 0, tzinfo=UTC)
-        events = [ev(base, "#a #b #c"), ev(base, "")]
-        ts = tag_summary(events)
+        rows = [row(base, "#a #b #A"), row(base, ""), row(base, "#c", cohort=VISITOR)]
+        agg = aggregate(rows)
+        ts = tag_summary_from_components(*agg.tag_components["local"])
         assert ts.image_count == 2
         assert ts.tag_total == 3
         assert ts.images_with_tags == 1
@@ -209,14 +218,11 @@ class TestMerge:
             merge_aggregates(TractAggregate("T1"), TractAggregate("T2"))
 
 
-_TRACT_IDS = ("T1", "T2", "T3")
-_COHORTS = [VISITOR, LOCAL, SUPER]
-_BASE = datetime(2013, 1, 1, tzinfo=UTC)
+_BASE = int(datetime(2013, 1, 1, tzinfo=UTC).timestamp())
 _TZ = "America/New_York"
 _ROWS = st.lists(
     st.tuples(
-        st.integers(0, 2),  # tract
-        st.integers(0, 3 * 365 * 86400),  # seconds after 2013-01-01
+        st.integers(_BASE, _BASE + 3 * 365 * 86400),  # epoch, 2013 to 2015
         st.sampled_from(
             [
                 "", "#a", "#A #b", "x #c1 #c1", "no tags, here",
@@ -225,19 +231,11 @@ _ROWS = st.lists(
                 "#Straße #STRASSE", "#café#2021", "##x #_ #", "#İzmir",
             ]
         ),
-        st.sampled_from([0, 1, 2]),  # cohort: visitor / local / super
+        st.sampled_from(["T1", "T2", "T3"]),
+        st.sampled_from([VISITOR, LOCAL, SUPER]),
     ),
     max_size=60,
 )
-
-
-def _aggregate_rows(rows):
-    """aggregate_batch over (tract, seconds after _BASE, text, cohort) rows."""
-    epochs = np.array([(_BASE + timedelta(seconds=secs)).timestamp() for _, secs, _, _ in rows])
-    idx = np.array([tract for tract, _, _, _ in rows], dtype=np.int64)
-    masks = np.array([cohort_mask(_COHORTS[who]) for _, _, _, who in rows], dtype=np.uint8)
-    clock = LocalClock(_TZ, float(epochs.min()), float(epochs.max())) if rows else None
-    return aggregate_batch(_TRACT_IDS, idx, epochs, [text for _, _, text, _ in rows], masks, clock)
 
 
 class TestBatchEquivalence:
@@ -245,20 +243,23 @@ class TestBatchEquivalence:
 
     @given(_ROWS)
     def test_matches_reference(self, rows):
-        assigned = [
-            (ev(_BASE + timedelta(seconds=secs), text), _TRACT_IDS[tract], _COHORTS[who])
-            for tract, secs, text, who in rows
-        ]
-        assert _aggregate_rows(rows).aggregates == aggregate_by_tract(assigned, _TZ)
+        got = {tid: asdict(agg)["cohorts"] for tid, agg in aggregate(rows, _TZ).aggregates.items()}
+        assert got == oracles.aggregate_by_tract(rows, _TZ)
 
     @given(_ROWS, st.integers(0, 60))
     @example(  # the halves number the same tags differently
-        [(0, 0, "#b #a", 1), (1, 9, "#c", 0), (0, 99, "#A", 2), (1, 7, "#C #B", 1)], 2
+        [
+            (_BASE, "#b #a", "T1", LOCAL),
+            (_BASE + 9, "#c", "T2", VISITOR),
+            (_BASE + 99, "#A", "T1", SUPER),
+            (_BASE + 7, "#C #B", "T2", LOCAL),
+        ],
+        2,
     )
     def test_halves_merge_to_whole(self, rows, cut):
-        whole = _aggregate_rows(rows)
-        a = _aggregate_rows(rows[:cut])
-        b = _aggregate_rows(rows[cut:])
+        whole = aggregate(rows, _TZ)
+        a = aggregate(rows[:cut], _TZ)
+        b = aggregate(rows[cut:], _TZ)
         assert merge_aggregate_maps(a.aggregates, b.aggregates) == whole.aggregates
         assert merge_tag_components(a.tag_components, b.tag_components) == whole.tag_components
         totals = {k: a.event_totals.get(k, 0) + b.event_totals.get(k, 0)
@@ -267,6 +268,12 @@ class TestBatchEquivalence:
 
 
 def test_cohort_buckets_mapping():
-    assert cohort_buckets(VISITOR) == ("all", "visitor")
-    assert cohort_buckets(LOCAL) == ("all", "local")
-    assert cohort_buckets(SUPER) == ("all", "local", "super_local")
+    ts = datetime(2014, 3, 15, 12, 0, tzinfo=UTC)
+    for cohort, buckets in [
+        (VISITOR, {"all", "visitor"}),
+        (LOCAL, {"all", "local"}),
+        (SUPER, {"all", "local", "super_local"}),
+    ]:
+        agg = aggregate([row(ts, "#a", cohort=cohort)])
+        assert set(agg.aggregates["T1"].cohorts) == buckets
+        assert set(agg.event_totals) == set(agg.tag_components) == buckets

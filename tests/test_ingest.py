@@ -2,7 +2,7 @@ import json
 import random
 import re
 from collections import Counter
-from datetime import datetime, timedelta
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import assume, given
@@ -28,45 +28,44 @@ from geoineq.ingest import (
     extract_hashtags,
     parse_census,
     parse_event_batch,
-    parse_events,
     parse_tracts,
     partition_byte_ranges,
     read_byte_range,
 )
 from geoineq.oracles import validate_event_fields
 
+T_1830Z = datetime(2014, 3, 15, 18, 30, tzinfo=timezone.utc).timestamp()
+
 
 class TestParseEvents:
     def test_direct_field_mapping(self):
         data = events_csv(['u1,40.7128,-74.0060,2014-03-15T14:30:00-04:00,"great day #nyc"'])
         stats = ParseStats()
-        events = list(parse_events(data, "csv", stats))
+        batch = parse_event_batch(data, "csv", stats)
         assert stats.records_ok == 1 and stats.records_skipped == 0
-        ev = events[0]
-        assert ev.user_id == "u1"
-        assert ev.lat == 40.7128
-        assert ev.lon == -74.0060
-        assert ev.text == "great day #nyc"
-        assert ev.timestamp == datetime.fromisoformat("2014-03-15T14:30:00-04:00")
-        assert ev.timestamp.utcoffset() == timedelta(hours=-4)
+        assert batch.user_ids == ["u1"]
+        assert batch.lats.tolist() == [40.7128]
+        assert batch.lons.tolist() == [-74.0060]
+        assert batch.texts == ["great day #nyc"]
+        assert batch.epochs.tolist() == [T_1830Z]
 
     def test_lat_out_of_range_skipped(self):
         data = events_csv(["u2,91.0,-74.0,2014-03-15T14:30:00-04:00,x"])
         stats = ParseStats()
-        assert list(parse_events(data, "csv", stats)) == []
+        assert len(parse_event_batch(data, "csv", stats)) == 0
         assert stats.records_skipped == 1
         assert stats.errors["OutOfRangeCoordinate"] == 1
 
     def test_bad_timestamp_skipped(self):
         data = events_csv(["u3,40.7,-74.0,not-a-time,x"])
         stats = ParseStats()
-        assert list(parse_events(data, "csv", stats)) == []
+        assert len(parse_event_batch(data, "csv", stats)) == 0
         assert stats.errors["BadTimestamp"] == 1
 
     def test_naive_timestamp_rejected(self):
         data = events_csv(["u4,40.7,-74.0,2014-03-15T14:30:00,x"])
         stats = ParseStats()
-        assert list(parse_events(data, "csv", stats)) == []
+        assert len(parse_event_batch(data, "csv", stats)) == 0
         assert stats.errors["BadTimestamp"] == 1
 
     def test_zulu_and_compact_offsets(self):
@@ -76,8 +75,8 @@ class TestParseEvents:
                 "u2,40.7,-74.0,2014-03-15T14:30:00-0400,b",
             ]
         )
-        events = list(parse_events(data))
-        assert events[0].timestamp.timestamp() == events[1].timestamp.timestamp()
+        epochs = parse_event_batch(data).epochs.tolist()
+        assert len(epochs) == 2 and epochs[0] == epochs[1]
 
     def test_quoted_comma_and_newline(self):
         data = events_csv(
@@ -87,14 +86,13 @@ class TestParseEvents:
             ]
         )
         stats = ParseStats()
-        events = list(parse_events(data, "csv", stats))
+        batch = parse_event_batch(data, "csv", stats)
         assert stats.records_ok == 2
-        assert events[0].text == "hello, world"
-        assert events[1].text == "line one\nline two"
+        assert batch.texts == ["hello, world", "line one\nline two"]
 
     def test_header_required(self):
         with pytest.raises(MalformedRecord):
-            list(parse_events(b"uid,lat,lon,ts,text\na,1,2,3,4\n"))
+            parse_event_batch(b"uid,lat,lon,ts,text\na,1,2,3,4\n")
 
     def test_jsonl_matches_csv(self):
         rows = [
@@ -103,11 +101,11 @@ class TestParseEvents:
         ]
         jsonl = "\n".join(json.dumps(r) for r in rows).encode()
         csv_data = events_csv(["u1,40.7,-74.0,2014-03-15T14:30:00-04:00,#a b"])
-        ev_j = list(parse_events(jsonl, "jsonl"))[0]
-        ev_c = list(parse_events(csv_data, "csv"))[0]
-        assert (ev_j.user_id, ev_j.lat, ev_j.lon, ev_j.text) == (
-            ev_c.user_id, ev_c.lat, ev_c.lon, ev_c.text)
-        assert ev_j.timestamp.timestamp() == ev_c.timestamp.timestamp()
+        b_j = parse_event_batch(jsonl, "jsonl")
+        b_c = parse_event_batch(csv_data, "csv")
+        assert (b_j.user_ids, b_j.texts) == (b_c.user_ids, b_c.texts) == (["u1"], ["#a b"])
+        for col in ("lats", "lons", "epochs"):
+            assert getattr(b_j, col).tolist() == getattr(b_c, col).tolist()
 
     def test_jsonl_errors_counted(self):
         data = b"\n".join(
@@ -119,8 +117,7 @@ class TestParseEvents:
             ]
         )
         stats = ParseStats()
-        events = list(parse_events(data, "jsonl", stats))
-        assert len(events) == 1
+        assert len(parse_event_batch(data, "jsonl", stats)) == 1
         assert stats.errors["MalformedRecord"] == 2
         assert stats.errors["OutOfRangeCoordinate"] == 1
 
@@ -133,17 +130,15 @@ class TestParseEvents:
             "u5,40.7,-74.0,2014-03-15T14:30:00-04:00,ok",
         ]
         stats = ParseStats()
-        events = list(parse_events(events_csv(rows), "csv", stats))
+        batch = parse_event_batch(events_csv(rows), "csv", stats)
         assert stats.records_total == len(rows)
-        assert stats.records_ok == len(events) == 2
+        assert stats.records_ok == len(batch) == 2
         assert stats.records_skipped == 3
 
     def test_validate_single_record_helper(self):
-        uid, lat, lon, epoch, off, text = validate_event_fields(
+        assert validate_event_fields(
             ["u1", "40.7", "-74.0", "2014-03-15T14:30:00-04:00", "hi"]
-        )
-        assert (uid, lat, lon, text) == ("u1", 40.7, -74.0, "hi")
-        assert off == -4 * 3600
+        ) == ("u1", 40.7, -74.0, T_1830Z, "hi")
         with pytest.raises(OutOfRangeCoordinate):
             validate_event_fields(["u", "91", "0", "2014-03-15T14:30:00Z", ""])
         with pytest.raises(BadTimestamp):
@@ -159,9 +154,8 @@ class TestParseEvents:
             "2014-11-02T06:30:00.000000+00:00",
         ]
         rows = [f"u{i},40.7,-74.0,{ts},x" for i, ts in enumerate(variants)]
-        events = list(parse_events(events_csv(rows)))
-        epochs = {ev.timestamp.timestamp() for ev in events}
-        assert len(epochs) == 1
+        epochs = parse_event_batch(events_csv(rows)).epochs.tolist()
+        assert len(epochs) == 3 and len(set(epochs)) == 1
 
     @pytest.mark.parametrize(
         "ts",
@@ -178,6 +172,18 @@ class TestParseEvents:
         stats = ParseStats()
         batch = parse_event_batch(events_csv([f"u,40.7,-74.0,{ts},x"]), "csv", stats)
         assert len(batch) == 0
+        assert stats.errors == Counter({"BadTimestamp": 1})
+        with pytest.raises(BadTimestamp):
+            validate_event_fields(["u", "40.7", "-74.0", ts, "x"])
+
+    def test_timestamp_with_trailing_newline_rejected(self):
+        ts = "2014-03-01T08:03:00-05:00\n"
+        stats = ParseStats()
+        batch = parse_event_batch(events_csv([f'u,40.7,-74.0,"{ts}",x']), "csv", stats)
+        assert len(batch) == 0 and stats.errors == Counter({"BadTimestamp": 1})
+        line = json.dumps({"user_id": "u", "lat": 40.7, "lon": -74.0, "timestamp": ts})
+        stats = ParseStats()
+        assert len(parse_event_batch(line.encode(), "jsonl", stats)) == 0
         assert stats.errors == Counter({"BadTimestamp": 1})
         with pytest.raises(BadTimestamp):
             validate_event_fields(["u", "40.7", "-74.0", ts, "x"])
@@ -200,7 +206,8 @@ class TestParseEvents:
             else:
                 lines.append(f"u,{lat!r},{lon!r},2014-03-15T14:30:00-04:00,t")
         stats = ParseStats()
-        got = list(parse_events(events_csv(lines) if lines else b"user_id,lat,lon,timestamp,text\n", "csv", stats))
+        body = events_csv(lines) if lines else b"user_id,lat,lon,timestamp,text\n"
+        got = parse_event_batch(body, "csv", stats)
         assert stats.records_ok + stats.records_skipped == len(lines)
         assert len(got) == stats.records_ok
 
@@ -230,6 +237,7 @@ _STAMPS = st.one_of(
             "2016-02-29T08:03:00+01:00",
             "2014-03-01T24:00:00+00:00",
             "2014-03-01T08:03:00+05:75",
+            "2014-03-01T08:03:00+0575",
             "2014-03-01T08:03:00+23:99",
             "1900-02-29T08:03:00+00:00",
             "2000-02-29T08:03:00+00:00",
@@ -288,7 +296,7 @@ def _assert_matches_reference(batch, stats, records):
     rows, errors = _reference(records)
     got = list(
         zip(batch.user_ids, batch.lats.tolist(), batch.lons.tolist(),
-            batch.epochs.tolist(), batch.offsets.tolist(), batch.texts)
+            batch.epochs.tolist(), batch.texts)
     )
     assert got == rows
     assert stats.errors == errors
@@ -330,24 +338,30 @@ class TestColumnarParse:
         _assert_matches_reference(batch, stats, records)
 
     def test_timestamp_boundaries(self):
-        stamps = [
-            "0000-01-01T00:00:00+00:00", "0001-01-01T00:00:00+01:00",
-            "9999-12-31T23:59:59-23:59", "1970-01-01T00:00:00-00:00",
+        valid = [
+            "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-23:59",
+            "1970-01-01T00:00:00-00:00", "2000-02-29T08:03:00+00:00",
+            "2016-02-29T08:03:00+00:00", "2014-03-01T08:03:00+0559",
+            "2014-03-01t08:03:00+05:00",
+        ]
+        invalid = [
+            "0000-01-01T00:00:00+00:00",
             "2014-03-01T24:00:00+00:00", "2014-03-01T23:60:00+00:00",
             "2014-03-01T23:59:60+00:00", "2014-03-01T08:03:00+24:00",
             "2014-03-01T08:03:00+23:60", "2014-03-01T08:03:00+23:99",
-            "2014-03-01T08:03:00+05:75", "1900-02-29T08:03:00+00:00",
-            "2000-02-29T08:03:00+00:00", "2100-02-29T08:03:00+00:00",
-            "2014-02-29T08:03:00+00:00", "2016-02-29T08:03:00+00:00",
-            "2014-04-31T08:03:00+00:00", "2014-00-10T08:03:00+00:00",
-            "2014-13-10T08:03:00+00:00", "2014-12-00T08:03:00+00:00",
-            "2014-12-32T08:03:00+00:00", "2014-03-01T08:03:00*05:00",
-            "2014/03/01T08:03:00+05:00", "2014-03-01t08:03:00+05:00",
+            "2014-03-01T08:03:00+05:75", "2014-03-01T08:03:00+0575",
+            "1900-02-29T08:03:00+00:00", "2100-02-29T08:03:00+00:00",
+            "2014-02-29T08:03:00+00:00", "2014-04-31T08:03:00+00:00",
+            "2014-00-10T08:03:00+00:00", "2014-13-10T08:03:00+00:00",
+            "2014-12-00T08:03:00+00:00", "2014-12-32T08:03:00+00:00",
+            "2014-03-01T08:03:00*05:00", "2014/03/01T08:03:00+05:00",
         ]
-        records = [["u", "40.7", "-74.0", ts, ""] for ts in stamps]
+        records = [["u", "40.7", "-74.0", ts, ""] for ts in valid + invalid]
         stats = ParseStats()
         batch = parse_event_batch(events_csv([",".join(r) for r in records]), "csv", stats)
         _assert_matches_reference(batch, stats, records)
+        assert stats.records_ok == len(valid)
+        assert stats.errors == Counter({"BadTimestamp": len(invalid)})
 
     def test_quoted_record_across_chunk_boundary(self):
         # the header is line 0, so the quoted record opens on the chunk's

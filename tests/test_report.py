@@ -5,8 +5,9 @@ import json
 import pytest
 
 from conftest import events_csv, feature_collection, square_feature
-from geoineq import cli, jsonio
-from geoineq.errors import BadBreakCount, EmptyCurveList, MissingInput
+from geoineq import cli, jsonio, report
+from geoineq.errors import BadBreakCount, EmptyCurveList, InternalInvariantError, MissingInput
+from geoineq.ingest import partition_byte_ranges
 from geoineq.metrics import Distribution, lorenz_curve
 from geoineq.report import (
     PipelineConfig,
@@ -176,6 +177,23 @@ class TestRunPipeline:
         assert rep.ingest["events_assigned"] == 1
         assert rep.ingest["events_outside_tracts"] == 1
 
+    def test_failed_worker_names_its_partition(self, city_paths, monkeypatch):
+        cfg = quick_config(city_paths)
+        ranges = partition_byte_ranges(cfg.events_path, 2)
+        read = report.read_byte_range
+
+        def read_or_fail(path, byte_range):
+            if byte_range == ranges[1]:
+                raise RuntimeError("unreadable range")
+            return read(path, byte_range)
+
+        monkeypatch.setattr(report, "read_byte_range", read_or_fail)
+        with pytest.raises(InternalInvariantError) as exc:
+            run_pipeline(cfg, partitions=2)
+        start, end = ranges[1]
+        assert str(exc.value).startswith(f"partition 1 (bytes {start}-{end}) failed:\n")
+        assert "RuntimeError: unreadable range" in str(exc.value)
+
 
 class TestCsvTables:
     def test_indexes_csv_table1_shape(self, city_paths, tmp_path):
@@ -342,6 +360,36 @@ class TestCli:
         assert rc == 0
         fc = json.loads(out.read_text())
         assert len(fc["features"]) == CITY.n_tracts
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_unknown_timezone_exit_1(self, city_paths, tmp_path, capsys, k):
+        rc = cli.main(
+            ["run", "--events", city_paths["events"], "--tracts", city_paths["tracts"],
+             "--tz", "Not/AZone", "--partitions", str(k), "--out", str(tmp_path)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown timezone 'Not/AZone'\n"
+
+    def test_jsonl_bom_tallies_match_ingest_check(self, tmp_path, capsys):
+        tracts = tmp_path / "t.geojson"
+        tracts.write_bytes(feature_collection([square_feature("T1", 0, 0)]))
+        rows = [
+            json.dumps({"user_id": f"u{i % 7}", "lat": 0.5, "lon": 0.5,
+                        "timestamp": f"2014-03-{i % 28 + 1:02d}T10:00:00-04:00", "text": ""})
+            for i in range(200)
+        ]
+        events = tmp_path / "e.jsonl"
+        events.write_bytes(b"\xef\xbb\xbf" + "\n".join(rows).encode() + b"\n")
+        assert cli.main(["ingest-check", "--events", str(events)]) == 0
+        want = json.loads(capsys.readouterr().out)["events"]
+        assert want["records_ok"] == 200
+        for k in (1, 2):
+            out = tmp_path / f"out{k}"
+            rc = cli.main(["run", "--events", str(events), "--tracts", str(tracts),
+                           "--partitions", str(k), "--out", str(out)])
+            assert rc == 0
+            ingest = json.loads((out / "report.json").read_text())["ingest"]
+            assert {key: ingest[key] for key in want} == want, k
 
     def test_bad_cohort_exit_1(self, city_paths, capsys):
         rc = cli.main(

@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from geoineq.cohort import build_user_activity, classify_user, is_super_local
+from geoineq.cohort import Cohort, classify_partials, user_partials
 from geoineq.errors import InvalidParams
-from geoineq.ingest import ParseStats, parse_events, parse_tracts
+from geoineq.ingest import ParseStats, parse_event_batch, parse_tracts
 from geoineq.synth import SplitMix64, SynthParams, generate_city, write_city
 
 SMALL = SynthParams(
@@ -55,12 +55,19 @@ def city():
     return generate_city(SMALL)
 
 
+def city_partials(city, tz):
+    """Per-user partials of a synthetic city's events, as the pipeline
+    computes them."""
+    batch = parse_event_batch(city.events_csv.encode())
+    return user_partials(batch.user_ids, batch.epochs, tz)[2]
+
+
 class TestConstruction:
     def test_events_parse_cleanly(self, city):
         stats = ParseStats()
-        events = list(parse_events(city.events_csv.encode(), "csv", stats))
+        batch = parse_event_batch(city.events_csv.encode(), "csv", stats)
         assert stats.records_skipped == 0
-        assert len(events) == SMALL.n_events
+        assert len(batch) == SMALL.n_events
 
     def test_tracts_parse_and_count(self, city):
         feats = parse_tracts(json.dumps(city.tracts_geojson).encode())
@@ -70,20 +77,16 @@ class TestConstruction:
         assert sum(city.ground_truth["tract_counts"].values()) == SMALL.n_events
 
     def test_cohort_recovery(self, city):
-        events = list(parse_events(city.events_csv.encode()))
-        acts = build_user_activity(events, SMALL.tz)
-        months = [tuple(m) for m in city.ground_truth["months"]]
-        for uid, label in city.ground_truth["user_labels"].items():
-            cohort = classify_user(acts[uid])
-            assert cohort.kind == label["cohort"], uid
-            if cohort.kind == "local":
-                assert is_super_local(acts[uid], months) == label["super_local"], uid
+        labels, months = classify_partials(city_partials(city, SMALL.tz), 12)
+        assert months == [tuple(m) for m in city.ground_truth["months"]]
+        truth = city.ground_truth["user_labels"]
+        assert labels == {
+            uid: Cohort(label["cohort"], label["super_local"]) for uid, label in truth.items()
+        }
 
     def test_visitor_spans_within_window(self, city):
-        events = list(parse_events(city.events_csv.encode()))
-        acts = build_user_activity(events, SMALL.tz)
-        for uid, act in acts.items():
-            span = (act.last_ts - act.first_ts).total_seconds()
+        for uid, (first, last, _, _) in city_partials(city, SMALL.tz).items():
+            span = last - first
             if uid.startswith("V"):
                 assert span <= 12 * 86400
             else:
@@ -94,10 +97,9 @@ class TestConstruction:
             seed=5, n_tracts=4, n_users_local=5, n_users_visitor=5, n_events=40, months=1
         )
         city = generate_city(params)
-        events = list(parse_events(city.events_csv.encode()))
-        acts = build_user_activity(events, params.tz)
+        labels, _ = classify_partials(city_partials(city, params.tz), 12)
         for uid, label in city.ground_truth["user_labels"].items():
-            assert classify_user(acts[uid]).kind == label["cohort"]
+            assert labels[uid].kind == label["cohort"]
 
     def test_zipf_concentrates_on_first_tract(self):
         params = SynthParams(
