@@ -168,8 +168,9 @@ def cmd_lorenz(args) -> int:
 
 
 def cmd_choropleth(args) -> int:
-    raw = json.loads(Path(args.tracts).read_text(encoding="utf-8"))
-    parse_tracts(Path(args.tracts).read_bytes())  # validate ids/geometry
+    data = Path(args.tracts).read_bytes()
+    raw = json.loads(data.decode("utf-8"))
+    parse_tracts(data)  # validate ids/geometry
     values = {}
     ids, vals = _read_csv_column(args.values, args.column)
     for tid, v in zip(ids, vals):

@@ -63,6 +63,9 @@ TAG_PATTERN = re.compile(r"#(\w+)")
 _TS_RE = re.compile(
     r"(\d{4}-\d{2}-\d{2})T(\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:?\d{2})\Z", re.ASCII
 )
+# the UTC offset at the end of a stamp that takes the fromisoformat
+# fallback; groups are its minutes and seconds, if present
+_OFFSET_RE = re.compile(r"[+-]\d{2}(?::?(\d{2})(?::?(\d{2})(?:[.,]\d+)?)?)?\Z", re.ASCII)
 
 # Lines (JSONL: records) per columnar chunk. It bounds the transient
 # field strings a bulk split holds at once: coordinates and timestamps
@@ -314,6 +317,10 @@ def _timestamp_to_epoch(s: str, day_cache: dict) -> float:
     dt = datetime.fromisoformat(s)
     if dt.tzinfo is None or dt.utcoffset() is None:
         raise ValueError("timestamp lacks a UTC offset")
+    # fromisoformat reads +05:75 as +06:15
+    off = _OFFSET_RE.search(s)
+    if off is None or any(f is not None and int(f) > 59 for f in off.groups()):
+        raise ValueError(f"offset out of range: {s}")
     return dt.timestamp()
 
 

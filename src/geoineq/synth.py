@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
-from zoneinfo import ZoneInfo
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from . import jsonio, oracles
 from .errors import InvalidParams
@@ -106,6 +106,10 @@ class SynthParams:
         for frac in (self.day_fraction_local, self.day_fraction_visitor):
             if not (0.0 <= frac <= 1.0):
                 raise InvalidParams("day fractions must be in [0, 1]")
+        try:
+            ZoneInfo(self.tz)
+        except (ZoneInfoNotFoundError, ValueError):
+            raise InvalidParams(f"unknown timezone {self.tz!r}") from None
         anchors = max(2, self.months)
         mandatory = self.n_users_local * anchors + self.n_users_visitor
         if self.n_events < mandatory:

@@ -238,6 +238,8 @@ _STAMPS = st.one_of(
             "2014-03-01T24:00:00+00:00",
             "2014-03-01T08:03:00+05:75",
             "2014-03-01T08:03:00+0575",
+            "2014-03-01T08:03:00.5+05:75",
+            "2014-03-01T08:03:00+05:75:00",
             "2014-03-01T08:03:00+23:99",
             "1900-02-29T08:03:00+00:00",
             "2000-02-29T08:03:00+00:00",
@@ -342,7 +344,8 @@ class TestColumnarParse:
             "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-23:59",
             "1970-01-01T00:00:00-00:00", "2000-02-29T08:03:00+00:00",
             "2016-02-29T08:03:00+00:00", "2014-03-01T08:03:00+0559",
-            "2014-03-01t08:03:00+05:00",
+            "2014-03-01t08:03:00+05:00", "2014-03-01T08:03:00.5+05:59",
+            "2014-03-01T08:03:00+05:30:59.5",
         ]
         invalid = [
             "0000-01-01T00:00:00+00:00",
@@ -350,7 +353,8 @@ class TestColumnarParse:
             "2014-03-01T23:59:60+00:00", "2014-03-01T08:03:00+24:00",
             "2014-03-01T08:03:00+23:60", "2014-03-01T08:03:00+23:99",
             "2014-03-01T08:03:00+05:75", "2014-03-01T08:03:00+0575",
-            "1900-02-29T08:03:00+00:00", "2100-02-29T08:03:00+00:00",
+            "2014-03-01T08:03:00.5+05:75", "2014-03-01T08:03:00+05:75:00",
+            "2014-03-01T08:03:00+05:00:75", "1900-02-29T08:03:00+00:00", "2100-02-29T08:03:00+00:00",
             "2014-02-29T08:03:00+00:00", "2014-04-31T08:03:00+00:00",
             "2014-00-10T08:03:00+00:00", "2014-13-10T08:03:00+00:00",
             "2014-12-00T08:03:00+00:00", "2014-12-32T08:03:00+00:00",

@@ -338,6 +338,16 @@ class TestCli:
         assert (tmp_path / "city" / "tracts.geojson").is_file()
         assert (tmp_path / "city" / "ground_truth.json").is_file()
 
+    def test_synth_unknown_timezone_exit_1(self, tmp_path, capsys):
+        rc = cli.main(
+            ["synth", "--seed", "3", "--tracts", "9", "--local-users", "4",
+             "--visitor-users", "4", "--events", "60", "--months", "2",
+             "--tz", "Not/AZone", "--out", str(tmp_path / "city")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown timezone 'Not/AZone'\n"
+        assert not (tmp_path / "city").exists()
+
     def test_lorenz_subcommand(self, census_path, tmp_path, capsys):
         out = tmp_path / "l.svg"
         rc = cli.main(
