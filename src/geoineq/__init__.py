@@ -7,7 +7,6 @@ from .aggregate import (
     merge_aggregates,
     normalize_density,
 )
-from .cohort import Cohort
 from .geo import (
     SpatialIndex,
     Tract,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CensusRecord",
-    "Cohort",
     "Distribution",
     "IndexSuite",
     "LorenzCurve",

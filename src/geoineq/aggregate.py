@@ -4,8 +4,10 @@ Aggregation is a fold: any partitioning of the event stream, aggregated
 separately and merged, must equal the single-pass result. All counts are
 integers and unique-tag sets are exact, so merge order cannot matter.
 
-Cohort bucket keys are "all", "visitor", "local", and "super_local";
-events by super-local users count in both "local" and "super_local".
+Each event carries its user's cohort mask. ``cohort.COHORT_MASKS``
+names the bits, which this module reads and never decides. Cohort
+bucket keys are "all", "visitor", "local", and "super_local"; events by
+super-local users count in both "local" and "super_local".
 Temporal bins use one configured display timezone: day-of-week is
 Sunday-first, "day" is the local interval 07:00:00..18:59:59 inclusive
 (whole seconds), everything else is "night".
@@ -19,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cohort import Cohort
+from .cohort import COHORT_MASKS
 from .errors import DegenerateArea, MissingArea, TractIdMismatch
 from .ingest import TAG_PATTERN
 from .timebins import LocalClock, month_tuple
@@ -28,11 +30,6 @@ DAY_START_SECOND = 7 * 3600  # 07:00:00 local, inclusive
 DAY_END_SECOND = 19 * 3600  # 19:00:00 local, exclusive
 
 BUCKET_KEYS = ("all", "visitor", "local", "super_local")
-
-# bitmask per user for the batch path; "all" is implicit
-_MASK_VISITOR = 1
-_MASK_LOCAL = 2
-_MASK_SUPER = 4
 
 # Texts per hashtag-extraction chunk. It bounds the per-text tag lists
 # alive at once, and keeping them below the interpreter's young-generation
@@ -86,14 +83,6 @@ class TagSummary:
     @property
     def proportion_gt10(self) -> float:
         return self.images_gt10_tags / self.image_count
-
-
-def cohort_mask(cohort: Cohort) -> int:
-    if cohort.kind == "visitor":
-        return _MASK_VISITOR
-    if cohort.super_local:
-        return _MASK_LOCAL | _MASK_SUPER
-    return _MASK_LOCAL
 
 
 def merge_aggregates(a: TractAggregate, b: TractAggregate) -> TractAggregate:
@@ -236,8 +225,7 @@ def aggregate_batch(
     ``oracles.aggregate_by_tract`` is the per-event reference.
 
     ``tract_idx`` indexes into ``tract_ids`` (every event already
-    assigned), ``masks`` carries the per-event cohort bitmask from
-    :func:`cohort_mask`.
+    assigned), and ``masks`` holds each event's cohort mask.
     """
     n = len(tract_idx)
     n_tracts = len(tract_ids)
@@ -264,14 +252,8 @@ def aggregate_batch(
     triple_pair = triples >> 3
     triple_mask = triples & 7
 
-    bucket_sel = {
-        "all": None,
-        "visitor": _MASK_VISITOR,
-        "local": _MASK_LOCAL,
-        "super_local": _MASK_SUPER,
-    }
     for key in BUCKET_KEYS:
-        bit = bucket_sel[key]
+        bit = COHORT_MASKS.get(key)
         if bit is None:
             idx = tract_idx
             sel = tag_sel = slice(None)

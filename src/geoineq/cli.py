@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import jsonio
 from .errors import GeoIneqError, InternalInvariantError
+from .geo import build_spatial_index, tract_from_feature
 from .ingest import ParseStats, parse_census, parse_event_batch, parse_tracts
 from .metrics import Distribution, index_suite, lorenz_curve
 from .report import (
@@ -110,13 +111,13 @@ def cmd_ingest_check(args) -> int:
     }
     if args.tracts:
         feats = parse_tracts(Path(args.tracts).read_bytes())
-        summary["tracts"] = {"count": len(feats)}
+        index = build_spatial_index([tract_from_feature(f) for f in feats])
+        summary["tracts"] = {"count": len(index.tract_ids)}
         if args.census:
             census = parse_census(Path(args.census).read_bytes())
-            ids = {f.tract_id for f in feats}
             summary["census"] = {
                 "rows": len(census),
-                "unmatched_tracts": sorted(set(census) - ids),
+                "unmatched_tracts": sorted(set(census) - set(index.tract_ids)),
             }
     elif args.census:
         census = parse_census(Path(args.census).read_bytes())

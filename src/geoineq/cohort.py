@@ -6,124 +6,133 @@ everyone else is a visitor, including single-post users, whose posts
 trivially fit inside any window. Super-locals are locals who posted in
 every calendar month of the collection span.
 
-Classification is global while events are partitioned, so it runs in
-three steps: :func:`user_partials` summarises each partition's events
-per user, :func:`merge_partials` folds the partitions' summaries (in any
-order), and :func:`classify_partials` labels every user from the merged
-summaries. ``oracles.classify_users_direct`` is the per-event reference.
+A user's cohort is one ``uint8`` mask of the ``MASK_*`` bits; "all" is
+implicit. This module is the only one that decides those bits.
+Classification is global while events are partitioned, so it runs in two
+steps over arrays: :func:`user_partials` summarises one partition's
+events per distinct user, and :func:`classify_partials` concatenates
+every partition's summaries, gives each user a global code and reduces
+them to one mask per user. ``oracles.classify_users_direct`` is the
+per-event reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .timebins import LocalClock, month_tuple
 
-VISITOR = "visitor"
-LOCAL = "local"
-
-# month numbers are shifted non-negative to pack (user, month) pairs
-_MONTH_SHIFT = 500_000
-
-
-@dataclass(frozen=True)
-class Cohort:
-    kind: str  # "visitor" | "local"
-    super_local: bool = False
-
-    def __post_init__(self):
-        if self.kind not in (VISITOR, LOCAL):
-            raise ValueError(f"unknown cohort kind {self.kind!r}")
-        if self.super_local and self.kind != LOCAL:
-            raise ValueError("super_local implies local")
+MASK_VISITOR = 1
+MASK_LOCAL = 2
+MASK_SUPER = 4
+# the report's cohort names and their bits; "all" has none
+COHORT_MASKS = {"visitor": MASK_VISITOR, "local": MASK_LOCAL, "super_local": MASK_SUPER}
 
 
-def spans_more_than_window(post_count: int, span_seconds: float, window_days: int) -> bool:
-    """The local rule: >= 2 posts strictly more than window_days apart.
+class UserPartials(NamedTuple):
+    """One partition's activity per distinct user: ``user_ids`` in order
+    of first appearance, the aligned first and last epoch and post count,
+    and the distinct (index into ``user_ids``, month number) pairs of
+    their posts, month numbers counted in the display timezone."""
 
-    The span is measured in seconds, not calendar days, and the
-    comparison is strict so that visitor/local is an exact partition:
-    exactly window_days apart is still a visitor.
-    """
-    return post_count >= 2 and span_seconds > window_days * 86400.0
+    user_ids: list[str]
+    first: np.ndarray
+    last: np.ndarray
+    count: np.ndarray
+    month_user: np.ndarray
+    month_num: np.ndarray
+
+
+class Cohorts(NamedTuple):
+    """Every user's cohort mask, aligned with ``user_ids``, the dataset
+    months as (year, month), and for each classified partial the global
+    code (index into ``user_ids``) of each of its users."""
+
+    user_ids: list[str]
+    masks: np.ndarray
+    dataset_months: list[tuple[int, int]]
+    partial_codes: list[np.ndarray]
+
+
+def _codes(ids: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct ids in order of first appearance, and each id's
+    index into them."""
+    distinct = list(dict.fromkeys(ids))
+    code_of = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(code_of.__getitem__, ids), dtype=np.int64, count=len(ids))
+
+
+def _distinct_pairs(codes: np.ndarray, months: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (code, month) pairs of a non-empty pair list,
+    ordered by code, then month, as int32: partitions send theirs to the
+    parent, and both fit."""
+    lo = int(months.min())
+    span = int(months.max()) - lo + 1
+    user, month = np.divmod(np.unique(codes * span + (months - lo)), span)
+    return user.astype(np.int32), (month + lo).astype(np.int32)
+
+
+def _span(codes: np.ndarray, n: int, first: np.ndarray, last: np.ndarray):
+    """Per code, the smallest of its ``first`` and the largest of its ``last``."""
+    lo = np.full(n, np.inf)
+    hi = np.full(n, -np.inf)
+    np.minimum.at(lo, codes, first)
+    np.maximum.at(hi, codes, last)
+    return lo, hi
 
 
 def user_partials(
     user_ids: Sequence[str], epochs: np.ndarray, tz: str
-) -> tuple[list[str], np.ndarray, dict]:
-    """Per-user activity of one partition's events.
-
-    Returns the distinct user ids in order of first appearance, each
-    event's index into them, and the partials: user id -> (first epoch,
-    last epoch, post count, ascending month numbers in the display
-    timezone ``tz``). Partials of different partitions merge with
-    :func:`merge_partials`.
-    """
-    n = len(user_ids)
-    if n == 0:
-        return [], np.empty(0, np.int64), {}
+) -> tuple[UserPartials, np.ndarray]:
+    """Per-user activity of one partition's events, and each event's
+    index into the partials' ``user_ids``."""
+    uids, codes = _codes(user_ids)
+    if not uids:
+        pairs = np.empty(0, np.int32)
+        no_users = UserPartials([], np.empty(0), np.empty(0), np.empty(0, np.int64), pairs, pairs)
+        return no_users, codes
     clock = LocalClock(tz, float(epochs.min()), float(epochs.max()))
     _, _, month_nums = clock.local_fields(epochs)
-    uids = list(dict.fromkeys(user_ids))
-    code_of = dict(zip(uids, range(len(uids))))
-    codes = np.fromiter(map(code_of.__getitem__, user_ids), dtype=np.int64, count=n)
+    first, last = _span(codes, len(uids), epochs, epochs)
+    count = np.bincount(codes, minlength=len(uids))
+    return UserPartials(uids, first, last, count, *_distinct_pairs(codes, month_nums)), codes
+
+
+def classify_partials(partials: Sequence[UserPartials], window_days: int) -> Cohorts:
+    """Cohort masks of every user in the partials of all partitions.
+
+    The result does not depend on how the events were split into
+    partials. The dataset months are the contiguous range between the
+    earliest and latest observed month.
+    """
+    uids, codes = _codes([u for p in partials for u in p.user_ids])
+    bounds = np.cumsum([len(p.user_ids) for p in partials])[:-1]
+    partial_codes = np.split(codes, bounds) if partials else []
     n_users = len(uids)
-    counts = np.bincount(codes, minlength=n_users)
-    order = np.argsort(codes, kind="stable")
-    starts = np.searchsorted(codes[order], np.arange(n_users), side="left")
-    ep_sorted = epochs[order]
-    firsts = np.minimum.reduceat(ep_sorted, starts)
-    lasts = np.maximum.reduceat(ep_sorted, starts)
-    pairs = np.unique(codes * 1_000_000 + (month_nums + _MONTH_SHIFT))
-    months_per_user: list[list[int]] = [[] for _ in range(n_users)]
-    for p in pairs:
-        c, m = divmod(int(p), 1_000_000)
-        months_per_user[c].append(m - _MONTH_SHIFT)
-    partials = {
-        uids[c]: (float(firsts[c]), float(lasts[c]), int(counts[c]), tuple(months_per_user[c]))
-        for c in range(n_users)
-    }
-    return uids, codes, partials
-
-
-def merge_partials(a: dict, b: dict) -> dict:
-    """(min first, max last, summed counts, union of months) per user;
-    associative and commutative, so any partitioning merges alike."""
-    out = dict(a)
-    for uid, (mn, mx, cnt, months) in b.items():
-        cur = out.get(uid)
-        if cur is None:
-            out[uid] = (mn, mx, cnt, months)
-        else:
-            out[uid] = (
-                min(cur[0], mn),
-                max(cur[1], mx),
-                cur[2] + cnt,
-                tuple(sorted(set(cur[3]) | set(months))),
-            )
-    return out
-
-
-def classify_partials(
-    partials: dict, window_days: int
-) -> tuple[dict[str, Cohort], list[tuple[int, int]]]:
-    """Cohort per user from merged partials, and the dataset months as
-    (year, month): the contiguous range between the earliest and latest
-    observed month."""
-    labels: dict[str, Cohort] = {}
-    if not partials:
-        return labels, []
-    all_months = set()
-    for _, _, _, months in partials.values():
-        all_months.update(months)
-    dataset_nums = list(range(min(all_months), max(all_months) + 1))
-    dataset_set = set(dataset_nums)
-    for uid, (mn, mx, cnt, months) in partials.items():
-        if spans_more_than_window(cnt, mx - mn, window_days):
-            labels[uid] = Cohort(LOCAL, super_local=dataset_set <= set(months))
-        else:
-            labels[uid] = Cohort(VISITOR)
-    return labels, [month_tuple(m) for m in dataset_nums]
+    if n_users == 0:
+        return Cohorts([], np.empty(0, np.uint8), [], partial_codes)
+    first, last = _span(
+        codes,
+        n_users,
+        np.concatenate([p.first for p in partials]),
+        np.concatenate([p.last for p in partials]),
+    )
+    count = np.bincount(
+        codes, weights=np.concatenate([p.count for p in partials]), minlength=n_users
+    )
+    month_user, month_num = _distinct_pairs(
+        np.concatenate([c[p.month_user] for c, p in zip(partial_codes, partials)]),
+        np.concatenate([p.month_num for p in partials]),
+    )
+    lo, hi = int(month_num.min()), int(month_num.max())
+    # the comparison is strict so that exactly window_days apart is still a
+    # visitor; the span is measured in seconds, not calendar days
+    local = (count >= 2) & (last - first > window_days * 86400.0)
+    # a user's months lie within the dataset range, so posting in all of
+    # them means as many distinct months as the range has
+    every_month = np.bincount(month_user, minlength=n_users) == hi - lo + 1
+    masks = np.where(local, MASK_LOCAL, MASK_VISITOR).astype(np.uint8)
+    masks[local & every_month] |= MASK_SUPER
+    return Cohorts(uids, masks, [month_tuple(m) for m in range(lo, hi + 1)], partial_codes)

@@ -130,17 +130,18 @@ def tract_from_feature(feature: RawTractFeature) -> Tract:
             ys.append(y)
     bbox = (min(xs), min(ys), max(xs), max(ys))
     override = feature.properties.get("area_km2")
-    if override is not None:
-        area = float(override)
-        if area <= AREA_EPS_KM2:
-            raise DegeneratePolygon(
-                f"tract {feature.tract_id}: provided area_km2 {area} not positive"
-            )
-    else:
-        try:
-            area = polygon_area_km2(feature.polygons)
-        except DegeneratePolygon as e:
-            raise DegeneratePolygon(f"tract {feature.tract_id}: {e}") from None
+    try:
+        area = polygon_area_km2(feature.polygons) if override is None else float(override)
+    except DegeneratePolygon as e:
+        raise DegeneratePolygon(f"tract {feature.tract_id}: {e}") from None
+    except (TypeError, ValueError):  # a provided value that is not a number
+        area = math.nan
+    # a NaN vertex makes the computed area NaN, and NaN passes no comparison
+    if not math.isfinite(area) or area <= AREA_EPS_KM2:
+        what = f"computed area_km2 {area!r}" if override is None else f"area_km2 {override!r}"
+        raise DegeneratePolygon(
+            f"tract {feature.tract_id}: {what} is not a finite positive number"
+        )
     return Tract(feature.tract_id, feature.polygons, bbox, area)
 
 

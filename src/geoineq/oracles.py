@@ -226,8 +226,8 @@ def classify_users_direct(posts: Iterable[tuple[str, float]], tz: str, window_da
 
 def aggregate_by_tract(rows: Iterable, tz: str) -> dict[str, dict[str, dict]]:
     """Per-event reference for ``aggregate.aggregate_batch`` over
-    (epoch, text, tract_id, cohort) rows, where a cohort has ``kind``
-    and ``super_local``.
+    (epoch, text, tract_id, (kind, super_local)) rows, the cohort shape
+    that :func:`classify_users_direct` returns.
 
     Returns {tract_id: {bucket: stats}}, where the buckets are "all",
     the cohort's kind, and "super_local" for super-locals, and stats
@@ -238,11 +238,11 @@ def aggregate_by_tract(rows: Iterable, tz: str) -> dict[str, dict[str, dict]]:
     """
     zone = ZoneInfo(tz)
     out: dict[str, dict[str, dict]] = {}
-    for epoch, text, tract_id, cohort in rows:
+    for epoch, text, tract_id, (kind, super_local) in rows:
         loc = datetime.fromtimestamp(epoch, zone)
         is_day = 7 <= loc.hour < 19
         tags = extract_hashtags(text)
-        buckets = ["all", cohort.kind] + (["super_local"] if cohort.super_local else [])
+        buckets = ["all", kind] + (["super_local"] if super_local else [])
         for key in buckets:
             st = out.setdefault(tract_id, {}).setdefault(key, {
                 "event_count": 0, "tag_count": 0, "unique_tags": set(),

@@ -10,11 +10,12 @@ The event file is split at record boundaries into one byte range per
 partition, and each range is processed by the same two-phase job.
 Classification is global (a user's posts can land in any partition), so
 the job first parses, assigns and summarises user activity, then waits
-for the cohort labels the parent classifies from every partition's
-summaries, then aggregates. With ``--partitions 1`` the job runs in the
-parent process; otherwise each range gets a forked worker, which uses
-the spatial index it inherits and talks to the parent over a pipe. The
-parent's merge and classify code is the same for every partition count.
+for its users' cohort masks, which the parent classifies from every
+partition's summaries, then aggregates. With ``--partitions 1`` the job
+runs in the parent process; otherwise each range gets a forked worker,
+which uses the spatial index it inherits and talks to the parent over a
+pipe. The parent's classify and merge code is the same for every
+partition count.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ from . import jsonio
 from .aggregate import (
     TractAggregate,
     aggregate_batch,
-    cohort_mask,
     merge_aggregate_maps,
     merge_tag_components,
     normalize_density,
     tag_summary_from_components,
 )
-from .cohort import Cohort, classify_partials, merge_partials, user_partials
+from .cohort import COHORT_MASKS, classify_partials, user_partials
 from .errors import (
     AllZero,
     BadBreakCount,
@@ -114,6 +114,8 @@ class PipelineConfig:
         bad = [c for c in self.cohorts if c not in DEFAULT_COHORTS]
         if bad:
             raise ValueError(f"unknown cohorts {bad}")
+        if len(set(self.cohorts)) != len(self.cohorts):
+            raise ValueError(f"repeated cohorts in {list(self.cohorts)}")
         if not self.cohorts:
             raise ValueError("at least one cohort must be reported")
 
@@ -176,7 +178,8 @@ class Report:
 class PipelineInternals:
     tracts: tuple[Tract, ...]
     tract_ids: tuple[str, ...]
-    labels: dict[str, Cohort]
+    user_ids: list[str]
+    user_masks: np.ndarray  # cohort mask per user, aligned with user_ids
     aggregates: dict[str, TractAggregate]
     dataset_months: list[tuple[int, int]]
 
@@ -212,21 +215,18 @@ def _partition_job(events_path, fmt, byte_range, index, tz):
     """The two phases of one partition, as a generator.
 
     Phase 1 yields (parse stats, events outside every tract, user
-    partials); the job is then sent the global cohort labels, and phase
-    2 yields the partition's (aggregates, tag components, event totals).
+    partials); the job is then sent the cohort mask of each of its
+    partials' users as bytes, and phase 2 yields the partition's
+    (aggregates, tag components, event totals).
     """
     stats, dropped, batch, tract_idx = _parse_assign(events_path, fmt, byte_range, index)
-    uids, codes, partials = user_partials(batch.user_ids, batch.epochs, tz)
-    labels = yield stats, dropped, partials
-    mask_per_code = np.fromiter(
-        (cohort_mask(labels[uid]) for uid in uids), dtype=np.uint8, count=len(uids)
-    )
+    partials, codes = user_partials(batch.user_ids, batch.epochs, tz)
+    user_masks = yield stats, dropped, partials
     clock = None
     if len(batch):
         clock = LocalClock(tz, float(batch.epochs.min()), float(batch.epochs.max()))
-    agg = aggregate_batch(
-        index.tract_ids, tract_idx, batch.epochs, batch.texts, mask_per_code[codes], clock
-    )
+    masks = np.frombuffer(user_masks, dtype=np.uint8)[codes]
+    agg = aggregate_batch(index.tract_ids, tract_idx, batch.epochs, batch.texts, masks, clock)
     yield agg.aggregates, agg.tag_components, agg.event_totals
 
 
@@ -236,13 +236,13 @@ class _InProcess:
 
     def __init__(self, job):
         self._job = job
-        self._labels = None  # a fresh generator must first be sent None
+        self._sent = None  # a fresh generator must first be sent None
 
-    def send(self, labels):
-        self._labels = labels
+    def send(self, message):
+        self._sent = message
 
     def recv(self):
-        return "ok", self._job.send(self._labels)
+        return "ok", self._job.send(self._sent)
 
     def close(self):
         self._job.close()
@@ -314,14 +314,14 @@ def run_pipeline_full(
     try:
         stats = ParseStats()
         dropped_total = 0
-        partials: dict = {}
+        partials = []
         for p_stats, dropped, p_partials in _replies(conns, ranges):
             stats.merge(p_stats)
             dropped_total += dropped
-            partials = merge_partials(partials, p_partials)
-        labels, dataset_months = classify_partials(partials, config.window_days)
-        for conn in conns:
-            conn.send(labels)
+            partials.append(p_partials)
+        cohorts = classify_partials(partials, config.window_days)
+        for conn, codes in zip(conns, cohorts.partial_codes):
+            conn.send(cohorts.masks[codes].tobytes())
         aggregates: dict[str, TractAggregate] = {}
         tag_components: dict = {}
         event_totals: dict = {}
@@ -332,7 +332,7 @@ def run_pipeline_full(
                 event_totals[key] = event_totals.get(key, 0) + n
     except BaseException:
         # a forked worker holds copies of the parent's pipe ends, so one
-        # waiting for labels would never see them close
+        # waiting for its masks would never see them close
         for proc in procs:
             proc.terminate()
         raise
@@ -348,15 +348,16 @@ def run_pipeline_full(
         index.tract_ids,
         stats,
         dropped_total,
-        labels,
+        cohorts.masks,
         aggregates,
         tag_components,
         event_totals,
         census,
-        dataset_months,
+        cohorts.dataset_months,
     )
     internals = PipelineInternals(
-        index.tracts, index.tract_ids, labels, aggregates, dataset_months
+        index.tracts, index.tract_ids, cohorts.user_ids, cohorts.masks, aggregates,
+        cohorts.dataset_months,
     )
     return report, internals
 
@@ -382,7 +383,7 @@ def _build_report(
     tract_ids,
     stats,
     dropped_total,
-    labels,
+    user_masks,
     aggregates,
     tag_components,
     event_totals,
@@ -406,11 +407,9 @@ def _build_report(
         sorted(set(census) - set(tract_ids)) if census is not None else []
     )
 
-    users = {"total": len(labels), "visitor": 0, "local": 0, "super_local": 0}
-    for c in labels.values():
-        users[c.kind] += 1
-        if c.super_local:
-            users["super_local"] += 1
+    users = {"total": len(user_masks)}
+    for key, bit in COHORT_MASKS.items():
+        users[key] = int(np.count_nonzero(user_masks & bit))
 
     def bucket_counts(key: str, what: str) -> dict[str, float]:
         out = {}

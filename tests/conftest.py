@@ -3,6 +3,8 @@ import json
 import pytest
 from hypothesis import HealthCheck, settings
 
+from geoineq.cohort import MASK_LOCAL, MASK_SUPER, MASK_VISITOR
+
 # the sandbox CPU is noisy; wall-clock deadlines just flake here
 settings.register_profile(
     "noisy-box",
@@ -10,6 +12,20 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("noisy-box")
+
+
+# every cohort mask classification gives, as the (kind, super_local)
+# label that oracles.classify_users_direct returns
+MASK_LABELS = {
+    MASK_VISITOR: ("visitor", False),
+    MASK_LOCAL: ("local", False),
+    MASK_LOCAL | MASK_SUPER: ("local", True),
+}
+
+
+def cohort_labels(user_ids, masks) -> dict:
+    """{user_id: (kind, super_local)} from aligned ids and cohort masks."""
+    return {uid: MASK_LABELS[m] for uid, m in zip(user_ids, masks.tolist())}
 
 
 def square_feature(tract_id, x0, y0, size=1.0, props=None, holes=None):

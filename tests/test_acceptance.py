@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import cohort_labels
 from geoineq import oracles
 from geoineq.aggregate import tag_summary_from_components
 from geoineq.geo import assign_tract, build_spatial_index, tract_from_feature
@@ -216,11 +217,11 @@ def test_criterion_7_end_to_end_oracle_closure(city_100k):
         counts[tid] = st.event_count if st is not None else 0
     assert counts == gt["tract_counts"]
 
-    labels_ok = 0
-    for uid, label in gt["user_labels"].items():
-        c = internals.labels.get(uid)
-        if c is not None and c.kind == label["cohort"] and c.super_local == label["super_local"]:
-            labels_ok += 1
+    labels = cohort_labels(internals.user_ids, internals.user_masks)
+    labels_ok = sum(
+        labels.get(uid) == (label["cohort"], label["super_local"])
+        for uid, label in gt["user_labels"].items()
+    )
     assert labels_ok == len(gt["user_labels"])
 
     count_vec = [float(gt["tract_counts"][tid]) for tid in internals.tract_ids]

@@ -7,19 +7,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import MASK_LABELS
 from geoineq import oracles
 from geoineq.aggregate import (
     CohortTractStats,
     TractAggregate,
     aggregate_batch,
-    cohort_mask,
     merge_aggregate_maps,
     merge_aggregates,
     merge_tag_components,
     normalize_density,
     tag_summary_from_components,
 )
-from geoineq.cohort import Cohort
 from geoineq.errors import (
     DegenerateArea,
     MissingArea,
@@ -28,18 +27,19 @@ from geoineq.errors import (
 from geoineq.timebins import LocalClock
 
 UTC = timezone.utc
-LOCAL = Cohort("local")
-VISITOR = Cohort("visitor")
-SUPER = Cohort("local", super_local=True)
+LOCAL = ("local", False)
+VISITOR = ("visitor", False)
+SUPER = ("local", True)
+MASK_OF = {label: mask for mask, label in MASK_LABELS.items()}
 
 
 def aggregate(rows, tz="UTC"):
-    """aggregate_batch over (epoch, text, tract_id, cohort) rows, the
-    input of oracles.aggregate_by_tract."""
+    """aggregate_batch over (epoch, text, tract_id, (kind, super_local))
+    rows, the input of oracles.aggregate_by_tract."""
     tract_ids = sorted({tid for _, _, tid, _ in rows})
     epochs = np.array([epoch for epoch, _, _, _ in rows], dtype=np.float64)
     idx = np.array([tract_ids.index(tid) for _, _, tid, _ in rows], dtype=np.int64)
-    masks = np.array([cohort_mask(c) for _, _, _, c in rows], dtype=np.uint8)
+    masks = np.array([MASK_OF[c] for _, _, _, c in rows], dtype=np.uint8)
     clock = LocalClock(tz, float(epochs.min()), float(epochs.max())) if rows else None
     return aggregate_batch(tract_ids, idx, epochs, [text for _, text, _, _ in rows], masks, clock)
 

@@ -2,12 +2,12 @@ from datetime import datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import cohort_labels
 from geoineq import oracles
-from geoineq.cohort import Cohort, classify_partials, merge_partials, user_partials
+from geoineq.cohort import MASK_VISITOR, classify_partials, user_partials
 
 UTC = timezone.utc
 T0 = datetime(2014, 3, 1, 12, 0, 0, tzinfo=UTC)
@@ -20,42 +20,62 @@ def month_num(year, month):
 def partials(posts, tz="UTC"):
     """user_partials over (user_id, datetime) posts."""
     epochs = np.array([ts.timestamp() for _, ts in posts], dtype=np.float64)
-    return user_partials([uid for uid, _ in posts], epochs, tz)[2]
+    return user_partials([uid for uid, _ in posts], epochs, tz)[0]
+
+
+def activity_of(parts, user_id):
+    """(first epoch, last epoch, post count, ascending months) of one user."""
+    c = parts.user_ids.index(user_id)
+    months = parts.month_num[parts.month_user == c].tolist()
+    return float(parts.first[c]), float(parts.last[c]), int(parts.count[c]), tuple(months)
 
 
 def activity(timestamps, user_id="u"):
-    return partials([(user_id, t) for t in timestamps])[user_id]
+    return activity_of(partials([(user_id, t) for t in timestamps]), user_id)
+
+
+def classified(parts, window_days=12):
+    """({user_id: (kind, super_local)}, dataset months) of the partials."""
+    cohorts = classify_partials(parts, window_days)
+    return cohort_labels(cohorts.user_ids, cohorts.masks), cohorts.dataset_months
 
 
 def label(timestamps, window_days=12):
-    labels, _ = classify_partials({"u": activity(timestamps)}, window_days)
-    return labels["u"]
+    return classified([partials([("u", t) for t in timestamps])], window_days)[0]["u"]
 
 
 class TestClassify:
     def test_two_posts_20_days_apart_is_local(self):
-        assert label([T0, T0 + timedelta(days=20)]).kind == "local"
+        assert label([T0, T0 + timedelta(days=20)])[0] == "local"
 
     def test_posts_within_single_window_is_visitor(self):
-        assert label([T0 + timedelta(days=d) for d in (3, 5, 9)]) == Cohort("visitor")
+        assert label([T0 + timedelta(days=d) for d in (3, 5, 9)]) == ("visitor", False)
 
     def test_single_post_is_visitor(self):
-        assert label([T0]) == Cohort("visitor")
+        assert label([T0]) == ("visitor", False)
 
     def test_exactly_window_apart_is_visitor(self):
-        assert label([T0, T0 + timedelta(seconds=12 * 86400)]) == Cohort("visitor")
+        assert label([T0, T0 + timedelta(seconds=12 * 86400)]) == ("visitor", False)
 
     def test_one_second_beyond_window_is_local(self):
-        assert label([T0, T0 + timedelta(seconds=12 * 86400 + 1)]).kind == "local"
+        assert label([T0, T0 + timedelta(seconds=12 * 86400 + 1)])[0] == "local"
 
     def test_window_configurable(self):
         posts = [T0, T0 + timedelta(days=5)]
-        assert label(posts, window_days=4).kind == "local"
-        assert label(posts, window_days=12) == Cohort("visitor")
+        assert label(posts, window_days=4)[0] == "local"
+        assert label(posts, window_days=12) == ("visitor", False)
 
     def test_super_local_requires_local(self):
-        with pytest.raises(ValueError):
-            Cohort("visitor", super_local=True)
+        # "v" posts in both dataset months, but within one window
+        posts = [
+            ("w", datetime(2014, 3, 2, tzinfo=UTC)),
+            ("w", datetime(2014, 4, 28, tzinfo=UTC)),
+            ("v", datetime(2014, 3, 30, tzinfo=UTC)),
+            ("v", datetime(2014, 4, 2, tzinfo=UTC)),
+        ]
+        cohorts = classify_partials([partials(posts)], 12)
+        assert cohorts.dataset_months == [(2014, 3), (2014, 4)]
+        assert cohorts.masks[cohorts.user_ids.index("v")] == MASK_VISITOR
 
 
 class TestActivity:
@@ -80,23 +100,30 @@ class TestActivity:
         assert count == 1
 
     def test_empty_input(self):
-        uids, codes, parts = user_partials([], np.empty(0), "UTC")
-        assert (uids, codes.tolist(), parts) == ([], [], {})
-        assert classify_partials({}, 12) == ({}, [])
+        parts, codes = user_partials([], np.empty(0), "UTC")
+        assert (parts.user_ids, parts.count.tolist(), codes.tolist()) == ([], [], [])
+        assert parts.month_user.tolist() == parts.month_num.tolist() == []
+        for split in ([], [parts]):
+            cohorts = classify_partials(split, 12)
+            assert (cohorts.user_ids, cohorts.masks.tolist(), cohorts.dataset_months) == (
+                [], [], []
+            )
 
     def test_months_use_display_timezone(self):
         # 2014-04-01T01:00Z is still March 31 in New York
-        act = partials([("u", datetime(2014, 4, 1, 1, 0, tzinfo=UTC))], "America/New_York")["u"]
-        assert act[3] == (month_num(2014, 3),)
-        assert classify_partials({"u": act}, 12)[1] == [(2014, 3)]
+        parts = partials([("u", datetime(2014, 4, 1, 1, 0, tzinfo=UTC))], "America/New_York")
+        assert activity_of(parts, "u")[3] == (month_num(2014, 3),)
+        assert classify_partials([parts], 12).dataset_months == [(2014, 3)]
 
     def test_merge_is_commutative_and_matches_single_pass(self):
+        # each half alone spans less than the 5-day window, the whole more
         posts = [("u", T0 + timedelta(days=d, hours=d % 5)) for d in range(10)]
-        whole = partials(posts)
         a = partials(posts[:4])
         b = partials(posts[4:])
-        assert merge_partials(a, b) == whole
-        assert merge_partials(b, a) == whole
+        want = classified([partials(posts)], 5)
+        assert want[0] == {"u": ("local", True)}
+        assert classified([a, b], 5) == want
+        assert classified([b, a], 5) == want
 
 
 class TestSuperLocal:
@@ -105,15 +132,15 @@ class TestSuperLocal:
 
     def _label(self, months):
         posts = self.FRAME + [("u", datetime(2014, m, 15, tzinfo=UTC)) for m in months]
-        labels, dataset = classify_partials(partials(posts), 12)
+        labels, dataset = classified([partials(posts)])
         assert dataset == [(2014, m) for m in range(3, 8)]
         return labels["u"]
 
     def test_all_months_present(self):
-        assert self._label([3, 4, 5, 6, 7]) == Cohort("local", super_local=True)
+        assert self._label([3, 4, 5, 6, 7]) == ("local", True)
 
     def test_missing_month(self):
-        assert self._label([3, 4, 5, 7]) == Cohort("local")
+        assert self._label([3, 4, 5, 7]) == ("local", False)
 
 
 @given(
@@ -124,19 +151,26 @@ def test_adding_a_post_never_demotes_local(seconds, extra):
     base = [T0 + timedelta(seconds=s) for s in seconds]
     before = label(base)
     after = label(base + [T0 + timedelta(seconds=extra)])
-    if before.kind == "local":
-        assert after.kind == "local"
+    if before[0] == "local":
+        assert after[0] == "local"
 
 
-@given(st.lists(st.integers(0, 60 * 86400), min_size=1, max_size=24), st.integers(1, 5))
-def test_partitioned_activity_merge_equals_single_pass(seconds, k):
+@given(
+    st.lists(st.integers(0, 60 * 86400), min_size=1, max_size=24),
+    st.integers(1, 5),
+    st.randoms(use_true_random=False),
+)
+def test_partitioned_activity_merge_equals_single_pass(seconds, k, rnd):
+    """Classify over any split and order of partials equals classify
+    over the whole, and each partial's codes name its own users."""
     posts = [(f"u{i % 3}", T0 + timedelta(seconds=s)) for i, s in enumerate(seconds)]
-    whole = partials(posts)
-    merged: dict = {}
     size = max(1, len(posts) // k)
-    for i in range(0, len(posts), size):
-        merged = merge_partials(merged, partials(posts[i : i + size]))
-    assert merged == whole
+    parts = [partials(posts[i : i + size]) for i in range(0, len(posts), size)]
+    rnd.shuffle(parts)
+    assert classified(parts) == classified([partials(posts)])
+    cohorts = classify_partials(parts, 12)
+    for part, codes in zip(parts, cohorts.partial_codes, strict=True):
+        assert [cohorts.user_ids[c] for c in codes.tolist()] == part.user_ids
 
 
 _ZONES = ["UTC", "America/New_York", "Asia/Kolkata", "Australia/Lord_Howe"]
@@ -165,19 +199,15 @@ _POSTS = st.lists(
     st.integers(1, 40),  # window_days
 )
 def test_labels_match_oracle_whole_and_merged(posts, cuts, tz, window_days):
-    """The columnar path (partials, merge, classify) labels every user
-    like the per-event reference, however the posts are split."""
-    want_labels, want_months = oracles.classify_users_direct(posts, tz, window_days)
+    """The columnar path (partials, classify) labels every user like the
+    per-event reference, however the posts are split."""
+    want = oracles.classify_users_direct(posts, tz, window_days)
 
     def columnar(part):
         epochs = np.array([e for _, e in part], dtype=np.float64)
-        return user_partials([u for u, _ in part], epochs, tz)[2]
+        return user_partials([u for u, _ in part], epochs, tz)[0]
 
     bounds = [0, *sorted(min(c, len(posts)) for c in cuts), len(posts)]
-    merged: dict = {}
-    for lo, hi in zip(bounds, bounds[1:]):
-        merged = merge_partials(merged, columnar(posts[lo:hi]))
-    for parts in (columnar(posts), merged):
-        labels, months = classify_partials(parts, window_days)
-        assert {u: (c.kind, c.super_local) for u, c in labels.items()} == want_labels
-        assert months == want_months
+    split = [columnar(posts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    for parts in ([columnar(posts)], split):
+        assert classified(parts, window_days) == want

@@ -1,13 +1,15 @@
 import csv
 import io
 import json
+import math
+from multiprocessing.connection import Connection
 
 import pytest
 
 from conftest import events_csv, feature_collection, square_feature
 from geoineq import cli, jsonio, report
 from geoineq.errors import BadBreakCount, EmptyCurveList, InternalInvariantError, MissingInput
-from geoineq.ingest import partition_byte_ranges
+from geoineq.ingest import parse_event_batch, partition_byte_ranges, read_byte_range
 from geoineq.metrics import Distribution, lorenz_curve
 from geoineq.report import (
     PipelineConfig,
@@ -193,6 +195,27 @@ class TestRunPipeline:
         start, end = ranges[1]
         assert str(exc.value).startswith(f"partition 1 (bytes {start}-{end}) failed:\n")
         assert "RuntimeError: unreadable range" in str(exc.value)
+
+    def test_workers_receive_masks_as_bytes(self, city_paths, monkeypatch):
+        # the parent's only sends are the phase-2 messages, one per worker
+        cfg = quick_config(city_paths)
+        sent = []
+        send = Connection.send
+
+        def record(conn, obj):
+            sent.append(obj)
+            send(conn, obj)
+
+        monkeypatch.setattr(Connection, "send", record)
+        rep = run_pipeline(cfg, partitions=2)
+        assert rep.ingest["events_outside_tracts"] == 0
+        users = [
+            len(set(parse_event_batch(read_byte_range(cfg.events_path, r),
+                                      expect_header=False).user_ids))
+            for r in partition_byte_ranges(cfg.events_path, 2)
+        ]
+        assert [type(m) for m in sent] == [bytes, bytes]
+        assert [len(m) for m in sent] == users
 
 
 class TestCsvTables:
@@ -401,12 +424,45 @@ class TestCli:
             ingest = json.loads((out / "report.json").read_text())["ingest"]
             assert {key: ingest[key] for key in want} == want, k
 
-    def test_bad_cohort_exit_1(self, city_paths, capsys):
-        rc = cli.main(
-            ["run", "--events", city_paths["events"], "--tracts", city_paths["tracts"],
-             "--cohorts", "martians", "--out", "/tmp/x"]
-        )
+    def test_bad_cohort_exit_1(self, city_paths, tmp_path, capsys):
+        for cohorts in ("martians", "local,local"):
+            rc = cli.main(
+                ["run", "--events", city_paths["events"], "--tracts", city_paths["tracts"],
+                 "--cohorts", cohorts, "--out", str(tmp_path)]
+            )
+            assert rc == 1, cohorts
+            assert not (tmp_path / "indexes.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "ingest-check"])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (None, "computed area_km2 nan"),
+            (math.nan, "area_km2 nan"),
+            (math.inf, "area_km2 inf"),
+            ("abc", "area_km2 'abc'"),
+        ],
+        ids=["nan-vertex", "nan-area", "inf-area", "text-area"],
+    )
+    def test_non_finite_tract_area_exit_1(self, tmp_path, capsys, command, bad, message):
+        feats = [square_feature(f"T{i}", 2 * i, 0) for i in range(6)]
+        if bad is None:
+            feats[3]["geometry"]["coordinates"][0][2] = [math.nan, 1.0]
+        else:
+            feats[3]["properties"]["area_km2"] = bad
+        tracts = tmp_path / "t.geojson"
+        tracts.write_bytes(feature_collection(feats))
+        events = tmp_path / "e.csv"
+        events.write_bytes(events_csv(
+            [f"u{i % 3},0.5,{2 * i + 0.5},2014-03-0{i + 1}T10:00:00Z," for i in range(6)]
+        ))
+        out = tmp_path / "out"
+        argv = [command, "--events", str(events), "--tracts", str(tracts)]
+        rc = cli.main(argv + (["--out", str(out)] if command == "run" else []))
         assert rc == 1
+        want = f"error: tract T3: {message} is not a finite positive number\n"
+        assert capsys.readouterr().err == want
+        assert not out.exists()
 
 
 class TestJsonIo:

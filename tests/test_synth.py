@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from geoineq.cohort import Cohort, classify_partials, user_partials
+from conftest import cohort_labels
+from geoineq.cohort import classify_partials, user_partials
 from geoineq.errors import InvalidParams
 from geoineq.ingest import ParseStats, parse_event_batch, parse_tracts
 from geoineq.synth import SplitMix64, SynthParams, generate_city, write_city
@@ -59,7 +60,14 @@ def city_partials(city, tz):
     """Per-user partials of a synthetic city's events, as the pipeline
     computes them."""
     batch = parse_event_batch(city.events_csv.encode())
-    return user_partials(batch.user_ids, batch.epochs, tz)[2]
+    return user_partials(batch.user_ids, batch.epochs, tz)[0]
+
+
+def city_labels(city, tz):
+    """{user_id: (kind, super_local)} and the dataset months, classified
+    from a synthetic city's events at the default 12-day window."""
+    cohorts = classify_partials([city_partials(city, tz)], 12)
+    return cohort_labels(cohorts.user_ids, cohorts.masks), cohorts.dataset_months
 
 
 class TestConstruction:
@@ -77,15 +85,16 @@ class TestConstruction:
         assert sum(city.ground_truth["tract_counts"].values()) == SMALL.n_events
 
     def test_cohort_recovery(self, city):
-        labels, months = classify_partials(city_partials(city, SMALL.tz), 12)
+        labels, months = city_labels(city, SMALL.tz)
         assert months == [tuple(m) for m in city.ground_truth["months"]]
         truth = city.ground_truth["user_labels"]
         assert labels == {
-            uid: Cohort(label["cohort"], label["super_local"]) for uid, label in truth.items()
+            uid: (label["cohort"], label["super_local"]) for uid, label in truth.items()
         }
 
     def test_visitor_spans_within_window(self, city):
-        for uid, (first, last, _, _) in city_partials(city, SMALL.tz).items():
+        parts = city_partials(city, SMALL.tz)
+        for uid, first, last in zip(parts.user_ids, parts.first.tolist(), parts.last.tolist()):
             span = last - first
             if uid.startswith("V"):
                 assert span <= 12 * 86400
@@ -97,9 +106,9 @@ class TestConstruction:
             seed=5, n_tracts=4, n_users_local=5, n_users_visitor=5, n_events=40, months=1
         )
         city = generate_city(params)
-        labels, _ = classify_partials(city_partials(city, params.tz), 12)
+        labels, _ = city_labels(city, params.tz)
         for uid, label in city.ground_truth["user_labels"].items():
-            assert labels[uid].kind == label["cohort"]
+            assert labels[uid][0] == label["cohort"]
 
     def test_zipf_concentrates_on_first_tract(self):
         params = SynthParams(
