@@ -24,7 +24,7 @@ import numpy as np
 from .cohort import COHORT_MASKS
 from .errors import DegenerateArea, MissingArea, TractIdMismatch
 from .ingest import TAG_PATTERN
-from .timebins import LocalClock, month_tuple
+from .timebins import month_tuple
 
 DAY_START_SECOND = 7 * 3600  # 07:00:00 local, inclusive
 DAY_END_SECOND = 19 * 3600  # 19:00:00 local, exclusive
@@ -215,27 +215,24 @@ def _intern_tags(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[str
 def aggregate_batch(
     tract_ids: Sequence[str],
     tract_idx: np.ndarray,
-    epochs: np.ndarray,
+    local: tuple[np.ndarray, np.ndarray, np.ndarray],
     texts: Sequence[str],
     masks: np.ndarray,
-    clock: LocalClock,
 ) -> BatchAggregation:
     """Per-tract aggregates of one batch of events, in array operations.
 
     ``oracles.aggregate_by_tract`` is the per-event reference.
 
     ``tract_idx`` indexes into ``tract_ids`` (every event already
-    assigned), and ``masks`` holds each event's cohort mask.
+    assigned), ``local`` is ``LocalClock.local_fields`` of the events'
+    epochs, and ``masks`` holds each event's cohort mask.
     """
     n = len(tract_idx)
     n_tracts = len(tract_ids)
     out: dict[str, TractAggregate] = {}
     tag_components: dict[str, tuple[int, int, int, int, int]] = {}
     event_totals: dict[str, int] = {}
-    if n == 0:
-        return BatchAggregation(out, tag_components, event_totals)
-
-    sod, dow, month_num = clock.local_fields(epochs)
+    sod, dow, month_num = local
     hour = sod // 3600
     is_day = ((sod >= DAY_START_SECOND) & (sod < DAY_END_SECOND)).astype(np.int64)
     uniq_months, month_code = np.unique(month_num, return_inverse=True)

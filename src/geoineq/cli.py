@@ -18,10 +18,10 @@ import json
 import sys
 from pathlib import Path
 
-from . import jsonio
+from . import jsonio, report
 from .errors import GeoIneqError, InternalInvariantError
 from .geo import build_spatial_index, tract_from_feature
-from .ingest import ParseStats, parse_census, parse_event_batch, parse_tracts
+from .ingest import ParseStats, parse_census, parse_tracts
 from .metrics import Distribution, index_suite, lorenz_curve
 from .report import (
     DEFAULT_CHOROPLETH_BREAKS,
@@ -98,30 +98,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_ingest_check(args) -> int:
+    # run's ingest stage, the calls its partition job makes
     stats = ParseStats()
     fmt = "jsonl" if str(args.events).endswith(".jsonl") else "csv"
-    parse_event_batch(Path(args.events).read_bytes(), fmt, stats)
-    summary = {
-        "events": {
-            "records_total": stats.records_total,
-            "records_ok": stats.records_ok,
-            "records_skipped": stats.records_skipped,
-            "errors": {k: stats.errors[k] for k in sorted(stats.errors)},
-        }
-    }
+    (byte_range,) = report.partition_byte_ranges(args.events, 1, fmt)
+    report.parse_event_batch(report.read_byte_range(args.events, byte_range), fmt, stats)
+    summary = {"events": stats.summary()}
     if args.tracts:
         feats = parse_tracts(Path(args.tracts).read_bytes())
-        index = build_spatial_index([tract_from_feature(f) for f in feats])
-        summary["tracts"] = {"count": len(index.tract_ids)}
-        if args.census:
-            census = parse_census(Path(args.census).read_bytes())
-            summary["census"] = {
-                "rows": len(census),
-                "unmatched_tracts": sorted(set(census) - set(index.tract_ids)),
-            }
-    elif args.census:
+        tract_ids = build_spatial_index([tract_from_feature(f) for f in feats]).tract_ids
+        summary["tracts"] = {"count": len(tract_ids)}
+    if args.census:
         census = parse_census(Path(args.census).read_bytes())
-        summary["census"] = {"rows": len(census), "unmatched_tracts": []}
+        unmatched = sorted(set(census) - set(tract_ids)) if args.tracts else []
+        summary["census"] = {"rows": len(census), "unmatched_tracts": unmatched}
     sys.stdout.write(jsonio.dumps(summary))
     return 0
 

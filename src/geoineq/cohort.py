@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .timebins import LocalClock, month_tuple
+from .timebins import month_tuple
 
 MASK_VISITOR = 1
 MASK_LOCAL = 2
@@ -65,11 +65,10 @@ def _codes(ids: Sequence[str]) -> tuple[list[str], np.ndarray]:
 
 
 def _distinct_pairs(codes: np.ndarray, months: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct (code, month) pairs of a non-empty pair list,
-    ordered by code, then month, as int32: partitions send theirs to the
-    parent, and both fit."""
-    lo = int(months.min())
-    span = int(months.max()) - lo + 1
+    """The distinct (code, month) pairs, ordered by code, then month, as
+    int32: partitions send theirs to the parent, and both fit."""
+    lo, hi = (int(months.min()), int(months.max())) if len(months) else (0, 0)
+    span = hi - lo + 1
     user, month = np.divmod(np.unique(codes * span + (months - lo)), span)
     return user.astype(np.int32), (month + lo).astype(np.int32)
 
@@ -84,17 +83,11 @@ def _span(codes: np.ndarray, n: int, first: np.ndarray, last: np.ndarray):
 
 
 def user_partials(
-    user_ids: Sequence[str], epochs: np.ndarray, tz: str
+    user_ids: Sequence[str], epochs: np.ndarray, month_nums: np.ndarray
 ) -> tuple[UserPartials, np.ndarray]:
-    """Per-user activity of one partition's events, and each event's
-    index into the partials' ``user_ids``."""
+    """Per-user activity of one partition's events, given their local
+    month numbers, and each event's index into the partials' ``user_ids``."""
     uids, codes = _codes(user_ids)
-    if not uids:
-        pairs = np.empty(0, np.int32)
-        no_users = UserPartials([], np.empty(0), np.empty(0), np.empty(0, np.int64), pairs, pairs)
-        return no_users, codes
-    clock = LocalClock(tz, float(epochs.min()), float(epochs.max()))
-    _, _, month_nums = clock.local_fields(epochs)
     first, last = _span(codes, len(uids), epochs, epochs)
     count = np.bincount(codes, minlength=len(uids))
     return UserPartials(uids, first, last, count, *_distinct_pairs(codes, month_nums)), codes

@@ -27,6 +27,10 @@ class BadTimestamp(IngestError):
     """Unparseable timestamp, or one without an explicit UTC offset."""
 
 
+class UndecodableRecord(IngestError):
+    """A record with bytes that are not UTF-8."""
+
+
 class MissingTractId(IngestError):
     pass
 

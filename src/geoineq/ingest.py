@@ -1,7 +1,7 @@
 """Event, tract, and census ingestion, plus hashtag extraction.
 
-Events arrive as CSV (RFC 4180 quoting) with header
-``user_id,lat,lon,timestamp,text`` or as JSONL with the same keys;
+Events arrive as CSV (RFC 4180 quoting) whose first line is the header
+``user_id,lat,lon,timestamp,text``, or as JSONL with the same keys;
 timestamps are ISO-8601 and must carry an explicit UTC offset. Tract
 boundaries are a GeoJSON FeatureCollection with a ``tract_id`` property;
 census indicators a CSV keyed by ``tract_id``.
@@ -11,18 +11,23 @@ kind and the stream continues. Multi-million-row exports always contain
 some noise, and one broken line must never abort a run. Tract and census
 files are small and authoritative, so they fail fast instead.
 
-Event parsing is columnar, in chunks of ``_CHUNK`` lines. Quote-free
-CSV lines with exactly four commas take the columnar path: they are
-split in bulk, one join and one split per chunk. Quoted CSV records and
-JSONL rows are split one record at a time. All fields then go through
-vector checks: ``float`` over each coordinate column with a range mask,
-and a byte-view decode of timestamps in the fixed-width
-``YYYY-MM-DDTHH:MM:SS+HH:MM`` shape. Every record those checks do not
-accept (a ``Z`` or compact offset, an unparseable coordinate, a bad
-date, a missing field) falls back to the per-record rule, which accepts
-it or skips and counts it exactly as a record-at-a-time parse would
-(``oracles.validate_event_fields`` is that reference). Row order and
-tallies never depend on the route a record took.
+One scanner over the bytes, :func:`_scan`, sets the event record
+boundaries that the split and parse both use. A block that is not UTF-8
+is decoded line by line, and a record with a line that does not decode
+is counted as an UndecodableRecord.
+
+Within a block, quote-free CSV lines with exactly four commas take the
+columnar path: they are split in bulk, one join and one split per block.
+Quoted CSV records and JSONL rows are split one record at a time. All
+fields then go through vector checks: ``float`` over each coordinate
+column with a range mask, and a byte-view decode of timestamps in the
+fixed-width ``YYYY-MM-DDTHH:MM:SS+HH:MM`` shape. Every record those
+checks do not accept (a ``Z`` or compact offset, an unparseable
+coordinate, a bad date, a missing field) falls back to the per-record
+rule, which accepts it or skips and counts it exactly as a
+record-at-a-time parse would (``oracles.validate_event_fields`` is that
+reference). Row order and tallies never depend on the route a record
+took.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import chain, compress, islice, repeat
+from itertools import compress
 from typing import Iterator
 
 import numpy as np
@@ -67,10 +72,15 @@ _TS_RE = re.compile(
 # fallback; groups are its minutes and seconds, if present
 _OFFSET_RE = re.compile(r"[+-]\d{2}(?::?(\d{2})(?::?(\d{2})(?:[.,]\d+)?)?)?\Z", re.ASCII)
 
-# Lines (JSONL: records) per columnar chunk. It bounds the transient
-# field strings a bulk split holds at once: coordinates and timestamps
-# are dropped after their chunk, only user ids and texts are kept.
-_CHUNK = 8192
+# Bytes per scanner window, the unit parse works in. It bounds the
+# transient field strings a bulk split holds at once: coordinates and
+# timestamps are dropped after their block, user ids and texts kept.
+_CHUNK = 1 << 19
+
+# The most lines a quoted CSV record may span. A quote that stays open
+# longer is taken as unterminated, so a stray quote costs one record
+# instead of hiding every record after it.
+_RECORD_LINES = 100
 
 # the vector-decoded timestamp shape: YYYY-MM-DDTHH:MM:SS+HH:MM
 _TS_WIDTH = 25
@@ -128,6 +138,15 @@ class ParseStats:
         self.records_skipped += other.records_skipped
         self.errors.update(other.errors)
 
+    def summary(self) -> dict:
+        """The tallies as ``run`` reports and ``ingest-check`` prints them."""
+        return {
+            "records_total": self.records_total,
+            "records_ok": self.records_ok,
+            "records_skipped": self.records_skipped,
+            "errors": {k: self.errors[k] for k in sorted(self.errors)},
+        }
+
 
 @dataclass
 class EventBatch:
@@ -169,17 +188,6 @@ def extract_hashtags(text: str) -> list[str]:
 # --- event stream parsing ---------------------------------------------------
 
 
-def _as_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8-sig")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8-sig")
-    return data
-
-
 def _csv_parse_quoted(record: str) -> list[str] | None:
     try:
         rows = list(csv.reader(io.StringIO(record)))
@@ -190,85 +198,133 @@ def _csv_parse_quoted(record: str) -> list[str] | None:
     return rows[0]
 
 
-def _csv_chunks(lines: list[str]) -> Iterator[tuple[list[str], list]]:
-    """Yield the CSV records of ``lines`` in chunks of at most ``_CHUNK``
-    lines, as ``(flat, fielded)``: ``flat`` holds one four-comma line per
-    record, ``fielded`` the ``(position, fields)`` of every record that is
-    not a quote-free line with exactly four commas, split one by one
-    (fields None when unparseable; its ``flat`` slot is a placeholder).
+def _per_line(view: np.ndarray, ends: np.ndarray, char: str) -> np.ndarray:
+    """How often ``char`` occurs on each line; line i ends at ``ends[i]``."""
+    return np.diff(np.searchsorted(np.flatnonzero(view == ord(char)), ends), prepend=0)
 
-    A line with an odd number of quotes opens a record that runs to the
-    next such line (newlines inside quoted fields); those records and
-    other quoted lines go through the csv module. Blank lines between
-    records are skipped. Only lines that are not plain records are
-    visited one at a time.
+
+def _scan(f, start: int, size: int, quoting: bool) -> Iterator[tuple]:
+    """Blocks of whole records of the ``size`` bytes of file ``f`` from
+    ``start``, one per ``_CHUNK``-byte window (more for a longer record),
+    as ``(offset from start, bytes as uint8, line ends, quotes per line,
+    whether each line's record goes on to the next line)``.
+
+    With ``quoting`` (CSV) a record ends at a newline with an even quote
+    count since its start, within ``_RECORD_LINES`` lines, or else its
+    first line is a record of its own; without it (JSONL) a record is a
+    line. A block holds only the records its window decides, so where
+    windows fall never moves a boundary.
     """
-    pending: list[str] | None = None  # lines of a record whose quote is open
-    for start in range(0, len(lines), _CHUNK):
-        block = lines[start : start + _CHUNK]
-        n = len(block)
-        commas = np.fromiter(map(str.count, block, repeat(",")), dtype=np.int64, count=n)
-        quotes = np.fromiter(map(str.count, block, repeat('"')), dtype=np.int64, count=n)
-        odd = quotes & 1
-        # a quote is open after this line: continuation lines and the
-        # line that opens a quoted record (the closing one has quotes)
-        inside = (np.cumsum(odd) + (pending is not None)) & 1
-        special = np.flatnonzero(inside | (quotes != 0) | (commas != 4)).tolist()
-        flat: list[str] = []
-        fielded: list[tuple[int, list[str] | None]] = []
-        prev = 0
-        for i in special:
-            flat += block[prev:i]
-            prev = i + 1
-            line = block[i]
-            if pending is not None:
-                pending.append(line)
-                if not odd[i]:
-                    continue
-                fields = _csv_parse_quoted("\n".join(pending))
-                pending = None
-            elif not line:
-                continue
-            elif odd[i]:
-                pending = [line]
-                continue
-            elif quotes[i]:
-                fields = _csv_parse_quoted(line)
+    pos = 0
+    width = _CHUNK
+    while pos < size:
+        f.seek(start + pos)
+        view = np.frombuffer(f.read(width), dtype=np.uint8)
+        at_end = pos + len(view) >= size
+        ends = np.flatnonzero(view == ord("\n")) + 1
+        if at_end and (not len(ends) or ends[-1] < len(view)):
+            ends = np.append(ends, len(view))
+        n = len(ends)
+        quotes = _per_line(view, ends, '"') if quoting else np.zeros(n, np.int64)
+        odd = np.flatnonzero(quotes & 1).tolist()
+        joined = np.zeros(n, dtype=bool)
+        i = 0
+        while i < len(odd):
+            s = odd[i]
+            if i + 1 < len(odd) and odd[i + 1] - s < _RECORD_LINES:
+                joined[s : odd[i + 1]] = True
+                i += 2
+            elif at_end or s + _RECORD_LINES <= n:
+                i += 1  # unterminated: line s is a record of its own
             else:
-                fields = line.split(",")
-            fielded.append((len(flat), fields))
-            flat.append(",,,,")
-        flat += block[prev:]
-        yield flat, fielded
-    if pending is not None:
-        yield [",,,,"], [(0, None)]  # unterminated quote at EOF
+                n = s  # the closing line may lie past this window
+                break
+        if n == 0:
+            width *= 2  # no whole record in the window yet
+            continue
+        used = int(ends[n - 1])
+        yield pos, view[:used], ends[:n], quotes[:n], joined[:n]
+        pos += used
 
 
-def _iter_jsonl_fields(text: str) -> Iterator[list[str] | None]:
-    for line in text.split("\n"):
-        if not line.strip():
+def _decode_lines(view: np.ndarray, n: int) -> tuple[list[str], set[int]]:
+    """A block's ``n`` lines, CRLF read as LF, and the indexes of the
+    lines that are not UTF-8."""
+    bad: set[int] = set()
+    try:
+        text = str(view, "utf-8")
+    except UnicodeDecodeError:
+        # U+FFFD takes the place of bad bytes only, never of a newline, so
+        # a line is UTF-8 exactly when it encodes back to its bytes
+        text = str(view, "utf-8", "replace")
+        raw = view.tobytes().split(b"\n")
+        bad = {i for i, line in enumerate(text.split("\n")) if line.encode() != raw[i]}
+    lines = text.replace("\r\n", "\n").split("\n")
+    del lines[n:]
+    return lines, bad
+
+
+def _csv_records(lines, quotes, commas, joined, bad, stats) -> tuple[list[str], list]:
+    """One block's CSV records as ``(flat, fielded)``: ``flat`` holds one
+    four-comma line per record, ``fielded`` the ``(position, fields)`` of
+    every other record, split one by one (fields None when unparseable;
+    its ``flat`` slot is a placeholder). Blank lines are skipped, and a
+    record with a line that is not UTF-8 is only counted."""
+    special = (quotes != 0) | (commas != 4) | joined
+    special[list(bad)] = True
+    quotes, joined = quotes.tolist(), joined.tolist()
+    flat: list[str] = []
+    fielded: list[tuple[int, list[str] | None]] = []
+    prev = 0
+    for i in np.flatnonzero(special).tolist():
+        if i < prev:
+            continue  # a later line of the record just read
+        flat += lines[prev:i]
+        last = i
+        while joined[last]:
+            last += 1
+        prev = last + 1
+        if bad and not bad.isdisjoint(range(i, prev)):
+            stats.count_error("UndecodableRecord")
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            yield None
+        line = lines[i]
+        if last > i:
+            fields = _csv_parse_quoted("\n".join(lines[i:prev]))
+        elif quotes[i] & 1:
+            fields = None  # a quote that never closes
+        elif quotes[i]:
+            fields = _csv_parse_quoted(line)
+        elif not line:
             continue
-        if not isinstance(obj, dict):
-            yield None
-            continue
-        try:
-            uid = obj["user_id"]
-            lat = obj["lat"]
-            lon = obj["lon"]
-            ts = obj["timestamp"]
-        except KeyError:
-            yield None
-            continue
-        text_v = obj.get("text", "")
-        if not isinstance(ts, str) or not isinstance(text_v, str):
-            yield None
-            continue
-        yield [str(uid), str(lat), str(lon), ts, text_v]
+        else:
+            fields = line.split(",")
+        fielded.append((len(flat), fields))
+        flat.append(",,,,")
+    flat += lines[prev:]
+    return flat, fielded
+
+
+def _jsonl_records(lines, bad, stats) -> tuple[list[str], list]:
+    """One block's JSONL records, as :func:`_csv_records` gives CSV ones."""
+    fielded = []
+    for i, line in enumerate(lines):
+        if i in bad:
+            stats.count_error("UndecodableRecord")
+        elif line.strip():
+            fielded.append((len(fielded), _jsonl_fields(line)))
+    return [",,,,"] * len(fielded), fielded
+
+
+def _jsonl_fields(line: str) -> list[str] | None:
+    try:
+        obj = json.loads(line)
+        uid, lat, lon, ts = obj["user_id"], obj["lat"], obj["lon"], obj["timestamp"]
+        text = obj.get("text", "")
+    except (ValueError, TypeError, KeyError):  # not JSON, not an object, no such key
+        return None
+    if not isinstance(ts, str) or not isinstance(text, str):
+        return None
+    return [str(uid), str(lat), str(lon), ts, text]
 
 
 def _day_base(date_s: str, off_s: str) -> float:
@@ -407,7 +463,7 @@ def _fixed_width_epochs(stamps: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _parse_chunk(flat: list[str], fielded: list, stats: ParseStats, day_cache: dict):
-    """Validate one chunk of records (see :func:`_csv_chunks`); returns
+    """Validate one chunk of records (see :func:`_csv_records`); returns
     the accepted rows as (user ids, texts, (lats, lons, epochs)) in
     input order."""
     uids, lat_s, lon_s, ts_s, texts = _columns(flat, fielded)
@@ -444,47 +500,26 @@ def _parse_chunk(flat: list[str], fielded: list, stats: ParseStats, day_cache: d
 
 
 def parse_event_batch(
-    source,
-    format: str = "csv",
-    stats: ParseStats | None = None,
-    expect_header: bool = True,
+    body, format: str = "csv", stats: ParseStats | None = None
 ) -> EventBatch:
-    """Parse an event stream into columnar arrays.
-
-    ``expect_header=False`` parses a headerless body slice (used when a
-    file is split into byte ranges for parallel workers).
-    """
+    """Parse a headerless event body, bytes as :func:`read_byte_range`
+    returns them, into columnar arrays."""
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown event format {format!r}")
     if stats is None:
         stats = ParseStats()
-    text = _as_text(source)
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    if format == "csv":
-        chunks = _csv_chunks(text.split("\n"))
-        if expect_header:
-            flat, fielded = next((c for c in chunks if c[0]), ([], []))
-            if fielded and fielded[0][0] == 0:
-                header = fielded.pop(0)[1]
-            else:
-                header = flat[0].split(",") if flat else None
-            if header is None or [h.strip() for h in header] != list(EVENT_COLUMNS):
-                raise MalformedRecord(
-                    f"CSV header must be {','.join(EVENT_COLUMNS)}, got {header!r}"
-                )
-            chunks = chain([(flat[1:], [(i - 1, f) for i, f in fielded])], chunks)
-    else:
-        records = _iter_jsonl_fields(text)
-        chunks = (
-            ([",,,,"] * len(recs), list(enumerate(recs)))
-            for recs in iter(lambda: list(islice(records, _CHUNK)), [])
-        )
     uids: list[str] = []
     texts: list[str] = []
     parts = [(np.empty(0), np.empty(0), np.empty(0))]
     day_cache: dict = {}
-    for flat, fielded in chunks:
+    blocks = _scan(io.BytesIO(body), 0, len(body), format == "csv")
+    for _, view, ends, quotes, joined in blocks:
+        lines, bad = _decode_lines(view, len(ends))
+        if format == "csv":
+            commas = _per_line(view, ends, ",")
+            flat, fielded = _csv_records(lines, quotes, commas, joined, bad, stats)
+        else:
+            flat, fielded = _jsonl_records(lines, bad, stats)
         if flat:
             c_uids, c_texts, arrays = _parse_chunk(flat, fielded, stats, day_cache)
             uids += c_uids
@@ -495,55 +530,47 @@ def parse_event_batch(
 
 
 def partition_byte_ranges(path, k: int, format: str = "csv") -> list[tuple[int, int]]:
-    """Split an event file into k byte ranges at record boundaries.
+    """Check an event file's header and split its body into k byte
+    ranges at the record ends of :func:`_scan`: each cut is the first
+    record end at or past an equal share of the body.
 
-    A CSV record boundary is a newline preceded by an even number of
-    quote characters, so records with quoted embedded newlines never
-    straddle two ranges (JSONL lines always have balanced quotes, which
-    makes the same scan valid there). The first range starts after the
-    CSV header line, or after a JSONL file's UTF-8 byte order mark.
+    A CSV body starts after its header, the first line, whose stripped
+    fields must be ``EVENT_COLUMNS`` once a UTF-8 byte order mark is
+    dropped (else MalformedRecord); a JSONL body after a byte order mark.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    data = os.fspath(path)
-    with open(data, "rb") as f:
-        blob = f.read()
-    if format == "csv":
-        nl = blob.find(b"\n")
-        start = nl + 1 if nl >= 0 else len(blob)
-    else:
-        start = len(codecs.BOM_UTF8) if blob.startswith(codecs.BOM_UTF8) else 0
-    end = len(blob)
-    if k == 1 or end - start == 0:
-        return [(start, end)]
-    cuts: list[int] = []
-    pos = start
-    parity = 0
-    for i in range(1, k):
-        target = start + (end - start) * i // k
-        if target < pos:
-            target = pos
-        parity = (parity + blob.count(b'"', pos, target)) & 1
-        pos = target
-        while pos < end:
-            nl = blob.find(b"\n", pos)
-            if nl == -1:
-                pos = end
+    with open(os.fspath(path), "rb") as f:
+        first = f.readline(_CHUNK)  # a header is far shorter
+        if format == "csv":
+            header = first.decode("utf-8-sig", "replace").rstrip("\r\n")
+            fields = _csv_parse_quoted(header)
+            if fields is None or [h.strip() for h in fields] != list(EVENT_COLUMNS):
+                raise MalformedRecord(
+                    f"CSV header must be {','.join(EVENT_COLUMNS)}, got {header[:80]!r}"
+                )
+            start = len(first)
+        else:
+            start = len(codecs.BOM_UTF8) if first.startswith(codecs.BOM_UTF8) else 0
+        end = os.fstat(f.fileno()).st_size
+        targets = [start + (end - start) * i // k for i in range(1, k)]
+        cuts: list[int] = []
+        blocks = _scan(f, start, end - start, format == "csv") if targets else ()
+        for pos, _, ends, _, joined in blocks:
+            record_ends = start + pos + ends[~joined]
+            due = [t for t in targets[len(cuts) :] if t <= record_ends[-1]]
+            cuts += record_ends[np.searchsorted(record_ends, due)].tolist()
+            if len(cuts) == len(targets):
                 break
-            parity = (parity + blob.count(b'"', pos, nl)) & 1
-            pos = nl + 1
-            if parity == 0:
-                break
-        cuts.append(pos)
-    bounds = [start] + cuts + [end]
-    return [(bounds[i], bounds[i + 1]) for i in range(k)]
+    bounds = [start, *cuts, *[end] * (k - len(cuts))]
+    return list(zip(bounds, bounds[1:]))
 
 
-def read_byte_range(path, byte_range: tuple[int, int]) -> str:
+def read_byte_range(path, byte_range: tuple[int, int]) -> bytes:
     start, end = byte_range
     with open(os.fspath(path), "rb") as f:
         f.seek(start)
-        return f.read(end - start).decode("utf-8")
+        return f.read(end - start)
 
 
 # --- tract geometry parsing -------------------------------------------------
@@ -561,14 +588,14 @@ def _validate_ring(tract_id: str, ring) -> Ring:
     return pts
 
 
-def parse_tracts(source) -> list[RawTractFeature]:
+def parse_tracts(data: bytes) -> list[RawTractFeature]:
     """Parse a GeoJSON FeatureCollection of Polygon/MultiPolygon tracts.
 
     A MultiPolygon becomes one tract with several polygon parts. Each
     feature must carry a unique, non-empty ``tract_id`` property.
     """
     try:
-        obj = json.loads(_as_text(source))
+        obj = json.loads(data.decode("utf-8-sig"))
     except json.JSONDecodeError as e:
         raise NonPolygonGeometry(f"not valid GeoJSON: {e}") from None
     if not isinstance(obj, dict) or obj.get("type") != "FeatureCollection":
@@ -609,7 +636,7 @@ _CENSUS_KNOWN = ("median_income", "median_rent", "unemployment_rate")
 _CENSUS_MONETARY = ("median_income", "median_rent")
 
 
-def parse_census(source) -> dict[str, CensusRecord]:
+def parse_census(data: bytes) -> dict[str, CensusRecord]:
     """Parse a census indicator CSV into one record per tract.
 
     The header must name a ``tract_id`` column; every other column is
@@ -617,7 +644,7 @@ def parse_census(source) -> dict[str, CensusRecord]:
     to ``extra``. Rows for tracts missing from the boundary file are kept
     here and flagged later, so id mismatches stay diagnosable.
     """
-    text = _as_text(source)
+    text = data.decode("utf-8-sig")
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     reader = csv.reader(io.StringIO(text))

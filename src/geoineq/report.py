@@ -199,18 +199,6 @@ def suite_to_dict(suite: IndexSuite | None) -> dict | None:
 # --- partition job ----------------------------------------------------------
 
 
-def _parse_assign(events_path, fmt, byte_range, index):
-    """Parse one byte range and assign tracts: (parse stats, number of
-    events outside every tract, the events inside, their tract indexes)."""
-    stats = ParseStats()
-    batch = parse_event_batch(
-        read_byte_range(events_path, byte_range), fmt, stats, expect_header=False
-    )
-    tract_idx = index.assign_batch(batch.lats, batch.lons)
-    keep = np.flatnonzero(tract_idx >= 0)
-    return stats, len(batch) - len(keep), batch.take(keep), tract_idx[keep]
-
-
 def _partition_job(events_path, fmt, byte_range, index, tz):
     """The two phases of one partition, as a generator.
 
@@ -219,14 +207,18 @@ def _partition_job(events_path, fmt, byte_range, index, tz):
     partials' users as bytes, and phase 2 yields the partition's
     (aggregates, tag components, event totals).
     """
-    stats, dropped, batch, tract_idx = _parse_assign(events_path, fmt, byte_range, index)
-    partials, codes = user_partials(batch.user_ids, batch.epochs, tz)
+    stats = ParseStats()
+    batch = parse_event_batch(read_byte_range(events_path, byte_range), fmt, stats)
+    tract_idx = index.assign_batch(batch.lats, batch.lons)
+    keep = np.flatnonzero(tract_idx >= 0)
+    dropped = len(batch) - len(keep)
+    batch, tract_idx = batch.take(keep), tract_idx[keep]
+    span = (batch.epochs.min(), batch.epochs.max()) if len(batch) else (0, 0)
+    local = LocalClock(tz, *span).local_fields(batch.epochs)  # the partition's one clock
+    partials, codes = user_partials(batch.user_ids, batch.epochs, local[2])
     user_masks = yield stats, dropped, partials
-    clock = None
-    if len(batch):
-        clock = LocalClock(tz, float(batch.epochs.min()), float(batch.epochs.max()))
     masks = np.frombuffer(user_masks, dtype=np.uint8)[codes]
-    agg = aggregate_batch(index.tract_ids, tract_idx, batch.epochs, batch.texts, masks, clock)
+    agg = aggregate_batch(index.tract_ids, tract_idx, local, batch.texts, masks)
     yield agg.aggregates, agg.tag_components, agg.event_totals
 
 
@@ -573,10 +565,7 @@ def _build_report(
     return Report(
         config=config,
         ingest={
-            "records_total": stats.records_total,
-            "records_ok": stats.records_ok,
-            "records_skipped": stats.records_skipped,
-            "errors": {k: stats.errors[k] for k in sorted(stats.errors)},
+            **stats.summary(),
             "events_assigned": assigned,
             "events_outside_tracts": dropped_total,
             "census_rows": len(census) if census is not None else None,

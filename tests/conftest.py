@@ -1,9 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from geoineq.cohort import MASK_LOCAL, MASK_SUPER, MASK_VISITOR
+from geoineq.ingest import parse_event_batch, partition_byte_ranges, read_byte_range
+from geoineq.timebins import LocalClock
 
 # the sandbox CPU is noisy; wall-clock deadlines just flake here
 settings.register_profile(
@@ -28,6 +32,13 @@ def cohort_labels(user_ids, masks) -> dict:
     return {uid: MASK_LABELS[m] for uid, m in zip(user_ids, masks.tolist())}
 
 
+def local_fields(epochs, tz):
+    """Local time bins of epochs from one clock over their span, as a
+    partition job computes them: (second of day, day of week, month)."""
+    span = (epochs.min(), epochs.max()) if len(epochs) else (0, 0)
+    return LocalClock(tz, *span).local_fields(epochs)
+
+
 def square_feature(tract_id, x0, y0, size=1.0, props=None, holes=None):
     ring = [[x0, y0], [x0 + size, y0], [x0 + size, y0 + size], [x0, y0 + size], [x0, y0]]
     properties = {"tract_id": tract_id}
@@ -46,6 +57,17 @@ def feature_collection(features) -> bytes:
 
 def events_csv(rows) -> bytes:
     return ("user_id,lat,lon,timestamp,text\n" + "\n".join(rows) + "\n").encode()
+
+
+def parse_events_file(data: bytes, fmt: str = "csv", stats=None):
+    """Parse a whole event file, header included, through the ingest
+    stage ``run`` uses: the header check and body range of
+    partition_byte_ranges at k=1, read_byte_range, parse_event_batch."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"events.{fmt}"
+        path.write_bytes(data)
+        (byte_range,) = partition_byte_ranges(path, 1, fmt)
+        return parse_event_batch(read_byte_range(path, byte_range), fmt, stats)
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import MASK_LABELS
+from conftest import MASK_LABELS, local_fields
 from geoineq import oracles
 from geoineq.aggregate import (
     CohortTractStats,
@@ -24,7 +24,6 @@ from geoineq.errors import (
     MissingArea,
     TractIdMismatch,
 )
-from geoineq.timebins import LocalClock
 
 UTC = timezone.utc
 LOCAL = ("local", False)
@@ -40,8 +39,8 @@ def aggregate(rows, tz="UTC"):
     epochs = np.array([epoch for epoch, _, _, _ in rows], dtype=np.float64)
     idx = np.array([tract_ids.index(tid) for _, _, tid, _ in rows], dtype=np.int64)
     masks = np.array([MASK_OF[c] for _, _, _, c in rows], dtype=np.uint8)
-    clock = LocalClock(tz, float(epochs.min()), float(epochs.max())) if rows else None
-    return aggregate_batch(tract_ids, idx, epochs, [text for _, text, _, _ in rows], masks, clock)
+    texts = [text for _, text, _, _ in rows]
+    return aggregate_batch(tract_ids, idx, local_fields(epochs, tz), texts, masks)
 
 
 def row(ts, text="", tract_id="T1", cohort=LOCAL):

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cohort_labels
+from conftest import cohort_labels, local_fields
 from geoineq import oracles
 from geoineq.cohort import MASK_VISITOR, classify_partials, user_partials
 
@@ -20,7 +20,7 @@ def month_num(year, month):
 def partials(posts, tz="UTC"):
     """user_partials over (user_id, datetime) posts."""
     epochs = np.array([ts.timestamp() for _, ts in posts], dtype=np.float64)
-    return user_partials([uid for uid, _ in posts], epochs, tz)[0]
+    return user_partials([uid for uid, _ in posts], epochs, local_fields(epochs, tz)[2])[0]
 
 
 def activity_of(parts, user_id):
@@ -100,7 +100,7 @@ class TestActivity:
         assert count == 1
 
     def test_empty_input(self):
-        parts, codes = user_partials([], np.empty(0), "UTC")
+        parts, codes = user_partials([], np.empty(0), np.empty(0, np.int64))
         assert (parts.user_ids, parts.count.tolist(), codes.tolist()) == ([], [], [])
         assert parts.month_user.tolist() == parts.month_num.tolist() == []
         for split in ([], [parts]):
@@ -205,7 +205,7 @@ def test_labels_match_oracle_whole_and_merged(posts, cuts, tz, window_days):
 
     def columnar(part):
         epochs = np.array([e for _, e in part], dtype=np.float64)
-        return user_partials([u for u, _ in part], epochs, tz)[0]
+        return user_partials([u for u, _ in part], epochs, local_fields(epochs, tz)[2])[0]
 
     bounds = [0, *sorted(min(c, len(posts)) for c in cuts), len(posts)]
     split = [columnar(posts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import events_csv, feature_collection, square_feature
+from conftest import events_csv, feature_collection, parse_events_file, square_feature
+from geoineq import ingest
 from geoineq.errors import (
     BadTimestamp,
     DuplicateTractId,
@@ -22,7 +23,6 @@ from geoineq.errors import (
     UnclosedRing,
 )
 from geoineq.ingest import (
-    _CHUNK,
     EVENT_COLUMNS,
     ParseStats,
     extract_hashtags,
@@ -41,7 +41,7 @@ class TestParseEvents:
     def test_direct_field_mapping(self):
         data = events_csv(['u1,40.7128,-74.0060,2014-03-15T14:30:00-04:00,"great day #nyc"'])
         stats = ParseStats()
-        batch = parse_event_batch(data, "csv", stats)
+        batch = parse_events_file(data, "csv", stats)
         assert stats.records_ok == 1 and stats.records_skipped == 0
         assert batch.user_ids == ["u1"]
         assert batch.lats.tolist() == [40.7128]
@@ -52,20 +52,20 @@ class TestParseEvents:
     def test_lat_out_of_range_skipped(self):
         data = events_csv(["u2,91.0,-74.0,2014-03-15T14:30:00-04:00,x"])
         stats = ParseStats()
-        assert len(parse_event_batch(data, "csv", stats)) == 0
+        assert len(parse_events_file(data, "csv", stats)) == 0
         assert stats.records_skipped == 1
         assert stats.errors["OutOfRangeCoordinate"] == 1
 
     def test_bad_timestamp_skipped(self):
         data = events_csv(["u3,40.7,-74.0,not-a-time,x"])
         stats = ParseStats()
-        assert len(parse_event_batch(data, "csv", stats)) == 0
+        assert len(parse_events_file(data, "csv", stats)) == 0
         assert stats.errors["BadTimestamp"] == 1
 
     def test_naive_timestamp_rejected(self):
         data = events_csv(["u4,40.7,-74.0,2014-03-15T14:30:00,x"])
         stats = ParseStats()
-        assert len(parse_event_batch(data, "csv", stats)) == 0
+        assert len(parse_events_file(data, "csv", stats)) == 0
         assert stats.errors["BadTimestamp"] == 1
 
     def test_zulu_and_compact_offsets(self):
@@ -75,7 +75,7 @@ class TestParseEvents:
                 "u2,40.7,-74.0,2014-03-15T14:30:00-0400,b",
             ]
         )
-        epochs = parse_event_batch(data).epochs.tolist()
+        epochs = parse_events_file(data).epochs.tolist()
         assert len(epochs) == 2 and epochs[0] == epochs[1]
 
     def test_quoted_comma_and_newline(self):
@@ -86,13 +86,13 @@ class TestParseEvents:
             ]
         )
         stats = ParseStats()
-        batch = parse_event_batch(data, "csv", stats)
+        batch = parse_events_file(data, "csv", stats)
         assert stats.records_ok == 2
         assert batch.texts == ["hello, world", "line one\nline two"]
 
     def test_header_required(self):
         with pytest.raises(MalformedRecord):
-            parse_event_batch(b"uid,lat,lon,ts,text\na,1,2,3,4\n")
+            parse_events_file(b"uid,lat,lon,ts,text\na,1,2,3,4\n")
 
     def test_jsonl_matches_csv(self):
         rows = [
@@ -101,8 +101,8 @@ class TestParseEvents:
         ]
         jsonl = "\n".join(json.dumps(r) for r in rows).encode()
         csv_data = events_csv(["u1,40.7,-74.0,2014-03-15T14:30:00-04:00,#a b"])
-        b_j = parse_event_batch(jsonl, "jsonl")
-        b_c = parse_event_batch(csv_data, "csv")
+        b_j = parse_events_file(jsonl, "jsonl")
+        b_c = parse_events_file(csv_data, "csv")
         assert (b_j.user_ids, b_j.texts) == (b_c.user_ids, b_c.texts) == (["u1"], ["#a b"])
         for col in ("lats", "lons", "epochs"):
             assert getattr(b_j, col).tolist() == getattr(b_c, col).tolist()
@@ -117,7 +117,7 @@ class TestParseEvents:
             ]
         )
         stats = ParseStats()
-        assert len(parse_event_batch(data, "jsonl", stats)) == 1
+        assert len(parse_events_file(data, "jsonl", stats)) == 1
         assert stats.errors["MalformedRecord"] == 2
         assert stats.errors["OutOfRangeCoordinate"] == 1
 
@@ -130,7 +130,7 @@ class TestParseEvents:
             "u5,40.7,-74.0,2014-03-15T14:30:00-04:00,ok",
         ]
         stats = ParseStats()
-        batch = parse_event_batch(events_csv(rows), "csv", stats)
+        batch = parse_events_file(events_csv(rows), "csv", stats)
         assert stats.records_total == len(rows)
         assert stats.records_ok == len(batch) == 2
         assert stats.records_skipped == 3
@@ -154,7 +154,7 @@ class TestParseEvents:
             "2014-11-02T06:30:00.000000+00:00",
         ]
         rows = [f"u{i},40.7,-74.0,{ts},x" for i, ts in enumerate(variants)]
-        epochs = parse_event_batch(events_csv(rows)).epochs.tolist()
+        epochs = parse_events_file(events_csv(rows)).epochs.tolist()
         assert len(epochs) == 3 and len(set(epochs)) == 1
 
     @pytest.mark.parametrize(
@@ -170,7 +170,7 @@ class TestParseEvents:
     )
     def test_timestamp_fields_need_ascii_digits(self, ts):
         stats = ParseStats()
-        batch = parse_event_batch(events_csv([f"u,40.7,-74.0,{ts},x"]), "csv", stats)
+        batch = parse_events_file(events_csv([f"u,40.7,-74.0,{ts},x"]), "csv", stats)
         assert len(batch) == 0
         assert stats.errors == Counter({"BadTimestamp": 1})
         with pytest.raises(BadTimestamp):
@@ -179,11 +179,11 @@ class TestParseEvents:
     def test_timestamp_with_trailing_newline_rejected(self):
         ts = "2014-03-01T08:03:00-05:00\n"
         stats = ParseStats()
-        batch = parse_event_batch(events_csv([f'u,40.7,-74.0,"{ts}",x']), "csv", stats)
+        batch = parse_events_file(events_csv([f'u,40.7,-74.0,"{ts}",x']), "csv", stats)
         assert len(batch) == 0 and stats.errors == Counter({"BadTimestamp": 1})
         line = json.dumps({"user_id": "u", "lat": 40.7, "lon": -74.0, "timestamp": ts})
         stats = ParseStats()
-        assert len(parse_event_batch(line.encode(), "jsonl", stats)) == 0
+        assert len(parse_events_file(line.encode(), "jsonl", stats)) == 0
         assert stats.errors == Counter({"BadTimestamp": 1})
         with pytest.raises(BadTimestamp):
             validate_event_fields(["u", "40.7", "-74.0", ts, "x"])
@@ -207,7 +207,7 @@ class TestParseEvents:
                 lines.append(f"u,{lat!r},{lon!r},2014-03-15T14:30:00-04:00,t")
         stats = ParseStats()
         body = events_csv(lines) if lines else b"user_id,lat,lon,timestamp,text\n"
-        got = parse_event_batch(body, "csv", stats)
+        got = parse_events_file(body, "csv", stats)
         assert stats.records_ok + stats.records_skipped == len(lines)
         assert len(got) == stats.records_ok
 
@@ -320,7 +320,8 @@ class TestColumnarParse:
             lines += [""] * blank + [_csv_line(fields, quote_all)]
         body = ("\r\n" if crlf else "\n").join(lines) + "\n"
         stats = ParseStats()
-        batch = parse_event_batch(body.encode(), "csv", stats, expect_header=header)
+        parse = parse_events_file if header else parse_event_batch
+        batch = parse(body.encode(), "csv", stats)
         _assert_matches_reference(batch, stats, records)
 
     @given(_RECORDS, st.booleans())
@@ -336,7 +337,7 @@ class TestColumnarParse:
             lines += [""] * blank
         body = ("\r\n" if crlf else "\n").join(lines)
         stats = ParseStats()
-        batch = parse_event_batch(body.encode(), "jsonl", stats)
+        batch = parse_events_file(body.encode(), "jsonl", stats)
         _assert_matches_reference(batch, stats, records)
 
     def test_timestamp_boundaries(self):
@@ -362,24 +363,28 @@ class TestColumnarParse:
         ]
         records = [["u", "40.7", "-74.0", ts, ""] for ts in valid + invalid]
         stats = ParseStats()
-        batch = parse_event_batch(events_csv([",".join(r) for r in records]), "csv", stats)
+        batch = parse_events_file(events_csv([",".join(r) for r in records]), "csv", stats)
         _assert_matches_reference(batch, stats, records)
         assert stats.records_ok == len(valid)
         assert stats.errors == Counter({"BadTimestamp": len(invalid)})
 
-    def test_quoted_record_across_chunk_boundary(self):
-        # the header is line 0, so the quoted record opens on the chunk's
-        # last line and its middle line, which looks like a plain record,
-        # starts the next chunk
+    def test_quoted_record_across_chunk_boundary(self, monkeypatch):
+        # the first window ends inside the quoted record's middle line,
+        # which looks like a plain record: the record must move whole to
+        # the next window
         records = [[f"u{i}", "40.7", "-74.0", "2014-03-01T08:03:00-05:00", ""]
-                   for i in range(_CHUNK - 2)]
+                   for i in range(50)]
         records.append(["v", "40.7", "-74.0", "2014-03-01T08:03:00-05:00", "x\na,b,c,d,e\ny"])
         records.append(["w", "40.7", "-74.0", "2014-03-01T08:03:00-05:00", ""])
+        data = events_csv([_csv_line(r, False) for r in records])
+        body_start = data.index(b"\n") + 1
+        monkeypatch.setattr(ingest, "_CHUNK", data.index(b"a,b,c,d,e") + 3 - body_start)
         stats = ParseStats()
-        batch = parse_event_batch(events_csv([_csv_line(r, False) for r in records]), "csv", stats)
+        batch = parse_events_file(data, "csv", stats)
         _assert_matches_reference(batch, stats, records)
 
-    def test_input_longer_than_a_chunk(self):
+    def test_input_longer_than_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_CHUNK", 4096)
         rng = random.Random(3)
         kinds = [
             lambda i: [f"u{i % 97}", "40.7", "-74.0", f"2014-03-{i % 28 + 1:02d}T08:03:00-05:00", ""],
@@ -392,26 +397,68 @@ class TestColumnarParse:
             lambda i: ["", "40.7", "-74.0", "2014-03-01T08:03:00-05:00", ""],
         ]
         weights = [80, 5, 5, 3, 3, 2, 2, 2]
-        records = [rng.choices(kinds, weights)[0](i) for i in range(5 * _CHUNK // 2)]
+        records = [rng.choices(kinds, weights)[0](i) for i in range(2000)]
         body = "user_id,lat,lon,timestamp,text\n" + "".join(
             _csv_line(f, False) + "\n" for f in records
         )
         stats = ParseStats()
-        batch = parse_event_batch(body.encode(), "csv", stats)
+        batch = parse_events_file(body.encode(), "csv", stats)
         _assert_matches_reference(batch, stats, records)
+
+    @pytest.mark.parametrize("chunk", [256, 1 << 20])
+    def test_unterminated_quote_costs_one_record(self, chunk, monkeypatch):
+        # the quote's closing line is looked for over more than one window
+        monkeypatch.setattr(ingest, "_CHUNK", chunk)
+        rows = [f"u{i},40.7,-74.0,2014-03-01T08:03:00-05:00,t{i}"
+                for i in range(3 * ingest._RECORD_LINES)]
+        rows[7] += ',"'
+        stats = ParseStats()
+        batch = parse_events_file(events_csv(rows), "csv", stats)
+        assert len(batch) == len(rows) - 1 and "u7" not in batch.user_ids
+        assert stats.errors == Counter({"MalformedRecord": 1})
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_undecodable_record_counted(self, fmt):
+        rows = [["u1", "40.7", "-74.0", "2014-03-01T08:03:00-05:00", "caf\u00e9"],
+                ["u2", "40.7", "-74.0", "2014-03-01T08:03:00-05:00", "two\nlines"],
+                ["u3", "40.7", "-74.0", "2014-03-01T08:03:00-05:00", "ok"]]
+        if fmt == "csv":
+            data = events_csv([_csv_line(r, False) for r in rows])
+        else:
+            data = "\n".join(json.dumps(dict(zip(EVENT_COLUMNS, r)), ensure_ascii=False)
+                             for r in rows).encode()
+        data = data.replace("caf\u00e9".encode(), b"caf\xe9").replace(b"two", b"tw\xff")
+        stats = ParseStats()
+        batch = parse_events_file(data, fmt, stats)
+        assert batch.user_ids == ["u3"]
+        assert stats.errors == Counter({"UndecodableRecord": 2})
+
+
+# one stray quote or one byte that is not UTF-8 in record 5 of the city
+_PROBES = {
+    "unterminated-quote": lambda row: row + b',"',
+    "0xff": lambda row: row + b"\xff",
+}
 
 
 class TestPartitioning:
-    def _city(self):
+    def _city(self, probe=None):
         rows = []
         for i in range(57):
             text = '"has, comma"' if i % 7 == 0 else ("\"two\nlines\"" if i % 11 == 0 else f"#t{i}")
             rows.append(f"u{i % 5},40.{i:02d},-74.0,2014-03-{(i % 27) + 1:02d}T12:00:00-04:00,{text}")
-        return events_csv(rows)
+        lines = events_csv(rows).split(b"\n")
+        if probe:
+            lines[6] = _PROBES[probe](lines[6])
+        return b"\n".join(lines)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 8])
-    def test_ranges_cover_and_split_cleanly(self, k, tmp_path):
-        data = self._city()
+    @pytest.mark.parametrize(
+        "probe,k",
+        [pytest.param(None, k, id=str(k)) for k in (1, 2, 3, 8)]
+        + [pytest.param(p, k, id=f"{p}-{k}") for p in _PROBES for k in (1, 2, 3, 4)],
+    )
+    def test_ranges_cover_and_split_cleanly(self, probe, k, tmp_path):
+        data = self._city(probe)
         path = tmp_path / "events.csv"
         path.write_bytes(data)
         ranges = partition_byte_ranges(path, k)
@@ -421,16 +468,35 @@ class TestPartitioning:
         for (a, b), (c, _) in zip(ranges, ranges[1:]):
             assert b == c
         whole_stats = ParseStats()
-        whole = parse_event_batch(data, "csv", whole_stats)
+        whole = parse_events_file(data, "csv", whole_stats)
         merged_users = []
-        total_ok = 0
+        stats = ParseStats()
         for r in ranges:
-            stats = ParseStats()
-            part = parse_event_batch(read_byte_range(path, r), "csv", stats, expect_header=False)
+            part = parse_event_batch(read_byte_range(path, r), "csv", stats)
             merged_users.extend(part.user_ids)
-            total_ok += stats.records_ok
-        assert total_ok == whole_stats.records_ok
+        assert stats == whole_stats
         assert merged_users == whole.user_ids
+
+    def test_jsonl_escaped_quote_splits_evenly(self, tmp_path):
+        # a JSON string may hold an escaped quote, so a JSONL line's
+        # quotes need not balance; records still end at every newline
+        rows = [
+            json.dumps({"user_id": f"u{i % 9}", "lat": 40.7, "lon": -74.0,
+                        "timestamp": f"2014-03-0{i % 9 + 1}T10:00:00-05:00",
+                        "text": 'say "hi' if i == 500 else f"#t{i}"})
+            for i in range(1000)
+        ]
+        path = tmp_path / "events.jsonl"
+        path.write_bytes("\n".join(rows).encode() + b"\n")
+        whole = ParseStats()
+        parse_event_batch(read_byte_range(path, *partition_byte_ranges(path, 1, "jsonl")),
+                          "jsonl", whole)
+        ranges = partition_byte_ranges(path, 4, "jsonl")
+        assert all(end > start for start, end in ranges)
+        stats = ParseStats()
+        for r in ranges:
+            parse_event_batch(read_byte_range(path, r), "jsonl", stats)
+        assert stats == whole and whole.records_ok == 1000
 
 
 class TestExtractHashtags:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 from multiprocessing.connection import Connection
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,57 @@ def census_path(tmp_path_factory, city_paths):
     rows.append("Z9999,50000,1000,0.05")
     path.write_text("\n".join(rows) + "\n")
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def probe_city(tmp_path_factory):
+    params = SynthParams(seed=3, n_tracts=9, n_users_local=10, n_users_visitor=10,
+                         n_events=200, months=2)
+    return write_city(params, tmp_path_factory.mktemp("probe"))
+
+
+def _probe_events(probe, events, out_dir):
+    """The 200-record events file broken the way ``probe`` names."""
+    header, *rows = events.read_bytes().splitlines()
+    if probe == "unterminated-quote":
+        rows[5] += b',"'
+    elif probe == "0xff":
+        rows[10] += b"\xff"
+    elif probe == "no-header":
+        header = None
+    elif probe == "empty":
+        header, rows = None, []
+    elif probe == "reordered-columns":
+        header = b"user_id,lon,lat,timestamp,text"
+    elif probe == "bom":
+        header = b"\xef\xbb\xbf" + header
+    elif probe == "jsonl-escaped-quote":
+        records = list(csv.DictReader(io.StringIO(events.read_text())))
+        records[7]["text"] = 'say "hi'
+        path = out_dir / "events.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return path
+    path = out_dir / "events.csv"
+    path.write_bytes(b"".join(line + b"\n" for line in [header, *rows] if line is not None))
+    return path
+
+
+# exit code and (ok, skipped, errors) tallies of run and ingest-check
+_PROBE_RESULTS = {
+    "unterminated-quote": (0, (199, 1, {"MalformedRecord": 1})),
+    "0xff": (0, (199, 1, {"UndecodableRecord": 1})),
+    "no-header": (1, None),
+    "reordered-columns": (1, None),
+    "empty": (1, None),
+    "bom": (0, (200, 0, {})),
+    "jsonl-escaped-quote": (0, (200, 0, {})),
+}
+
+
+def _tallies(ingest: dict):
+    if not ingest:
+        return None
+    return ingest["records_ok"], ingest["records_skipped"], ingest["errors"]
 
 
 def quick_config(city_paths, census=None, **kw):
@@ -210,8 +262,7 @@ class TestRunPipeline:
         rep = run_pipeline(cfg, partitions=2)
         assert rep.ingest["events_outside_tracts"] == 0
         users = [
-            len(set(parse_event_batch(read_byte_range(cfg.events_path, r),
-                                      expect_header=False).user_ids))
+            len(set(parse_event_batch(read_byte_range(cfg.events_path, r)).user_ids))
             for r in partition_byte_ranges(cfg.events_path, 2)
         ]
         assert [type(m) for m in sent] == [bytes, bytes]
@@ -423,6 +474,27 @@ class TestCli:
             assert rc == 0
             ingest = json.loads((out / "report.json").read_text())["ingest"]
             assert {key: ingest[key] for key in want} == want, k
+
+    @pytest.mark.parametrize("probe", list(_PROBE_RESULTS))
+    def test_probe_input_same_in_run_and_ingest_check(self, probe_city, tmp_path, capsys, probe):
+        rc, tallies = _PROBE_RESULTS[probe]
+        events = _probe_events(probe, Path(probe_city["events"]), tmp_path)
+        got = []
+        for k in (1, 2, 4):
+            out = tmp_path / f"out{k}"
+            code = cli.main(["run", "--events", str(events), "--tracts", probe_city["tracts"],
+                             "--partitions", str(k), "--out", str(out)])
+            summary = json.loads((out / "report.json").read_text())["ingest"] if code == 0 else {}
+            got.append((code, _tallies(summary), capsys.readouterr().err))
+        code = cli.main(["ingest-check", "--events", str(events)])
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)["events"] if code == 0 else {}
+        got.append((code, _tallies(summary), captured.err))
+        assert got == [got[0]] * 4
+        assert got[0][:2] == (rc, tallies)
+        if rc:
+            assert got[0][2].startswith("error: CSV header must be user_id,lat,lon,timestamp,text")
+            assert got[0][2].count("\n") == 1
 
     def test_bad_cohort_exit_1(self, city_paths, tmp_path, capsys):
         for cohorts in ("martians", "local,local"):

@@ -3,10 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cohort_labels
+from conftest import cohort_labels, local_fields, parse_events_file
 from geoineq.cohort import classify_partials, user_partials
 from geoineq.errors import InvalidParams
-from geoineq.ingest import ParseStats, parse_event_batch, parse_tracts
+from geoineq.ingest import ParseStats, parse_tracts
 from geoineq.synth import SplitMix64, SynthParams, generate_city, write_city
 
 SMALL = SynthParams(
@@ -59,8 +59,8 @@ def city():
 def city_partials(city, tz):
     """Per-user partials of a synthetic city's events, as the pipeline
     computes them."""
-    batch = parse_event_batch(city.events_csv.encode())
-    return user_partials(batch.user_ids, batch.epochs, tz)[0]
+    batch = parse_events_file(city.events_csv.encode())
+    return user_partials(batch.user_ids, batch.epochs, local_fields(batch.epochs, tz)[2])[0]
 
 
 def city_labels(city, tz):
@@ -73,7 +73,7 @@ def city_labels(city, tz):
 class TestConstruction:
     def test_events_parse_cleanly(self, city):
         stats = ParseStats()
-        batch = parse_event_batch(city.events_csv.encode(), "csv", stats)
+        batch = parse_events_file(city.events_csv.encode(), "csv", stats)
         assert stats.records_skipped == 0
         assert len(batch) == SMALL.n_events
 
