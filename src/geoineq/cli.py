@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from pathlib import Path
 
@@ -159,15 +158,11 @@ def cmd_lorenz(args) -> int:
 
 
 def cmd_choropleth(args) -> int:
-    data = Path(args.tracts).read_bytes()
-    raw = json.loads(data.decode("utf-8"))
-    parse_tracts(data)  # validate ids/geometry
-    values = {}
-    ids, vals = _read_csv_column(args.values, args.column)
-    for tid, v in zip(ids, vals):
-        values[tid] = v
-    out = emit_choropleth(raw, values, args.breaks)
-    Path(args.out).write_text(jsonio.dumps(out), encoding="utf-8")
+    feats = parse_tracts(Path(args.tracts).read_bytes())
+    tracts = [tract_from_feature(f) for f in feats]
+    values = dict(zip(*_read_csv_column(args.values, args.column)))
+    text = emit_choropleth(tracts, values, args.breaks)
+    Path(args.out).write_text(text, encoding="utf-8")
     print(args.out)
     return 0
 

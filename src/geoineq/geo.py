@@ -33,7 +33,7 @@ whatever the batch size or the tracts' vertex counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -57,6 +57,10 @@ class Tract:
     polygons: tuple[Polygon, ...]
     bbox: tuple[float, float, float, float]  # (min_lon, min_lat, max_lon, max_lat)
     area_km2: float
+    # the source feature's properties (a dict, so kept out of == and
+    # hash) and geometry type, for the choropleth
+    properties: dict = field(default_factory=dict, compare=False)
+    geometry_type: str = "MultiPolygon"
 
     @property
     def rings(self):
@@ -142,7 +146,10 @@ def tract_from_feature(feature: RawTractFeature) -> Tract:
         raise DegeneratePolygon(
             f"tract {feature.tract_id}: {what} is not a finite positive number"
         )
-    return Tract(feature.tract_id, feature.polygons, bbox, area)
+    return Tract(
+        feature.tract_id, feature.polygons, bbox, area, feature.properties,
+        feature.geometry_type,
+    )
 
 
 def _inverse(n, extent):

@@ -21,13 +21,13 @@ columnar path: they are split in bulk, one join and one split per block.
 Quoted CSV records and JSONL rows are split one record at a time. All
 fields then go through vector checks: ``float`` over each coordinate
 column with a range mask, and a byte-view decode of timestamps in the
-fixed-width ``YYYY-MM-DDTHH:MM:SS+HH:MM`` shape. Every record those
-checks do not accept (a ``Z`` or compact offset, an unparseable
-coordinate, a bad date, a missing field) falls back to the per-record
-rule, which accepts it or skips and counts it exactly as a
-record-at-a-time parse would (``oracles.validate_event_fields`` is that
-reference). Row order and tallies never depend on the route a record
-took.
+fixed-width ``YYYY-MM-DDTHH:MM:SS`` shape with a ``+HH:MM``, ``+HHMM``
+or ``Z`` offset. Every record those checks do not accept (a fractional
+second, an unparseable coordinate, a bad date, a missing field) falls
+back to the per-record rule, which accepts it or skips and counts it
+exactly as a record-at-a-time parse would
+(``oracles.validate_event_fields`` is that reference). Row order and
+tallies never depend on the route a record took.
 """
 
 from __future__ import annotations
@@ -82,8 +82,12 @@ _CHUNK = 1 << 19
 # instead of hiding every record after it.
 _RECORD_LINES = 100
 
-# the vector-decoded timestamp shape: YYYY-MM-DDTHH:MM:SS+HH:MM
+# the vector-decoded timestamp shape: YYYY-MM-DDTHH:MM:SS+HH:MM; the
+# ...SS+HHMM and ...SSZ widths are widened to it
 _TS_WIDTH = 25
+_TS_COMPACT_WIDTH = 24
+_TS_Z_WIDTH = 20
+_TS_UTC = np.frombuffer(b"+00:00", dtype=np.uint8)
 _TS_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 23, 24])
 _TS_SEP_POS = np.array([4, 7, 10, 13, 16, 22])
 _TS_SEP = np.frombuffer(b"--T:::", dtype=np.uint8)
@@ -96,11 +100,14 @@ Polygon = tuple[Ring, ...]  # exterior ring first, holes after
 
 @dataclass(frozen=True)
 class RawTractFeature:
-    """A tract boundary as parsed: one or more polygons with their holes."""
+    """A tract boundary as parsed: one or more polygons with their holes,
+    the feature's properties, and its geometry type (``Polygon`` or
+    ``MultiPolygon``; a MultiPolygon can hold any tract)."""
 
     tract_id: str
     polygons: tuple[Polygon, ...]
     properties: dict
+    geometry_type: str = "MultiPolygon"
 
     @property
     def rings(self) -> Iterator[Ring]:
@@ -429,9 +436,11 @@ def _float_column(strings: list[str]) -> np.ndarray:
             out.append(math.nan)
 
 
-def _fixed_width_epochs(stamps: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Decode 25-character ``YYYY-MM-DDTHH:MM:SS+HH:MM`` timestamps from a
-    byte view: (epoch seconds, accepted mask).
+def _fixed_width_epochs(stamps: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode timestamps of one width from a byte view: (epoch seconds,
+    accepted mask). The width is 25 for ``YYYY-MM-DDTHH:MM:SS+HH:MM``, 24
+    for the ``+HHMM`` offset and 20 for the ``Z`` one; the last two are
+    widened to the first, ``Z`` as ``+00:00``.
 
     A stamp is accepted when every digit position holds an ASCII digit,
     every separator matches, and the date, time and offset are in range;
@@ -439,10 +448,16 @@ def _fixed_width_epochs(stamps: list[str]) -> tuple[np.ndarray, np.ndarray]:
     come from days-from-civil arithmetic (proleptic Gregorian).
     """
     b = np.frombuffer("".join(stamps).encode("ascii", "replace"), dtype=np.uint8)
-    b = b.reshape(-1, _TS_WIDTH)
+    b = b.reshape(-1, width)
+    ok = np.ones(len(b), dtype=bool)
+    if width == _TS_Z_WIDTH:
+        ok &= b[:, 19] == ord("Z")
+        b = np.hstack([b[:, :19], np.broadcast_to(_TS_UTC, (len(b), len(_TS_UTC)))])
+    elif width == _TS_COMPACT_WIDTH:
+        b = np.insert(b, 22, ord(":"), axis=1)
     d = b[:, _TS_DIGITS].astype(np.int64) - ord("0")
     sign = b[:, _TS_SIGN_POS]
-    ok = ((d >= 0) & (d <= 9)).all(axis=1)
+    ok &= ((d >= 0) & (d <= 9)).all(axis=1)
     ok &= (b[:, _TS_SEP_POS] == _TS_SEP).all(axis=1)
     ok &= (sign == ord("+")) | (sign == ord("-"))
     v = d[:, 0::2] * 10 + d[:, 1::2]  # two-digit fields
@@ -474,10 +489,12 @@ def _parse_chunk(flat: list[str], fielded: list, stats: ParseStats, day_cache: d
     ok &= (lats >= -90.0) & (lats <= 90.0) & (lons >= -180.0) & (lons <= 180.0)
     epochs = np.zeros(n, dtype=np.float64)
     ts_ok = np.zeros(n, dtype=bool)
-    wide = np.fromiter(map(len, ts_s), dtype=np.int64, count=n) == _TS_WIDTH
-    epochs[wide], ts_ok[wide] = _fixed_width_epochs(
-        list(compress(ts_s, wide.tolist()))
-    )
+    lengths = np.fromiter(map(len, ts_s), dtype=np.int64, count=n)
+    for width in (_TS_WIDTH, _TS_COMPACT_WIDTH, _TS_Z_WIDTH):
+        sel = lengths == width
+        if sel.any():
+            stamps = list(compress(ts_s, sel.tolist()))
+            epochs[sel], ts_ok[sel] = _fixed_width_epochs(stamps, width)
     ok &= ts_ok
     # the per-record rule decides every row the vector checks did not accept
     for i in np.flatnonzero(~ok).tolist():
@@ -577,12 +594,22 @@ def read_byte_range(path, byte_range: tuple[int, int]) -> bytes:
 
 
 def _validate_ring(tract_id: str, ring) -> Ring:
+    """The ring's (x, y) positions. Every value of a position must be a
+    JSON number: a string or a boolean is refused, not converted."""
     if not isinstance(ring, (list, tuple)) or len(ring) < 4:
         raise UnclosedRing(f"tract {tract_id}: ring with < 4 points")
+    malformed = f"tract {tract_id}: malformed coordinates"
+    try:
+        kinds = {type(v) for p in ring for v in p}
+    except TypeError:  # a position that is not a list
+        raise NonPolygonGeometry(malformed) from None
+    if not kinds <= {int, float}:
+        bad = next(v for p in ring for v in p if type(v) not in (int, float))
+        raise NonPolygonGeometry(f"tract {tract_id}: coordinate {bad!r} is not a number")
     try:
         pts = tuple((float(p[0]), float(p[1])) for p in ring)
-    except (TypeError, ValueError, IndexError):
-        raise NonPolygonGeometry(f"tract {tract_id}: malformed coordinates") from None
+    except (IndexError, KeyError, OverflowError):  # a short position, a huge integer
+        raise NonPolygonGeometry(malformed) from None
     if pts[0] != pts[-1]:
         raise UnclosedRing(f"tract {tract_id}: ring not closed")
     return pts
@@ -626,7 +653,7 @@ def parse_tracts(data: bytes) -> list[RawTractFeature]:
         if not polygons:
             raise NonPolygonGeometry(f"tract {tid}: empty MultiPolygon")
         seen.add(tid)
-        out.append(RawTractFeature(tid, tuple(polygons), dict(props)))
+        out.append(RawTractFeature(tid, tuple(polygons), dict(props), gtype))
     return out
 
 

@@ -3,6 +3,10 @@
 Reports must be byte-identical across runs and partitioning schemes, so
 we control the serialization ourselves: insertion-ordered keys, floats
 printed at 12 significant digits, two-space indent, LF line endings.
+
+Geometry is the bulk of a choropleth, so a :class:`Ring` of 2D
+positions is written as one string by :func:`format_ring`, one f-string
+per position, in the same layout and float rule as a nested list.
 """
 
 from __future__ import annotations
@@ -17,6 +21,32 @@ def format_float(x: float, mode: str = "12g") -> str:
     if mode == "repr":  # shortest round-trip form, for ground-truth files
         return repr(x)
     return format(x, ".12g")
+
+
+class Ring:
+    """A sequence of (x, y) positions that :func:`dumps` writes as a list
+    of [x, y] lists, through :func:`format_ring` (``12g`` mode only)."""
+
+    __slots__ = ("positions",)
+
+    def __init__(self, positions):
+        self.positions = positions
+
+
+def format_ring(positions, depth: int) -> str:
+    """The text ``dumps`` gives a list of [x, y] lists written at
+    ``depth``, built in one pass with one f-string per position."""
+    if not positions:
+        return "[]"
+    pad = "  " * (depth + 1)
+    inner = pad + "  "
+    body = f",\n{pad}".join(
+        [f"[\n{inner}{x:.12g},\n{inner}{y:.12g}\n{pad}]" for x, y in positions]
+    )
+    if "n" in body:  # "nan" or "inf": a finite number prints without an "n"
+        bad = next(v for p in positions for v in p if not math.isfinite(v))
+        format_float(bad)  # raises
+    return f"[\n{pad}{body}\n{'  ' * depth}]"
 
 
 def dumps(obj, float_mode: str = "12g") -> str:
@@ -65,5 +95,7 @@ def _write(obj, out: list[str], depth: int, float_mode: str = "12g") -> None:
             _write(v, out, depth + 1, float_mode)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append("  " * depth + "]")
+    elif isinstance(obj, Ring) and float_mode == "12g":
+        out.append(format_ring(obj.positions, depth))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -258,3 +258,30 @@ def aggregate_by_tract(rows: Iterable, tz: str) -> dict[str, dict[str, dict]]:
             st["month_histogram"][month] = st["month_histogram"].get(month, 0) + 1
             st["day_count" if is_day else "night_count"] += 1
     return out
+
+
+def choropleth_direct(geojson: dict, values: dict[str, float], breaks: int) -> dict:
+    """Reference for ``report.emit_choropleth``: the classed
+    FeatureCollection built from a GeoJSON dict as read from the file,
+    every geometry passed through as it is.
+
+    A feature's class is the number of nearest-rank quantile cuts below
+    its value, the j-th cut being the ceil(j * n / breaks)-th smallest
+    of the n values (at least the first); a feature without a value
+    gets ``None`` and "no-data".
+    """
+    ranked = sorted(values.values())
+    n = len(ranked)
+    cuts = [ranked[max(1, math.ceil(j * n / breaks)) - 1] for j in range(1, breaks)] if n else []
+    features = []
+    for feat in geojson.get("features", []):
+        props = dict(feat.get("properties") or {})
+        tid = str(props.get("tract_id"))
+        if tid in values:
+            props["value"] = values[tid]
+            props["class"] = sum(1 for c in cuts if c < values[tid])
+        else:
+            props["value"] = None
+            props["class"] = "no-data"
+        features.append({"type": "Feature", "properties": props, "geometry": feat.get("geometry")})
+    return {"type": "FeatureCollection", "features": features}

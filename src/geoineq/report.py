@@ -20,12 +20,12 @@ partition count.
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing as mp
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
@@ -176,7 +176,7 @@ class Report:
 
 @dataclass
 class PipelineInternals:
-    tracts: tuple[Tract, ...]
+    tracts: tuple[Tract, ...]  # in file order, as the choropleth writes them
     tract_ids: tuple[str, ...]
     user_ids: list[str]
     user_masks: np.ndarray  # cohort mask per user, aligned with user_ids
@@ -284,8 +284,8 @@ def run_pipeline_full(
             raise MissingInput(f"census file not found: {census_path}")
         census = parse_census(census_path.read_bytes())
 
-    feats = parse_tracts(tracts_path.read_bytes())
-    index = build_spatial_index([tract_from_feature(f) for f in feats])
+    tracts = tuple(tract_from_feature(f) for f in parse_tracts(tracts_path.read_bytes()))
+    index = build_spatial_index(tracts)
     ranges = partition_byte_ranges(events_path, partitions, config.events_format)
     job_args = [
         (str(events_path), config.events_format, r, index, config.timezone) for r in ranges
@@ -336,7 +336,7 @@ def run_pipeline_full(
 
     report = _build_report(
         config,
-        index.tracts,
+        tracts,
         index.tract_ids,
         stats,
         dropped_total,
@@ -348,7 +348,7 @@ def run_pipeline_full(
         cohorts.dataset_months,
     )
     internals = PipelineInternals(
-        index.tracts, index.tract_ids, cohorts.user_ids, cohorts.masks, aggregates,
+        tracts, index.tract_ids, cohorts.user_ids, cohorts.masks, aggregates,
         cohorts.dataset_months,
     )
     return report, internals
@@ -750,12 +750,15 @@ def emit_lorenz_svg(curves: list[LorenzCurve]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_choropleth(tracts_geojson: dict, values: dict[str, float], breaks: int) -> dict:
-    """Attach 'value' and quantile-bucket 'class' properties per feature.
+def emit_choropleth(tracts: Iterable[Tract], values: dict[str, float], breaks: int) -> str:
+    """The choropleth GeoJSON text: one feature per tract, in the order
+    given, with the tract's properties plus 'value' and a quantile-bucket
+    'class', and its parsed geometry.
 
     Classes are 0..breaks-1 from nearest-rank quantile thresholds over
     the tracts that have values; a missing value classes as "no-data".
-    Geometry passes through untouched.
+    The geometry keeps the tract's type and its 2D positions, printed at
+    12 significant digits.
     """
     if breaks < 2:
         raise BadBreakCount(f"need at least 2 classes, got {breaks}")
@@ -767,20 +770,22 @@ def emit_choropleth(tracts_geojson: dict, values: dict[str, float], breaks: int)
             idx = max(1, math.ceil(j * n / breaks))
             thresholds.append(present[idx - 1])
     features = []
-    for feat in tracts_geojson.get("features", []):
-        props = dict(feat.get("properties") or {})
-        tid = str(props.get("tract_id"))
-        if tid in values:
-            v = values[tid]
+    for tract in tracts:
+        props = dict(tract.properties)
+        if tract.tract_id in values:
+            v = values[tract.tract_id]
             props["value"] = v
             props["class"] = sum(1 for t in thresholds if t < v)
         else:
             props["value"] = None
             props["class"] = "no-data"
-        features.append(
-            {"type": "Feature", "properties": props, "geometry": feat.get("geometry")}
-        )
-    return {"type": "FeatureCollection", "features": features}
+        coords = [[jsonio.Ring(ring) for ring in poly] for poly in tract.polygons]
+        geometry = {
+            "type": tract.geometry_type,
+            "coordinates": coords[0] if tract.geometry_type == "Polygon" else coords,
+        }
+        features.append({"type": "Feature", "properties": props, "geometry": geometry})
+    return jsonio.dumps({"type": "FeatureCollection", "features": features})
 
 
 def emit_outputs(
@@ -792,8 +797,10 @@ def emit_outputs(
 ) -> list[Path]:
     """Write every artifact for a run: report.json, the four CSV tables
     unless ``table_format`` is "json", the Lorenz SVG when there are
-    curves, and the choropleth. The manifest is stamped into the report
-    before report.json is serialized."""
+    curves, and the choropleth, from the run's own tracts: no input file
+    is read. Every text is made before the first file is written, and
+    the manifest is stamped into the report before report.json is
+    serialized."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     texts: dict[str, str] = {}
@@ -804,16 +811,14 @@ def emit_outputs(
         texts["tracts"] = _tracts_csv(report, internals)
     if report.lorenz_curves:
         texts["lorenz"] = emit_lorenz_svg(report.lorenz_curves)
-    report.manifest = [OUTPUT_NAMES[name] for name in ("report", *texts, "choropleth")]
+    texts["choropleth"] = emit_choropleth(
+        internals.tracts, report.choropleth_values, choropleth_breaks
+    )
+    report.manifest = [OUTPUT_NAMES[name] for name in ("report", *texts)]
     texts = {"report": jsonio.dumps(report.to_json_dict()), **texts}
     written = []
     for name, text in texts.items():
         p = out / OUTPUT_NAMES[name]
         p.write_text(text, encoding="utf-8")
         written.append(p)
-    raw = json.loads(Path(report.config.tracts_path).read_text(encoding="utf-8"))
-    cloro = emit_choropleth(raw, report.choropleth_values, choropleth_breaks)
-    p = out / OUTPUT_NAMES["choropleth"]
-    p.write_text(jsonio.dumps(cloro), encoding="utf-8")
-    written.append(p)
     return written

@@ -346,7 +346,9 @@ class TestColumnarParse:
             "1970-01-01T00:00:00-00:00", "2000-02-29T08:03:00+00:00",
             "2016-02-29T08:03:00+00:00", "2014-03-01T08:03:00+0559",
             "2014-03-01t08:03:00+05:00", "2014-03-01T08:03:00.5+05:59",
-            "2014-03-01T08:03:00+05:30:59.5",
+            "2014-03-01T08:03:00+05:30:59.5", "2014-03-01T08:03:00Z",
+            "2014-03-01T08:03:00+0000", "2014-03-01T08:03:00-0559",
+            "2014-03-01 08:03:00Z", "2000-02-29T23:59:59Z",
         ]
         invalid = [
             "0000-01-01T00:00:00+00:00",
@@ -360,6 +362,9 @@ class TestColumnarParse:
             "2014-00-10T08:03:00+00:00", "2014-13-10T08:03:00+00:00",
             "2014-12-00T08:03:00+00:00", "2014-12-32T08:03:00+00:00",
             "2014-03-01T08:03:00*05:00", "2014/03/01T08:03:00+05:00",
+            "2014-03-01T23:59:60Z", "2014-03-01T08:03:00z", "2014-03-01T08:03:00+2400",
+            "2014-03-01T08-03-00Z", "2014/03/01T08:03:00Z", "2014-02-29T08:03:00Z",
+            "2014-03-01T08:03:00*0500",
         ]
         records = [["u", "40.7", "-74.0", ts, ""] for ts in valid + invalid]
         stats = ParseStats()
@@ -367,6 +372,19 @@ class TestColumnarParse:
         _assert_matches_reference(batch, stats, records)
         assert stats.records_ok == len(valid)
         assert stats.errors == Counter({"BadTimestamp": len(invalid)})
+
+    def test_vector_decoder_widths(self):
+        # the Z and +HHMM widths are decoded in bulk, not left to the
+        # per-record rule; what the decoder accepts, the rule gives too
+        accepted = ["2014-03-01T08:03:00Z", "2014-03-01T08:03:00+0000",
+                    "2014-03-01T08:03:00-0559", "2014-03-01T08:03:00+05:59"]
+        rejected = ["2014-03-01T08:03:00z", "2014-03-01 08:03:00Z", "2014-03-01T08:03:00+2400",
+                    "2014-03-01T08:03:00+0575", "2014-03-01T08:03:00.5+05"]
+        for ts in accepted + rejected:
+            epochs, ok = ingest._fixed_width_epochs([ts], len(ts))
+            assert bool(ok[0]) == (ts in accepted), ts
+            if ok[0]:
+                assert epochs[0] == ingest._timestamp_to_epoch(ts, {}), ts
 
     def test_quoted_record_across_chunk_boundary(self, monkeypatch):
         # the first window ends inside the quoted record's middle line,
@@ -588,6 +606,14 @@ class TestParseTracts:
         feats = parse_tracts(data)
         assert len(feats) == 1
         assert len(feats[0].polygons) == 2
+        assert feats[0].geometry_type == "MultiPolygon"
+
+    @pytest.mark.parametrize("bad", ["-74.3", True, None, [0]])
+    def test_coordinate_not_a_number_rejected(self, bad):
+        feat = square_feature("T1", 0, 0)
+        feat["geometry"]["coordinates"][0][1][0] = bad
+        with pytest.raises(NonPolygonGeometry, match="tract T1: coordinate .* is not a number"):
+            parse_tracts(feature_collection([feat]))
 
 
 class TestParseCensus:

@@ -6,11 +6,14 @@ from multiprocessing.connection import Connection
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import events_csv, feature_collection, square_feature
-from geoineq import cli, jsonio, report
+from geoineq import cli, jsonio, oracles, report
 from geoineq.errors import BadBreakCount, EmptyCurveList, InternalInvariantError, MissingInput
-from geoineq.ingest import parse_event_batch, partition_byte_ranges, read_byte_range
+from geoineq.geo import tract_from_feature
+from geoineq.ingest import parse_event_batch, parse_tracts, partition_byte_ranges, read_byte_range
 from geoineq.metrics import Distribution, lorenz_curve
 from geoineq.report import (
     PipelineConfig,
@@ -325,35 +328,102 @@ class TestLorenzSvg:
         assert "visitors" in svg and "locals" in svg
 
 
+def _parsed_tracts(geojson: dict) -> list:
+    """The tracts of a FeatureCollection, read as ``run`` reads them."""
+    return [tract_from_feature(f) for f in parse_tracts(json.dumps(geojson).encode())]
+
+
+@st.composite
+def _choropleth_cases(draw):
+    """(FeatureCollection dict, values, breaks) for tracts made of
+    rectangles, with holes, integer and -0.0 coordinates, Polygons and
+    MultiPolygons, unicode properties and some tracts without a value."""
+    lon = st.one_of(st.floats(-170, 170), st.integers(-170, 170), st.just(-0.0),
+                    st.just(-73.98765432109876))
+    lat = st.one_of(st.floats(-80, 80), st.integers(-80, 80), st.just(-0.0),
+                    st.just(0.30000000000000004))
+    size = st.one_of(st.floats(1e-3, 5), st.integers(1, 5))
+
+    def polygon():
+        x0, y0 = draw(lon), draw(lat)
+        x1, y1 = x0 + draw(size), y0 + draw(size)
+        rings = [[[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]]]
+        if draw(st.booleans()):  # a hole over a quarter of the rectangle
+            hx, hy = (x0 + x1) / 2, (y0 + y1) / 2
+            rings.append([[hx, hy], [hx, y1], [x1, y1], [x1, hy], [hx, hy]])
+        return rings
+
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=6, unique=True))
+    scalar = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(-1e9, 1e9),
+                       st.text(max_size=8))
+    features = []
+    for tid in ids:
+        extra = draw(st.dictionaries(
+            st.text(max_size=6).filter(lambda k: k not in ("tract_id", "area_km2")),
+            scalar, max_size=3,
+        ))
+        items = list(extra.items())
+        items.insert(draw(st.integers(0, len(items))), ("tract_id", tid))
+        if draw(st.booleans()):
+            geometry = {"type": "Polygon", "coordinates": polygon()}
+        else:
+            parts = [polygon() for _ in range(draw(st.integers(1, 3)))]
+            geometry = {"type": "MultiPolygon", "coordinates": parts}
+        features.append({"type": "Feature", "properties": dict(items), "geometry": geometry})
+    valued = draw(st.lists(st.sampled_from(ids), unique=True))
+    values = {tid: draw(st.floats(0, 1e6)) for tid in valued}
+    return {"type": "FeatureCollection", "features": features}, values, draw(st.integers(2, 7))
+
+
 class TestChoropleth:
     GEO = {
         "type": "FeatureCollection",
         "features": [square_feature(f"T{i}", float(i), 0.0) for i in range(4)],
     }
+    TRACTS = _parsed_tracts(GEO)
 
     def test_one_class_per_bucket(self):
         values = {"T0": 1.0, "T1": 2.0, "T2": 3.0, "T3": 4.0}
-        out = emit_choropleth(self.GEO, values, 4)
+        out = json.loads(emit_choropleth(self.TRACTS, values, 4))
         classes = {f["properties"]["tract_id"]: f["properties"]["class"] for f in out["features"]}
         assert classes == {"T0": 0, "T1": 1, "T2": 2, "T3": 3}
 
     def test_equal_values_single_class(self):
-        out = emit_choropleth(self.GEO, {f"T{i}": 7.0 for i in range(4)}, 4)
+        out = json.loads(emit_choropleth(self.TRACTS, {f"T{i}": 7.0 for i in range(4)}, 4))
         assert {f["properties"]["class"] for f in out["features"]} == {0}
 
     def test_missing_value_no_data(self):
-        out = emit_choropleth(self.GEO, {"T0": 1.0, "T1": 2.0, "T2": 3.0}, 3)
+        out = json.loads(emit_choropleth(self.TRACTS, {"T0": 1.0, "T1": 2.0, "T2": 3.0}, 3))
         by_id = {f["properties"]["tract_id"]: f["properties"] for f in out["features"]}
         assert by_id["T3"]["class"] == "no-data"
         assert by_id["T3"]["value"] is None
 
     def test_bad_break_count(self):
         with pytest.raises(BadBreakCount):
-            emit_choropleth(self.GEO, {"T0": 1.0}, 1)
+            emit_choropleth(self.TRACTS, {"T0": 1.0}, 1)
 
     def test_geometry_passthrough(self):
-        out = emit_choropleth(self.GEO, {"T0": 1.0}, 2)
-        assert out["features"][0]["geometry"] == self.GEO["features"][0]["geometry"]
+        out = json.loads(emit_choropleth(self.TRACTS, {"T0": 1.0}, 2))
+        for feat, tract in zip(out["features"], self.TRACTS, strict=True):
+            assert feat["geometry"]["type"] == "Polygon"
+            rings = tuple(tuple(map(tuple, ring)) for ring in feat["geometry"]["coordinates"])
+            assert (rings,) == tract.polygons
+
+    @given(_choropleth_cases())
+    def test_matches_direct_passthrough(self, case):
+        geojson, values, breaks = case
+        want = jsonio.dumps(oracles.choropleth_direct(json.loads(json.dumps(geojson)),
+                                                      values, breaks))
+        assert emit_choropleth(_parsed_tracts(geojson), values, breaks) == want
+
+    def test_altitude_and_extra_members_not_carried(self):
+        feat = square_feature("T0", 0.0, 0.0)
+        ring = feat["geometry"]["coordinates"][0]
+        feat["geometry"]["coordinates"][0] = [[x, y, 12.5] for x, y in ring]
+        feat["geometry"]["bbox"] = [0.0, 0.0, 1.0, 1.0]
+        tracts = _parsed_tracts({"type": "FeatureCollection", "features": [feat]})
+        out = json.loads(emit_choropleth(tracts, {}, 2))
+        assert out["features"][0]["geometry"] == {"type": "Polygon", "coordinates": [ring]}
 
 
 class TestCli:
@@ -444,6 +514,59 @@ class TestCli:
         assert rc == 0
         fc = json.loads(out.read_text())
         assert len(fc["features"]) == CITY.n_tracts
+
+    def test_emit_reads_no_input(self, city_paths, tmp_path):
+        tracts = tmp_path / "tracts.geojson"
+        tracts.write_bytes(Path(city_paths["tracts"]).read_bytes())
+        config = PipelineConfig(events_path=city_paths["events"], tracts_path=str(tracts))
+        rep, internals = run_pipeline_full(config)
+        tracts.unlink()
+        written = emit_outputs(rep, internals, tmp_path / "out")
+        assert sorted(p.name for p in written) == sorted(report.OUTPUT_NAMES.values())
+        assert all(p.stat().st_size > 0 for p in written)
+
+    def test_bom_tracts_file(self, city_paths, tmp_path, capsys):
+        bom = tmp_path / "bom.geojson"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(city_paths["tracts"]).read_bytes())
+        values = tmp_path / "values.csv"
+        values.write_text("tract_id,value\nT0001,1.0\nT0002,2.0\n")
+        maps = {}
+        for name, tracts in (("plain", city_paths["tracts"]), ("bom", str(bom))):
+            for k in (1, 2):
+                out = tmp_path / f"{name}{k}"
+                rc = cli.main(["run", "--events", city_paths["events"], "--tracts", tracts,
+                               "--partitions", str(k), "--out", str(out)])
+                assert rc == 0, (name, k)
+                assert sorted(p.name for p in out.iterdir()) == sorted(report.OUTPUT_NAMES.values())
+                maps[name, k] = (out / "choropleth.geojson").read_bytes()
+            out = tmp_path / f"{name}.geojson"
+            rc = cli.main(["choropleth", "--tracts", tracts, "--values", str(values),
+                           "--out", str(out)])
+            assert rc == 0, name
+            maps[name, "choropleth"] = out.read_bytes()
+        for key in (1, 2, "choropleth"):
+            assert maps["bom", key] == maps["plain", key], key
+
+    @pytest.mark.parametrize("command", ["run", "ingest-check", "choropleth"])
+    @pytest.mark.parametrize("bad", ["0.5", True], ids=["string", "bool"])
+    def test_coordinate_not_a_number_exit_1(self, tmp_path, capsys, command, bad):
+        feats = [square_feature(f"T{i}", 2 * i, 0) for i in range(6)]
+        feats[3]["geometry"]["coordinates"][0][2][1] = bad
+        tracts = tmp_path / "t.geojson"
+        tracts.write_bytes(feature_collection(feats))
+        events = tmp_path / "e.csv"
+        events.write_bytes(events_csv(["u1,0.5,0.5,2014-03-01T10:00:00Z,"]))
+        values = tmp_path / "values.csv"
+        values.write_text("tract_id,value\nT0,1.0\n")
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run", "--events", str(events), "--out", str(out)],
+            "ingest-check": ["ingest-check", "--events", str(events)],
+            "choropleth": ["choropleth", "--values", str(values), "--out", str(out)],
+        }[command]
+        assert cli.main(argv + ["--tracts", str(tracts)]) == 1
+        assert capsys.readouterr().err == f"error: tract T3: coordinate {bad!r} is not a number\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_unknown_timezone_exit_1(self, city_paths, tmp_path, capsys, k):
@@ -547,6 +670,16 @@ class TestJsonIo:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             jsonio.dumps({"x": float("nan")})
+
+    def test_ring_as_nested_lists(self):
+        ring = [(0.1 + 0.2, -0.0), (5.0, 1e-7), (-73.98765432109876, 40.0), (0.1 + 0.2, -0.0)]
+        nested = {"g": [[[list(p) for p in ring]], []]}
+        assert jsonio.dumps({"g": [[jsonio.Ring(ring)], jsonio.Ring([])]}) == jsonio.dumps(nested)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_ring_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            jsonio.dumps({"g": jsonio.Ring([(0.0, 0.0), (bad, 1.0)])})
 
     def test_repr_mode_roundtrip(self):
         v = 0.1 + 0.2
