@@ -48,9 +48,20 @@ from .report import (
     run_pipeline,
     run_pipeline_full,
 )
-from .synth import SynthParams, generate_city, write_city
 
 __version__ = "0.1.0"
+
+# the synthetic-city generator loads on first use, so that the pipeline's
+# commands do not import it
+_SYNTH_NAMES = ("SynthParams", "generate_city", "write_city")
+
+
+def __getattr__(name: str):
+    if name in _SYNTH_NAMES:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CensusRecord",

@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import re
 import sys
 from pathlib import Path
 
 from . import jsonio, report
-from .errors import GeoIneqError, InternalInvariantError
+from .errors import GeoIneqError, InternalInvariantError, InvalidParams
 from .geo import build_spatial_index, tract_from_feature
 from .ingest import ParseStats, parse_census, parse_tracts
 from .metrics import Distribution, index_suite, lorenz_curve
@@ -32,7 +33,6 @@ from .report import (
     run_pipeline_full,
     suite_to_dict,
 )
-from .synth import SynthParams, write_city
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -127,7 +127,19 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+def _parse_start(text: str) -> tuple[int, int]:
+    """(year, month) of a ``--start`` value, which must be YYYY-MM."""
+    m = re.fullmatch(r"([0-9]{4})-([0-9]{2})", text)
+    if m is None or not 1 <= int(m[2]) <= 12:
+        raise InvalidParams(f"--start must be a month as YYYY-MM, got {text!r}")
+    return int(m[1]), int(m[2])
+
+
 def cmd_synth(args) -> int:
+    # imported here, so that the other commands do not load the generator
+    from .synth import SynthParams, write_city
+
+    start_year, start_month = _parse_start(args.start)
     params = SynthParams(
         seed=args.seed,
         n_tracts=args.tracts,
@@ -135,8 +147,8 @@ def cmd_synth(args) -> int:
         n_users_visitor=args.visitor_users,
         n_events=args.events,
         zipf_s=args.zipf_s,
-        start_year=int(args.start.split("-")[0]),
-        start_month=int(args.start.split("-")[1]),
+        start_year=start_year,
+        start_month=start_month,
         months=args.months,
         day_fraction_local=args.day_frac_local,
         day_fraction_visitor=args.day_frac_visitor,
@@ -160,6 +172,7 @@ def cmd_lorenz(args) -> int:
 def cmd_choropleth(args) -> int:
     feats = parse_tracts(Path(args.tracts).read_bytes())
     tracts = [tract_from_feature(f) for f in feats]
+    build_spatial_index(tracts)  # the tract checks run and ingest-check make
     values = dict(zip(*_read_csv_column(args.values, args.column)))
     text = emit_choropleth(tracts, values, args.breaks)
     Path(args.out).write_text(text, encoding="utf-8")

@@ -4,13 +4,17 @@ These deliberately do not share code with the production paths: Gini is
 the O(n^2) pairwise sum, containment is a textbook ray cast over every
 polygon with no index, and so on. Synthetic-city ground truth is
 computed with these, so the pipeline is always checked against a second
-route.
+route. The synthetic city's own generator has a reference here too: the
+per-draw event loop that ``synth`` reproduces in bulk.
 """
 
 from __future__ import annotations
 
+import calendar
+import csv
+import io
 import math
-from datetime import datetime
+from datetime import date, datetime
 from typing import Iterable, Sequence
 from zoneinfo import ZoneInfo
 
@@ -285,3 +289,214 @@ def choropleth_direct(geojson: dict, values: dict[str, float], breaks: int) -> d
             props["class"] = "no-data"
         features.append({"type": "Feature", "properties": props, "geometry": feat.get("geometry")})
     return {"type": "FeatureCollection", "features": features}
+
+
+_MASK64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """SplitMix64 pseudo-random generator, one draw at a time.
+
+    State update and output mix (all arithmetic mod 2^64):
+
+        state += 0x9E3779B97F4A7C15
+        z = state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+        return z ^ (z >> 31)
+
+    Floats are the top 53 bits scaled by 2^-53; bounded integers use
+    rejection sampling, so they are exactly uniform.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def random(self) -> float:
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def below(self, n: int) -> int:
+        if n <= 0:
+            raise ValueError("n must be positive")
+        limit = (1 << 64) - ((1 << 64) % n)
+        while True:
+            u = self.next_u64()
+            if u < limit:
+                return u % n
+
+
+# the synthetic city's tract grid (degrees) and posting hours (local
+# seconds of day); ``synth`` holds the same constants
+_GRID_LON0 = -74.30
+_GRID_LAT0 = 40.50
+_CELL = 0.02
+_MARGIN = 1e-6
+_DAY_LO, _DAY_SPAN = 8 * 3600, 10 * 3600
+_NIGHT_LO, _NIGHT_SPAN = 20 * 3600, 4 * 3600
+
+
+def _draw_tract(rng: SplitMix64, cum: list[float]) -> int:
+    u = rng.random() * cum[-1]
+    lo, hi = 0, len(cum) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cum[mid] > u:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _make_text(rng: SplitMix64) -> str:
+    r = rng.random()
+    if r < 0.45:
+        n_tags = 0
+    elif r < 0.87:
+        n_tags = 1 + rng.below(5)
+    elif r < 0.97:
+        n_tags = 6 + rng.below(5)
+    else:
+        n_tags = 11 + rng.below(3)
+    parts = []
+    if rng.below(11) == 0:
+        parts.append("nice view, downtown")
+    for _ in range(n_tags):
+        tag = f"tag{rng.below(40):02d}"
+        if rng.below(7) == 0:
+            tag = tag.capitalize()
+        parts.append("#" + tag)
+    return " ".join(parts)
+
+
+def synth_events_direct(params) -> tuple[str, dict[str, list[int]]]:
+    """Per-draw reference for the synthetic city's event stream.
+
+    ``params`` is a ``synth.SynthParams``. Returns the events CSV text
+    and the realized per-tract event counts by cohort ("visitor",
+    "local"), drawing each value from one :class:`SplitMix64` in the
+    order that defines the stream: locals' mandatory posts, visitors'
+    mandatory posts, then the remaining posts of randomly picked users.
+    Each post draws its day, its second (day or night, then the second)
+    and then, in ``emit``, its tract, longitude, latitude and text.
+    """
+    rng = SplitMix64(params.seed)
+    tz = ZoneInfo(params.tz)
+    n_tracts = params.n_tracts
+    cols = math.ceil(math.sqrt(n_tracts))
+    cells = [
+        (_GRID_LON0 + (k % cols) * _CELL, _GRID_LAT0 + (k // cols) * _CELL)
+        for k in range(n_tracts)
+    ]
+    cum = []
+    acc = 0.0
+    for r in range(1, n_tracts + 1):
+        acc += r**-params.zipf_s
+        cum.append(acc)
+    months = []
+    y, m = params.start_year, params.start_month
+    for _ in range(params.months):
+        months.append((y, m))
+        y, m = (y + 1, 1) if m == 12 else (y, m + 1)
+    month_days = [calendar.monthrange(y, m)[1] for (y, m) in months]
+    total_days = sum(month_days)
+    # day offset (from span start) of the first day of each month
+    month_day0 = [0]
+    for nd in month_days[:-1]:
+        month_day0.append(month_day0[-1] + nd)
+
+    def day_to_date(day_off: int) -> tuple[int, int, int]:
+        mi = 0
+        while mi + 1 < len(months) and day_off >= month_day0[mi + 1]:
+            mi += 1
+        y, m = months[mi]
+        return y, m, day_off - month_day0[mi] + 1
+
+    def draw_second(day_fraction: float) -> int:
+        if rng.random() < day_fraction:
+            return _DAY_LO + rng.below(_DAY_SPAN)
+        return _NIGHT_LO + rng.below(_NIGHT_SPAN)
+
+    events: list[tuple[float, str, float, float, str, str]] = []
+    by_cohort = {"visitor": [0] * n_tracts, "local": [0] * n_tracts}
+
+    def emit(uid: str, day_off: int, second: int, cohort: str) -> None:
+        y, m, d = day_to_date(day_off)
+        hh, rem = divmod(second, 3600)
+        mm, ss = divmod(rem, 60)
+        off = int(datetime(y, m, d, hh, tzinfo=tz).utcoffset().total_seconds())
+        epoch = (date(y, m, d) - date(1970, 1, 1)).days * 86400 + second - off
+        sign = "-" if off < 0 else "+"
+        a = abs(off)
+        iso = (
+            f"{y:04d}-{m:02d}-{d:02d}T{hh:02d}:{mm:02d}:{ss:02d}"
+            f"{sign}{a // 3600:02d}:{(a % 3600) // 60:02d}"
+        )
+        ti = _draw_tract(rng, cum)
+        x0, y0 = cells[ti]
+        lon = x0 + _MARGIN + rng.random() * (_CELL - 2 * _MARGIN)
+        lat = y0 + _MARGIN + rng.random() * (_CELL - 2 * _MARGIN)
+        text = _make_text(rng)
+        by_cohort[cohort][ti] += 1
+        events.append((float(epoch), uid, lat, lon, iso, text))
+
+    local_ranges: list[tuple[int, int]] = []  # inclusive day-offset range per local
+    visitor_windows: list[int] = []  # window start day per visitor
+
+    for u in range(params.n_users_local):
+        uid = f"L{u + 1:05d}"
+        first_day = rng.below(8)  # day 1..8 of the first month
+        last_day = month_day0[-1] + 21 + rng.below(7)  # day 22..28 of the last month
+        emit(uid, first_day, draw_second(params.day_fraction_local), "local")
+        for mi in range(1, params.months - 1):
+            emit(
+                uid,
+                month_day0[mi] + 8 + rng.below(13),  # day 9..21
+                draw_second(params.day_fraction_local),
+                "local",
+            )
+        emit(uid, last_day, draw_second(params.day_fraction_local), "local")
+        local_ranges.append((first_day, last_day))
+
+    window_days = min(12, total_days)
+    for v in range(params.n_users_visitor):
+        uid = f"V{v + 1:05d}"
+        ws = rng.below(max(1, total_days - window_days + 1))
+        visitor_windows.append(ws)
+        emit(uid, ws + rng.below(window_days), draw_second(params.day_fraction_visitor), "visitor")
+
+    n_users = params.n_users_local + params.n_users_visitor
+    for _ in range(params.n_events - len(events)):
+        g = rng.below(n_users)
+        if g < params.n_users_local:
+            lo, hi = local_ranges[g]
+            emit(
+                f"L{g + 1:05d}",
+                lo + rng.below(hi - lo + 1),
+                draw_second(params.day_fraction_local),
+                "local",
+            )
+        else:
+            vi = g - params.n_users_local
+            emit(
+                f"V{vi + 1:05d}",
+                visitor_windows[vi] + rng.below(window_days),
+                draw_second(params.day_fraction_visitor),
+                "visitor",
+            )
+
+    events.sort(key=lambda e: (e[0], e[1]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["user_id", "lat", "lon", "timestamp", "text"])
+    for _, uid, lat, lon, iso, text in events:
+        writer.writerow([uid, f"{lat:.7f}", f"{lon:.7f}", iso, text])
+    return buf.getvalue(), by_cohort

@@ -492,6 +492,28 @@ class TestCli:
         assert capsys.readouterr().err == "error: unknown timezone 'Not/AZone'\n"
         assert not (tmp_path / "city").exists()
 
+    @pytest.mark.parametrize("start", ["2014", "2014-3x", "2014-13", "2014-00", "14-03",
+                                       "2014-03-01", "２０１４-03"])
+    def test_synth_bad_start_exit_1(self, tmp_path, capsys, start):
+        rc = cli.main(
+            ["synth", "--tracts", "9", "--local-users", "4", "--visitor-users", "4",
+             "--events", "60", "--start", start, "--out", str(tmp_path / "city")]
+        )
+        assert rc == 1
+        want = f"error: --start must be a month as YYYY-MM, got {start!r}\n"
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "city").exists()
+
+    def test_synth_start_sets_first_month(self, tmp_path, capsys):
+        rc = cli.main(
+            ["synth", "--tracts", "9", "--local-users", "4", "--visitor-users", "4",
+             "--events", "60", "--months", "2", "--start", "2015-12",
+             "--out", str(tmp_path / "city")]
+        )
+        assert rc == 0
+        truth = json.loads((tmp_path / "city" / "ground_truth.json").read_text())
+        assert truth["months"] == [[2015, 12], [2016, 1]]
+
     def test_lorenz_subcommand(self, census_path, tmp_path, capsys):
         out = tmp_path / "l.svg"
         rc = cli.main(
@@ -657,6 +679,28 @@ class TestCli:
         assert rc == 1
         want = f"error: tract T3: {message} is not a finite positive number\n"
         assert capsys.readouterr().err == want
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ingest-check", "choropleth"])
+    def test_nan_vertex_with_area_property_exit_1(self, tmp_path, capsys, command):
+        # the stated area hides the vertex from the area check, so every
+        # command must find it through the tract index
+        feats = [square_feature(f"T{i}", 2 * i, 0, props={"area_km2": 1.0}) for i in range(3)]
+        feats[1]["geometry"]["coordinates"][0][2] = [math.nan, 1.0]
+        tracts = tmp_path / "t.geojson"
+        tracts.write_bytes(feature_collection(feats))
+        events = tmp_path / "e.csv"
+        events.write_bytes(events_csv(["u1,0.5,0.5,2014-03-01T10:00:00Z,"]))
+        values = tmp_path / "values.csv"
+        values.write_text("tract_id,value\nT0,1.0\nT1,2.0\n")
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run", "--events", str(events), "--out", str(out)],
+            "ingest-check": ["ingest-check", "--events", str(events)],
+            "choropleth": ["choropleth", "--values", str(values), "--out", str(out)],
+        }[command]
+        assert cli.main(argv + ["--tracts", str(tracts)]) == 1
+        assert capsys.readouterr().err == "error: tract T1: non-finite coordinate\n"
         assert not out.exists()
 
 
