@@ -4,8 +4,10 @@ Aggregation is a fold: any partitioning of the event stream, aggregated
 separately and merged, must equal the single-pass result. All counts are
 integers and unique-tag sets are exact, so merge order cannot matter.
 
-Each event carries its user's cohort mask. ``cohort.COHORT_MASKS``
-names the bits, which this module reads and never decides. Cohort
+Each event arrives with its hashtags as ids into one casefolded
+vocabulary, as parse interned them (``ingest.EventBatch``), and with its
+user's cohort mask. ``cohort.COHORT_MASKS`` names the mask bits, which
+this module reads and never decides. Cohort
 bucket keys are "all", "visitor", "local", and "super_local"; events by
 super-local users count in both "local" and "super_local".
 Temporal bins use one configured display timezone: day-of-week is
@@ -16,26 +18,18 @@ Sunday-first, "day" is the local interval 07:00:00..18:59:59 inclusive
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cohort import COHORT_MASKS
+from .cohort import COHORT_MASKS, distinct
 from .errors import DegenerateArea, MissingArea, TractIdMismatch
-from .ingest import TAG_PATTERN
 from .timebins import month_tuple
 
 DAY_START_SECOND = 7 * 3600  # 07:00:00 local, inclusive
 DAY_END_SECOND = 19 * 3600  # 19:00:00 local, exclusive
 
 BUCKET_KEYS = ("all", "visitor", "local", "super_local")
-
-# Texts per hashtag-extraction chunk. It bounds the per-text tag lists
-# alive at once, and keeping them below the interpreter's young-generation
-# GC threshold (700 allocations by default) means extraction triggers
-# almost no collections.
-_TAG_CHUNK = 512
 
 
 @dataclass
@@ -188,35 +182,11 @@ def merge_tag_components(a: dict, b: dict) -> dict:
     return out
 
 
-def _intern_tags(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Every event's hashtags as dense integer ids.
-
-    Returns the per-event tag counts, the id of every tag occurrence in
-    event order, and the casefolded vocabulary the ids index (in order
-    of first appearance). Casefolding and interning run once per
-    distinct raw tag, not per occurrence.
-    """
-    vocab: dict[str, int] = {}  # casefolded tag -> id
-    id_of: dict[str, int] = {}  # raw tag -> id
-    counts = [np.empty(0, dtype=np.int64)]
-    ids = [np.empty(0, dtype=np.int64)]
-    findall = TAG_PATTERN.findall
-    for start in range(0, len(texts), _TAG_CHUNK):
-        found = list(map(findall, texts[start : start + _TAG_CHUNK]))
-        flat = list(chain.from_iterable(found))
-        for raw in dict.fromkeys(flat):
-            if raw not in id_of:
-                id_of[raw] = vocab.setdefault(raw.casefold(), len(vocab))
-        counts.append(np.fromiter(map(len, found), dtype=np.int64, count=len(found)))
-        ids.append(np.fromiter(map(id_of.__getitem__, flat), dtype=np.int64, count=len(flat)))
-    return np.concatenate(counts), np.concatenate(ids), list(vocab)
-
-
 def aggregate_batch(
     tract_ids: Sequence[str],
     tract_idx: np.ndarray,
     local: tuple[np.ndarray, np.ndarray, np.ndarray],
-    texts: Sequence[str],
+    tags: tuple[np.ndarray, np.ndarray, Sequence[str]],
     masks: np.ndarray,
 ) -> BatchAggregation:
     """Per-tract aggregates of one batch of events, in array operations.
@@ -225,9 +195,10 @@ def aggregate_batch(
 
     ``tract_idx`` indexes into ``tract_ids`` (every event already
     assigned), ``local`` is ``LocalClock.local_fields`` of the events'
-    epochs, and ``masks`` holds each event's cohort mask.
+    epochs, ``tags`` is the events' interned hashtags as ``EventBatch``
+    holds them (tag count per event, tag id per occurrence, vocabulary),
+    and ``masks`` holds each event's cohort mask.
     """
-    n = len(tract_idx)
     n_tracts = len(tract_ids)
     out: dict[str, TractAggregate] = {}
     tag_components: dict[str, tuple[int, int, int, int, int]] = {}
@@ -239,31 +210,33 @@ def aggregate_batch(
     n_months = len(uniq_months)
     month_keys = [month_tuple(m) for m in uniq_months]
 
-    tag_counts, tag_ids, vocab = _intern_tags(texts)
+    tag_counts, tag_ids, vocab = tags
     n_vocab = len(vocab)
-    tag_owner = np.repeat(np.arange(n), tag_counts)
-    tag_tract = tract_idx[tag_owner]
-    tag_masks = masks[tag_owner]
-    # distinct (tract, tag, cohort mask) triples, ordered by tract, then tag
-    triples = np.unique((tag_tract * n_vocab + tag_ids) * 8 + tag_masks)
-    triple_pair = triples >> 3
-    triple_mask = triples & 7
+    # the distinct (tract, tag, cohort mask) triples of the occurrences, as
+    # the int64 keys (tract * 8 + mask) * n_vocab + tag, ordered by tract
+    event_keys = (tract_idx.astype(np.int64, copy=False) * 8 + masks) * n_vocab
+    keys = np.repeat(event_keys, tag_counts)
+    keys += tag_ids
+    triple_tract, rest = np.divmod(distinct(keys), 8 * n_vocab)  # empty when n_vocab is 0
+    triple_mask, triple_tag = np.divmod(rest, n_vocab)
 
     for key in BUCKET_KEYS:
         bit = COHORT_MASKS.get(key)
         if bit is None:
             idx = tract_idx
-            sel = tag_sel = slice(None)
+            sel = slice(None)
+            pair_tract, pair_tag = triple_tract, triple_tag
         else:
             sel = (masks & bit) != 0
-            tag_sel = (tag_masks & bit) != 0
             idx = tract_idx[sel]
+            in_bucket = (triple_mask & bit) != 0
+            pair_tract, pair_tag = triple_tract[in_bucket], triple_tag[in_bucket]
         if idx.size == 0:
             continue
-        tag_h = np.bincount(tag_tract[tag_sel], minlength=n_tracts).tolist()
-        # a pair seen under several masks repeats; the set below drops it
-        pairs = triple_pair if bit is None else triple_pair[(triple_mask & bit) != 0]
-        pair_tract, pair_tag = np.divmod(pairs, n_vocab)  # empty when n_vocab is 0
+        tc = tag_counts[sel]
+        tag_h = np.bincount(idx, weights=tc, minlength=n_tracts).astype(np.int64).tolist()
+        # a (tract, tag) pair seen under several masks repeats; the set
+        # below drops it
         pair_tags = [vocab[t] for t in pair_tag.tolist()]
         pair_bounds = np.searchsorted(pair_tract, np.arange(n_tracts + 1)).tolist()
         ev_count = np.bincount(idx, minlength=n_tracts)
@@ -290,7 +263,6 @@ def aggregate_batch(
             }
             st.tag_count = tag_h[ti]
             st.unique_tags = set(pair_tags[pair_bounds[ti] : pair_bounds[ti + 1]])
-        tc = tag_counts[sel]
         event_totals[key] = int(idx.size)
         tag_components[key] = (
             int(idx.size),

@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import re
 import sys
 from pathlib import Path
 
 from . import jsonio, report
-from .errors import GeoIneqError, InternalInvariantError, InvalidParams
+from .errors import GeoIneqError, InternalInvariantError, InvalidParams, NonNumericValue
 from .geo import build_spatial_index, tract_from_feature
 from .ingest import ParseStats, parse_census, parse_tracts
 from .metrics import Distribution, index_suite, lorenz_curve
@@ -70,6 +71,9 @@ def _config_from_args(args) -> PipelineConfig:
 
 
 def _read_csv_column(path: str, column: str) -> tuple[list[str], list[float]]:
+    """Row ids (``tract_id`` when the file has one) and the values of one
+    column; blank cells are left out, and a cell that is not a finite
+    number is refused, naming its column and row."""
     text = Path(path).read_text(encoding="utf-8-sig")
     reader = csv.DictReader(io.StringIO(text))
     ids, values = [], []
@@ -80,8 +84,16 @@ def _read_csv_column(path: str, column: str) -> tuple[list[str], list[float]]:
         cell = (row.get(column) or "").strip()
         if not cell:
             continue
+        try:
+            value = float(cell)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise NonNumericValue(
+                f"column {column!r}, row {i + 1}: {cell!r} is not a finite number"
+            )
         ids.append(row[id_col] if id_col else f"row{i + 1}")
-        values.append(float(cell))
+        values.append(value)
     if not values:
         raise GeoIneqError(f"no numeric values in column {column!r}")
     return ids, values

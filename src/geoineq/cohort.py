@@ -10,18 +10,20 @@ A user's cohort is one ``uint8`` mask of the ``MASK_*`` bits; "all" is
 implicit. This module is the only one that decides those bits.
 Classification is global while events are partitioned, so it runs in two
 steps over arrays: :func:`user_partials` summarises one partition's
-events per distinct user, and :func:`classify_partials` concatenates
-every partition's summaries, gives each user a global code and reduces
-them to one mask per user. ``oracles.classify_users_direct`` is the
-per-event reference.
+events per distinct user from the user codes parse gave them, and
+:func:`classify_partials` concatenates every partition's summaries,
+gives each user a global code and reduces them to one mask per user.
+``oracles.classify_users_direct`` is the per-event reference.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .ingest import intern_codes
 from .timebins import month_tuple
 
 MASK_VISITOR = 1
@@ -56,12 +58,12 @@ class Cohorts(NamedTuple):
     partial_codes: list[np.ndarray]
 
 
-def _codes(ids: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct ids in order of first appearance, and each id's
-    index into them."""
-    distinct = list(dict.fromkeys(ids))
-    code_of = dict(zip(distinct, range(len(distinct))))
-    return distinct, np.fromiter(map(code_of.__getitem__, ids), dtype=np.int64, count=len(ids))
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, ascending. It sorts ``values``
+    in place. Unlike a plain ``np.unique``, it never imports ``numpy.ma``
+    (15-17 ms on first use in a process)."""
+    values.sort()
+    return values[np.concatenate(([True], values[1:] != values[:-1]))] if len(values) else values
 
 
 def _distinct_pairs(codes: np.ndarray, months: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,7 +71,7 @@ def _distinct_pairs(codes: np.ndarray, months: np.ndarray) -> tuple[np.ndarray, 
     int32: partitions send theirs to the parent, and both fit."""
     lo, hi = (int(months.min()), int(months.max())) if len(months) else (0, 0)
     span = hi - lo + 1
-    user, month = np.divmod(np.unique(codes * span + (months - lo)), span)
+    user, month = np.divmod(distinct(codes.astype(np.int64) * span + (months - lo)), span)
     return user.astype(np.int32), (month + lo).astype(np.int32)
 
 
@@ -83,14 +85,23 @@ def _span(codes: np.ndarray, n: int, first: np.ndarray, last: np.ndarray):
 
 
 def user_partials(
-    user_ids: Sequence[str], epochs: np.ndarray, month_nums: np.ndarray
+    users: Sequence[str], user_codes: np.ndarray, epochs: np.ndarray, month_nums: np.ndarray
 ) -> tuple[UserPartials, np.ndarray]:
-    """Per-user activity of one partition's events, given their local
-    month numbers, and each event's index into the partials' ``user_ids``."""
-    uids, codes = _codes(user_ids)
+    """Per-user activity of one partition's events, given each event's
+    index into ``users`` and its local month number, and each event's
+    index into the partials' ``user_ids``.
+
+    The partials hold only users with an event here: ``users`` may name
+    more (parse codes every accepted record, the tract filter comes
+    later), and the codes are compacted to the ones in use, in order.
+    """
+    count = np.bincount(user_codes, minlength=len(users))
+    present = count > 0
+    codes = (np.cumsum(present, dtype=np.int32) - 1)[user_codes]
+    uids = list(compress(users, present.tolist()))
     first, last = _span(codes, len(uids), epochs, epochs)
-    count = np.bincount(codes, minlength=len(uids))
-    return UserPartials(uids, first, last, count, *_distinct_pairs(codes, month_nums)), codes
+    pairs = _distinct_pairs(codes, month_nums)
+    return UserPartials(uids, first, last, count[present], *pairs), codes
 
 
 def classify_partials(partials: Sequence[UserPartials], window_days: int) -> Cohorts:
@@ -100,7 +111,9 @@ def classify_partials(partials: Sequence[UserPartials], window_days: int) -> Coh
     partials. The dataset months are the contiguous range between the
     earliest and latest observed month.
     """
-    uids, codes = _codes([u for p in partials for u in p.user_ids])
+    code_of: dict[str, int] = {}
+    codes = intern_codes([u for p in partials for u in p.user_ids], code_of)
+    uids = list(code_of)
     bounds = np.cumsum([len(p.user_ids) for p in partials])[:-1]
     partial_codes = np.split(codes, bounds) if partials else []
     n_users = len(uids)

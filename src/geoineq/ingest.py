@@ -28,6 +28,12 @@ back to the per-record rule, which accepts it or skips and counts it
 exactly as a record-at-a-time parse would
 (``oracles.validate_event_fields`` is that reference). Row order and
 tallies never depend on the route a record took.
+
+No per-event string outlives its block. Each block's accepted user ids
+are interned to integer codes and its texts to the ids of their
+hashtags (:func:`_intern_tags`, the only hashtag-interning code), and
+the block's strings are then dropped; what the parse returns is the
+distinct users, the tag vocabulary and arrays of numbers.
 """
 
 from __future__ import annotations
@@ -39,11 +45,12 @@ import json
 import math
 import os
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import compress
-from typing import Iterator
+from itertools import chain, compress
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -73,9 +80,15 @@ _TS_RE = re.compile(
 _OFFSET_RE = re.compile(r"[+-]\d{2}(?::?(\d{2})(?::?(\d{2})(?:[.,]\d+)?)?)?\Z", re.ASCII)
 
 # Bytes per scanner window, the unit parse works in. It bounds the
-# transient field strings a bulk split holds at once: coordinates and
-# timestamps are dropped after their block, user ids and texts kept.
+# field strings a bulk split holds at once: every one is dropped after
+# its block, user ids and hashtags kept only as integer codes.
 _CHUNK = 1 << 19
+
+# Texts per hashtag-extraction step. It bounds the per-text tag lists
+# alive at once, and keeping them below the interpreter's young-generation
+# GC threshold (700 allocations by default) means extraction triggers
+# almost no collections.
+_TAG_CHUNK = 512
 
 # The most lines a quoted CSV record may span. A quote that stays open
 # longer is taken as unterminated, so a stray quote costs one record
@@ -157,27 +170,38 @@ class ParseStats:
 
 @dataclass
 class EventBatch:
-    """Parsed events as columns, in input order."""
+    """Parsed events as columns, in input order. User ids and hashtags
+    are interned: each event holds the code of its user, an index into
+    ``users``, and its hashtags as ids into ``tags``, the casefolded
+    vocabulary; both lists are in order of first appearance."""
 
-    user_ids: list[str]
+    users: list[str]
+    user_codes: np.ndarray  # int32, one per event
     lats: np.ndarray
     lons: np.ndarray
     epochs: np.ndarray  # seconds since the Unix epoch (UTC)
-    texts: list[str]
+    tags: list[str]
+    tag_counts: np.ndarray  # int32, hashtags per event, duplicates kept
+    tag_ids: np.ndarray  # int32, one per hashtag occurrence, in event order
 
     def __len__(self) -> int:
-        return len(self.user_ids)
+        return len(self.user_codes)
 
-    def take(self, indices: np.ndarray) -> "EventBatch":
-        if len(indices) == len(self.user_ids):
+    def take(self, keep: np.ndarray) -> "EventBatch":
+        """The events where the boolean mask ``keep`` is set. The user
+        and tag lists are shared, so they may name what no event left
+        in the batch has."""
+        if keep.all():
             return self  # nothing filtered out
-        idx = indices.tolist()
         return EventBatch(
-            [self.user_ids[i] for i in idx],
-            self.lats[indices],
-            self.lons[indices],
-            self.epochs[indices],
-            [self.texts[i] for i in idx],
+            self.users,
+            self.user_codes[keep],
+            self.lats[keep],
+            self.lons[keep],
+            self.epochs[keep],
+            self.tags,
+            self.tag_counts[keep],
+            self.tag_ids[np.repeat(keep, self.tag_counts)],
         )
 
 
@@ -190,6 +214,42 @@ def extract_hashtags(text: str) -> list[str]:
     if "#" not in text:
         return []
     return [t.casefold() for t in TAG_PATTERN.findall(text)]
+
+
+def intern_codes(values: Sequence[str], code_of: dict[str, int]) -> np.ndarray:
+    """Each value's code in ``code_of``, as int32. A value not there yet
+    gets the next code, so codes follow the order of first appearance
+    across calls that share ``code_of``."""
+    for v in dict.fromkeys(values):
+        if v not in code_of:
+            code_of[v] = len(code_of)
+    return np.fromiter(map(code_of.__getitem__, values), dtype=np.int32, count=len(values))
+
+
+def _intern_tags(
+    texts: Sequence[str], vocab: dict[str, int], id_of: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every text's hashtags as ids into ``vocab``, the casefolded tags
+    in order of first appearance: (tag count per text, id of every tag
+    occurrence in text order), as int32.
+
+    ``id_of`` maps each raw tag seen so far to its id, so casefolding and
+    interning run once per distinct raw tag, not per occurrence. Calls
+    that share the two dicts code tags as one call over all their texts
+    would.
+    """
+    counts = [np.empty(0, dtype=np.int32)]
+    ids = [np.empty(0, dtype=np.int32)]
+    findall = TAG_PATTERN.findall
+    for start in range(0, len(texts), _TAG_CHUNK):
+        found = list(map(findall, texts[start : start + _TAG_CHUNK]))
+        flat = list(chain.from_iterable(found))
+        for raw in dict.fromkeys(flat):
+            if raw not in id_of:
+                id_of[raw] = vocab.setdefault(raw.casefold(), len(vocab))
+        counts.append(np.fromiter(map(len, found), dtype=np.int32, count=len(found)))
+        ids.append(np.fromiter(map(id_of.__getitem__, flat), dtype=np.int32, count=len(flat)))
+    return np.concatenate(counts), np.concatenate(ids)
 
 
 # --- event stream parsing ---------------------------------------------------
@@ -520,14 +580,19 @@ def parse_event_batch(
     body, format: str = "csv", stats: ParseStats | None = None
 ) -> EventBatch:
     """Parse a headerless event body, bytes as :func:`read_byte_range`
-    returns them, into columnar arrays."""
+    returns them, into columnar arrays, with user ids and hashtags
+    interned block by block."""
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown event format {format!r}")
     if stats is None:
         stats = ParseStats()
-    uids: list[str] = []
-    texts: list[str] = []
-    parts = [(np.empty(0), np.empty(0), np.empty(0))]
+    code_of: dict[str, int] = {}  # user id -> code
+    vocab: dict[str, int] = {}  # casefolded tag -> id
+    tag_id_of: dict[str, int] = {}  # raw tag -> id
+    # user codes, lats, lons, epochs, tag counts and tag ids, each grown in
+    # place: a window's arrays are freed once appended, not kept until a
+    # final join, so they leave no holes in the heap
+    columns = [array(t) for t in "idddii"]
     day_cache: dict = {}
     blocks = _scan(io.BytesIO(body), 0, len(body), format == "csv")
     for _, view, ends, quotes, joined in blocks:
@@ -538,12 +603,15 @@ def parse_event_batch(
         else:
             flat, fielded = _jsonl_records(lines, bad, stats)
         if flat:
-            c_uids, c_texts, arrays = _parse_chunk(flat, fielded, stats, day_cache)
-            uids += c_uids
-            texts += c_texts
-            parts.append(arrays)
-    lats, lons, epochs = (np.concatenate(col) for col in zip(*parts))
-    return EventBatch(uids, lats, lons, epochs, texts)
+            uids, texts, (lats, lons, epochs) = _parse_chunk(flat, fielded, stats, day_cache)
+            tag_counts, tag_ids = _intern_tags(texts, vocab, tag_id_of)
+            pieces = (intern_codes(uids, code_of), lats, lons, epochs, tag_counts, tag_ids)
+            for col, piece in zip(columns, pieces):
+                col.frombytes(memoryview(piece).cast("B"))
+    codes, lats, lons, epochs, tag_counts, tag_ids = (
+        np.frombuffer(col, col.typecode) for col in columns
+    )
+    return EventBatch(list(code_of), codes, lats, lons, epochs, list(vocab), tag_counts, tag_ids)
 
 
 def partition_byte_ranges(path, k: int, format: str = "csv") -> list[tuple[int, int]]:
@@ -667,8 +735,9 @@ def parse_census(data: bytes) -> dict[str, CensusRecord]:
     """Parse a census indicator CSV into one record per tract.
 
     The header must name a ``tract_id`` column; every other column is
-    numeric. Known columns land on the record fields, anything else goes
-    to ``extra``. Rows for tracts missing from the boundary file are kept
+    numeric, and a cell that is not a finite number (``inf`` and ``nan``
+    included) is refused with NonNumericValue. Known columns land on the
+    record fields, anything else goes to ``extra``. Rows for tracts missing from the boundary file are kept
     here and flagged later, so id mismatches stay diagnosable.
     """
     text = data.decode("utf-8-sig")
@@ -699,7 +768,9 @@ def parse_census(data: bytes) -> dict[str, CensusRecord]:
             try:
                 v = float(cell)
             except ValueError:
-                raise NonNumericValue(f"{name}={cell!r} for tract {tid}") from None
+                v = math.nan
+            if not math.isfinite(v):
+                raise NonNumericValue(f"{name}={cell!r} for tract {tid} is not a finite number")
             if name.endswith("rate"):
                 if not (0.0 <= v <= 1.0):
                     raise RateOutOfRange(f"{name}={v} for tract {tid}")

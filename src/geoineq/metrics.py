@@ -31,7 +31,7 @@ from .errors import AllZero, KeyMismatch, TooFewUnits, ZeroLowPercentile
 
 @dataclass(frozen=True)
 class Distribution:
-    """Nonnegative values over named units."""
+    """Nonnegative finite values over named units."""
 
     unit_ids: tuple[str, ...]
     values: tuple[float, ...]
@@ -43,8 +43,8 @@ class Distribution:
         if not self.values:
             raise ValueError("distribution must have at least one unit")
         for v in self.values:
-            if not (v >= 0.0):  # also rejects NaN
-                raise ValueError(f"negative or NaN value {v!r}")
+            if not (0.0 <= v < math.inf):  # also rejects NaN
+                raise ValueError(f"negative or non-finite value {v!r}")
 
     @classmethod
     def from_values(cls, values: Sequence[float], label: str = "") -> "Distribution":

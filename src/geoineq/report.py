@@ -210,15 +210,16 @@ def _partition_job(events_path, fmt, byte_range, index, tz):
     stats = ParseStats()
     batch = parse_event_batch(read_byte_range(events_path, byte_range), fmt, stats)
     tract_idx = index.assign_batch(batch.lats, batch.lons)
-    keep = np.flatnonzero(tract_idx >= 0)
-    dropped = len(batch) - len(keep)
+    keep = tract_idx >= 0
+    dropped = len(batch) - int(keep.sum())
     batch, tract_idx = batch.take(keep), tract_idx[keep]
     span = (batch.epochs.min(), batch.epochs.max()) if len(batch) else (0, 0)
     local = LocalClock(tz, *span).local_fields(batch.epochs)  # the partition's one clock
-    partials, codes = user_partials(batch.user_ids, batch.epochs, local[2])
+    partials, codes = user_partials(batch.users, batch.user_codes, batch.epochs, local[2])
     user_masks = yield stats, dropped, partials
     masks = np.frombuffer(user_masks, dtype=np.uint8)[codes]
-    agg = aggregate_batch(index.tract_ids, tract_idx, local, batch.texts, masks)
+    tags = (batch.tag_counts, batch.tag_ids, batch.tags)
+    agg = aggregate_batch(index.tract_ids, tract_idx, local, tags, masks)
     yield agg.aggregates, agg.tag_components, agg.event_totals
 
 

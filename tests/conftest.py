@@ -2,11 +2,18 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from geoineq.cohort import MASK_LOCAL, MASK_SUPER, MASK_VISITOR
-from geoineq.ingest import parse_event_batch, partition_byte_ranges, read_byte_range
+from geoineq.ingest import (
+    _intern_tags,
+    intern_codes,
+    parse_event_batch,
+    partition_byte_ranges,
+    read_byte_range,
+)
 from geoineq.timebins import LocalClock
 
 # the sandbox CPU is noisy; wall-clock deadlines just flake here
@@ -30,6 +37,34 @@ MASK_LABELS = {
 def cohort_labels(user_ids, masks) -> dict:
     """{user_id: (kind, super_local)} from aligned ids and cohort masks."""
     return {uid: MASK_LABELS[m] for uid, m in zip(user_ids, masks.tolist())}
+
+
+def user_codes(user_ids):
+    """(distinct user ids, each id's code) as a parsed batch holds them."""
+    code_of: dict[str, int] = {}
+    codes = intern_codes(user_ids, code_of)
+    return list(code_of), codes
+
+
+def interned_tags(texts):
+    """The texts' hashtags as a parsed batch holds them:
+    (tag count per text, tag id per occurrence, vocabulary)."""
+    vocab: dict[str, int] = {}
+    counts, ids = _intern_tags(texts, vocab, {})
+    return counts, ids, list(vocab)
+
+
+def batch_user_ids(batch) -> list[str]:
+    """Each event's user id, decoded from the batch's codes."""
+    return [batch.users[c] for c in batch.user_codes.tolist()]
+
+
+def batch_hashtags(batch) -> list[list[str]]:
+    """Each event's casefolded hashtags in order, decoded from the
+    batch's tag ids."""
+    ids = batch.tag_ids.tolist()
+    ends = np.cumsum(batch.tag_counts).tolist()
+    return [[batch.tags[t] for t in ids[a:b]] for a, b in zip([0, *ends], ends)]
 
 
 def local_fields(epochs, tz):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import MASK_LABELS, local_fields
+from conftest import MASK_LABELS, interned_tags, local_fields
 from geoineq import oracles
 from geoineq.aggregate import (
     CohortTractStats,
@@ -39,8 +39,8 @@ def aggregate(rows, tz="UTC"):
     epochs = np.array([epoch for epoch, _, _, _ in rows], dtype=np.float64)
     idx = np.array([tract_ids.index(tid) for _, _, tid, _ in rows], dtype=np.int64)
     masks = np.array([MASK_OF[c] for _, _, _, c in rows], dtype=np.uint8)
-    texts = [text for _, text, _, _ in rows]
-    return aggregate_batch(tract_ids, idx, local_fields(epochs, tz), texts, masks)
+    tags = interned_tags([text for _, text, _, _ in rows])
+    return aggregate_batch(tract_ids, idx, local_fields(epochs, tz), tags, masks)
 
 
 def row(ts, text="", tract_id="T1", cohort=LOCAL):

@@ -5,9 +5,9 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cohort_labels, local_fields
+from conftest import cohort_labels, local_fields, user_codes
 from geoineq import oracles
-from geoineq.cohort import MASK_VISITOR, classify_partials, user_partials
+from geoineq.cohort import MASK_VISITOR, classify_partials, distinct, user_partials
 
 UTC = timezone.utc
 T0 = datetime(2014, 3, 1, 12, 0, 0, tzinfo=UTC)
@@ -20,7 +20,8 @@ def month_num(year, month):
 def partials(posts, tz="UTC"):
     """user_partials over (user_id, datetime) posts."""
     epochs = np.array([ts.timestamp() for _, ts in posts], dtype=np.float64)
-    return user_partials([uid for uid, _ in posts], epochs, local_fields(epochs, tz)[2])[0]
+    users, codes = user_codes([uid for uid, _ in posts])
+    return user_partials(users, codes, epochs, local_fields(epochs, tz)[2])[0]
 
 
 def activity_of(parts, user_id):
@@ -100,7 +101,7 @@ class TestActivity:
         assert count == 1
 
     def test_empty_input(self):
-        parts, codes = user_partials([], np.empty(0), np.empty(0, np.int64))
+        parts, codes = user_partials([], np.empty(0, np.int32), np.empty(0), np.empty(0, np.int64))
         assert (parts.user_ids, parts.count.tolist(), codes.tolist()) == ([], [], [])
         assert parts.month_user.tolist() == parts.month_num.tolist() == []
         for split in ([], [parts]):
@@ -108,6 +109,17 @@ class TestActivity:
             assert (cohorts.user_ids, cohorts.masks.tolist(), cohorts.dataset_months) == (
                 [], [], []
             )
+
+    def test_partials_hold_only_users_with_events(self):
+        # parse coded "a" to "d"; the tract filter left events of c and a
+        epochs = np.array([10.0, 20.0, 30.0])
+        months = np.array([5, 5, 6])
+        parts, codes = user_partials(["a", "b", "c", "d"], np.array([2, 0, 2], np.int32),
+                                     epochs, months)
+        assert (parts.user_ids, codes.tolist()) == (["a", "c"], [1, 0, 1])
+        assert (parts.first.tolist(), parts.last.tolist()) == ([20.0, 10.0], [20.0, 30.0])
+        assert parts.count.tolist() == [1, 2]
+        assert (parts.month_user.tolist(), parts.month_num.tolist()) == ([0, 1, 1], [5, 5, 6])
 
     def test_months_use_display_timezone(self):
         # 2014-04-01T01:00Z is still March 31 in New York
@@ -205,9 +217,15 @@ def test_labels_match_oracle_whole_and_merged(posts, cuts, tz, window_days):
 
     def columnar(part):
         epochs = np.array([e for _, e in part], dtype=np.float64)
-        return user_partials([u for u, _ in part], epochs, local_fields(epochs, tz)[2])[0]
+        users, codes = user_codes([u for u, _ in part])
+        return user_partials(users, codes, epochs, local_fields(epochs, tz)[2])[0]
 
     bounds = [0, *sorted(min(c, len(posts)) for c in cuts), len(posts)]
     split = [columnar(posts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     for parts in ([columnar(posts)], split):
         assert classified(parts, window_days) == want
+
+
+@given(st.lists(st.integers(-(2**62), 2**62), max_size=50))
+def test_distinct_matches_sorted_set(values):
+    assert distinct(np.array(values, dtype=np.int64)).tolist() == sorted(set(values))

@@ -1,14 +1,24 @@
+import gc
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import events_csv, feature_collection, parse_events_file, square_feature
+from conftest import (
+    batch_hashtags,
+    batch_user_ids,
+    events_csv,
+    feature_collection,
+    parse_events_file,
+    square_feature,
+)
 from geoineq import ingest
 from geoineq.errors import (
     BadTimestamp,
@@ -33,6 +43,7 @@ from geoineq.ingest import (
     read_byte_range,
 )
 from geoineq.oracles import validate_event_fields
+from geoineq.synth import SynthParams, generate_city
 
 T_1830Z = datetime(2014, 3, 15, 18, 30, tzinfo=timezone.utc).timestamp()
 
@@ -43,10 +54,10 @@ class TestParseEvents:
         stats = ParseStats()
         batch = parse_events_file(data, "csv", stats)
         assert stats.records_ok == 1 and stats.records_skipped == 0
-        assert batch.user_ids == ["u1"]
+        assert batch_user_ids(batch) == ["u1"]
         assert batch.lats.tolist() == [40.7128]
         assert batch.lons.tolist() == [-74.0060]
-        assert batch.texts == ["great day #nyc"]
+        assert batch_hashtags(batch) == [["nyc"]]
         assert batch.epochs.tolist() == [T_1830Z]
 
     def test_lat_out_of_range_skipped(self):
@@ -81,14 +92,15 @@ class TestParseEvents:
     def test_quoted_comma_and_newline(self):
         data = events_csv(
             [
-                'u1,40.7,-74.0,2014-03-15T14:30:00-04:00,"hello, world"',
-                'u2,40.7,-74.0,2014-03-15T14:31:00-04:00,"line one\nline two"',
+                'u1,40.7,-74.0,2014-03-15T14:30:00-04:00,"#hello,#world"',
+                'u2,40.7,-74.0,2014-03-15T14:31:00-04:00,"line #one\n#two ""#three"""',
             ]
         )
         stats = ParseStats()
         batch = parse_events_file(data, "csv", stats)
         assert stats.records_ok == 2
-        assert batch.texts == ["hello, world", "line one\nline two"]
+        assert batch_user_ids(batch) == ["u1", "u2"]
+        assert batch_hashtags(batch) == [["hello", "world"], ["one", "two", "three"]]
 
     def test_header_required(self):
         with pytest.raises(MalformedRecord):
@@ -103,7 +115,8 @@ class TestParseEvents:
         csv_data = events_csv(["u1,40.7,-74.0,2014-03-15T14:30:00-04:00,#a b"])
         b_j = parse_events_file(jsonl, "jsonl")
         b_c = parse_events_file(csv_data, "csv")
-        assert (b_j.user_ids, b_j.texts) == (b_c.user_ids, b_c.texts) == (["u1"], ["#a b"])
+        decoded = [(batch_user_ids(b), batch_hashtags(b)) for b in (b_j, b_c)]
+        assert decoded == [(["u1"], [["a"]])] * 2
         for col in ("lats", "lons", "epochs"):
             assert getattr(b_j, col).tolist() == getattr(b_c, col).tolist()
 
@@ -264,7 +277,15 @@ _STAMPS = st.one_of(
         st.sampled_from("+-"), st.integers(0, 24), st.integers(0, 99),
     ),
 )
-_TEXTS = st.text(alphabet=st.sampled_from(list('ab #,"\n') + ["é", "İ"]), max_size=12)
+# hashtags right next to quotes, commas and newlines, so that a record
+# split in the wrong place changes the tags it yields
+_TEXTS = st.lists(
+    st.sampled_from(
+        ["#a", "#B", "#é", "#İ", "a", " ", "#", ",", '"', "\n", ",#b", '"#a', "\n#A", '#a"',
+         "#b,", "#é\n"]
+    ),
+    max_size=6,
+).map("".join)
 _RECORDS = st.lists(
     st.tuples(
         st.tuples(_UIDS, _COORDS, _COORDS, _STAMPS, _TEXTS),
@@ -284,21 +305,24 @@ def _csv_line(fields, quote_all):
 
 
 def _reference(records):
-    """validate_event_fields applied record by record: (rows, tallies)."""
+    """validate_event_fields applied record by record, with each text's
+    hashtags in place of the text: (rows, tallies)."""
     rows, errors = [], Counter()
     for fields in records:
         try:
-            rows.append(validate_event_fields(fields))
+            *row, text = validate_event_fields(fields)
         except IngestError as e:
             errors[type(e).__name__] += 1
+        else:
+            rows.append((*row, extract_hashtags(text)))
     return rows, errors
 
 
 def _assert_matches_reference(batch, stats, records):
     rows, errors = _reference(records)
     got = list(
-        zip(batch.user_ids, batch.lats.tolist(), batch.lons.tolist(),
-            batch.epochs.tolist(), batch.texts)
+        zip(batch_user_ids(batch), batch.lats.tolist(), batch.lons.tolist(),
+            batch.epochs.tolist(), batch_hashtags(batch))
     )
     assert got == rows
     assert stats.errors == errors
@@ -432,7 +456,7 @@ class TestColumnarParse:
         rows[7] += ',"'
         stats = ParseStats()
         batch = parse_events_file(events_csv(rows), "csv", stats)
-        assert len(batch) == len(rows) - 1 and "u7" not in batch.user_ids
+        assert len(batch) == len(rows) - 1 and "u7" not in batch_user_ids(batch)
         assert stats.errors == Counter({"MalformedRecord": 1})
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -448,7 +472,7 @@ class TestColumnarParse:
         data = data.replace("caf\u00e9".encode(), b"caf\xe9").replace(b"two", b"tw\xff")
         stats = ParseStats()
         batch = parse_events_file(data, fmt, stats)
-        assert batch.user_ids == ["u3"]
+        assert batch_user_ids(batch) == ["u3"]
         assert stats.errors == Counter({"UndecodableRecord": 2})
 
 
@@ -463,7 +487,7 @@ class TestPartitioning:
     def _city(self, probe=None):
         rows = []
         for i in range(57):
-            text = '"has, comma"' if i % 7 == 0 else ("\"two\nlines\"" if i % 11 == 0 else f"#t{i}")
+            text = '"#has,#comma"' if i % 7 == 0 else ('"#two\n#lines"' if i % 11 == 0 else f"#t{i}")
             rows.append(f"u{i % 5},40.{i:02d},-74.0,2014-03-{(i % 27) + 1:02d}T12:00:00-04:00,{text}")
         lines = events_csv(rows).split(b"\n")
         if probe:
@@ -487,13 +511,15 @@ class TestPartitioning:
             assert b == c
         whole_stats = ParseStats()
         whole = parse_events_file(data, "csv", whole_stats)
-        merged_users = []
+        merged_users, merged_tags = [], []
         stats = ParseStats()
         for r in ranges:
             part = parse_event_batch(read_byte_range(path, r), "csv", stats)
-            merged_users.extend(part.user_ids)
+            merged_users.extend(batch_user_ids(part))
+            merged_tags.extend(batch_hashtags(part))
         assert stats == whole_stats
-        assert merged_users == whole.user_ids
+        assert merged_users == batch_user_ids(whole)
+        assert merged_tags == batch_hashtags(whole)
 
     def test_jsonl_escaped_quote_splits_evenly(self, tmp_path):
         # a JSON string may hold an escaped quote, so a JSONL line's
@@ -515,6 +541,72 @@ class TestPartitioning:
         for r in ranges:
             parse_event_batch(read_byte_range(path, r), "jsonl", stats)
         assert stats == whole and whole.records_ok == 1000
+
+
+class TestInterning:
+    """parse_event_batch codes users and hashtags window by window, and
+    the codes equal those of interning the whole body at once."""
+
+    def test_codes_match_whole_body_interning(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_CHUNK", 4096)
+        rng = random.Random(11)
+        records = []
+        for i in range(1500):
+            # the user and tag pools grow with i, so later windows bring
+            # users and tags not seen before
+            tags = [f"#{rng.choice('tT')}{rng.randrange(i // 25 + 1)}"
+                    for _ in range(rng.randrange(4))]
+            text = " ".join(tags) + rng.choice(["", ", #İ", '"#x"\n'])
+            uid = f"u{rng.randrange(i // 10 + 1)}"
+            if i % 50 == 7:  # rejected: its user and tag must not be coded
+                records.append([f"gone{i}", "91", "-74.0", "2014-03-01T08:03:00Z", f"#gone{i}"])
+            else:
+                records.append([uid, "40.7", "-74.0", "2014-03-01T08:03:00-05:00", text])
+        data = events_csv([_csv_line(r, False) for r in records])
+        assert len(data) > 10 * ingest._CHUNK
+        stats = ParseStats()
+        batch = parse_events_file(data, "csv", stats)
+        _assert_matches_reference(batch, stats, records)
+        rows, _ = _reference(records)
+        users = list(dict.fromkeys(r[0] for r in rows))
+        vocab = list(dict.fromkeys(t for r in rows for t in r[4]))
+        assert batch.users == users
+        assert batch.tags == vocab
+        # the last user and tag coded were first seen far past the first window
+        assert [r[0] for r in rows].index(users[-1]) > len(rows) // 2
+        assert next(i for i, r in enumerate(rows) if vocab[-1] in r[4]) > len(rows) // 2
+        assert batch.user_codes.tolist() == [users.index(r[0]) for r in rows]
+        assert batch.tag_counts.tolist() == [len(r[4]) for r in rows]
+        assert batch.tag_ids.tolist() == [vocab.index(t) for r in rows for t in r[4]]
+        for col in (batch.user_codes, batch.tag_counts, batch.tag_ids):
+            assert col.dtype == np.int32
+
+    def test_take_filters_tag_ids(self):
+        texts = ["#a #b", "", "#c", "#a #a #d"]
+        rows = [f"u{i},40.7,-74.0,2014-03-01T08:03:00Z,{t}" for i, t in enumerate(texts)]
+        batch = parse_events_file(events_csv(rows))
+        kept = batch.take(np.array([False, True, True, False]))
+        assert (batch_user_ids(kept), batch_hashtags(kept)) == (["u1", "u2"], [[], ["c"]])
+        assert kept.users == batch.users and kept.tags == batch.tags
+        assert batch.take(np.ones(4, dtype=bool)) is batch
+
+    def test_batch_memory_is_bounded(self):
+        # a parsed event keeps three float64 fields and int32 codes; the
+        # strings it was parsed from, a user id and a text of about 100
+        # bytes each as Python objects, must be gone
+        city = generate_city(SynthParams(seed=3, n_tracts=50, n_users_local=400,
+                                         n_users_visitor=400, n_events=20_000))
+        body = city.events_csv.encode().split(b"\n", 1)[1]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batch = parse_event_batch(body)
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == 20_000
+        assert size < 64 * len(batch), f"{size / len(batch):.1f} bytes per event"
 
 
 class TestExtractHashtags:
@@ -640,6 +732,16 @@ class TestParseCensus:
     def test_non_numeric(self):
         data = f"{self.HEADER}\nT1,lots,1,0.1\n".encode()
         with pytest.raises(NonNumericValue):
+            parse_census(data)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "Infinity", "NaN"])
+    @pytest.mark.parametrize("column", ["median_income", "median_rent", "unemployment_rate"])
+    def test_non_finite_rejected(self, column, cell):
+        values = dict(median_income="100", median_rent="10", unemployment_rate="0.1")
+        values[column] = cell
+        row = ",".join(values[c] for c in self.HEADER.split(",")[1:])
+        data = f"{self.HEADER}\nT0,1,1,0.1\nT1,{row}\n".encode()
+        with pytest.raises(NonNumericValue, match=f"^{column}='{cell}' for tract T1 is not"):
             parse_census(data)
 
     def test_negative_money_rejected(self):

@@ -309,6 +309,11 @@ class TestDistribution:
         with pytest.raises(ValueError):
             D([1, float("nan")])
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
+    def test_rejects_infinity(self, bad):
+        with pytest.raises(ValueError, match="negative or non-finite value"):
+            D([1, bad])
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Distribution((), ())

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from multiprocessing.connection import Connection
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import events_csv, feature_collection, square_feature
+import geoineq
 from geoineq import cli, jsonio, oracles, report
 from geoineq.errors import BadBreakCount, EmptyCurveList, InternalInvariantError, MissingInput
 from geoineq.geo import tract_from_feature
@@ -265,11 +269,53 @@ class TestRunPipeline:
         rep = run_pipeline(cfg, partitions=2)
         assert rep.ingest["events_outside_tracts"] == 0
         users = [
-            len(set(parse_event_batch(read_byte_range(cfg.events_path, r)).user_ids))
+            len(parse_event_batch(read_byte_range(cfg.events_path, r)).users)
             for r in partition_byte_ranges(cfg.events_path, 2)
         ]
         assert [type(m) for m in sent] == [bytes, bytes]
         assert [len(m) for m in sent] == users
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_user_outside_every_tract_not_counted(self, tmp_path, monkeypatch, k):
+        # "gone" posts only outside the tract: parse codes its records,
+        # but the tract filter leaves it no event to be counted by; at
+        # k=2 its posts fill the first partition
+        tracts_path = tmp_path / "t.geojson"
+        tracts_path.write_bytes(feature_collection([square_feature("T1", 0, 0)]))
+        rows = [f"gone,5.5,5.5,2014-03-0{d}T10:00:00Z,#far" for d in range(1, 6)]
+        rows += [f"{u},0.5,0.5,2014-03-{d:02d}T10:00:00Z,#near" for u, d in
+                 [("mixed", 1), ("in", 2), ("in", 25), ("mixed", 26), ("in", 27)]]
+        rows.insert(6, "mixed,5.5,5.5,2014-03-20T10:00:00Z,#far")
+        ep = tmp_path / "e.csv"
+        ep.write_bytes(events_csv(rows))
+        seen = []
+        classify = report.classify_partials
+
+        def record(partials, window_days):
+            seen.extend(partials)
+            return classify(partials, window_days)
+
+        monkeypatch.setattr(report, "classify_partials", record)
+        cfg = PipelineConfig(events_path=str(ep), tracts_path=str(tracts_path))
+        rep, internals = run_pipeline_full(cfg, partitions=k)
+        assert len(seen) == k
+        assert all("gone" not in p.user_ids for p in seen)
+        assert sorted(internals.user_ids) == ["in", "mixed"]
+        assert rep.users == {"total": 2, "visitor": 0, "local": 2, "super_local": 2}
+        assert rep.ingest["events_outside_tracts"] == 6
+        assert rep.events_by_cohort["all"] == 5
+
+    def test_k1_run_leaves_numpy_ma_unloaded(self, city_paths, census_path, tmp_path):
+        # a plain np.unique imports numpy.ma on its first call (15-17 ms
+        # per process); a fresh interpreter shows whether any step did
+        argv = ["run", "--events", city_paths["events"], "--tracts", city_paths["tracts"],
+                "--census", census_path, "--out", str(tmp_path / "out")]
+        code = (f"import sys; from geoineq import cli; assert cli.main({argv!r}) == 0; "
+                "print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(geoineq.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestCsvTables:
@@ -679,6 +725,33 @@ class TestCli:
         assert rc == 1
         want = f"error: tract T3: {message} is not a finite positive number\n"
         assert capsys.readouterr().err == want
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "abc"])
+    @pytest.mark.parametrize("command", ["metrics", "lorenz", "choropleth", "run"])
+    def test_value_not_a_finite_number_exit_1(self, city_paths, tmp_path, capsys, command, bad):
+        # one bad cell, in the third row: tract T0003
+        rows = ["tract_id,median_income"]
+        rows += [f"T{k:04d},{40000 + 100 * k}" for k in range(1, CITY.n_tracts + 1)]
+        rows[3] = f"T0003,{bad}"
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        column = ["--column", "median_income"]
+        argv = {
+            "metrics": ["metrics", "--csv", str(table), *column],
+            "lorenz": ["lorenz", "--csv", str(table), *column, "--out", str(out)],
+            "choropleth": ["choropleth", "--tracts", city_paths["tracts"],
+                           "--values", str(table), *column, "--out", str(out)],
+            "run": ["run", "--events", city_paths["events"], "--tracts", city_paths["tracts"],
+                    "--census", str(table), "--out", str(out)],
+        }[command]
+        assert cli.main(argv) == 1
+        if command == "run":
+            want = f"error: median_income='{bad}' for tract T0003 is not a finite number\n"
+        else:
+            want = f"error: column 'median_income', row 3: '{bad}' is not a finite number\n"
+        assert capsys.readouterr() == ("", want)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "ingest-check", "choropleth"])

@@ -225,7 +225,8 @@ def city_partials(city, tz):
     """Per-user partials of a synthetic city's events, as the pipeline
     computes them."""
     batch = parse_events_file(city.events_csv.encode())
-    return user_partials(batch.user_ids, batch.epochs, local_fields(batch.epochs, tz)[2])[0]
+    months = local_fields(batch.epochs, tz)[2]
+    return user_partials(batch.users, batch.user_codes, batch.epochs, months)[0]
 
 
 def city_labels(city, tz):
