@@ -1,12 +1,7 @@
 """geoineq: spatial and temporal inequality metrics for geo-tagged
 event streams aggregated over census tracts."""
 
-from .aggregate import (
-    TagSummary,
-    TractAggregate,
-    merge_aggregates,
-    normalize_density,
-)
+from .aggregate import TagSummary, normalize_density
 from .geo import (
     SpatialIndex,
     Tract,
@@ -77,7 +72,6 @@ __all__ = [
     "SynthParams",
     "TagSummary",
     "Tract",
-    "TractAggregate",
     "assign_tract",
     "build_spatial_index",
     "day_night_rank_table",
@@ -89,7 +83,6 @@ __all__ = [
     "hoover",
     "index_suite",
     "lorenz_curve",
-    "merge_aggregates",
     "min_units_for_share",
     "normalize_density",
     "parse_census",

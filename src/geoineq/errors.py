@@ -68,10 +68,6 @@ class DegeneratePolygon(GeoIneqError):
 
 # --- aggregate ------------------------------------------------------------
 
-class TractIdMismatch(GeoIneqError):
-    pass
-
-
 class MissingArea(GeoIneqError):
     pass
 

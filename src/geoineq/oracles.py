@@ -235,10 +235,9 @@ def aggregate_by_tract(rows: Iterable, tz: str) -> dict[str, dict[str, dict]]:
 
     Returns {tract_id: {bucket: stats}}, where the buckets are "all",
     the cohort's kind, and "super_local" for super-locals, and stats
-    holds the fields of ``aggregate.CohortTractStats``: local hour,
-    Sunday-first weekday and (year, month) histograms, day (07:00:00
-    through 18:59:59 local) and night counts, hashtag occurrences and
-    the set of distinct hashtags.
+    holds the event count, the local hour, Sunday-first weekday and
+    (year, month) histograms, day (07:00:00 through 18:59:59 local) and
+    night counts, hashtag occurrences and the set of distinct hashtags.
     """
     zone = ZoneInfo(tz)
     out: dict[str, dict[str, dict]] = {}

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -32,8 +32,11 @@ import numpy as np
 
 from . import jsonio
 from .aggregate import (
-    TractAggregate,
+    BUCKET_KEYS,
+    TagSummary,
+    TractCube,
     aggregate_batch,
+    empty_cube,
     merge_aggregate_maps,
     merge_tag_components,
     normalize_density,
@@ -70,7 +73,7 @@ from .metrics import (
     suite_ratio,
     top_share,
 )
-from .timebins import LocalClock
+from .timebins import LocalClock, month_number, month_tuple
 
 DISTRIBUTION_NAMES = ("images", "tags", "unique_tags")
 DEFAULT_COHORTS = ("visitor", "local", "super_local", "all")
@@ -180,7 +183,7 @@ class PipelineInternals:
     tract_ids: tuple[str, ...]
     user_ids: list[str]
     user_masks: np.ndarray  # cohort mask per user, aligned with user_ids
-    aggregates: dict[str, TractAggregate]
+    aggregates: TractCube  # every partition's, merged; its month axis is dataset_months
     dataset_months: list[tuple[int, int]]
 
 
@@ -205,7 +208,7 @@ def _partition_job(events_path, fmt, byte_range, index, tz):
     Phase 1 yields (parse stats, events outside every tract, user
     partials); the job is then sent the cohort mask of each of its
     partials' users as bytes, and phase 2 yields the partition's
-    (aggregates, tag components, event totals).
+    aggregate cube.
     """
     stats = ParseStats()
     batch = parse_event_batch(read_byte_range(events_path, byte_range), fmt, stats)
@@ -219,8 +222,7 @@ def _partition_job(events_path, fmt, byte_range, index, tz):
     user_masks = yield stats, dropped, partials
     masks = np.frombuffer(user_masks, dtype=np.uint8)[codes]
     tags = (batch.tag_counts, batch.tag_ids, batch.tags)
-    agg = aggregate_batch(index.tract_ids, tract_idx, local, tags, masks)
-    yield agg.aggregates, agg.tag_components, agg.event_totals
+    yield aggregate_batch(index.tract_ids, tract_idx, local, tags, masks)
 
 
 class _InProcess:
@@ -315,14 +317,12 @@ def run_pipeline_full(
         cohorts = classify_partials(partials, config.window_days)
         for conn, codes in zip(conns, cohorts.partial_codes):
             conn.send(cohorts.masks[codes].tobytes())
-        aggregates: dict[str, TractAggregate] = {}
-        tag_components: dict = {}
-        event_totals: dict = {}
-        for p_aggs, p_tags, p_totals in _replies(conns, ranges):
-            aggregates = merge_aggregate_maps(aggregates, p_aggs)
-            tag_components = merge_tag_components(tag_components, p_tags)
-            for key, n in p_totals.items():
-                event_totals[key] = event_totals.get(key, 0) + n
+        # every partition's months lie on the dataset's month axis
+        months = cohorts.dataset_months
+        first_month = month_number(*months[0]) if months else 0
+        cube = empty_cube(len(index.tract_ids), first_month, len(months))
+        for part in _replies(conns, ranges):
+            cube = merge_tag_components(merge_aggregate_maps(cube, part), part)
     except BaseException:
         # a forked worker holds copies of the parent's pipe ends, so one
         # waiting for its masks would never see them close
@@ -342,15 +342,12 @@ def run_pipeline_full(
         stats,
         dropped_total,
         cohorts.masks,
-        aggregates,
-        tag_components,
-        event_totals,
+        cube,
         census,
         cohorts.dataset_months,
     )
     internals = PipelineInternals(
-        tracts, index.tract_ids, cohorts.user_ids, cohorts.masks, aggregates,
-        cohorts.dataset_months,
+        tracts, index.tract_ids, cohorts.user_ids, cohorts.masks, cube, cohorts.dataset_months
     )
     return report, internals
 
@@ -371,168 +368,96 @@ def _try_suite(d: Distribution) -> IndexSuite | None:
 
 
 def _build_report(
-    config,
-    tracts,
-    tract_ids,
-    stats,
-    dropped_total,
-    user_masks,
-    aggregates,
-    tag_components,
-    event_totals,
-    census,
-    dataset_months,
+    config, tracts, tract_ids, stats, dropped_total, user_masks, cube, census, dataset_months
 ) -> Report:
     assigned = stats.records_ok - dropped_total
-    n_all = event_totals.get("all", 0)
-    n_visitor = event_totals.get("visitor", 0)
-    n_local = event_totals.get("local", 0)
+    totals = dict(zip(BUCKET_KEYS, cube.events.sum(axis=1).tolist()))
     if stats.records_ok + stats.records_skipped != stats.records_total:
         raise InternalInvariantError("parse accounting mismatch")
-    if n_all != assigned or n_visitor + n_local != assigned:
+    if totals["all"] != assigned or totals["visitor"] + totals["local"] != assigned:
         raise InternalInvariantError(
-            f"event accounting mismatch: assigned={assigned} all={n_all} "
-            f"visitor+local={n_visitor + n_local}"
+            f"event accounting mismatch: assigned={assigned} all={totals['all']} "
+            f"visitor+local={totals['visitor'] + totals['local']}"
         )
 
     areas = {t.tract_id: t.area_km2 for t in tracts}
-    census_unmatched = (
-        sorted(set(census) - set(tract_ids)) if census is not None else []
-    )
+    census_unmatched = sorted(set(census) - set(tract_ids)) if census is not None else []
 
     users = {"total": len(user_masks)}
     for key, bit in COHORT_MASKS.items():
         users[key] = int(np.count_nonzero(user_masks & bit))
 
-    def bucket_counts(key: str, what: str) -> dict[str, float]:
-        out = {}
-        for tid in tract_ids:
-            agg = aggregates.get(tid)
-            st = agg.cohorts.get(key) if agg is not None else None
-            if st is None:
-                out[tid] = 0
-            elif what == "images":
-                out[tid] = st.event_count
-            elif what == "tags":
-                out[tid] = st.tag_count
-            else:
-                out[tid] = len(st.unique_tags)
-        return out
-
-    def values_for(counts: dict[str, float]) -> dict[str, float]:
-        if config.normalization == "per_km2":
-            return normalize_density(counts, areas)
-        return {tid: float(v) for tid, v in counts.items()}
-
+    buckets = {cohort: BUCKET_KEYS.index(cohort) for cohort in config.cohorts}
+    per_tract = dict(zip(DISTRIBUTION_NAMES, (cube.events, cube.tags, cube.unique_tags)))
     distributions: dict = {}
-    suites_by_dist: dict[str, dict[str, IndexSuite | None]] = {}
     images_values: dict[str, dict[str, float]] = {}
-    for dist_name in DISTRIBUTION_NAMES:
+    for dist_name, counts in per_tract.items():
         per_cohort: dict = {}
         suites: dict[str, IndexSuite | None] = {}
-        for cohort in config.cohorts:
-            counts = bucket_counts(cohort, dist_name)
-            values = values_for(counts)
+        for cohort, b in buckets.items():
+            values = dict(zip(tract_ids, map(float, counts[b].tolist())))
+            if config.normalization == "per_km2":
+                values = normalize_density(values, areas)
             if dist_name == "images":
                 images_values[cohort] = values
             d = Distribution.from_mapping(values, label=f"{dist_name}/{cohort}")
-            suite = _try_suite(d)
-            suites[cohort] = suite
+            suites[cohort] = suite = _try_suite(d)
             per_cohort[cohort] = {
                 "total": float(math.fsum(values.values())),
                 "suite": suite_to_dict(suite),
             }
-        ratio = None
-        if suites.get("visitor") is not None and suites.get("local") is not None:
-            ratio = suite_ratio(suites["visitor"], suites["local"])
+        both = suites.get("visitor") is not None and suites.get("local") is not None
+        ratio = suite_ratio(suites["visitor"], suites["local"]) if both else None
         per_cohort["ratio_visitor_local"] = suite_to_dict(ratio)
         distributions[dist_name] = per_cohort
-        suites_by_dist[dist_name] = suites
 
     concentration: dict = {}
     lorenz_curves: list[LorenzCurve] = []
-    for cohort in config.cohorts:
-        counts = bucket_counts(cohort, "images")
-        values = images_values[cohort]
-        d = Distribution.from_mapping(values, label=cohort)
+    temporal: dict = {}
+    tag_summaries: dict = {}
+    day, night = cube.day.sum(axis=1).tolist(), cube.night.sum(axis=1).tolist()
+    for cohort, b in buckets.items():
+        d = Distribution.from_mapping(images_values[cohort], label=cohort)
         try:
             share10 = top_share(d, 0.1)
             min_half = min_units_for_share(d, 0.5)
             lorenz_curves.append(lorenz_curve(d))
         except AllZero:
-            share10 = None
-            min_half = None
-        try:
-            spatial_h = relative_entropy(counts)
-        except AllZero:
-            spatial_h = None
+            share10 = min_half = None
         concentration[cohort] = {
             "top_10pct_share": share10,
             "min_tracts_for_half": min_half,
-            "spatial_relative_entropy": spatial_h,
+            "spatial_relative_entropy": _try_entropy(cube.events[b].tolist()),
         }
-
-    temporal: dict = {}
-    for cohort in config.cohorts:
-        hourly = [0] * 24
-        daily = [0] * 7
-        monthly: dict[tuple[int, int], int] = {}
-        day_n = 0
-        night_n = 0
-        for tid in tract_ids:
-            agg = aggregates.get(tid)
-            st = agg.cohorts.get(cohort) if agg is not None else None
-            if st is None:
-                continue
-            for h in range(24):
-                hourly[h] += st.hour_histogram[h]
-            for dw in range(7):
-                daily[dw] += st.dow_histogram[dw]
-            for m, c in st.month_histogram.items():
-                monthly[m] = monthly.get(m, 0) + c
-            day_n += st.day_count
-            night_n += st.night_count
+        # the temporal histograms and the tag summary sum over tracts
+        hourly = cube.hours[b].sum(axis=0).tolist()
+        daily = cube.dows[b].sum(axis=0).tolist()
+        monthly = cube.months[b].sum(axis=0).tolist()
         temporal[cohort] = {
             "hourly": hourly,
             "daily": daily,
-            "monthly": {f"{y:04d}-{m:02d}": monthly[(y, m)] for (y, m) in sorted(monthly)},
-            "day_events": day_n,
-            "night_events": night_n,
+            "monthly": {"%04d-%02d" % month_tuple(cube.first_month + i): n
+                        for i, n in enumerate(monthly) if n},
+            "day_events": day[b],
+            "night_events": night[b],
             "hourly_relative_entropy": _try_entropy(hourly),
             "daily_relative_entropy": _try_entropy(daily),
         }
-
-    tag_summaries: dict = {}
-    for cohort in config.cohorts:
-        comp = tag_components.get(cohort)
-        if comp is None:
-            tag_summaries[cohort] = None
-            continue
-        ts = tag_summary_from_components(*comp)
-        tag_summaries[cohort] = {
-            "image_count": ts.image_count,
-            "tag_total": ts.tag_total,
-            "images_with_tags": ts.images_with_tags,
-            "images_gt5_tags": ts.images_gt5_tags,
-            "images_gt10_tags": ts.images_gt10_tags,
-            "proportion_with_tags": ts.proportion_with_tags,
-            "proportion_gt5": ts.proportion_gt5,
-            "proportion_gt10": ts.proportion_gt10,
-            "mean_tags_per_image": ts.mean_tags_per_image,
-            "mean_tags_per_tagged_image": ts.mean_tags_per_tagged_image,
-        }
+        comp = cube.tag_summary[b].tolist()  # no images, no summary
+        tag_summaries[cohort] = asdict(tag_summary_from_components(*comp)) if comp[0] else None
 
     census_indexes = None
+    incomes = {}
     if census is not None:
+        records = {tid: census[tid] for tid in tract_ids if tid in census}
+        incomes = {tid: rec.median_income for tid, rec in records.items()
+                   if rec.median_income is not None}
         census_indexes = {}
         indicator_names = ["median_income", "median_rent", "unemployment_rate"]
         extras = sorted({k for rec in census.values() for k in rec.extra})
         for name in indicator_names + extras:
             vals = {}
-            for tid in tract_ids:
-                rec = census.get(tid)
-                if rec is None:
-                    continue
+            for tid, rec in records.items():
                 v = getattr(rec, name) if name in indicator_names else rec.extra.get(name)
                 if v is not None:
                     vals[tid] = v
@@ -543,23 +468,13 @@ def _build_report(
                 census_indexes[name] = None
 
     rank_table: list[RankRow] = []
-    local_day = {}
-    local_night = {}
-    local_events = 0
-    for tid in tract_ids:
-        agg = aggregates.get(tid)
-        st = agg.cohorts.get("local") if agg is not None else None
-        local_day[tid] = st.day_count if st is not None else 0
-        local_night[tid] = st.night_count if st is not None else 0
-        local_events += st.event_count if st is not None else 0
-    if local_events > 0:
-        incomes = {}
-        if census is not None:
-            for tid in tract_ids:
-                rec = census.get(tid)
-                if rec is not None and rec.median_income is not None:
-                    incomes[tid] = rec.median_income
-        rank_table = day_night_rank_table(local_day, local_night, incomes)
+    if totals["local"] > 0:
+        local = BUCKET_KEYS.index("local")
+        rank_table = day_night_rank_table(
+            dict(zip(tract_ids, cube.day[local].tolist())),
+            dict(zip(tract_ids, cube.night[local].tolist())),
+            incomes,
+        )
 
     choropleth_cohort = "local" if "local" in config.cohorts else config.cohorts[0]
 
@@ -575,12 +490,10 @@ def _build_report(
         tracts={
             "count": len(tract_ids),
             "total_area_km2": float(math.fsum(areas[tid] for tid in tract_ids)),
-            "dataset_months": [f"{y:04d}-{m:02d}" for (y, m) in dataset_months],
+            "dataset_months": ["%04d-%02d" % m for m in dataset_months],
         },
         users=users,
-        events_by_cohort={
-            key: event_totals.get(key, 0) for key in ("all", "visitor", "local", "super_local")
-        },
+        events_by_cohort=totals,
         distributions=distributions,
         concentration=concentration,
         temporal=temporal,
@@ -633,26 +546,11 @@ def _indexes_csv(report: Report) -> str:
 
 
 def _tags_csv(report: Report) -> str:
-    cols = [
-        "cohort",
-        "image_count",
-        "tag_total",
-        "images_with_tags",
-        "images_gt5_tags",
-        "images_gt10_tags",
-        "proportion_with_tags",
-        "proportion_gt5",
-        "proportion_gt10",
-        "mean_tags_per_image",
-        "mean_tags_per_tagged_image",
-    ]
-    rows = [cols]
+    cols = [f.name for f in fields(TagSummary)]
+    rows = [["cohort", *cols]]
     for cohort in report.config.cohorts:
         ts = report.tag_summaries.get(cohort)
-        if ts is None:
-            rows.append([cohort] + [None] * (len(cols) - 1))
-        else:
-            rows.append([cohort] + [ts[k] for k in cols[1:]])
+        rows.append([cohort] + ([None] * len(cols) if ts is None else [ts[k] for k in cols]))
     return _csv_lines(rows)
 
 
@@ -664,40 +562,19 @@ def _ranks_csv(report: Report) -> str:
 
 
 def _tracts_csv(report: Report, internals: PipelineInternals) -> str:
-    rows = [
-        [
-            "tract_id",
-            "cohort",
-            "event_count",
-            "tag_count",
-            "unique_tag_count",
-            "day_count",
-            "night_count",
-            "area_km2",
-            "value",
-        ]
-    ]
+    rows = [["tract_id", "cohort", "event_count", "tag_count", "unique_tag_count",
+             "day_count", "night_count", "area_km2", "value"]]
     areas = {t.tract_id: t.area_km2 for t in internals.tracts}
     per_km2 = report.config.normalization == "per_km2"
-    for tid in internals.tract_ids:
-        agg = internals.aggregates.get(tid)
-        for cohort in report.config.cohorts:
-            st = agg.cohorts.get(cohort) if agg is not None else None
-            count = st.event_count if st is not None else 0
+    cube = internals.aggregates
+    cohorts = report.config.cohorts
+    table = np.stack([cube.events, cube.tags, cube.unique_tags, cube.day, cube.night], axis=-1)
+    # [tract][cohort][column]
+    counts = table[[BUCKET_KEYS.index(c) for c in cohorts]].transpose(1, 0, 2).tolist()
+    for tid, per_cohort in zip(internals.tract_ids, counts):
+        for cohort, (count, *rest) in zip(cohorts, per_cohort):
             value = count / areas[tid] if per_km2 else float(count)
-            rows.append(
-                [
-                    tid,
-                    cohort,
-                    count,
-                    st.tag_count if st is not None else 0,
-                    len(st.unique_tags) if st is not None else 0,
-                    st.day_count if st is not None else 0,
-                    st.night_count if st is not None else 0,
-                    areas[tid],
-                    value,
-                ]
-            )
+            rows.append([tid, cohort, count, *rest, areas[tid], value])
     return _csv_lines(rows)
 
 

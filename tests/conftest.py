@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from geoineq.aggregate import BUCKET_KEYS
 from geoineq.cohort import MASK_LOCAL, MASK_SUPER, MASK_VISITOR
 from geoineq.ingest import (
     _intern_tags,
@@ -14,7 +15,7 @@ from geoineq.ingest import (
     partition_byte_ranges,
     read_byte_range,
 )
-from geoineq.timebins import LocalClock
+from geoineq.timebins import LocalClock, month_tuple
 
 # the sandbox CPU is noisy; wall-clock deadlines just flake here
 settings.register_profile(
@@ -65,6 +66,38 @@ def batch_hashtags(batch) -> list[list[str]]:
     ids = batch.tag_ids.tolist()
     ends = np.cumsum(batch.tag_counts).tolist()
     return [[batch.tags[t] for t in ids[a:b]] for a, b in zip([0, *ends], ends)]
+
+
+def cube_view(cube, tract_ids) -> dict:
+    """{tract_id: {bucket: stats}} of an aggregate cube, in the shape of
+    oracles.aggregate_by_tract: only the tracts and buckets with events,
+    months with a count, and each bucket's distinct tags as a set."""
+    tag_sets: dict[int, set[str]] = {}
+    cells, tags = np.divmod(cube.tag_keys, max(len(cube.vocab), 1))
+    for cell, tag in zip(cells.tolist(), tags.tolist()):
+        tag_sets.setdefault(cell, set()).add(cube.vocab[tag])
+    events, tag_counts, hours, dows, months, day, night = (
+        a.tolist()
+        for a in (cube.events, cube.tags, cube.hours, cube.dows, cube.months, cube.day, cube.night)
+    )
+    out: dict = {}
+    for b, bucket in enumerate(BUCKET_KEYS):
+        for t, tid in enumerate(tract_ids):
+            if not events[b][t]:
+                continue
+            out.setdefault(tid, {})[bucket] = {
+                "event_count": events[b][t],
+                "tag_count": tag_counts[b][t],
+                "unique_tags": tag_sets.get(b * len(tract_ids) + t, set()),
+                "hour_histogram": hours[b][t],
+                "dow_histogram": dows[b][t],
+                "month_histogram": {
+                    month_tuple(cube.first_month + m): n for m, n in enumerate(months[b][t]) if n
+                },
+                "day_count": day[b][t],
+                "night_count": night[b][t],
+            }
+    return out
 
 
 def local_fields(epochs, tz):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cohort_labels
+from conftest import cohort_labels, cube_view
 from geoineq import oracles
 from geoineq.aggregate import tag_summary_from_components
 from geoineq.geo import assign_tract, build_spatial_index, tract_from_feature
@@ -32,7 +32,7 @@ from geoineq.metrics import (
     suite_ratio,
     theil,
 )
-from geoineq.report import PipelineConfig, run_pipeline_full
+from geoineq.report import OUTPUT_NAMES, PipelineConfig, run_pipeline_full
 from geoineq.synth import SynthParams, write_city
 
 D = Distribution.from_values
@@ -196,9 +196,12 @@ def test_criterion_6_partition_merge_determinism(city_100k, tmp_path):
     blobs = {}
     for k in (1, 2, 8):
         _run_to_dir(paths, tmp_path / f"k{k}", partitions=k)
-        blobs[k] = (tmp_path / f"k{k}" / "report.json").read_bytes()
+        blobs[k] = {p.name: p.read_bytes() for p in sorted((tmp_path / f"k{k}").iterdir())}
+    assert set(blobs[1]) == set(OUTPUT_NAMES.values())
     assert blobs[1] == blobs[2] == blobs[8]
-    print(f"\nPASS criterion 6: byte-identical report.json for k=1,2,8 ({len(blobs[1])} bytes)")
+    size = sum(map(len, blobs[1].values()))
+    print(f"\nPASS criterion 6: all {len(blobs[1])} outputs byte-identical for k=1,2,8 "
+          f"({size} bytes)")
 
 
 def test_criterion_7_end_to_end_oracle_closure(city_100k):
@@ -210,11 +213,9 @@ def test_criterion_7_end_to_end_oracle_closure(city_100k):
     )
     report_raw, internals = run_pipeline_full(cfg_raw)
 
-    counts = {}
-    for tid in internals.tract_ids:
-        agg = internals.aggregates.get(tid)
-        st = agg.cohorts.get("all") if agg is not None else None
-        counts[tid] = st.event_count if st is not None else 0
+    view = cube_view(internals.aggregates, internals.tract_ids)
+    counts = {tid: view.get(tid, {}).get("all", {}).get("event_count", 0)
+              for tid in internals.tract_ids}
     assert counts == gt["tract_counts"]
 
     labels = cohort_labels(internals.user_ids, internals.user_masks)
@@ -232,6 +233,10 @@ def test_criterion_7_end_to_end_oracle_closure(city_100k):
         assert (got_raw[key] is None) == (oracle_raw[key] is None), key
         if oracle_raw[key] is not None:
             worst = max(worst, abs(got_raw[key] - oracle_raw[key]))
+    assert worst <= 1e-12
+    entropy = report_raw.concentration["all"]["spatial_relative_entropy"]
+    oracle_entropy = oracles.relative_entropy_direct(gt["tract_counts"].values())
+    worst = max(worst, abs(entropy - oracle_entropy))
     assert worst <= 1e-12
 
     report_dens, _ = run_pipeline_full(
@@ -278,11 +283,12 @@ def test_criterion_8_day_night_boundary(tmp_path):
         timezone="America/New_York",
     )
     _, internals = run_pipeline_full(cfg)
+    view = cube_view(internals.aggregates, internals.tract_ids)
     got = []
     for i in range(4):
-        st = internals.aggregates[f"T{i}"].cohorts["all"]
-        assert st.day_count + st.night_count == 1
-        got.append("day" if st.day_count else "night")
+        st = view[f"T{i}"]["all"]
+        assert st["day_count"] + st["night_count"] == 1
+        got.append("day" if st["day_count"] else "night")
     assert got == want
     print(f"\nPASS criterion 8: {list(zip(stamps, got))}")
 

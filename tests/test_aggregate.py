@@ -1,4 +1,3 @@
-from dataclasses import asdict
 from datetime import datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
 
@@ -7,40 +6,50 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import MASK_LABELS, interned_tags, local_fields
+from conftest import MASK_LABELS, cube_view, interned_tags, local_fields
 from geoineq import oracles
 from geoineq.aggregate import (
-    CohortTractStats,
-    TractAggregate,
+    BUCKET_KEYS,
     aggregate_batch,
+    empty_cube,
     merge_aggregate_maps,
-    merge_aggregates,
     merge_tag_components,
     normalize_density,
     tag_summary_from_components,
 )
-from geoineq.errors import (
-    DegenerateArea,
-    MissingArea,
-    TractIdMismatch,
-)
+from geoineq.errors import DegenerateArea, MissingArea
 
 UTC = timezone.utc
 LOCAL = ("local", False)
 VISITOR = ("visitor", False)
 SUPER = ("local", True)
 MASK_OF = {label: mask for mask, label in MASK_LABELS.items()}
+TRACT_IDS = ("T1", "T2", "T3")
 
 
 def aggregate(rows, tz="UTC"):
     """aggregate_batch over (epoch, text, tract_id, (kind, super_local))
-    rows, the input of oracles.aggregate_by_tract."""
-    tract_ids = sorted({tid for _, _, tid, _ in rows})
+    rows, the input of oracles.aggregate_by_tract, on the tracts TRACT_IDS."""
     epochs = np.array([epoch for epoch, _, _, _ in rows], dtype=np.float64)
-    idx = np.array([tract_ids.index(tid) for _, _, tid, _ in rows], dtype=np.int64)
+    idx = np.array([TRACT_IDS.index(tid) for _, _, tid, _ in rows], dtype=np.int64)
     masks = np.array([MASK_OF[c] for _, _, _, c in rows], dtype=np.uint8)
     tags = interned_tags([text for _, text, _, _ in rows])
-    return aggregate_batch(tract_ids, idx, local_fields(epochs, tz), tags, masks)
+    return aggregate_batch(TRACT_IDS, idx, local_fields(epochs, tz), tags, masks)
+
+
+def view(cube) -> dict:
+    return cube_view(cube, TRACT_IDS)
+
+
+def merge(a, b):
+    """The two cubes merged as the pipeline's parent merges them."""
+    return merge_tag_components(merge_aggregate_maps(a, b), b)
+
+
+def state(cube):
+    """What a cube holds, with its tags decoded: the view, the month
+    axis and the tag-summary components."""
+    return view(cube), cube.first_month, cube.months.shape, cube.tag_summary.tolist()
 
 
 def row(ts, text="", tract_id="T1", cohort=LOCAL):
@@ -51,37 +60,39 @@ class TestAggregateByTract:
     def test_tag_counts(self):
         base = datetime(2014, 3, 15, 12, 0, tzinfo=UTC)
         rows = [row(base, "#a #b"), row(base + timedelta(hours=1), "#a")]
-        st_ = aggregate(rows).aggregates["T1"].cohorts["local"]
-        assert st_.event_count == 2
-        assert st_.tag_count == 3
-        assert st_.unique_tags == {"a", "b"}
+        st_ = view(aggregate(rows))["T1"]["local"]
+        assert st_["event_count"] == 2
+        assert st_["tag_count"] == 3
+        assert st_["unique_tags"] == {"a", "b"}
 
     def test_sunday_first_dow_and_hour_bins(self):
         # 1970-01-04 was a Sunday
         rows = [row(datetime(1970, 1, 4, 10, 0, tzinfo=UTC), cohort=VISITOR)]
-        st_ = aggregate(rows).aggregates["T1"].cohorts["visitor"]
-        assert st_.dow_histogram[0] == 1 and sum(st_.dow_histogram) == 1
-        assert st_.hour_histogram[10] == 1 and sum(st_.hour_histogram) == 1
-        assert st_.month_histogram == {(1970, 1): 1}
+        st_ = view(aggregate(rows))["T1"]["visitor"]
+        assert st_["dow_histogram"][0] == 1 and sum(st_["dow_histogram"]) == 1
+        assert st_["hour_histogram"][10] == 1 and sum(st_["hour_histogram"]) == 1
+        assert st_["month_histogram"] == {(1970, 1): 1}
 
     def test_empty_input(self):
-        agg = aggregate([])
-        assert (agg.aggregates, agg.tag_components, agg.event_totals) == ({}, {}, {})
+        cube = aggregate([])
+        assert view(cube) == {}
+        assert not cube.tag_summary.any() and cube.tag_keys.size == 0
+        assert cube.months.shape == (len(BUCKET_KEYS), len(TRACT_IDS), 0)
 
     def test_super_local_counts_in_both_buckets(self):
         rows = [row(datetime(2014, 3, 15, 12, 0, tzinfo=UTC), cohort=SUPER)]
-        agg = aggregate(rows).aggregates["T1"]
-        assert agg.cohorts["local"].event_count == 1
-        assert agg.cohorts["super_local"].event_count == 1
-        assert agg.cohorts["all"].event_count == 1
-        assert "visitor" not in agg.cohorts
+        agg = view(aggregate(rows))["T1"]
+        assert agg["local"]["event_count"] == 1
+        assert agg["super_local"]["event_count"] == 1
+        assert agg["all"]["event_count"] == 1
+        assert "visitor" not in agg
 
     def test_binning_uses_display_timezone(self):
         # 02:30 UTC on Mar 16 is 22:30 on Mar 15 in New York
         rows = [row(datetime(2014, 3, 16, 2, 30, tzinfo=UTC))]
-        st_ = aggregate(rows, "America/New_York").aggregates["T1"].cohorts["local"]
-        assert st_.hour_histogram[22] == 1
-        assert st_.night_count == 1 and st_.day_count == 0
+        st_ = view(aggregate(rows, "America/New_York"))["T1"]["local"]
+        assert st_["hour_histogram"][22] == 1
+        assert st_["night_count"] == 1 and st_["day_count"] == 0
 
 
 class TestDayNight:
@@ -99,17 +110,18 @@ class TestDayNight:
     def test_boundaries(self, hms, expect):
         for tz in ("UTC", "America/New_York"):
             ts = datetime(2014, 3, 15, *hms, tzinfo=ZoneInfo(tz))
-            st_ = aggregate([row(ts)], tz).aggregates["T1"].cohorts["local"]
-            assert (st_.day_count, st_.night_count) == ((1, 0) if expect == "day" else (0, 1))
+            st_ = view(aggregate([row(ts)], tz))["T1"]["local"]
+            want = (1, 0) if expect == "day" else (0, 1)
+            assert (st_["day_count"], st_["night_count"]) == want
 
     def test_invariant_day_plus_night(self):
         base = datetime(2014, 3, 15, 0, 0, tzinfo=UTC)
         rows = [row(base + timedelta(minutes=37 * i)) for i in range(40)]
-        st_ = aggregate(rows).aggregates["T1"].cohorts["local"]
-        assert st_.day_count + st_.night_count == st_.event_count
-        assert sum(st_.hour_histogram) == st_.event_count
-        assert sum(st_.dow_histogram) == st_.event_count
-        assert sum(st_.month_histogram.values()) == st_.event_count
+        st_ = view(aggregate(rows))["T1"]["local"]
+        assert st_["day_count"] + st_["night_count"] == st_["event_count"]
+        assert sum(st_["hour_histogram"]) == st_["event_count"]
+        assert sum(st_["dow_histogram"]) == st_["event_count"]
+        assert sum(st_["month_histogram"].values()) == st_["event_count"]
 
 
 class TestNormalizeDensity:
@@ -133,7 +145,8 @@ def tag_summary(tag_counts):
     """The summary of one event per count, each with that many tags."""
     base = datetime(2014, 3, 15, 12, 0, tzinfo=UTC)
     rows = [row(base, " ".join(f"#t{j}" for j in range(c))) for c in tag_counts]
-    return tag_summary_from_components(*aggregate(rows).tag_components["all"])
+    comps = aggregate(rows).tag_summary[BUCKET_KEYS.index("all")]
+    return tag_summary_from_components(*comps.tolist())
 
 
 class TestTagSummary:
@@ -158,63 +171,60 @@ class TestTagSummary:
     def test_from_events(self):
         base = datetime(2014, 3, 15, 12, 0, tzinfo=UTC)
         rows = [row(base, "#a #b #A"), row(base, ""), row(base, "#c", cohort=VISITOR)]
-        agg = aggregate(rows)
-        ts = tag_summary_from_components(*agg.tag_components["local"])
+        cube = aggregate(rows)
+        ts = tag_summary_from_components(*cube.tag_summary[BUCKET_KEYS.index("local")].tolist())
         assert ts.image_count == 2
         assert ts.tag_total == 3
         assert ts.images_with_tags == 1
 
 
-def random_stats(rng):
-    hours = [int(rng.integers(0, 5)) for _ in range(24)]
-    dows = [int(rng.integers(0, 5)) for _ in range(7)]
-    total = sum(hours)
-    dows[0] += total - sum(dows)  # keep totals consistent
-    day = int(rng.integers(0, total + 1))
-    return CohortTractStats(
-        event_count=total,
-        tag_count=int(rng.integers(0, 40)),
-        unique_tags=set(rng.choice(list("abcdefgh"), size=rng.integers(0, 6), replace=False)),
-        hour_histogram=hours,
-        dow_histogram=dows,
-        month_histogram={(2014, int(m)): 1 for m in rng.choice(range(1, 13), 3, replace=False)},
-        day_count=day,
-        night_count=total - day,
-    )
+_TEXTS = ["", "#a", "#b #c", "#A #d", "x #e #e", "#f"]
+
+
+def random_cube(rng):
+    """The cube of a few random events in a random run of 2014's months."""
+    first = int(rng.integers(1, 10))
+    rows = [
+        (
+            datetime(2014, int(rng.integers(first, first + 3)), int(rng.integers(1, 29)),
+                     int(rng.integers(0, 24)), tzinfo=UTC).timestamp(),
+            _TEXTS[int(rng.integers(len(_TEXTS)))],
+            TRACT_IDS[int(rng.integers(len(TRACT_IDS)))],
+            (VISITOR, LOCAL, SUPER)[int(rng.integers(3))],
+        )
+        for _ in range(int(rng.integers(1, 12)))
+    ]
+    return aggregate(rows)
 
 
 class TestMerge:
     def test_identity(self):
         rng = np.random.default_rng(0)
-        x = TractAggregate("T1", {"local": random_stats(rng)})
-        zero = TractAggregate("T1")
-        assert merge_aggregates(x, zero) == x
-        assert merge_aggregates(zero, x) == x
+        for _ in range(10):
+            x = random_cube(rng)
+            zero = empty_cube(len(TRACT_IDS))
+            assert state(merge(x, zero)) == state(x)
+            assert state(merge(zero, x)) == state(x)
 
     def test_commutative(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            a = TractAggregate("T1", {"local": random_stats(rng), "all": random_stats(rng)})
-            b = TractAggregate("T1", {"visitor": random_stats(rng), "all": random_stats(rng)})
-            assert merge_aggregates(a, b) == merge_aggregates(b, a)
+            a, b = random_cube(rng), random_cube(rng)
+            assert state(merge(a, b)) == state(merge(b, a))
 
     def test_associative(self):
         rng = np.random.default_rng(2)
-        a, b, c = (TractAggregate("T1", {"all": random_stats(rng)}) for _ in range(3))
-        lhs = merge_aggregates(merge_aggregates(a, b), c)
-        rhs = merge_aggregates(a, merge_aggregates(b, c))
-        assert lhs == rhs
+        for _ in range(10):
+            a, b, c = (random_cube(rng) for _ in range(3))
+            assert state(merge(merge(a, b), c)) == state(merge(a, merge(b, c)))
 
     def test_unique_tags_union_vs_sum(self):
-        a = TractAggregate("T1", {"all": CohortTractStats(tag_count=2, unique_tags={"a", "b"})})
-        b = TractAggregate("T1", {"all": CohortTractStats(tag_count=2, unique_tags={"b", "c"})})
-        m = merge_aggregates(a, b).cohorts["all"]
-        assert m.unique_tags == {"a", "b", "c"}
-        assert m.tag_count == 4
-
-    def test_tract_mismatch(self):
-        with pytest.raises(TractIdMismatch):
-            merge_aggregates(TractAggregate("T1"), TractAggregate("T2"))
+        ts = datetime(2014, 3, 15, 12, 0, tzinfo=UTC)
+        a = aggregate([row(ts, "#a #b", cohort=VISITOR)])
+        b = aggregate([row(ts, "#c #b", cohort=LOCAL)])
+        m = view(merge(a, b))["T1"]["all"]
+        assert m["unique_tags"] == {"a", "b", "c"}
+        assert m["tag_count"] == 4
 
 
 _BASE = int(datetime(2013, 1, 1, tzinfo=UTC).timestamp())
@@ -242,8 +252,7 @@ class TestBatchEquivalence:
 
     @given(_ROWS)
     def test_matches_reference(self, rows):
-        got = {tid: asdict(agg)["cohorts"] for tid, agg in aggregate(rows, _TZ).aggregates.items()}
-        assert got == oracles.aggregate_by_tract(rows, _TZ)
+        assert view(aggregate(rows, _TZ)) == oracles.aggregate_by_tract(rows, _TZ)
 
     @given(_ROWS, st.integers(0, 60))
     @example(  # the halves number the same tags differently
@@ -255,15 +264,20 @@ class TestBatchEquivalence:
         ],
         2,
     )
+    @example(  # January and March: the halves' month axes are disjoint
+        [
+            (_BASE + 86400, "#b #a", "T1", LOCAL),
+            (_BASE + 9 * 86400, "#c", "T3", VISITOR),
+            (_BASE + 70 * 86400, "#A #c", "T1", SUPER),
+            (_BASE + 71 * 86400, "#d #B", "T2", VISITOR),
+        ],
+        2,
+    )
     def test_halves_merge_to_whole(self, rows, cut):
         whole = aggregate(rows, _TZ)
         a = aggregate(rows[:cut], _TZ)
         b = aggregate(rows[cut:], _TZ)
-        assert merge_aggregate_maps(a.aggregates, b.aggregates) == whole.aggregates
-        assert merge_tag_components(a.tag_components, b.tag_components) == whole.tag_components
-        totals = {k: a.event_totals.get(k, 0) + b.event_totals.get(k, 0)
-                  for k in a.event_totals | b.event_totals}
-        assert totals == whole.event_totals
+        assert state(merge(a, b)) == state(whole)
 
 
 def test_cohort_buckets_mapping():
@@ -273,6 +287,6 @@ def test_cohort_buckets_mapping():
         (LOCAL, {"all", "local"}),
         (SUPER, {"all", "local", "super_local"}),
     ]:
-        agg = aggregate([row(ts, "#a", cohort=cohort)])
-        assert set(agg.aggregates["T1"].cohorts) == buckets
-        assert set(agg.event_totals) == set(agg.tag_components) == buckets
+        cube = aggregate([row(ts, "#a", cohort=cohort)])
+        assert set(view(cube)["T1"]) == buckets
+        assert {BUCKET_KEYS[b] for b in np.flatnonzero(cube.tag_summary[:, 0])} == buckets

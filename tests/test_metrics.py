@@ -154,6 +154,17 @@ class TestRelativeEntropy:
     def test_range(self, xs):
         assert 0.0 <= relative_entropy(xs) <= 1.0
 
+    # zeros are drawn often, so that all-zero and single-category vectors come up
+    @given(st.lists(st.one_of(st.just(0), st.integers(0, 10**6), st.floats(0, 1e6)), max_size=64))
+    def test_matches_direct(self, xs):
+        try:
+            want = oracles.relative_entropy_direct(xs)
+        except ValueError:
+            with pytest.raises(AllZero):
+                relative_entropy(xs)
+            return
+        assert abs(relative_entropy(xs) - want) <= 1e-12
+
 
 class TestShares:
     def test_top_share_tenth(self):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import events_csv, feature_collection, square_feature
+from conftest import cube_view, events_csv, feature_collection, square_feature
 import geoineq
 from geoineq import cli, jsonio, oracles, report
 from geoineq.errors import BadBreakCount, EmptyCurveList, InternalInvariantError, MissingInput
@@ -218,11 +218,12 @@ class TestRunPipeline:
         events_path.write_bytes(events_csv(rows))
         cfg = PipelineConfig(events_path=str(events_path), tracts_path=str(tracts_path))
         _, internals = run_pipeline_full(cfg)
+        view = cube_view(internals.aggregates, internals.tract_ids)
         want = ["night", "day", "day", "night"]
         for i, expect in enumerate(want):
-            st = internals.aggregates[f"T{i}"].cohorts["all"]
-            got = "day" if st.day_count == 1 else "night"
-            assert (st.day_count + st.night_count) == 1
+            st = view[f"T{i}"]["all"]
+            got = "day" if st["day_count"] == 1 else "night"
+            assert (st["day_count"] + st["night_count"]) == 1
             assert got == expect, f"T{i} at {stamps[i]}"
 
     def test_events_outside_tracts_dropped_and_counted(self, tmp_path):
@@ -305,6 +306,32 @@ class TestRunPipeline:
         assert rep.ingest["events_outside_tracts"] == 6
         assert rep.events_by_cohort["all"] == 5
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_no_locals_and_months_apart(self, tmp_path, k):
+        # every user posts once, so all are visitors and "local" is empty;
+        # posts fall in January and March only, and at k=2 the first
+        # partition gets January's and the second March's
+        tracts_path = tmp_path / "t.geojson"
+        tracts_path.write_bytes(
+            feature_collection([square_feature("T1", 0, 0), square_feature("T2", 1, 0)])
+        )
+        rows = [f"u{m}{i},0.5,{i % 2}.5,2014-{m}-1{i}T10:00:00Z,#t{i % 3}"
+                for m in ("01", "03") for i in range(10)]
+        ep = tmp_path / "e.csv"
+        ep.write_bytes(events_csv(rows))
+        if k == 2:
+            first, second = (read_byte_range(ep, r) for r in partition_byte_ranges(ep, 2))
+            assert b"2014-03" not in first and b"2014-01" not in second
+        cfg = PipelineConfig(events_path=str(ep), tracts_path=str(tracts_path))
+        rep = run_pipeline(cfg, partitions=k)
+        assert rep.users == {"total": 20, "visitor": 20, "local": 0, "super_local": 0}
+        assert rep.tag_summaries["local"] is None
+        assert rep.temporal["local"]["hourly_relative_entropy"] is None
+        assert rep.temporal["local"]["daily_relative_entropy"] is None
+        assert rep.rank_table == []
+        assert rep.tracts["dataset_months"] == ["2014-01", "2014-02", "2014-03"]
+        assert rep.temporal["visitor"]["monthly"] == {"2014-01": 10, "2014-03": 10}
+
     def test_k1_run_leaves_numpy_ma_unloaded(self, city_paths, census_path, tmp_path):
         # a plain np.unique imports numpy.ma on its first call (15-17 ms
         # per process); a fresh interpreter shows whether any step did
@@ -316,6 +343,27 @@ class TestRunPipeline:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         assert done.stdout.splitlines()[-1] == "False"
+
+
+class TestTracer:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_benchmark_tracer_installs(self, city_paths, tmp_path, k):
+        # the benchmark's tracer rebinds pipeline names; a run under it
+        # fails or loses spans when one of them is renamed away. At k=2
+        # aggregate_batch runs in the workers, whose spans it does not
+        # collect, so only the parent's merge and pipe spans show
+        tracer = Path(__file__).resolve().parents[1] / "geobench" / "tracer.py"
+        spans_path = tmp_path / "spans.json"
+        argv = [sys.executable, str(tracer), str(spans_path), "run",
+                "--events", city_paths["events"], "--tracts", city_paths["tracts"],
+                "--out", str(tmp_path / "out"), "--partitions", str(k)]
+        env = dict(os.environ, PYTHONPATH=str(Path(geoineq.__file__).parents[1]))
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        names = {span["name"] for span in json.loads(spans_path.read_text())["spans"]}
+        want = {"aggregate.batch", "aggregate.merge"} if k == 1 else {
+            "aggregate.merge", "partition.recv"}
+        assert want <= names
 
 
 class TestCsvTables:
