@@ -28,11 +28,12 @@ from .report import (
     DEFAULT_CHOROPLETH_BREAKS,
     DEFAULT_COHORTS,
     PipelineConfig,
-    emit_choropleth,
+    choropleth_parts,
     emit_lorenz_svg,
     emit_outputs,
     run_pipeline_full,
     suite_to_dict,
+    write_parts,
 )
 
 
@@ -186,8 +187,7 @@ def cmd_choropleth(args) -> int:
     tracts = [tract_from_feature(f) for f in feats]
     build_spatial_index(tracts)  # the tract checks run and ingest-check make
     values = dict(zip(*_read_csv_column(args.values, args.column)))
-    text = emit_choropleth(tracts, values, args.breaks)
-    Path(args.out).write_text(text, encoding="utf-8")
+    write_parts(args.out, choropleth_parts(tracts, values, args.breaks))
     print(args.out)
     return 0
 

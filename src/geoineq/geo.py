@@ -24,7 +24,10 @@ left out. The crossing test runs per (point, edge) with the same
 operations as a scan over every edge, so indexed assignment answers like
 ``oracles.assign_batch_naive``, bit for bit.
 
-Memory: ``assign_batch`` takes points in slices whose worst-case count
+Memory: a tract's rings are the float64 ``(n, 2)`` arrays that parsing
+made, 16 bytes per vertex and no Python object per vertex; areas and
+bounding boxes are computed on them with numpy, the sums in vertex
+order. ``assign_batch`` takes points in slices whose worst-case count
 of (point, tract, edge) tests stays under ``_PAIR_BUDGET``. Besides a
 few words per point, its temporaries are O(budget + largest band),
 whatever the batch size or the tracts' vertex counts.
@@ -51,15 +54,14 @@ _DEG = math.pi / 180.0
 _PAIR_BUDGET = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # rings are arrays: a tract equals only itself
 class Tract:
     tract_id: str
     polygons: tuple[Polygon, ...]
     bbox: tuple[float, float, float, float]  # (min_lon, min_lat, max_lon, max_lat)
     area_km2: float
-    # the source feature's properties (a dict, so kept out of == and
-    # hash) and geometry type, for the choropleth
-    properties: dict = field(default_factory=dict, compare=False)
+    # the source feature's properties and geometry type, for the choropleth
+    properties: dict = field(default_factory=dict)
     geometry_type: str = "MultiPolygon"
 
     @property
@@ -70,16 +72,25 @@ class Tract:
 
 def _normalize_polygons(rings_or_polygons) -> tuple[Polygon, ...]:
     """Accept either one polygon (a sequence of rings) or a sequence of
-    polygons; return the nested form."""
+    polygons; return the nested form, each ring a float64 ``(n, 2)``
+    array (an array ring is kept as it is)."""
     first = rings_or_polygons[0]
     try:
         float(first[0][0])
-        return (tuple(tuple((float(x), float(y)) for x, y in r) for r in rings_or_polygons),)
+        polygons = (rings_or_polygons,)
     except (TypeError, ValueError):
-        return tuple(
-            tuple(tuple((float(x), float(y)) for x, y in r) for r in poly)
-            for poly in rings_or_polygons
-        )
+        polygons = rings_or_polygons
+    return tuple(
+        tuple(np.asarray(r, dtype=np.float64).reshape(len(r), 2) for r in poly)
+        for poly in polygons
+    )
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """``values`` added one after another from 0.0, as a Python loop adds
+    them (``np.cumsum`` is sequential; ``np.sum`` adds pairwise, which
+    would move the last bits of an area)."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def polygon_area_km2(rings_or_polygons) -> float:
@@ -90,28 +101,24 @@ def polygon_area_km2(rings_or_polygons) -> float:
     polygon the exterior ring counts positive and hole areas subtract.
     City-scale tracts are small enough that the flat-map error is
     negligible; geodesic area is intentionally out of scope.
+
+    Each sum runs in vertex order, so the area is bit for bit that of
+    the plain loop over positions.
     """
     polygons = _normalize_polygons(rings_or_polygons)
-    lat_sum = 0.0
-    n_pts = 0
-    for poly in polygons:
-        for ring in poly:
-            for _, y in ring[:-1]:  # closing duplicate excluded from the mean
-                lat_sum += y
-                n_pts += 1
+    # closing duplicates excluded from the mean
+    lats = [ring[:-1, 1] for poly in polygons for ring in poly]
+    n_pts = sum(map(len, lats))
     if n_pts == 0:
         raise DegeneratePolygon("polygon with no vertices")
-    mean_lat = lat_sum / n_pts
+    mean_lat = _sum_in_order(np.concatenate(lats)) / n_pts
     kx = EARTH_RADIUS_KM * _DEG * math.cos(mean_lat * _DEG)
     ky = EARTH_RADIUS_KM * _DEG
     total = 0.0
     for poly in polygons:
         for ring_idx, ring in enumerate(poly):
-            s = 0.0
-            for i in range(len(ring) - 1):
-                x1, y1 = ring[i]
-                x2, y2 = ring[i + 1]
-                s += x1 * y2 - x2 * y1
+            x, y = ring[:, 0], ring[:, 1]
+            s = _sum_in_order(x[:-1] * y[1:] - x[1:] * y[:-1])
             ring_area = abs(s) * 0.5 * kx * ky
             total += ring_area if ring_idx == 0 else -ring_area
     if total <= AREA_EPS_KM2:
@@ -126,16 +133,13 @@ def tract_from_feature(feature: RawTractFeature) -> Tract:
     (authoritative areas, e.g. published census figures, beat our local
     projection).
     """
-    xs: list[float] = []
-    ys: list[float] = []
-    for ring in feature.rings:
-        for x, y in ring:
-            xs.append(x)
-            ys.append(y)
-    bbox = (min(xs), min(ys), max(xs), max(ys))
+    polygons = _normalize_polygons(feature.polygons)
+    pts = np.concatenate([ring for poly in polygons for ring in poly])
+    lo, hi = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+    bbox = (lo[0], lo[1], hi[0], hi[1])
     override = feature.properties.get("area_km2")
     try:
-        area = polygon_area_km2(feature.polygons) if override is None else float(override)
+        area = polygon_area_km2(polygons) if override is None else float(override)
     except DegeneratePolygon as e:
         raise DegeneratePolygon(f"tract {feature.tract_id}: {e}") from None
     except (TypeError, ValueError):  # a provided value that is not a number
@@ -147,7 +151,7 @@ def tract_from_feature(feature: RawTractFeature) -> Tract:
             f"tract {feature.tract_id}: {what} is not a finite positive number"
         )
     return Tract(
-        feature.tract_id, feature.polygons, bbox, area, feature.properties,
+        feature.tract_id, polygons, bbox, area, feature.properties,
         feature.geometry_type,
     )
 

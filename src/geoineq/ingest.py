@@ -9,7 +9,9 @@ census indicators a CSV keyed by ``tract_id``.
 Event parsing is skip-and-count: a bad record is tallied under its error
 kind and the stream continues. Multi-million-row exports always contain
 some noise, and one broken line must never abort a run. Tract and census
-files are small and authoritative, so they fail fast instead.
+files are small and authoritative, so they fail fast instead. Each tract
+ring is kept as one float64 ``(n, 2)`` array of its positions, the form
+that geometry, the spatial index and the choropleth all read.
 
 One scanner over the bytes, :func:`_scan`, sets the event record
 boundaries that the split and parse both use. A block that is not UTF-8
@@ -26,8 +28,10 @@ or ``Z`` offset. Every record those checks do not accept (a fractional
 second, an unparseable coordinate, a bad date, a missing field) falls
 back to the per-record rule, which accepts it or skips and counts it
 exactly as a record-at-a-time parse would
-(``oracles.validate_event_fields`` is that reference). Row order and
-tallies never depend on the route a record took.
+(``oracles.validate_event_fields`` is that reference). A line with a CR
+that is not part of its CRLF ending is split by ``csv.reader`` too, which
+takes that CR for a line break. Row order and tallies never depend on
+the route a record took.
 
 No per-event string outlives its block. Each block's accepted user ids
 are interned to integer codes and its texts to the ids of their
@@ -107,11 +111,11 @@ _TS_SEP = np.frombuffer(b"--T:::", dtype=np.uint8)
 _TS_SIGN_POS = 19
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
-Ring = tuple[tuple[float, float], ...]
+Ring = np.ndarray  # float64 (x, y) positions, shape (n, 2), closed
 Polygon = tuple[Ring, ...]  # exterior ring first, holes after
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # rings are arrays: a feature equals only itself
 class RawTractFeature:
     """A tract boundary as parsed: one or more polygons with their holes,
     the feature's properties, and its geometry type (``Polygon`` or
@@ -270,6 +274,13 @@ def _per_line(view: np.ndarray, ends: np.ndarray, char: str) -> np.ndarray:
     return np.diff(np.searchsorted(np.flatnonzero(view == ord(char)), ends), prepend=0)
 
 
+def _bare_crs(view: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Whether each line holds a CR other than that of a CRLF ending."""
+    lf = view[ends - 1] == ord("\n")
+    crlf = lf & (ends >= 2) & (view[np.maximum(ends - 2, 0)] == ord("\r"))
+    return _per_line(view, ends, "\r") > crlf
+
+
 def _scan(f, start: int, size: int, quoting: bool) -> Iterator[tuple]:
     """Blocks of whole records of the ``size`` bytes of file ``f`` from
     ``start``, one per ``_CHUNK``-byte window (more for a longer record),
@@ -331,15 +342,20 @@ def _decode_lines(view: np.ndarray, n: int) -> tuple[list[str], set[int]]:
     return lines, bad
 
 
-def _csv_records(lines, quotes, commas, joined, bad, stats) -> tuple[list[str], list]:
+def _csv_records(lines, quotes, commas, bare_cr, joined, bad, stats) -> tuple[list[str], list]:
     """One block's CSV records as ``(flat, fielded)``: ``flat`` holds one
     four-comma line per record, ``fielded`` the ``(position, fields)`` of
     every other record, split one by one (fields None when unparseable;
     its ``flat`` slot is a placeholder). Blank lines are skipped, and a
-    record with a line that is not UTF-8 is only counted."""
-    special = (quotes != 0) | (commas != 4) | joined
+    record with a line that is not UTF-8 is only counted.
+
+    ``csv.reader`` splits every line with a quote or a bare CR (one that
+    does not end the line as CRLF). It reads an unquoted CR as a line
+    break, so a record with a CR inside an unquoted field is a
+    MalformedRecord, whether its other fields are quoted or not."""
+    special = (quotes != 0) | (commas != 4) | bare_cr | joined
     special[list(bad)] = True
-    quotes, joined = quotes.tolist(), joined.tolist()
+    quotes, bare_cr, joined = quotes.tolist(), bare_cr.tolist(), joined.tolist()
     flat: list[str] = []
     fielded: list[tuple[int, list[str] | None]] = []
     prev = 0
@@ -359,7 +375,7 @@ def _csv_records(lines, quotes, commas, joined, bad, stats) -> tuple[list[str], 
             fields = _csv_parse_quoted("\n".join(lines[i:prev]))
         elif quotes[i] & 1:
             fields = None  # a quote that never closes
-        elif quotes[i]:
+        elif quotes[i] or bare_cr[i]:
             fields = _csv_parse_quoted(line)
         elif not line:
             continue
@@ -599,7 +615,8 @@ def parse_event_batch(
         lines, bad = _decode_lines(view, len(ends))
         if format == "csv":
             commas = _per_line(view, ends, ",")
-            flat, fielded = _csv_records(lines, quotes, commas, joined, bad, stats)
+            bare_cr = _bare_crs(view, ends)
+            flat, fielded = _csv_records(lines, quotes, commas, bare_cr, joined, bad, stats)
         else:
             flat, fielded = _jsonl_records(lines, bad, stats)
         if flat:
@@ -662,23 +679,33 @@ def read_byte_range(path, byte_range: tuple[int, int]) -> bytes:
 
 
 def _validate_ring(tract_id: str, ring) -> Ring:
-    """The ring's (x, y) positions. Every value of a position must be a
-    JSON number: a string or a boolean is refused, not converted."""
+    """The ring's (x, y) positions as a float64 ``(n, 2)`` array. Every
+    value of a position must be a JSON number: a string, a boolean or
+    null is refused, not converted. Values past the second (an altitude)
+    are checked but not kept."""
     if not isinstance(ring, (list, tuple)) or len(ring) < 4:
         raise UnclosedRing(f"tract {tract_id}: ring with < 4 points")
     malformed = f"tract {tract_id}: malformed coordinates"
     try:
-        kinds = {type(v) for p in ring for v in p}
+        kinds = set(map(type, chain.from_iterable(ring)))
     except TypeError:  # a position that is not a list
         raise NonPolygonGeometry(malformed) from None
     if not kinds <= {int, float}:
         bad = next(v for p in ring for v in p if type(v) not in (int, float))
         raise NonPolygonGeometry(f"tract {tract_id}: coordinate {bad!r} is not a number")
     try:
-        pts = tuple((float(p[0]), float(p[1])) for p in ring)
-    except (IndexError, KeyError, OverflowError):  # a short position, a huge integer
-        raise NonPolygonGeometry(malformed) from None
-    if pts[0] != pts[-1]:
+        pts = np.array(ring, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # not all [x, y]: read one by one
+        pts = None
+    if pts is None or pts.shape[1] != 2:
+        try:
+            pts = np.array([(p[0], p[1]) for p in ring], dtype=np.float64)
+        except (IndexError, KeyError, OverflowError):  # a short position, a huge integer
+            raise NonPolygonGeometry(malformed) from None
+    # NaN equals NaN here: JSON's NaN is one object, which the closing
+    # position repeats (such a ring is refused later, for its area)
+    first, last = pts[0], pts[-1]
+    if not ((first == last) | (np.isnan(first) & np.isnan(last))).all():
         raise UnclosedRing(f"tract {tract_id}: ring not closed")
     return pts
 

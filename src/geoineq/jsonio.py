@@ -5,14 +5,19 @@ we control the serialization ourselves: insertion-ordered keys, floats
 printed at 12 significant digits, two-space indent, LF line endings.
 
 Geometry is the bulk of a choropleth, so a :class:`Ring` of 2D
-positions is written as one string by :func:`format_ring`, one f-string
-per position, in the same layout and float rule as a nested list.
+positions is written as one string by :func:`format_ring`, one ``%``
+template over the whole ring, in the same layout and float rule as a
+nested list. :func:`parts` returns a text as the list of strings that
+:func:`dumps` joins, so a large text can be written out without ever
+being held whole.
 """
 
 from __future__ import annotations
 
 import json
 import math
+
+import numpy as np
 
 
 def format_float(x: float, mode: str = "12g") -> str:
@@ -24,8 +29,9 @@ def format_float(x: float, mode: str = "12g") -> str:
 
 
 class Ring:
-    """A sequence of (x, y) positions that :func:`dumps` writes as a list
-    of [x, y] lists, through :func:`format_ring` (``12g`` mode only)."""
+    """A sequence of (x, y) positions, such as a float64 ``(n, 2)``
+    array, that :func:`dumps` writes as a list of [x, y] lists, through
+    :func:`format_ring` (``12g`` mode only)."""
 
     __slots__ = ("positions",)
 
@@ -35,25 +41,31 @@ class Ring:
 
 def format_ring(positions, depth: int) -> str:
     """The text ``dumps`` gives a list of [x, y] lists written at
-    ``depth``, built in one pass with one f-string per position."""
-    if not positions:
+    ``depth``, built by one ``%.12g`` template, which prints each value
+    as ``format(x, ".12g")`` does."""
+    xy = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    if not len(xy):
         return "[]"
+    if not np.isfinite(xy).all():
+        format_float(float(xy[~np.isfinite(xy)][0]))  # raises
     pad = "  " * (depth + 1)
     inner = pad + "  "
-    body = f",\n{pad}".join(
-        [f"[\n{inner}{x:.12g},\n{inner}{y:.12g}\n{pad}]" for x, y in positions]
-    )
-    if "n" in body:  # "nan" or "inf": a finite number prints without an "n"
-        bad = next(v for p in positions for v in p if not math.isfinite(v))
-        format_float(bad)  # raises
-    return f"[\n{pad}{body}\n{'  ' * depth}]"
+    position = f"[\n{inner}%.12g,\n{inner}%.12g\n{pad}]"
+    template = f",\n{pad}".join([position] * len(xy))
+    return f"[\n{pad}{template % tuple(xy.ravel().tolist())}\n{'  ' * depth}]"
 
 
-def dumps(obj, float_mode: str = "12g") -> str:
+def parts(obj, float_mode: str = "12g") -> list[str]:
+    """The JSON text of ``obj``, newline-terminated, as a list of strings
+    in order."""
     out: list[str] = []
     _write(obj, out, 0, float_mode)
     out.append("\n")
-    return "".join(out)
+    return out
+
+
+def dumps(obj, float_mode: str = "12g") -> str:
+    return "".join(parts(obj, float_mode))
 
 
 def _write(obj, out: list[str], depth: int, float_mode: str = "12g") -> None:

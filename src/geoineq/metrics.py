@@ -21,6 +21,7 @@ numbers:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -156,14 +157,25 @@ def theil(d: Distribution) -> float:
     """Theil index T = (1/n) * sum_i (x_i/mu) * ln(x_i/mu), in [0, ln n].
 
     Zero values contribute 0 (the x*ln(x) -> 0 limit), so distributions
-    with empty units are fine.
+    with empty units are fine; so does a positive value whose ratio to
+    the mean underflows to 0.
     """
     if len(d) < 2:
         raise TooFewUnits("theil needs at least 2 units")
     xs, total = _sorted_positive_total(d)
     n = len(xs)
     mu = total / n
-    return math.fsum((x / mu) * math.log(x / mu) for x in xs if x > 0.0) / n
+    if mu < sys.float_info.min:
+        # a subnormal mean keeps too few bits (or none); T is scale-free,
+        # and scaling by a power of two is exact
+        xs = [x * 2.0**1000 for x in xs]
+        mu = math.fsum(xs) / n
+    return math.fsum(_x_log_x(x / mu) for x in xs) / n
+
+
+def _x_log_x(r: float) -> float:
+    """r·ln(r), with its limit 0 at r = 0 (a ratio that underflowed)."""
+    return r * math.log(r) if r > 0.0 else 0.0
 
 
 def relative_entropy(category_counts: Mapping[object, float] | Sequence[float]) -> float:
@@ -183,7 +195,7 @@ def relative_entropy(category_counts: Mapping[object, float] | Sequence[float]) 
     if k == 1:
         return 0.0
     total = math.fsum(positive)
-    h = -math.fsum((v / total) * math.log(v / total) for v in positive)
+    h = -math.fsum(_x_log_x(v / total) for v in positive)
     return min(1.0, max(0.0, h / math.log(k)))
 
 

@@ -14,7 +14,9 @@ import calendar
 import csv
 import io
 import math
+import sys
 from datetime import date, datetime
+from fractions import Fraction
 from typing import Iterable, Sequence
 from zoneinfo import ZoneInfo
 
@@ -59,7 +61,12 @@ def theil_direct(values: Sequence[float]) -> float:
     if n < 2 or total <= 0:
         raise ValueError("need n >= 2 and a positive total")
     mu = total / n
-    return math.fsum((v / mu) * math.log(v / mu) for v in sorted(values) if v > 0) / n
+    if mu >= sys.float_info.min:
+        ratios = [v / mu for v in sorted(values)]
+    else:  # a subnormal mean has too few bits: each ratio exactly, then rounded
+        ratios = [float(Fraction(v) * n / Fraction(total)) for v in sorted(values)]
+    # a ratio that underflows to 0 takes the limit of r·ln(r), which is 0
+    return math.fsum(r * math.log(r) for r in ratios if r > 0) / n
 
 
 def percentile_nearest_rank(values: Sequence[float], p: float) -> float:
@@ -84,7 +91,8 @@ def relative_entropy_direct(counts: Iterable[float]) -> float:
     if len(positive) == 1:
         return 0.0
     total = math.fsum(positive)
-    h = -math.fsum((c / total) * math.log(c / total) for c in positive)
+    shares = [c / total for c in positive]
+    h = -math.fsum(p * math.log(p) for p in shares if p > 0)  # 0·ln 0 = 0
     return min(1.0, max(0.0, h / math.log(len(positive))))
 
 
@@ -99,7 +107,14 @@ def index_suite_direct(values: Sequence[float]) -> dict[str, float | None]:
     }
 
 
+def _positions(ring) -> list:
+    """A ring's positions as Python floats: a parsed ring is a float64
+    array, read through one ``tolist``; a sequence is used as it is."""
+    return ring.tolist() if hasattr(ring, "tolist") else ring
+
+
 def _ray_cast(lon: float, lat: float, ring) -> bool:
+    ring = _positions(ring)
     inside = False
     j = len(ring) - 2  # last distinct vertex (ring is closed)
     for i in range(len(ring) - 1):
@@ -146,7 +161,7 @@ def assign_batch_naive(lats, lons, tracts: Iterable[Tract]):
         x = lons[idx]
         y = lats[idx]
         inside = np.zeros(idx.size, dtype=bool)
-        for ring in tract.rings:
+        for ring in map(_positions, tract.rings):
             for i in range(len(ring) - 1):
                 x1, y1 = ring[i]
                 x2, y2 = ring[i + 1]

@@ -20,6 +20,7 @@ partition count.
 
 from __future__ import annotations
 
+import gc
 import math
 import multiprocessing as mp
 import traceback
@@ -299,13 +300,20 @@ def run_pipeline_full(
         conns.append(_InProcess(_partition_job(*job_args[0])))
     else:
         ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
-        for args in job_args:
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_worker_main, args=(child_conn, *args))
-            proc.start()
-            child_conn.close()
-            conns.append(parent_conn)
-            procs.append(proc)
+        # frozen objects are left out of every collection, so a forked
+        # worker's GC does not write to, and so copy, the pages it shares
+        # with the parent
+        gc.freeze()
+        try:
+            for args in job_args:
+                parent_conn, child_conn = ctx.Pipe()
+                proc = ctx.Process(target=_worker_main, args=(child_conn, *args))
+                proc.start()
+                child_conn.close()
+                conns.append(parent_conn)
+                procs.append(proc)
+        finally:
+            gc.unfreeze()
     try:
         stats = ParseStats()
         dropped_total = 0
@@ -628,16 +636,9 @@ def emit_lorenz_svg(curves: list[LorenzCurve]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_choropleth(tracts: Iterable[Tract], values: dict[str, float], breaks: int) -> str:
-    """The choropleth GeoJSON text: one feature per tract, in the order
-    given, with the tract's properties plus 'value' and a quantile-bucket
-    'class', and its parsed geometry.
-
-    Classes are 0..breaks-1 from nearest-rank quantile thresholds over
-    the tracts that have values; a missing value classes as "no-data".
-    The geometry keeps the tract's type and its 2D positions, printed at
-    12 significant digits.
-    """
+def choropleth_parts(tracts: Iterable[Tract], values: dict[str, float], breaks: int) -> list[str]:
+    """The choropleth GeoJSON text as its parts, in order (see
+    :func:`emit_choropleth`)."""
     if breaks < 2:
         raise BadBreakCount(f"need at least 2 classes, got {breaks}")
     present = sorted(values.values())
@@ -663,7 +664,27 @@ def emit_choropleth(tracts: Iterable[Tract], values: dict[str, float], breaks: i
             "coordinates": coords[0] if tract.geometry_type == "Polygon" else coords,
         }
         features.append({"type": "Feature", "properties": props, "geometry": geometry})
-    return jsonio.dumps({"type": "FeatureCollection", "features": features})
+    return jsonio.parts({"type": "FeatureCollection", "features": features})
+
+
+def emit_choropleth(tracts: Iterable[Tract], values: dict[str, float], breaks: int) -> str:
+    """The choropleth GeoJSON text: one feature per tract, in the order
+    given, with the tract's properties plus 'value' and a quantile-bucket
+    'class', and its parsed geometry.
+
+    Classes are 0..breaks-1 from nearest-rank quantile thresholds over
+    the tracts that have values; a missing value classes as "no-data".
+    The geometry keeps the tract's type and its 2D positions, printed at
+    12 significant digits.
+    """
+    return "".join(choropleth_parts(tracts, values, breaks))
+
+
+def write_parts(path, parts: Iterable[str]) -> None:
+    """Write a text given as its parts, UTF-8 with LF line ends, part by
+    part: the whole text is never joined or encoded at once."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.writelines(parts)
 
 
 def emit_outputs(
@@ -676,27 +697,27 @@ def emit_outputs(
     """Write every artifact for a run: report.json, the four CSV tables
     unless ``table_format`` is "json", the Lorenz SVG when there are
     curves, and the choropleth, from the run's own tracts: no input file
-    is read. Every text is made before the first file is written, and
-    the manifest is stamped into the report before report.json is
-    serialized."""
+    is read. Every text is made, as its parts, before the first file is
+    written, and the manifest is stamped into the report before
+    report.json is serialized."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    texts: dict[str, str] = {}
+    texts: dict[str, list[str]] = {}
     if table_format in ("csv", "all"):
-        texts["indexes"] = _indexes_csv(report)
-        texts["tags"] = _tags_csv(report)
-        texts["ranks"] = _ranks_csv(report)
-        texts["tracts"] = _tracts_csv(report, internals)
+        texts["indexes"] = [_indexes_csv(report)]
+        texts["tags"] = [_tags_csv(report)]
+        texts["ranks"] = [_ranks_csv(report)]
+        texts["tracts"] = [_tracts_csv(report, internals)]
     if report.lorenz_curves:
-        texts["lorenz"] = emit_lorenz_svg(report.lorenz_curves)
-    texts["choropleth"] = emit_choropleth(
+        texts["lorenz"] = [emit_lorenz_svg(report.lorenz_curves)]
+    texts["choropleth"] = choropleth_parts(
         internals.tracts, report.choropleth_values, choropleth_breaks
     )
     report.manifest = [OUTPUT_NAMES[name] for name in ("report", *texts)]
-    texts = {"report": jsonio.dumps(report.to_json_dict()), **texts}
+    texts = {"report": [jsonio.dumps(report.to_json_dict())], **texts}
     written = []
     for name, text in texts.items():
         p = out / OUTPUT_NAMES[name]
-        p.write_text(text, encoding="utf-8")
+        write_parts(p, text)
         written.append(p)
     return written

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import tracemalloc
@@ -143,6 +144,36 @@ class TestArea:
         with pytest.raises(DegeneratePolygon):
             tract_from_feature(feat)
 
+    @given(st.lists(st.lists(st.tuples(st.floats(-180, 180), st.floats(-89, 89)),
+                             min_size=3, max_size=40), min_size=1, max_size=3),
+           st.booleans())
+    def test_bit_identical_to_vertex_loop(self, rings, multi):
+        # numpy sums in vertex order give exactly the plain loop's area,
+        # so tracts.csv and synth's ground truth keep every bit
+        rings = [tuple(r) + (r[0],) for r in rings]
+        polygons = [[r] for r in rings] if multi else [rings]
+        lat_sum, n_pts = 0.0, 0
+        for poly in polygons:
+            for ring in poly:
+                for _, y in ring[:-1]:
+                    lat_sum += y
+                    n_pts += 1
+        mean_lat = lat_sum / n_pts
+        kx = EARTH_RADIUS_KM * geo._DEG * math.cos(mean_lat * geo._DEG)
+        ky = EARTH_RADIUS_KM * geo._DEG
+        want = 0.0
+        for poly in polygons:
+            for ring_idx, ring in enumerate(poly):
+                s = 0.0
+                for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
+                    s += x1 * y2 - x2 * y1
+                want += abs(s) * 0.5 * kx * ky * (1 if ring_idx == 0 else -1)
+        if want <= geo.AREA_EPS_KM2:
+            with pytest.raises(DegeneratePolygon):
+                polygon_area_km2(polygons)
+        else:
+            assert polygon_area_km2(polygons) == want
+
     def test_multipolygon_area_sums(self):
         a = polygon_area_km2([[square_ring(0, 0)], [square_ring(3, 0)]])
         b = 2 * polygon_area_km2([square_ring(0, 0)])
@@ -257,6 +288,17 @@ class TestAssignment:
         )[0]
         with pytest.raises(DegeneratePolygon, match="tract A"):
             build_spatial_index([tract_from_feature(feat)])
+
+    def test_nan_closing_vertex_is_closed(self):
+        # JSON's NaN is one value, so a ring that starts and ends on it is
+        # closed; its area, not the closure check, refuses it
+        feat = parse_tracts(
+            b'{"type": "FeatureCollection", "features": [{"type": "Feature", '
+            b'"properties": {"tract_id": "A"}, "geometry": {"type": "Polygon", '
+            b'"coordinates": [[[NaN, 0], [1, 0], [1, 1], [0, 1], [NaN, 0]]]}}]}'
+        )[0]
+        with pytest.raises(DegeneratePolygon, match="tract A: computed area_km2 nan"):
+            tract_from_feature(feat)
 
     def test_batch_empty(self):
         index = build_spatial_index([square_tract("T1", 0, 0)])
@@ -379,3 +421,28 @@ class TestBandIndex:
         assert peak < 64 * 2**20, f"assign_batch peak {peak / 2**20:.1f} MB"
         want = oracles.assign_batch_naive(lats, lons, [tract])
         assert [index.tract_ids[i] if i >= 0 else None for i in got] == want
+
+    def test_geometry_memory_is_bounded(self):
+        # a parsed vertex keeps 16 bytes of float64 in its ring, and the
+        # index a few words per edge; a tuple of two Python floats per
+        # vertex, as (x, y) objects, would be about 100 bytes more
+        rnd = random.Random(1)
+        features = []
+        for i in range(16):
+            feat = square_feature(f"T{i:02d}", i % 4, i // 4)
+            ring = feat["geometry"]["coordinates"][0]
+            feat["geometry"]["coordinates"][0] = densify(tuple(map(tuple, ring)), 500, rnd)
+            features.append(feat)
+        data = feature_collection(features)
+        vertices = 16 * (4 * 500 + 1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            feats = parse_tracts(data)
+            index = build_spatial_index([tract_from_feature(f) for f in feats])
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(index.tracts) == 16 and len(feats) == 16
+        assert size < 80 * vertices, f"{size / vertices:.1f} bytes per vertex"

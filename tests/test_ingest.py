@@ -700,6 +700,37 @@ class TestParseTracts:
         assert len(feats[0].polygons) == 2
         assert feats[0].geometry_type == "MultiPolygon"
 
+    @pytest.mark.parametrize("ring, kind, message", [
+        ([[0, 0], [1, 0], [0, 0]], UnclosedRing, "ring with < 4 points"),
+        ("abcd", UnclosedRing, "ring with < 4 points"),
+        ([[0, 0], 5, [1, 1], [0, 0]], NonPolygonGeometry, "malformed coordinates"),
+        ([[0, 0], ["1", 0], [1, 1], [0, 0]], NonPolygonGeometry, "coordinate '1' is not a number"),
+        ([[0, 0], [True, 0], [1, 1], [0, 0]], NonPolygonGeometry, "coordinate True is not a number"),
+        ([[0, 0], [None, 0], [1, 1], [0, 0]], NonPolygonGeometry, "coordinate None is not a number"),
+        ([[0, 0], {"a": 1}, [1, 1], [0, 0]], NonPolygonGeometry, "coordinate 'a' is not a number"),
+        ([[0, 0], [1], [1, 1], [0, 0]], NonPolygonGeometry, "malformed coordinates"),
+        ([[0], [1], [1], [0]], NonPolygonGeometry, "malformed coordinates"),
+        ([{}, {}, {}, {}], NonPolygonGeometry, "malformed coordinates"),
+        (["", "", "", ""], NonPolygonGeometry, "malformed coordinates"),
+        ([[0, 0], [10**400, 0], [1, 1], [0, 0]], NonPolygonGeometry, "malformed coordinates"),
+        ([[0, 0], [1, 0], [1, 1], [0, 1]], UnclosedRing, "ring not closed"),
+    ])
+    def test_ring_refusals(self, ring, kind, message):
+        feat = square_feature("T1", 0, 0)
+        feat["geometry"]["coordinates"][0] = ring
+        with pytest.raises(kind) as caught:
+            parse_tracts(feature_collection([feat]))
+        assert str(caught.value) == f"tract T1: {message}"
+
+    def test_rings_are_float64_arrays(self):
+        # altitudes are checked as numbers, then dropped; positions of
+        # unequal length and integers are read like any other
+        feat = square_feature("T1", 0, 0)
+        feat["geometry"]["coordinates"][0] = [[0, 0, 10**400], [1, 0], [1, 1, 7.5], [0, 0, 0]]
+        (ring,) = parse_tracts(feature_collection([feat]))[0].polygons[0]
+        assert ring.dtype == np.float64 and ring.shape == (4, 2)
+        assert ring.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]
+
     @pytest.mark.parametrize("bad", ["-74.3", True, None, [0]])
     def test_coordinate_not_a_number_rejected(self, bad):
         feat = square_feature("T1", 0, 0)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from geoineq import oracles
@@ -128,6 +128,16 @@ class TestTheil:
     def test_two_units(self):
         assert theil(D([1, 3])) == pytest.approx(0.1308, abs=1e-4)
 
+    # a positive value whose ratio to the mean underflows to 0 contributes
+    # the x*ln(x) -> 0 limit, not a math domain error
+    @given(st.lists(st.one_of(st.just(0), st.integers(0, 10**6), st.floats(0, 1e300)),
+                    min_size=2, max_size=64).filter(lambda xs: sum(xs) > 0))
+    @example([1e300, 5e-324])
+    @example([5e-324] + [1e300] * 19)
+    @example([5e-324, 5e-324, 5e-324, 0])  # a subnormal mean
+    def test_matches_direct(self, xs):
+        assert abs(theil(D(xs)) - oracles.theil_direct(xs)) <= 1e-12 * max(1.0, math.log(len(xs)))
+
 
 class TestRelativeEntropy:
     def test_uniform_is_one(self):
@@ -156,6 +166,7 @@ class TestRelativeEntropy:
 
     # zeros are drawn often, so that all-zero and single-category vectors come up
     @given(st.lists(st.one_of(st.just(0), st.integers(0, 10**6), st.floats(0, 1e6)), max_size=64))
+    @example([2, 5e-324])  # the second share underflows to 0
     def test_matches_direct(self, xs):
         try:
             want = oracles.relative_entropy_direct(xs)

@@ -1,10 +1,12 @@
 import csv
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from multiprocessing.connection import Connection
 from pathlib import Path
 
@@ -17,7 +19,13 @@ import geoineq
 from geoineq import cli, jsonio, oracles, report
 from geoineq.errors import BadBreakCount, EmptyCurveList, InternalInvariantError, MissingInput
 from geoineq.geo import tract_from_feature
-from geoineq.ingest import parse_event_batch, parse_tracts, partition_byte_ranges, read_byte_range
+from geoineq.ingest import (
+    EVENT_COLUMNS,
+    parse_event_batch,
+    parse_tracts,
+    partition_byte_ranges,
+    read_byte_range,
+)
 from geoineq.metrics import Distribution, lorenz_curve
 from geoineq.report import (
     PipelineConfig,
@@ -66,6 +74,13 @@ def _probe_events(probe, events, out_dir):
         rows[5] += b',"'
     elif probe == "0xff":
         rows[10] += b"\xff"
+    elif probe in ("bare-cr", "bare-cr-quoted"):
+        # a CR after the user id, which csv.reader reads as a line break
+        # whether the record's text is quoted or not
+        uid, lat, lon, ts, text = rows[5].split(b",", 4)
+        if probe == "bare-cr-quoted":
+            text = b'"' + text.replace(b'"', b'""') + b'"'
+        rows[5] = b",".join([uid + b"\r", lat, lon, ts, text])
     elif probe == "no-header":
         header = None
     elif probe == "empty":
@@ -89,6 +104,8 @@ def _probe_events(probe, events, out_dir):
 _PROBE_RESULTS = {
     "unterminated-quote": (0, (199, 1, {"MalformedRecord": 1})),
     "0xff": (0, (199, 1, {"UndecodableRecord": 1})),
+    "bare-cr": (0, (199, 1, {"MalformedRecord": 1})),
+    "bare-cr-quoted": (0, (199, 1, {"MalformedRecord": 1})),
     "no-header": (1, None),
     "reordered-columns": (1, None),
     "empty": (1, None),
@@ -332,6 +349,36 @@ class TestRunPipeline:
         assert rep.tracts["dataset_months"] == ["2014-01", "2014-02", "2014-03"]
         assert rep.temporal["visitor"]["monthly"] == {"2014-01": 10, "2014-03": 10}
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_events_outside_tracts_match_oracle(self, city_paths, tmp_path, k):
+        # every 5th event is moved off the tract grid with hashtags of its
+        # own; the cube must equal the per-event reference over the events
+        # left in a tract, so dropped events' hashtags reach no tract
+        records = list(csv.reader(io.StringIO(Path(city_paths["events"]).read_text())))[1:]
+        for i, rec in enumerate(records[::5]):
+            rec[2] = str(float(rec[2]) + 10.0)
+            rec[4] += f" #gone{i % 7} #gone"
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([EVENT_COLUMNS, *records])
+        ep = tmp_path / "e.csv"
+        ep.write_text(text.getvalue())
+        cfg = PipelineConfig(events_path=str(ep), tracts_path=city_paths["tracts"])
+        rep, internals = run_pipeline_full(cfg, partitions=k)
+        assert rep.ingest["events_outside_tracts"] == len(records[::5])
+
+        kept = []
+        for rec in records:
+            uid, lat, lon, epoch, text = oracles.validate_event_fields(rec)
+            tid = oracles.assign_tract_naive(lat, lon, internals.tracts)
+            if tid is not None:
+                kept.append((uid, epoch, text, tid))
+        labels, _ = oracles.classify_users_direct(
+            [(uid, epoch) for uid, epoch, _, _ in kept], cfg.timezone, cfg.window_days
+        )
+        rows = [(epoch, text, tid, labels[uid]) for uid, epoch, text, tid in kept]
+        want = oracles.aggregate_by_tract(rows, cfg.timezone)
+        assert cube_view(internals.aggregates, internals.tract_ids) == want
+
     def test_k1_run_leaves_numpy_ma_unloaded(self, city_paths, census_path, tmp_path):
         # a plain np.unique imports numpy.ma on its first call (15-17 ms
         # per process); a fresh interpreter shows whether any step did
@@ -500,8 +547,8 @@ class TestChoropleth:
         out = json.loads(emit_choropleth(self.TRACTS, {"T0": 1.0}, 2))
         for feat, tract in zip(out["features"], self.TRACTS, strict=True):
             assert feat["geometry"]["type"] == "Polygon"
-            rings = tuple(tuple(map(tuple, ring)) for ring in feat["geometry"]["coordinates"])
-            assert (rings,) == tract.polygons
+            (poly,) = tract.polygons
+            assert feat["geometry"]["coordinates"] == [ring.tolist() for ring in poly]
 
     @given(_choropleth_cases())
     def test_matches_direct_passthrough(self, case):
@@ -518,6 +565,33 @@ class TestChoropleth:
         tracts = _parsed_tracts({"type": "FeatureCollection", "features": [feat]})
         out = json.loads(emit_choropleth(tracts, {}, 2))
         assert out["features"][0]["geometry"] == {"type": "Polygon", "coordinates": [ring]}
+
+    def test_emit_never_holds_joined_choropleth(self, city_paths, tmp_path):
+        # the choropleth goes to its file part by part: emit's peak stays
+        # near one copy of the text (its parts), where joining it, or
+        # encoding it whole, would add a second
+        geo = json.loads(Path(city_paths["tracts"]).read_text())
+        for feat in geo["features"]:
+            (ring,) = feat["geometry"]["coordinates"]
+            feat["geometry"]["coordinates"] = [
+                [[x0 + (x1 - x0) * t / 500, y0 + (y1 - y0) * t / 500]
+                 for (x0, y0), (x1, y1) in zip(ring, ring[1:]) for t in range(500)] + [ring[0]]
+            ]
+        tracts = tmp_path / "dense.geojson"
+        tracts.write_text(json.dumps(geo))
+        cfg = PipelineConfig(events_path=city_paths["events"], tracts_path=str(tracts))
+        rep, internals = run_pipeline_full(cfg)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            emit_outputs(rep, internals, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "out" / "choropleth.geojson").stat().st_size
+        assert size > 2**20
+        assert peak < 1.5 * size, f"emit peak {peak / size:.2f}x the choropleth"
 
 
 class TestCli:
