@@ -21,8 +21,7 @@ from pathlib import Path
 
 from . import jsonio, report
 from .errors import GeoIneqError, InternalInvariantError, InvalidParams, NonNumericValue
-from .geo import build_spatial_index, tract_from_feature
-from .ingest import ParseStats, parse_census, parse_tracts
+from .ingest import ParseStats, parse_census
 from .metrics import Distribution, index_suite, lorenz_curve
 from .report import (
     DEFAULT_CHOROPLETH_BREAKS,
@@ -117,8 +116,7 @@ def cmd_ingest_check(args) -> int:
     report.parse_event_batch(report.read_byte_range(args.events, byte_range), fmt, stats)
     summary = {"events": stats.summary()}
     if args.tracts:
-        feats = parse_tracts(Path(args.tracts).read_bytes())
-        tract_ids = build_spatial_index([tract_from_feature(f) for f in feats]).tract_ids
+        tract_ids = report.load_tracts(args.tracts)[1].tract_ids
         summary["tracts"] = {"count": len(tract_ids)}
     if args.census:
         census = parse_census(Path(args.census).read_bytes())
@@ -183,9 +181,7 @@ def cmd_lorenz(args) -> int:
 
 
 def cmd_choropleth(args) -> int:
-    feats = parse_tracts(Path(args.tracts).read_bytes())
-    tracts = [tract_from_feature(f) for f in feats]
-    build_spatial_index(tracts)  # the tract checks run and ingest-check make
+    tracts, _ = report.load_tracts(args.tracts)
     values = dict(zip(*_read_csv_column(args.values, args.column)))
     write_parts(args.out, choropleth_parts(tracts, values, args.breaks))
     print(args.out)

@@ -98,6 +98,11 @@ class KeyMismatch(MetricError):
     pass
 
 
+class ValueOverflow(MetricError):
+    """A distribution's total, or a percentile ratio, exceeds the
+    largest float."""
+
+
 # --- report / synth -------------------------------------------------------
 
 class MissingInput(GeoIneqError):

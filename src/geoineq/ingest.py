@@ -20,17 +20,20 @@ is counted as an UndecodableRecord.
 
 Within a block, quote-free CSV lines with exactly four commas take the
 columnar path: they are split in bulk, one join and one split per block.
-Quoted CSV records and JSONL rows are split one record at a time. All
-fields then go through vector checks: ``float`` over each coordinate
-column with a range mask, and a byte-view decode of timestamps in the
-fixed-width ``YYYY-MM-DDTHH:MM:SS`` shape with a ``+HH:MM``, ``+HHMM``
-or ``Z`` offset. Every record those checks do not accept (a fractional
-second, an unparseable coordinate, a bad date, a missing field) falls
-back to the per-record rule, which accepts it or skips and counts it
-exactly as a record-at-a-time parse would
-(``oracles.validate_event_fields`` is that reference). A line with a CR
-that is not part of its CRLF ending is split by ``csv.reader`` too, which
-takes that CR for a line break. Row order and tallies never depend on
+Quoted CSV records and JSONL rows are split one record at a time. A line
+with a CR that is not part of its CRLF ending is split by ``csv.reader``
+too, which takes that CR for a line break.
+
+Every record then meets one rule, as vector masks over the block's
+columns, and the first check it fails names its error kind: an empty
+user id (as a record without five fields has) or a coordinate ``float``
+cannot read is a MalformedRecord, a coordinate out of range (NaN too)
+an OutOfRangeCoordinate, and a timestamp that does not parse a
+BadTimestamp. Stamps in the ``YYYY-MM-DDTHH:MM:SS`` shape with a
+``+HH:MM``, ``+HHMM`` or ``Z`` offset are decoded from a byte view; any
+other stamp (a fractional second, a space for the ``T``, a bad date) is
+left to ``datetime.fromisoformat``. ``oracles.validate_event_fields`` is
+the record-at-a-time reference. Row order and tallies never depend on
 the route a record took.
 
 No per-event string outlives its block. Each block's accepted user ids
@@ -52,7 +55,7 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime
 from itertools import chain, compress
 from typing import Iterator, Sequence
 
@@ -76,9 +79,6 @@ EVENT_COLUMNS = ("user_id", "lat", "lon", "timestamp", "text")
 # letters, digits, underscore); tags are casefolded so #NYC == #nyc.
 TAG_PATTERN = re.compile(r"#(\w+)")
 
-_TS_RE = re.compile(
-    r"(\d{4}-\d{2}-\d{2})T(\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:?\d{2})\Z", re.ASCII
-)
 # the UTC offset at the end of a stamp that takes the fromisoformat
 # fallback; groups are its minutes and seconds, if present
 _OFFSET_RE = re.compile(r"[+-]\d{2}(?::?(\d{2})(?::?(\d{2})(?:[.,]\d+)?)?)?\Z", re.ASCII)
@@ -153,9 +153,10 @@ class ParseStats:
     def records_total(self) -> int:
         return self.records_ok + self.records_skipped
 
-    def count_error(self, kind: str) -> None:
-        self.records_skipped += 1
-        self.errors[kind] += 1
+    def count_error(self, kind: str, n: int = 1) -> None:
+        if n:
+            self.records_skipped += n
+            self.errors[kind] += n
 
     def merge(self, other: "ParseStats") -> None:
         self.records_ok += other.records_ok
@@ -410,47 +411,11 @@ def _jsonl_fields(line: str) -> list[str] | None:
     return [str(uid), str(lat), str(lon), ts, text]
 
 
-def _day_base(date_s: str, off_s: str) -> float:
-    """Epoch of local midnight for one (date, offset) pair; raises
-    ValueError for bad dates or offsets."""
-    if off_s == "Z":
-        tz = timezone.utc
-    else:
-        if int(off_s[-2:]) > 59:
-            raise ValueError(f"offset minutes out of range: {off_s}")
-        off = int(off_s[1:3]) * 3600 + int(off_s[-2:]) * 60
-        if off_s[0] == "-":
-            off = -off
-        tz = timezone(timedelta(seconds=off))
-    y, mo, d = date_s.split("-")
-    return datetime(int(y), int(mo), int(d), tzinfo=tz).timestamp()
-
-
-def _timestamp_to_epoch(s: str, day_cache: dict) -> float:
-    """Parse one ISO-8601 timestamp with a mandatory UTC offset.
-
-    Returns epoch seconds; raises ValueError on any problem. Every
-    numeric field must be ASCII digits. The ``YYYY-MM-DDTHH:MM:SS`` shape
-    with a ``Z``, ``+HH:MM`` or ``+HHMM`` offset takes a regex path with a
-    per-(date, offset) cache; anything else falls back to
-    ``datetime.fromisoformat``.
-    """
-    m = _TS_RE.match(s)
-    if m:
-        date_s, hh, mm, ss, off_s = m.groups()
-        key = date_s + off_s
-        cached = day_cache.get(key)
-        if cached is None:
-            cached = _day_base(date_s, off_s)
-            if len(day_cache) < 4096:
-                day_cache[key] = cached
-        h = int(hh)
-        mi = int(mm)
-        sec = int(ss)
-        if h > 23 or mi > 59 or sec > 59:
-            raise ValueError(s)
-        return cached + h * 3600 + mi * 60 + sec
-    # general ISO-8601 fallback; it reads ASCII digits only
+def _timestamp_to_epoch(s: str) -> float:
+    """Parse one ISO-8601 timestamp with a mandatory UTC offset, for a
+    stamp the vector decoder did not accept: epoch seconds, or
+    ValueError on any problem. ``datetime.fromisoformat`` reads it, so
+    every numeric field must be ASCII digits."""
     if s.endswith("Z"):
         s = s[:-1] + "+00:00"
     dt = datetime.fromisoformat(s)
@@ -463,32 +428,13 @@ def _timestamp_to_epoch(s: str, day_cache: dict) -> float:
     return dt.timestamp()
 
 
-def _check_record(uid: str, lat_s: str, lon_s: str, ts_s: str, day_cache: dict):
-    """The per-record rule for a five-field record: (lat, lon, epoch)
-    when it is valid, else the name of its error kind."""
-    if not uid:
-        return "MalformedRecord"
-    try:
-        lat = float(lat_s)
-        lon = float(lon_s)
-    except ValueError:
-        return "MalformedRecord"
-    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-        return "OutOfRangeCoordinate"
-    try:
-        epoch = _timestamp_to_epoch(ts_s, day_cache)
-    except ValueError:
-        return "BadTimestamp"
-    return lat, lon, epoch
-
-
 def _columns(flat: list[str], fielded: list) -> list[list[str]]:
     """The five field columns of a chunk of records.
 
     ``flat`` is split in bulk; each five-field list in ``fielded`` then
     overwrites its placeholder row. A record without five fields keeps
-    the empty placeholder, and its empty user id makes the per-record
-    rule count it as a MalformedRecord.
+    the empty placeholder, and its empty user id makes it a
+    MalformedRecord.
     """
     fields = ",".join(flat).split(",")
     cols = [fields[c::5] for c in range(5)]
@@ -499,16 +445,19 @@ def _columns(flat: list[str], fielded: list) -> list[list[str]]:
     return cols
 
 
-def _float_column(strings: list[str]) -> np.ndarray:
-    """``float`` of every string; NaN where ``float`` raises, so that
-    row fails the range mask and the per-record rule names its error."""
+def _float_column(strings: list[str]) -> tuple[np.ndarray, list[int]]:
+    """``float`` of every string, NaN where it raises, and the positions
+    where it raised: a ``"nan"`` string parses, so NaN alone does not
+    tell a MalformedRecord from an OutOfRangeCoordinate."""
     it = iter(strings)
     out: list[float] = []
+    raised: list[int] = []
     while True:
         try:
             out.extend(map(float, it))  # keeps what it took before a raise
-            return np.array(out, dtype=np.float64)
+            return np.array(out, dtype=np.float64), raised
         except ValueError:
+            raised.append(len(out))
             out.append(math.nan)
 
 
@@ -520,8 +469,9 @@ def _fixed_width_epochs(stamps: list[str], width: int) -> tuple[np.ndarray, np.n
 
     A stamp is accepted when every digit position holds an ASCII digit,
     every separator matches, and the date, time and offset are in range;
-    the epoch is then exactly what the per-record rule computes. Days
-    come from days-from-civil arithmetic (proleptic Gregorian).
+    the epoch is then exactly what ``oracles.timestamp_epoch_direct``
+    computes. Days come from days-from-civil arithmetic (proleptic
+    Gregorian).
     """
     b = np.frombuffer("".join(stamps).encode("ascii", "replace"), dtype=np.uint8)
     b = b.reshape(-1, width)
@@ -553,16 +503,19 @@ def _fixed_width_epochs(stamps: list[str], width: int) -> tuple[np.ndarray, np.n
     return epochs.astype(np.float64), ok
 
 
-def _parse_chunk(flat: list[str], fielded: list, stats: ParseStats, day_cache: dict):
-    """Validate one chunk of records (see :func:`_csv_records`); returns
-    the accepted rows as (user ids, texts, (lats, lons, epochs)) in
-    input order."""
+def _parse_chunk(flat: list[str], fielded: list, stats: ParseStats):
+    """Apply the record rule (see the module docstring) to one chunk of
+    records (see :func:`_csv_records`); returns the accepted rows as
+    (user ids, texts, (lats, lons, epochs)) in input order."""
     uids, lat_s, lon_s, ts_s, texts = _columns(flat, fielded)
     n = len(uids)
-    lats = _float_column(lat_s)
-    lons = _float_column(lon_s)
-    ok = np.fromiter(map(bool, uids), dtype=bool, count=n)
-    ok &= (lats >= -90.0) & (lats <= 90.0) & (lons >= -180.0) & (lons <= 180.0)
+    lats, lat_raised = _float_column(lat_s)
+    lons, lon_raised = _float_column(lon_s)
+    malformed = ~np.fromiter(map(bool, uids), dtype=bool, count=n)
+    malformed[lat_raised] = True
+    malformed[lon_raised] = True
+    in_range = (lats >= -90.0) & (lats <= 90.0) & (lons >= -180.0) & (lons <= 180.0)
+    checked = in_range & ~malformed  # rows whose timestamp decides
     epochs = np.zeros(n, dtype=np.float64)
     ts_ok = np.zeros(n, dtype=bool)
     lengths = np.fromiter(map(len, ts_s), dtype=np.int64, count=n)
@@ -571,15 +524,16 @@ def _parse_chunk(flat: list[str], fielded: list, stats: ParseStats, day_cache: d
         if sel.any():
             stamps = list(compress(ts_s, sel.tolist()))
             epochs[sel], ts_ok[sel] = _fixed_width_epochs(stamps, width)
-    ok &= ts_ok
-    # the per-record rule decides every row the vector checks did not accept
-    for i in np.flatnonzero(~ok).tolist():
-        res = _check_record(uids[i], lat_s[i], lon_s[i], ts_s[i], day_cache)
-        if res.__class__ is str:
-            stats.count_error(res)
-        else:
-            lats[i], lons[i], epochs[i] = res
-            ok[i] = True
+    for i in np.flatnonzero(checked & ~ts_ok).tolist():
+        try:
+            epochs[i] = _timestamp_to_epoch(ts_s[i])
+            ts_ok[i] = True
+        except ValueError:
+            pass
+    ok = checked & ts_ok
+    stats.count_error("MalformedRecord", int(malformed.sum()))
+    stats.count_error("OutOfRangeCoordinate", int((~in_range & ~malformed).sum()))
+    stats.count_error("BadTimestamp", int((checked & ~ts_ok).sum()))
     n_ok = int(ok.sum())
     stats.records_ok += n_ok
     if n_ok == n:
@@ -609,7 +563,6 @@ def parse_event_batch(
     # place: a window's arrays are freed once appended, not kept until a
     # final join, so they leave no holes in the heap
     columns = [array(t) for t in "idddii"]
-    day_cache: dict = {}
     blocks = _scan(io.BytesIO(body), 0, len(body), format == "csv")
     for _, view, ends, quotes, joined in blocks:
         lines, bad = _decode_lines(view, len(ends))
@@ -620,7 +573,7 @@ def parse_event_batch(
         else:
             flat, fielded = _jsonl_records(lines, bad, stats)
         if flat:
-            uids, texts, (lats, lons, epochs) = _parse_chunk(flat, fielded, stats, day_cache)
+            uids, texts, (lats, lons, epochs) = _parse_chunk(flat, fielded, stats)
             tag_counts, tag_ids = _intern_tags(texts, vocab, tag_id_of)
             pieces = (intern_codes(uids, code_of), lats, lons, epochs, tag_counts, tag_ids)
             for col, piece in zip(columns, pieces):

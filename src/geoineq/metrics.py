@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AllZero, KeyMismatch, TooFewUnits, ZeroLowPercentile
+from .errors import AllZero, KeyMismatch, TooFewUnits, ValueOverflow, ZeroLowPercentile
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,10 @@ class RankRow:
 
 def _sorted_positive_total(d: Distribution) -> tuple[list[float], float]:
     xs = sorted(d.values)
-    total = math.fsum(xs)
+    try:
+        total = math.fsum(xs)
+    except OverflowError:
+        raise ValueOverflow(f"distribution {d.label!r} sums past the largest float") from None
     if total <= 0.0:
         raise AllZero(f"distribution {d.label!r} sums to zero")
     return xs, total
@@ -129,7 +132,8 @@ def percentile_ratio(d: Distribution, hi: float, lo: float) -> float:
     """v(hi-th percentile) / v(lo-th percentile), nearest-rank.
 
     Raises ZeroLowPercentile when the denominator value is zero (the
-    ratio is undefined and reported as null upstream).
+    ratio is undefined and reported as null upstream), and ValueOverflow
+    when the ratio exceeds the largest float.
     """
     if not (0.0 < lo < hi < 100.0):
         raise ValueError("need 0 < lo < hi < 100")
@@ -140,7 +144,13 @@ def percentile_ratio(d: Distribution, hi: float, lo: float) -> float:
     v_lo = xs[lo_idx - 1]
     if v_lo == 0.0:
         raise ZeroLowPercentile(f"{lo}th percentile of {d.label!r} is zero")
-    return xs[hi_idx - 1] / v_lo
+    ratio = xs[hi_idx - 1] / v_lo
+    if ratio == math.inf:
+        raise ValueOverflow(
+            f"{hi:g}/{lo:g} percentile ratio of distribution {d.label!r} exceeds the largest "
+            f"float: {xs[hi_idx - 1]!r} / {v_lo!r}"
+        )
+    return ratio
 
 
 def hoover(d: Distribution) -> float:

@@ -2,10 +2,13 @@
 
 These deliberately do not share code with the production paths: Gini is
 the O(n^2) pairwise sum, containment is a textbook ray cast over every
-polygon with no index, and so on. Synthetic-city ground truth is
-computed with these, so the pipeline is always checked against a second
-route. The synthetic city's own generator has a reference here too: the
-per-draw event loop that ``synth`` reproduces in bulk.
+polygon with no index, a timestamp is read field by field into a
+``datetime`` where ingest decodes whole columns of bytes, and so on. Of
+ingest they take only the input grammar: the event column names and
+hashtag extraction. Synthetic-city ground truth is computed with these,
+so the pipeline is always checked against a second route. The synthetic
+city's own generator has a reference here too: the per-draw event loop
+that ``synth`` reproduces in bulk.
 """
 
 from __future__ import annotations
@@ -14,15 +17,16 @@ import calendar
 import csv
 import io
 import math
+import re
 import sys
-from datetime import date, datetime
+from datetime import date, datetime, timedelta, timezone
 from fractions import Fraction
 from typing import Iterable, Sequence
 from zoneinfo import ZoneInfo
 
 from .errors import BadTimestamp, MalformedRecord, OutOfRangeCoordinate
 from .geo import Tract
-from .ingest import EVENT_COLUMNS, _timestamp_to_epoch, extract_hashtags
+from .ingest import EVENT_COLUMNS, extract_hashtags
 
 
 def gini_pairwise(values: Sequence[float]) -> float:
@@ -177,15 +181,50 @@ def assign_batch_naive(lats, lons, tracts: Iterable[Tract]):
     return out
 
 
+_STAMP_FIELDS = re.compile(
+    r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(?:Z|([+-])(\d{2}):?(\d{2}))\Z", re.ASCII
+)
+
+
+def timestamp_epoch_direct(s: str) -> float:
+    """Epoch seconds of an ISO-8601 timestamp with a UTC offset; raises
+    ValueError on any problem.
+
+    The fixed-width ``YYYY-MM-DDTHH:MM:SS`` shape with a ``Z``,
+    ``+HH:MM`` or ``+HHMM`` offset is read field by field into a
+    ``datetime``, the reference for the vector decoder in ingest. Any
+    other shape goes to ``datetime.fromisoformat``, which must find an
+    offset; minutes and seconds of an offset must be below 60 on both
+    routes (fromisoformat reads ``+05:75`` as ``+06:15``).
+    """
+    m = _STAMP_FIELDS.match(s)
+    if m:
+        y, mo, d, h, mi, sec = (int(g) for g in m.groups()[:6])
+        sign, off_h, off_m = m.groups()[6:]
+        offset = timedelta()
+        if sign:  # not Z
+            if int(off_m) > 59:
+                raise ValueError(f"offset minutes out of range: {s}")
+            offset = timedelta(hours=int(off_h), minutes=int(off_m)) * (-1 if sign == "-" else 1)
+        return datetime(y, mo, d, h, mi, sec, tzinfo=timezone(offset)).timestamp()
+    if s.endswith("Z"):
+        s = s[:-1] + "+00:00"
+    dt = datetime.fromisoformat(s)
+    offset_text = re.search(r"[+-]\d\d(?::?(\d\d)(?::?(\d\d)(?:[.,]\d+)?)?)?\Z", s, re.ASCII)
+    if dt.utcoffset() is None or offset_text is None:
+        raise ValueError(f"no UTC offset: {s}")
+    if any(f is not None and int(f) > 59 for f in offset_text.groups()):
+        raise ValueError(f"offset out of range: {s}")
+    return dt.timestamp()
+
+
 def validate_event_fields(fields: list[str]):
     """Per-record reference for event parsing: validate one raw record;
     returns (user_id, lat, lon, epoch, text) or raises the matching
     ingest error.
 
     The columnar parser must accept, reject and tally every record
-    exactly as this does when applied record by record. Only the scalar
-    timestamp grammar is shared with ingest: it is the rule that the
-    vector timestamp decoder is checked against.
+    exactly as this does when applied record by record.
     """
     if len(fields) != len(EVENT_COLUMNS):
         raise MalformedRecord(f"expected {len(EVENT_COLUMNS)} fields, got {len(fields)}")
@@ -200,7 +239,7 @@ def validate_event_fields(fields: list[str]):
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         raise OutOfRangeCoordinate(f"({lat_s}, {lon_s})")
     try:
-        epoch = _timestamp_to_epoch(ts_s, {})
+        epoch = timestamp_epoch_direct(ts_s)
     except ValueError:
         raise BadTimestamp(ts_s) from None
     return uid, lat, lon, epoch, text

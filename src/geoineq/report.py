@@ -52,7 +52,7 @@ from .errors import (
     MissingInput,
     TooFewUnits,
 )
-from .geo import Tract, build_spatial_index, tract_from_feature
+from .geo import SpatialIndex, Tract, build_spatial_index, tract_from_feature
 from .ingest import (
     ParseStats,
     parse_census,
@@ -269,6 +269,13 @@ def _replies(conns, ranges):
 # --- pipeline ---------------------------------------------------------------
 
 
+def load_tracts(path) -> tuple[tuple[Tract, ...], SpatialIndex]:
+    """The tracts of a GeoJSON file in file order, and their spatial
+    index, whose build runs the checks every command makes on them."""
+    tracts = tuple(tract_from_feature(f) for f in parse_tracts(Path(path).read_bytes()))
+    return tracts, build_spatial_index(tracts)
+
+
 def run_pipeline_full(
     config: PipelineConfig, partitions: int = 1
 ) -> tuple[Report, PipelineInternals]:
@@ -288,8 +295,7 @@ def run_pipeline_full(
             raise MissingInput(f"census file not found: {census_path}")
         census = parse_census(census_path.read_bytes())
 
-    tracts = tuple(tract_from_feature(f) for f in parse_tracts(tracts_path.read_bytes()))
-    index = build_spatial_index(tracts)
+    tracts, index = load_tracts(tracts_path)
     ranges = partition_byte_ranges(events_path, partitions, config.events_format)
     job_args = [
         (str(events_path), config.events_format, r, index, config.timezone) for r in ranges

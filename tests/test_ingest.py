@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -19,7 +19,7 @@ from conftest import (
     parse_events_file,
     square_feature,
 )
-from geoineq import ingest
+from geoineq import ingest, oracles
 from geoineq.errors import (
     BadTimestamp,
     DuplicateTractId,
@@ -286,6 +286,12 @@ _TEXTS = st.lists(
     ),
     max_size=6,
 ).map("".join)
+_RULE_EDGES = [
+    ("", "abc", "abc", "never", "x"),  # MalformedRecord comes first
+    ("u", "nan", "-74.0", "never", "x"),  # then OutOfRangeCoordinate: nan parses
+    ("u", "40.7", "-74.0", "2014-03-01 08:03:00-05:00", "x"),  # 25 wide, not the T shape
+    ("u", "40.7", "-74.0", "2014-03-01T08:03:00.5-05:00", "x"),
+]
 _RECORDS = st.lists(
     st.tuples(
         st.tuples(_UIDS, _COORDS, _COORDS, _STAMPS, _TEXTS),
@@ -335,7 +341,11 @@ class TestColumnarParse:
     record, whichever route (bulk split, vector checks, fallback) each
     record takes."""
 
+    # the record rule's order and its timestamp fallback, on the bulk
+    # route and the quoted one
     @given(_RECORDS, st.booleans(), st.booleans())
+    @example(drawn=[(r, 5, quote_all, False) for quote_all in (False, True) for r in _RULE_EDGES],
+             crlf=False, header=True)
     def test_csv_matches_reference(self, drawn, crlf, header):
         records, lines = [], ["user_id,lat,lon,timestamp,text"] if header else []
         for fields, n_fields, quote_all, blank in drawn:
@@ -398,8 +408,8 @@ class TestColumnarParse:
         assert stats.errors == Counter({"BadTimestamp": len(invalid)})
 
     def test_vector_decoder_widths(self):
-        # the Z and +HHMM widths are decoded in bulk, not left to the
-        # per-record rule; what the decoder accepts, the rule gives too
+        # the Z and +HHMM widths are decoded in bulk; what the decoder
+        # accepts, the field-by-field reference reads to the same epoch
         accepted = ["2014-03-01T08:03:00Z", "2014-03-01T08:03:00+0000",
                     "2014-03-01T08:03:00-0559", "2014-03-01T08:03:00+05:59"]
         rejected = ["2014-03-01T08:03:00z", "2014-03-01 08:03:00Z", "2014-03-01T08:03:00+2400",
@@ -408,7 +418,7 @@ class TestColumnarParse:
             epochs, ok = ingest._fixed_width_epochs([ts], len(ts))
             assert bool(ok[0]) == (ts in accepted), ts
             if ok[0]:
-                assert epochs[0] == ingest._timestamp_to_epoch(ts, {}), ts
+                assert epochs[0] == oracles.timestamp_epoch_direct(ts), ts
 
     def test_quoted_record_across_chunk_boundary(self, monkeypatch):
         # the first window ends inside the quoted record's middle line,

@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from geoineq import oracles
-from geoineq.errors import AllZero, KeyMismatch, TooFewUnits, ZeroLowPercentile
+from geoineq.errors import AllZero, KeyMismatch, TooFewUnits, ValueOverflow, ZeroLowPercentile
 from geoineq.metrics import (
     Distribution,
     IndexSuite,
@@ -101,6 +101,12 @@ class TestPercentileRatio:
     def test_bad_percentiles(self):
         with pytest.raises(ValueError):
             percentile_ratio(D([1, 2]), 10, 90)
+
+    def test_ratio_past_largest_float_refused(self):
+        # a subnormal low percentile next to a normal high one
+        with pytest.raises(ValueOverflow, match="80/20 percentile ratio of distribution 'x'"):
+            percentile_ratio(Distribution.from_values([2, 5e-324], label="x"), 80, 20)
+        assert percentile_ratio(D([1e-300, 5e-324]), 80, 20) == 1e-300 / 5e-324  # finite
 
     @given(positive_vectors.filter(lambda xs: sorted(xs)[max(0, math.ceil(len(xs) / 10) - 1)] > 0))
     def test_at_least_one(self, xs):

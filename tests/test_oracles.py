@@ -8,7 +8,7 @@ import geoineq.oracles
 _ALLOWED = {
     "errors": None,  # any name
     "geo": {"Tract"},
-    "ingest": {"EVENT_COLUMNS", "_timestamp_to_epoch", "extract_hashtags"},
+    "ingest": {"EVENT_COLUMNS", "extract_hashtags"},
 }
 _FORBIDDEN = {"aggregate", "cohort", "report", "timebins", "metrics"}
 

@@ -876,6 +876,37 @@ class TestCli:
         assert capsys.readouterr() == ("", want)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["metrics", "lorenz", "run"])
+    def test_sum_past_largest_float_exit_1(self, tmp_path, capsys, command):
+        # every value is finite, their sum is not
+        params = SynthParams(seed=4, n_tracts=4, n_users_local=3, n_users_visitor=3,
+                             n_events=60, months=2)
+        city = write_city(params, tmp_path / "city")
+        table = tmp_path / "census.csv"
+        table.write_text("tract_id,median_income\n"
+                         + "".join(f"T{k:04d},1e308\n" for k in range(1, 5)))
+        out = tmp_path / "out"
+        column = ["--column", "median_income"]
+        argv = {
+            "metrics": ["metrics", "--csv", str(table), *column],
+            "lorenz": ["lorenz", "--csv", str(table), *column, "--out", str(out)],
+            "run": ["run", "--events", city["events"], "--tracts", city["tracts"],
+                    "--census", str(table), "--out", str(out)],
+        }[command]
+        assert cli.main(argv) == 1
+        label = "census/median_income" if command == "run" else "median_income"
+        want = f"error: distribution {label!r} sums past the largest float\n"
+        assert capsys.readouterr() == ("", want)
+        assert not out.exists()
+
+    def test_percentile_ratio_past_largest_float_exit_1(self, tmp_path, capsys):
+        table = tmp_path / "v.csv"
+        table.write_text("v\n2\n5e-324\n")
+        assert cli.main(["metrics", "--csv", str(table), "--column", "v"]) == 1
+        want = ("error: 80/20 percentile ratio of distribution 'v' exceeds the largest float: "
+                "2.0 / 5e-324\n")
+        assert capsys.readouterr() == ("", want)
+
     @pytest.mark.parametrize("command", ["run", "ingest-check", "choropleth"])
     def test_nan_vertex_with_area_property_exit_1(self, tmp_path, capsys, command):
         # the stated area hides the vertex from the area check, so every
