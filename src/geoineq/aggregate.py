@@ -33,6 +33,7 @@ DAY_HOURS = slice(7, 19)  # 07:00:00 local inclusive to 19:00:00 exclusive
 
 BUCKET_KEYS = ("all", "visitor", "local", "super_local")
 _N_MASKS = 8  # cohort masks have three bits
+_SLICE = 1 << 15  # events counted per step
 # _IN_BUCKET[b, m] is 1 when an event whose user has cohort mask m counts
 # in bucket BUCKET_KEYS[b]
 _IN_BUCKET = np.array(
@@ -136,40 +137,67 @@ def aggregate_batch(
     holds them (tag count per event, tag id per occurrence, vocabulary),
     and ``masks`` holds each event's cohort mask. Each event is counted
     in its (mask, tract) cell, and ``_IN_BUCKET`` sums cells into buckets.
+    Events are counted ``_SLICE`` at a time and the counts added, so the
+    temporaries stay a slice long whatever the batch size.
     """
     n_tracts = len(tract_ids)
     sod, dow, month_num = local
     first_month = int(month_num.min()) if len(month_num) else 0
     n_months = int(month_num.max()) + 1 - first_month if len(month_num) else 0
-    cell = masks.astype(np.int64) * n_tracts + tract_idx
-
-    def per_bucket(bins, n_bins: int, weights=None) -> np.ndarray:
-        counts = np.bincount(cell * n_bins + bins, weights, minlength=_N_MASKS * n_tracts * n_bins)
-        per_mask = counts.astype(np.int64).reshape(_N_MASKS, n_tracts * n_bins)
-        return (_IN_BUCKET @ per_mask).reshape(len(BUCKET_KEYS), n_tracts, n_bins)
-
     tag_counts, tag_ids, vocab = tags
-    # per mask: images, tag total, images with >0, >5 and >10 tags
-    tag_weights = (None, tag_counts, tag_counts > 0, tag_counts >= 6, tag_counts >= 11)
-    summary = np.stack([np.bincount(masks, w, minlength=_N_MASKS) for w in tag_weights], axis=1)
-
-    # the distinct (cell, tag) pairs of the occurrences, as the int64 keys
-    # cell * n_vocab + tag; a pair counts in every bucket of its cell's mask
     n_vocab = len(vocab)
-    keys = np.repeat(cell * n_vocab, tag_counts)
-    keys += tag_ids
-    pair_cell, pair_tag = np.divmod(distinct(keys), n_vocab)  # empty when n_vocab is 0
+    # per (mask, tract) cell: hour, day-of-week and month histograms, and
+    # hashtag occurrences; per mask: images, tag total, images with >0, >5
+    # and >10 tags
+    hists = [np.zeros((_N_MASKS * n_tracts, n_bins), dtype=np.int64)
+             for n_bins in (24, 7, n_months, 1)]
+    summary = np.zeros((_N_MASKS, 5), dtype=np.int64)
+    # the distinct (cell, tag) pairs of the occurrences, as the int64 keys
+    # cell * n_vocab + tag: each slice's, unioned into ``pairs`` once they
+    # outnumber it
+    pairs, pending = np.empty(0, dtype=np.int64), []
+    tag_end = 0
+
+    def add(acc: np.ndarray, keys: np.ndarray, weights=None) -> None:
+        # acc's flat entry i gains the (weighted) count of key i
+        counts = np.bincount(keys, weights, minlength=acc.size)
+        acc += counts.reshape(acc.shape).astype(np.int64, copy=False)
+
+    for a in range(0, len(masks), _SLICE):
+        part = slice(a, a + _SLICE)
+        counts = tag_counts[part]
+        tag_start, tag_end = tag_end, tag_end + int(counts.sum())
+        cell = masks[part].astype(np.int64) * n_tracts + tract_idx[part]
+        bins = (sod[part] // 3600, dow[part], month_num[part] - first_month, 0)
+        for hist, b, weights in zip(hists, bins, (None, None, None, counts)):
+            add(hist, cell * hist.shape[1] + b, weights)
+        for col, weights in enumerate((None, counts, counts > 0, counts >= 6, counts >= 11)):
+            add(summary[:, col], masks[part], weights)
+        keys = np.repeat(cell * n_vocab, counts)
+        keys += tag_ids[tag_start:tag_end]
+        pending.append(distinct(keys))
+        if sum(map(len, pending)) > len(pairs):
+            pairs, pending = distinct(np.concatenate((pairs, *pending))), []
+    pairs = distinct(np.concatenate((pairs, *pending)))
+
+    # a pair counts in every bucket of its cell's mask
+    pair_cell, pair_tag = np.divmod(pairs, n_vocab)  # empty when n_vocab is 0
     pair_mask, pair_tract = np.divmod(pair_cell, n_tracts)
     bucket, pair = np.nonzero(_IN_BUCKET[:, pair_mask])
     tag_keys = (bucket * n_tracts + pair_tract[pair]) * n_vocab + pair_tag[pair]
 
+    def per_bucket(hist: np.ndarray) -> np.ndarray:
+        per_mask = hist.reshape(_N_MASKS, n_tracts * hist.shape[1])
+        return (_IN_BUCKET @ per_mask).reshape(len(BUCKET_KEYS), n_tracts, hist.shape[1])
+
+    hours, dows, months, tag_totals = map(per_bucket, hists)
     return TractCube(
-        hours=per_bucket(sod // 3600, 24),
-        dows=per_bucket(dow, 7),
-        months=per_bucket(month_num - first_month, n_months),
+        hours=hours,
+        dows=dows,
+        months=months,
         first_month=first_month,
-        tags=per_bucket(0, 1, tag_counts)[..., 0],
-        tag_summary=_IN_BUCKET @ summary.astype(np.int64),
+        tags=tag_totals[..., 0],
+        tag_summary=_IN_BUCKET @ summary,
         tag_keys=distinct(tag_keys),
         vocab=vocab,
     )

@@ -71,7 +71,11 @@ def _distinct_pairs(codes: np.ndarray, months: np.ndarray) -> tuple[np.ndarray, 
     int32: partitions send theirs to the parent, and both fit."""
     lo, hi = (int(months.min()), int(months.max())) if len(months) else (0, 0)
     span = hi - lo + 1
-    user, month = np.divmod(distinct(codes.astype(np.int64) * span + (months - lo)), span)
+    keys = codes.astype(np.int64)
+    keys *= span
+    keys += months
+    keys -= lo
+    user, month = np.divmod(distinct(keys), span)
     return user.astype(np.int32), (month + lo).astype(np.int32)
 
 

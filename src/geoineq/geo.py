@@ -27,10 +27,11 @@ operations as a scan over every edge, so indexed assignment answers like
 Memory: a tract's rings are the float64 ``(n, 2)`` arrays that parsing
 made, 16 bytes per vertex and no Python object per vertex; areas and
 bounding boxes are computed on them with numpy, the sums in vertex
-order. ``assign_batch`` takes points in slices whose worst-case count
-of (point, tract, edge) tests stays under ``_PAIR_BUDGET``. Besides a
-few words per point, its temporaries are O(budget + largest band),
-whatever the batch size or the tracts' vertex counts.
+order. ``assign_batch`` takes points in blocks of ``_POINT_BLOCK``,
+and a block in slices whose worst-case count of (point, tract, edge)
+tests stays under ``_PAIR_BUDGET``. Besides its int32 result, its
+temporaries are O(block + budget + largest band), whatever the batch
+size or the tracts' vertex counts.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ _DEG = math.pi / 180.0
 # bounds the slice's transient arrays (tens of bytes per test), whatever
 # the number of points or the tracts' vertex counts.
 _PAIR_BUDGET = 1 << 16
+
+# Points per assign_batch block: it bounds the per-point temporaries
+# (a few words each) whatever the batch size.
+_POINT_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)  # rings are arrays: a tract equals only itself
@@ -279,16 +284,24 @@ class SpatialIndex:
         return self._band_base[tr] + _bin(lat, self._miny[tr], self._inv_b[tr], self._nb[tr])
 
     def assign_batch(self, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
-        """Index into ``self.tracts`` per point, or -1 for no tract.
+        """Index into ``self.tracts`` per point, or -1 for no tract, as
+        int32.
 
-        Points go in slices whose worst-case (pair, edge) test count stays
-        under ``_PAIR_BUDGET``; a point that alone exceeds it is a slice.
+        Points go ``_POINT_BLOCK`` at a time, and within a block in slices
+        whose worst-case (pair, edge) test count stays under
+        ``_PAIR_BUDGET``; a point that alone exceeds it is a slice.
         """
-        res = np.full(len(lats), -1, dtype=np.int64)
+        res = np.full(len(lats), -1, dtype=np.int32)
+        for a in range(0, len(lats), _POINT_BLOCK):
+            block = slice(a, a + _POINT_BLOCK)
+            self._assign_block(lats[block], lons[block], res[block])
+        return res
+
+    def _assign_block(self, lats, lons, res) -> None:
         x0, y0, x1, y1 = self._env
         pts = np.nonzero((lons >= x0) & (lons <= x1) & (lats >= y0) & (lats <= y1))[0]
         if pts.size == 0:
-            return res
+            return
         g = self._g
         cell = _bin(lats[pts], y0, self._inv_h, g) * g + _bin(lons[pts], x0, self._inv_w, g)
         cost = np.cumsum(self._cell_cost[cell])
@@ -298,7 +311,6 @@ class SpatialIndex:
             stop = max(int(np.searchsorted(cost, spent + _PAIR_BUDGET, side="right")), start + 1)
             self._assign_slice(lats, lons, pts[start:stop], cell[start:stop], res)
             start = stop
-        return res
 
     def _assign_slice(self, lats, lons, pts, cell, res) -> None:
         # (point, candidate tract) pairs, by point, then by tract index

@@ -14,9 +14,11 @@ ring is kept as one float64 ``(n, 2)`` array of its positions, the form
 that geometry, the spatial index and the choropleth all read.
 
 One scanner over the bytes, :func:`_scan`, sets the event record
-boundaries that the split and parse both use. A block that is not UTF-8
-is decoded line by line, and a record with a line that does not decode
-is counted as an UndecodableRecord.
+boundaries that the split and parse both use. It reads a byte range
+one window at a time and never past the range's end, so a parse holds
+one window of input, not the range. A block that is not UTF-8 is
+decoded line by line, and a record with a line that does not decode is
+counted as an UndecodableRecord.
 
 Within a block, quote-free CSV lines with exactly four commas take the
 columnar path: they are split in bulk, one join and one split per block.
@@ -38,9 +40,11 @@ the route a record took.
 
 No per-event string outlives its block. Each block's accepted user ids
 are interned to integer codes and its texts to the ids of their
-hashtags (:func:`_intern_tags`, the only hashtag-interning code), and
-the block's strings are then dropped; what the parse returns is the
-distinct users, the tag vocabulary and arrays of numbers.
+hashtags (:func:`_intern_tags`, the only hashtag-interning code, one
+regex pass per block), and the block's strings are then dropped; what
+the parse returns is the distinct users, the tag vocabulary and arrays
+of numbers. Its memory is those arrays plus one block's work, whatever
+the size of the range.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -83,16 +87,14 @@ TAG_PATTERN = re.compile(r"#(\w+)")
 # fallback; groups are its minutes and seconds, if present
 _OFFSET_RE = re.compile(r"[+-]\d{2}(?::?(\d{2})(?::?(\d{2})(?:[.,]\d+)?)?)?\Z", re.ASCII)
 
-# Bytes per scanner window, the unit parse works in. It bounds the
-# field strings a bulk split holds at once: every one is dropped after
-# its block, user ids and hashtags kept only as integer codes.
-_CHUNK = 1 << 19
+# TAG_PATTERN with ASCII word characters, for ASCII text: on it the two
+# match alike
+_TAG_ASCII = re.compile(TAG_PATTERN.pattern, re.ASCII)
 
-# Texts per hashtag-extraction step. It bounds the per-text tag lists
-# alive at once, and keeping them below the interpreter's young-generation
-# GC threshold (700 allocations by default) means extraction triggers
-# almost no collections.
-_TAG_CHUNK = 512
+# Bytes per scanner window, the unit parse reads and works in. It bounds
+# the bytes and field strings a parse holds at once: every one is dropped
+# after its block, user ids and hashtags kept only as integer codes.
+_CHUNK = 1 << 18
 
 # The most lines a quoted CSV record may span. A quote that stays open
 # longer is taken as unterminated, so a stray quote costs one record
@@ -173,6 +175,15 @@ class ParseStats:
         }
 
 
+@dataclass(frozen=True)
+class ByteRange:
+    """Bytes ``start`` to ``end`` of the file at ``path``, not yet read."""
+
+    path: str
+    start: int
+    end: int
+
+
 @dataclass
 class EventBatch:
     """Parsed events as columns, in input order. User ids and hashtags
@@ -182,8 +193,8 @@ class EventBatch:
 
     users: list[str]
     user_codes: np.ndarray  # int32, one per event
-    lats: np.ndarray
-    lons: np.ndarray
+    lats: np.ndarray | None  # None once the points are no longer needed
+    lons: np.ndarray | None
     epochs: np.ndarray  # seconds since the Unix epoch (UTC)
     tags: list[str]
     tag_counts: np.ndarray  # int32, hashtags per event, duplicates kept
@@ -195,14 +206,14 @@ class EventBatch:
     def take(self, keep: np.ndarray) -> "EventBatch":
         """The events where the boolean mask ``keep`` is set. The user
         and tag lists are shared, so they may name what no event left
-        in the batch has."""
+        in the batch has; dropped coordinates stay dropped."""
         if keep.all():
             return self  # nothing filtered out
         return EventBatch(
             self.users,
             self.user_codes[keep],
-            self.lats[keep],
-            self.lons[keep],
+            None if self.lats is None else self.lats[keep],
+            None if self.lons is None else self.lons[keep],
             self.epochs[keep],
             self.tags,
             self.tag_counts[keep],
@@ -242,19 +253,23 @@ def _intern_tags(
     interning run once per distinct raw tag, not per occurrence. Calls
     that share the two dicts code tags as one call over all their texts
     would.
+
+    One regex pass over the texts joined by newlines finds every tag: a
+    tag never holds a newline or a ``#``. Each tag takes one ``#``, so
+    when the texts hold as many ``#`` as tags, each text holds as many
+    tags as ``#``; otherwise the texts are searched one by one.
     """
-    counts = [np.empty(0, dtype=np.int32)]
-    ids = [np.empty(0, dtype=np.int32)]
-    findall = TAG_PATTERN.findall
-    for start in range(0, len(texts), _TAG_CHUNK):
-        found = list(map(findall, texts[start : start + _TAG_CHUNK]))
-        flat = list(chain.from_iterable(found))
-        for raw in dict.fromkeys(flat):
-            if raw not in id_of:
-                id_of[raw] = vocab.setdefault(raw.casefold(), len(vocab))
-        counts.append(np.fromiter(map(len, found), dtype=np.int32, count=len(found)))
-        ids.append(np.fromiter(map(id_of.__getitem__, flat), dtype=np.int32, count=len(flat)))
-    return np.concatenate(counts), np.concatenate(ids)
+    joined = "\n".join(texts)
+    pattern = _TAG_ASCII if joined.isascii() else TAG_PATTERN
+    found = pattern.findall(joined)
+    counts = np.fromiter(map(str.count, texts, repeat("#")), dtype=np.int32, count=len(texts))
+    if counts.sum() != len(found):  # a '#' that starts no tag
+        per_text = map(len, map(pattern.findall, texts))
+        counts = np.fromiter(per_text, dtype=np.int32, count=len(texts))
+    for raw in dict.fromkeys(found):
+        if raw not in id_of:
+            id_of[raw] = vocab.setdefault(raw.casefold(), len(vocab))
+    return counts, np.fromiter(map(id_of.__getitem__, found), dtype=np.int32, count=len(found))
 
 
 # --- event stream parsing ---------------------------------------------------
@@ -298,7 +313,10 @@ def _scan(f, start: int, size: int, quoting: bool) -> Iterator[tuple]:
     width = _CHUNK
     while pos < size:
         f.seek(start + pos)
-        view = np.frombuffer(f.read(width), dtype=np.uint8)
+        want = min(width, size - pos)  # never a byte past the range
+        view = np.frombuffer(f.read(want), dtype=np.uint8)
+        if len(view) < want:
+            size = pos + len(view)  # the file ends before the range does
         at_end = pos + len(view) >= size
         ends = np.flatnonzero(view == ord("\n")) + 1
         if at_end and (not len(ends) or ends[-1] < len(view)):
@@ -546,16 +564,39 @@ def _parse_chunk(flat: list[str], fielded: list, stats: ParseStats):
     )
 
 
+def _parse_block(view, ends, quotes, joined, format, stats, code_of, vocab, tag_id_of):
+    """The columns of one scanner block's accepted records, as
+    :class:`EventBatch` holds them: user codes, lats, lons, epochs, tag
+    counts and tag ids. The block's strings die with this call."""
+    lines, bad = _decode_lines(view, len(ends))
+    if format == "csv":
+        commas = _per_line(view, ends, ",")
+        bare_cr = _bare_crs(view, ends)
+        flat, fielded = _csv_records(lines, quotes, commas, bare_cr, joined, bad, stats)
+    else:
+        flat, fielded = _jsonl_records(lines, bad, stats)
+    if not flat:
+        return ()
+    uids, texts, (lats, lons, epochs) = _parse_chunk(flat, fielded, stats)
+    tag_counts, tag_ids = _intern_tags(texts, vocab, tag_id_of)
+    return intern_codes(uids, code_of), lats, lons, epochs, tag_counts, tag_ids
+
+
 def parse_event_batch(
-    body, format: str = "csv", stats: ParseStats | None = None
+    source: ByteRange | bytes, format: str = "csv", stats: ParseStats | None = None
 ) -> EventBatch:
-    """Parse a headerless event body, bytes as :func:`read_byte_range`
-    returns them, into columnar arrays, with user ids and hashtags
-    interned block by block."""
+    """Parse a headerless event body into columnar arrays, with user ids
+    and hashtags interned block by block. ``source`` is the body's
+    :class:`ByteRange` in a file, as :func:`read_byte_range` gives it, or
+    the body's bytes; a range is read one window at a time."""
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown event format {format!r}")
     if stats is None:
         stats = ParseStats()
+    if isinstance(source, ByteRange):
+        f, start, size = open(source.path, "rb"), source.start, source.end - source.start
+    else:
+        f, start, size = io.BytesIO(source), 0, len(source)
     code_of: dict[str, int] = {}  # user id -> code
     vocab: dict[str, int] = {}  # casefolded tag -> id
     tag_id_of: dict[str, int] = {}  # raw tag -> id
@@ -563,19 +604,9 @@ def parse_event_batch(
     # place: a window's arrays are freed once appended, not kept until a
     # final join, so they leave no holes in the heap
     columns = [array(t) for t in "idddii"]
-    blocks = _scan(io.BytesIO(body), 0, len(body), format == "csv")
-    for _, view, ends, quotes, joined in blocks:
-        lines, bad = _decode_lines(view, len(ends))
-        if format == "csv":
-            commas = _per_line(view, ends, ",")
-            bare_cr = _bare_crs(view, ends)
-            flat, fielded = _csv_records(lines, quotes, commas, bare_cr, joined, bad, stats)
-        else:
-            flat, fielded = _jsonl_records(lines, bad, stats)
-        if flat:
-            uids, texts, (lats, lons, epochs) = _parse_chunk(flat, fielded, stats)
-            tag_counts, tag_ids = _intern_tags(texts, vocab, tag_id_of)
-            pieces = (intern_codes(uids, code_of), lats, lons, epochs, tag_counts, tag_ids)
+    with f:
+        for _, *block in _scan(f, start, size, format == "csv"):
+            pieces = _parse_block(*block, format, stats, code_of, vocab, tag_id_of)
             for col, piece in zip(columns, pieces):
                 col.frombytes(memoryview(piece).cast("B"))
     codes, lats, lons, epochs, tag_counts, tag_ids = (
@@ -621,11 +652,11 @@ def partition_byte_ranges(path, k: int, format: str = "csv") -> list[tuple[int, 
     return list(zip(bounds, bounds[1:]))
 
 
-def read_byte_range(path, byte_range: tuple[int, int]) -> bytes:
-    start, end = byte_range
-    with open(os.fspath(path), "rb") as f:
-        f.seek(start)
-        return f.read(end - start)
+def read_byte_range(path, byte_range: tuple[int, int]) -> ByteRange:
+    """The byte range of an event file to parse. No byte is read here:
+    :func:`parse_event_batch` reads the range window by window, so a
+    parse never holds the whole range."""
+    return ByteRange(os.fspath(path), *byte_range)
 
 
 # --- tract geometry parsing -------------------------------------------------

@@ -113,6 +113,12 @@ def gini(d: Distribution) -> float:
         raise TooFewUnits("gini needs at least 2 units")
     xs, total = _sorted_positive_total(d)
     n = len(xs)
+    if total > sys.float_info.max / (2 * (n + 1)):
+        # twice the rank-weighted sum may pass the largest float; G is
+        # scale-free, so bring the total below 1 by a power of two, which
+        # is exact for every value that stays normal
+        xs = [math.ldexp(x, -math.frexp(total)[1]) for x in xs]
+        total = math.fsum(xs)
     weighted = math.fsum((i + 1) * x for i, x in enumerate(xs))
     return (2.0 * weighted - (n + 1) * total) / (n * total)
 

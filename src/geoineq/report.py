@@ -209,20 +209,24 @@ def _partition_job(events_path, fmt, byte_range, index, tz):
     Phase 1 yields (parse stats, events outside every tract, user
     partials); the job is then sent the cohort mask of each of its
     partials' users as bytes, and phase 2 yields the partition's
-    aggregate cube.
+    aggregate cube. Its memory is one parse window plus per-event
+    columns: the range is read window by window, the points are dropped
+    once assigned, and phase 2 keeps only the columns it reads.
     """
     stats = ParseStats()
     batch = parse_event_batch(read_byte_range(events_path, byte_range), fmt, stats)
     tract_idx = index.assign_batch(batch.lats, batch.lons)
+    batch.lats = batch.lons = None  # past assignment, an event's tract stands for its point
     keep = tract_idx >= 0
     dropped = len(batch) - int(keep.sum())
     batch, tract_idx = batch.take(keep), tract_idx[keep]
     span = (batch.epochs.min(), batch.epochs.max()) if len(batch) else (0, 0)
     local = LocalClock(tz, *span).local_fields(batch.epochs)  # the partition's one clock
     partials, codes = user_partials(batch.users, batch.user_codes, batch.epochs, local[2])
+    tags = (batch.tag_counts, batch.tag_ids, batch.tags)
+    del batch  # phase 2 needs none of its other columns
     user_masks = yield stats, dropped, partials
     masks = np.frombuffer(user_masks, dtype=np.uint8)[codes]
-    tags = (batch.tag_counts, batch.tag_ids, batch.tags)
     yield aggregate_batch(index.tract_ids, tract_idx, local, tags, masks)
 
 

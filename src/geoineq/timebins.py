@@ -3,8 +3,9 @@
 A timezone's UTC offset is a step function of absolute time. We sample
 it every six hours across the data span, bisect each change down to the
 exact second, and binning millions of epochs becomes a searchsorted plus
-integer arithmetic. Histogram conventions: day-of-week is Sunday-first
-(Sunday = bin 0), hours are local 0..23, months are local (year, month).
+integer arithmetic, a slice of epochs at a time into int32 bins.
+Histogram conventions: day-of-week is Sunday-first (Sunday = bin 0),
+hours are local 0..23, months are local (year, month).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 _PROBE_STEP = 6 * 3600
 _MARGIN = 2 * 86400
+_SLICE = 1 << 15  # epochs binned per step
 
 
 def _offset_at(tz: ZoneInfo, epoch: int) -> int:
@@ -56,13 +58,21 @@ class LocalClock:
 
     def local_fields(self, epochs: np.ndarray):
         """Per-epoch local bins: (second_of_day, dow Sunday-first 0..6,
-        months-since-1970-01) as int64 arrays."""
-        ep = np.floor(np.asarray(epochs, dtype=np.float64)).astype(np.int64)
-        loc = ep + self.offsets(ep)
-        day = loc // 86400
-        sod = loc - day * 86400
-        dow = (day + 4) % 7  # 1970-01-01 is a Thursday -> Sunday-first bin 4
-        month_num = loc.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64)
+        months-since-1970-01) as int32 arrays.
+
+        Epochs are binned ``_SLICE`` at a time into the three arrays, so
+        the int64 temporaries stay a slice long whatever the batch size.
+        """
+        epochs = np.asarray(epochs, dtype=np.float64)
+        sod, dow, month_num = (np.empty(len(epochs), dtype=np.int32) for _ in range(3))
+        for a in range(0, len(epochs), _SLICE):
+            part = slice(a, a + _SLICE)
+            ep = np.floor(epochs[part]).astype(np.int64)
+            loc = ep + self.offsets(ep)
+            day = loc // 86400
+            sod[part] = loc - day * 86400
+            dow[part] = (day + 4) % 7  # 1970-01-01 is a Thursday -> Sunday-first bin 4
+            month_num[part] = loc.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64)
         return sod, dow, month_num
 
 

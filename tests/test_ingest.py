@@ -493,6 +493,13 @@ _PROBES = {
 }
 
 
+def _same_batch(a, b) -> bool:
+    return a.users == b.users and a.tags == b.tags and all(
+        np.array_equal(getattr(a, f), getattr(b, f))
+        for f in ("user_codes", "lats", "lons", "epochs", "tag_counts", "tag_ids")
+    )
+
+
 class TestPartitioning:
     def _city(self, probe=None):
         rows = []
@@ -530,6 +537,38 @@ class TestPartitioning:
         assert stats == whole_stats
         assert merged_users == batch_user_ids(whole)
         assert merged_tags == batch_hashtags(whole)
+
+    @pytest.mark.parametrize("chunk", [64, 100, 1000, 4096])
+    @pytest.mark.parametrize("probe", [None, *_PROBES])
+    def test_every_range_parses_as_its_bytes(self, probe, chunk, tmp_path, monkeypatch):
+        # a range is read window by window from the file: no window may
+        # reach past the range's end into the next one
+        data = self._city(probe)
+        path = tmp_path / "events.csv"
+        path.write_bytes(data)
+        whole = ParseStats()
+        parse_events_file(data, "csv", whole)
+        monkeypatch.setattr(ingest, "_CHUNK", chunk)
+        for k in range(1, 5):
+            ranges = partition_byte_ranges(path, k)
+            merged = ParseStats()
+            for a, b in ranges:
+                from_file = parse_event_batch(read_byte_range(path, (a, b)), "csv", merged)
+                from_bytes = parse_event_batch(data[a:b], "csv", stats := ParseStats())
+                assert stats.records_total and _same_batch(from_file, from_bytes)
+            assert merged == whole
+
+    def test_range_past_end_of_file(self, tmp_path):
+        # a file cut short after its ranges were taken: what is there
+        # parses, its last record cut mid-line, and the parse ends
+        data = events_csv([f"u{i},40.7,-74.0,2014-03-01T08:03:00Z,t{i}" for i in range(3)])
+        path = tmp_path / "events.csv"
+        path.write_bytes(data[:-10])
+        stats = ParseStats()
+        batch = parse_event_batch(read_byte_range(path, (data.index(b"\n") + 1, len(data))),
+                                  "csv", stats)
+        assert batch_user_ids(batch) == ["u0", "u1"]
+        assert stats.errors == Counter({"MalformedRecord": 1})
 
     def test_jsonl_escaped_quote_splits_evenly(self, tmp_path):
         # a JSON string may hold an escaped quote, so a JSONL line's
@@ -599,6 +638,50 @@ class TestInterning:
         assert (batch_user_ids(kept), batch_hashtags(kept)) == (["u1", "u2"], [[], ["c"]])
         assert kept.users == batch.users and kept.tags == batch.tags
         assert batch.take(np.ones(4, dtype=bool)) is batch
+
+    # texts from '#', '##', '_', digits, non-ASCII letters, NUL and newlines,
+    # interned as two windows that share the dicts
+    @given(st.lists(st.lists(st.sampled_from(["#", "##", "_", "7", "a", "Z", "é", "İ", "ß",
+                                              "\x00", "\n", " ", ","]), max_size=12)
+                    .map("".join), max_size=30), st.integers(0, 30))
+    @example(["#a #b", "#a"], 1)  # one '#' per tag: the one-pass counts
+    @example(["#a #", "#B"], 1)  # a bare '#': the texts one by one
+    @example(["#İ #i", "#é"], 2)  # non-ASCII: the Unicode pattern
+    def test_one_pass_matches_per_text(self, texts, cut):
+        vocab, id_of = {}, {}
+        counts, ids = zip(*(ingest._intern_tags(part, vocab, id_of)
+                            for part in (texts[:cut], texts[cut:])))
+        found = [[t.casefold() for t in ingest.TAG_PATTERN.findall(text)] for text in texts]
+        want_vocab = list(dict.fromkeys(t for tags in found for t in tags))
+        assert list(vocab) == want_vocab
+        assert np.concatenate(counts).tolist() == list(map(len, found))
+        assert np.concatenate(ids).tolist() == [want_vocab.index(t) for tags in found for t in tags]
+        assert all(c.dtype == np.int32 for c in (*counts, *ids))
+
+    def test_parse_peak_does_not_grow_with_range(self, tmp_path, monkeypatch):
+        # what a parse holds besides its result is one window's work: it
+        # must not grow with the range, as it would if the range were read
+        # whole
+        monkeypatch.setattr(ingest, "_CHUNK", 1 << 14)
+        city = generate_city(SynthParams(seed=3, n_tracts=50, n_users_local=400,
+                                         n_users_visitor=400, n_events=5_000))
+        header, body = city.events_csv.encode().split(b"\n", 1)
+        transient = []
+        for copies in (1, 4):
+            path = tmp_path / f"events{copies}.csv"
+            path.write_bytes(header + b"\n" + body * copies)
+            (byte_range,) = partition_byte_ranges(path, 1)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                batch = parse_event_batch(read_byte_range(path, byte_range))
+                retained, peak = (m - before for m in tracemalloc.get_traced_memory())
+            finally:
+                tracemalloc.stop()
+            assert len(batch) == 5_000 * copies
+            transient.append(peak - retained)
+        assert transient[1] <= 1.5 * transient[0], f"{transient[0]} B, then {transient[1]} B"
 
     def test_batch_memory_is_bounded(self):
         # a parsed event keeps three float64 fields and int32 codes; the

@@ -47,6 +47,14 @@ class TestGini:
         with pytest.raises(TooFewUnits):
             gini(D([1]))
 
+    @pytest.mark.parametrize("xs", [[1e308, 1e307], [1e307, 8.9e307], [1e308, 0, 5e-300, 1e300]])
+    def test_values_near_largest_float(self, xs):
+        # twice the rank-weighted sum passes the largest float; Gini is
+        # scale-free, so the values scaled down give the same number
+        scaled = [x * 2.0**-1000 for x in xs]
+        assert gini(D(xs)) == pytest.approx(gini(D(scaled)), abs=1e-15)
+        assert gini(D(scaled)) == pytest.approx(oracles.gini_pairwise(scaled), abs=1e-12)
+
     @given(positive_vectors)
     def test_matches_pairwise_bruteforce(self, xs):
         assert gini(D(xs)) == pytest.approx(oracles.gini_pairwise(xs), abs=1e-10)

@@ -158,6 +158,19 @@ class TestRunPipeline:
         for a, b in zip(f1, f2):
             assert a.read_bytes() == b.read_bytes(), a.name
 
+    def test_small_slices_give_the_same_outputs(self, city_paths, tmp_path, monkeypatch):
+        # assignment, time binning and aggregation work through the events
+        # a slice at a time; slices far smaller than the partition must
+        # add up to the outputs of one slice
+        cfg = quick_config(city_paths)
+        whole = emit_outputs(*run_pipeline_full(cfg), tmp_path / "whole")
+        for size in ("aggregate._SLICE", "timebins._SLICE", "geo._POINT_BLOCK"):
+            monkeypatch.setattr(f"geoineq.{size}", 97)
+        sliced = emit_outputs(*run_pipeline_full(cfg), tmp_path / "sliced")
+        assert [p.name for p in whole] == [p.name for p in sliced]
+        for a, b in zip(whole, sliced):
+            assert a.read_bytes() == b.read_bytes(), a.name
+
     def test_census_suites_and_unmatched(self, city_paths, census_path):
         rep = run_pipeline(quick_config(city_paths, census=census_path))
         assert rep.ingest["census_unmatched_tracts"] == ["Z9999"]
@@ -337,7 +350,8 @@ class TestRunPipeline:
         ep = tmp_path / "e.csv"
         ep.write_bytes(events_csv(rows))
         if k == 2:
-            first, second = (read_byte_range(ep, r) for r in partition_byte_ranges(ep, 2))
+            data = ep.read_bytes()
+            first, second = (data[a:b] for a, b in partition_byte_ranges(ep, 2))
             assert b"2014-03" not in first and b"2014-01" not in second
         cfg = PipelineConfig(events_path=str(ep), tracts_path=str(tracts_path))
         rep = run_pipeline(cfg, partitions=k)
@@ -898,6 +912,16 @@ class TestCli:
         want = f"error: distribution {label!r} sums past the largest float\n"
         assert capsys.readouterr() == ("", want)
         assert not out.exists()
+
+    def test_gini_of_values_near_largest_float(self, tmp_path, capsys):
+        # the values and their sum are finite, the rank-weighted sum of
+        # the Gini formula is not
+        table = tmp_path / "v.csv"
+        table.write_text("v\n1e308\n1e307\n")
+        assert cli.main(["metrics", "--csv", str(table), "--column", "v"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["suite"]["gini"] == 0.409090909091  # 0.9 / 2.2
 
     def test_percentile_ratio_past_largest_float_exit_1(self, tmp_path, capsys):
         table = tmp_path / "v.csv"
