@@ -1,7 +1,7 @@
 """geoineq: spatial and temporal inequality metrics for geo-tagged
 event streams aggregated over census tracts."""
 
-from .aggregate import TagSummary, normalize_density
+from .aggregate import TagSummary
 from .geo import (
     SpatialIndex,
     Tract,
@@ -11,7 +11,6 @@ from .geo import (
     tract_from_feature,
 )
 from .ingest import (
-    CensusRecord,
     ParseStats,
     RawTractFeature,
     extract_hashtags,
@@ -59,7 +58,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "CensusRecord",
     "Distribution",
     "IndexSuite",
     "LorenzCurve",
@@ -84,7 +82,6 @@ __all__ = [
     "index_suite",
     "lorenz_curve",
     "min_units_for_share",
-    "normalize_density",
     "parse_census",
     "parse_tracts",
     "percentile_ratio",

@@ -1,11 +1,14 @@
 """Per-tract, per-cohort aggregation as one data cube.
 
 Every number the report needs is a count per (cohort bucket, tract, time
-bin): a data cube (Gray et al., 1997). Aggregation is a fold: any
-partitioning of the event stream, aggregated separately and merged, must
-equal the single-pass result. Counts add, month histograms on a common
-month axis, and the distinct (bucket, tract, tag) keys are unioned once
-both sides' tags are coded in one vocabulary.
+bin): a data cube (Gray et al., 1997). Its axes are fixed before any
+event is counted: the tracts, the bins of hour and day of week, and the
+dataset's month axis, which ``cohort.classify_partials`` decides and the
+parent sends to every partition with its cohort masks. Aggregation is a
+fold: any partitioning of the event stream, aggregated separately and
+merged, must equal the single-pass result. Counts add, and the distinct
+(bucket, tract, tag) keys are unioned once both sides' tags are coded in
+one vocabulary.
 
 Each event arrives with its hashtags as ids into one casefolded
 vocabulary, as parse interned them (``ingest.EventBatch``), and with its
@@ -21,12 +24,12 @@ Sunday-first, "day" is the local interval 07:00:00..18:59:59 inclusive
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .cohort import COHORT_MASKS, distinct
-from .errors import DegenerateArea, MissingArea
+from .errors import InternalInvariantError
 from .ingest import intern_codes
 
 DAY_HOURS = slice(7, 19)  # 07:00:00 local inclusive to 19:00:00 exclusive
@@ -46,8 +49,8 @@ _IN_BUCKET = np.array(
 class TractCube(NamedTuple):
     """Counts per (bucket, tract), buckets in ``BUCKET_KEYS`` order. The
     histograms add an axis of bins: local hour, Sunday-first day of week,
-    and local month from month number ``first_month`` on (as
-    ``LocalClock.local_fields`` counts them). ``tag_summary`` holds the
+    and local month on the dataset's month axis (see
+    ``cohort.Cohorts.months``). ``tag_summary`` holds the
     :func:`tag_summary_from_components` components per bucket.
     ``tag_keys`` are the distinct (bucket, tract, tag) triples, ascending,
     as ``(bucket * n_tracts + tract) * len(vocab) + tag``."""
@@ -55,7 +58,6 @@ class TractCube(NamedTuple):
     hours: np.ndarray
     dows: np.ndarray
     months: np.ndarray
-    first_month: int
     tags: np.ndarray  # hashtag occurrences
     tag_summary: np.ndarray
     tag_keys: np.ndarray
@@ -80,31 +82,23 @@ class TractCube(NamedTuple):
         return np.bincount(cells, minlength=self.tags.size).reshape(self.tags.shape)
 
 
-def empty_cube(n_tracts: int, first_month: int = 0, n_months: int = 0) -> TractCube:
-    """The cube of no events, on the given month axis."""
+def empty_cube(n_tracts: int, n_months: int) -> TractCube:
+    """The cube of no events, on a month axis of ``n_months`` months."""
 
     def zeros(*shape: int) -> np.ndarray:
         return np.zeros((len(BUCKET_KEYS), *shape), dtype=np.int64)
 
     return TractCube(
-        zeros(n_tracts, 24), zeros(n_tracts, 7), zeros(n_tracts, n_months), first_month,
+        zeros(n_tracts, 24), zeros(n_tracts, 7), zeros(n_tracts, n_months),
         zeros(n_tracts), zeros(5), np.empty(0, dtype=np.int64), [],
     )
 
 
 def merge_aggregate_maps(a: TractCube, b: TractCube) -> TractCube:
-    """``a`` with ``b``'s counts added. The month axis runs from the
-    first to the last month of either (an empty axis spans none); the
-    tag keys and vocabulary stay ``a``'s."""
-    spans = [(c.first_month, c.first_month + c.months.shape[-1]) for c in (a, b) if c.months.size]
-    lo = min((start for start, _ in spans), default=a.first_month)
-    hi = max((end for _, end in spans), default=lo)
-    months = np.zeros((*a.tags.shape, hi - lo), dtype=np.int64)
-    for c in (a, b):
-        at = c.first_month - lo
-        months[..., at : at + c.months.shape[-1]] += c.months
-    summed = {f: getattr(a, f) + getattr(b, f) for f in ("hours", "dows", "tags", "tag_summary")}
-    return a._replace(months=months, first_month=lo, **summed)
+    """``a`` with ``b``'s counts added; both cubes must have the same
+    axes. The tag keys and vocabulary stay ``a``'s."""
+    fields = ("hours", "dows", "months", "tags", "tag_summary")
+    return a._replace(**{f: getattr(a, f) + getattr(b, f) for f in fields})
 
 
 def merge_tag_components(a: TractCube, b: TractCube) -> TractCube:
@@ -126,10 +120,11 @@ def aggregate_batch(
     local: tuple[np.ndarray, np.ndarray, np.ndarray],
     tags: tuple[np.ndarray, np.ndarray, Sequence[str]],
     masks: np.ndarray,
+    months: range,
 ) -> TractCube:
-    """The cube of one batch of events, on a month axis from the batch's
-    first month to its last. ``oracles.aggregate_by_tract`` is the
-    per-event reference.
+    """The cube of one batch of events, on the month axis ``months``,
+    a range of month numbers that holds every event's month.
+    ``oracles.aggregate_by_tract`` is the per-event reference.
 
     ``tract_idx`` indexes into ``tract_ids`` (every event already
     assigned), ``local`` is ``LocalClock.local_fields`` of the events'
@@ -142,15 +137,15 @@ def aggregate_batch(
     """
     n_tracts = len(tract_ids)
     sod, dow, month_num = local
-    first_month = int(month_num.min()) if len(month_num) else 0
-    n_months = int(month_num.max()) + 1 - first_month if len(month_num) else 0
+    if len(month_num) and not (months.start <= month_num.min() <= month_num.max() < months.stop):
+        raise InternalInvariantError(f"an event's month lies off the month axis {months}")
     tag_counts, tag_ids, vocab = tags
     n_vocab = len(vocab)
     # per (mask, tract) cell: hour, day-of-week and month histograms, and
     # hashtag occurrences; per mask: images, tag total, images with >0, >5
     # and >10 tags
     hists = [np.zeros((_N_MASKS * n_tracts, n_bins), dtype=np.int64)
-             for n_bins in (24, 7, n_months, 1)]
+             for n_bins in (24, 7, len(months), 1)]
     summary = np.zeros((_N_MASKS, 5), dtype=np.int64)
     # the distinct (cell, tag) pairs of the occurrences, as the int64 keys
     # cell * n_vocab + tag: each slice's, unioned into ``pairs`` once they
@@ -168,7 +163,7 @@ def aggregate_batch(
         counts = tag_counts[part]
         tag_start, tag_end = tag_end, tag_end + int(counts.sum())
         cell = masks[part].astype(np.int64) * n_tracts + tract_idx[part]
-        bins = (sod[part] // 3600, dow[part], month_num[part] - first_month, 0)
+        bins = (sod[part] // 3600, dow[part], month_num[part] - months.start, 0)
         for hist, b, weights in zip(hists, bins, (None, None, None, counts)):
             add(hist, cell * hist.shape[1] + b, weights)
         for col, weights in enumerate((None, counts, counts > 0, counts >= 6, counts >= 11)):
@@ -190,12 +185,11 @@ def aggregate_batch(
         per_mask = hist.reshape(_N_MASKS, n_tracts * hist.shape[1])
         return (_IN_BUCKET @ per_mask).reshape(len(BUCKET_KEYS), n_tracts, hist.shape[1])
 
-    hours, dows, months, tag_totals = map(per_bucket, hists)
+    hours, dows, month_hist, tag_totals = map(per_bucket, hists)
     return TractCube(
         hours=hours,
         dows=dows,
-        months=months,
-        first_month=first_month,
+        months=month_hist,
         tags=tag_totals[..., 0],
         tag_summary=_IN_BUCKET @ summary,
         tag_keys=distinct(tag_keys),
@@ -217,22 +211,6 @@ class TagSummary:
     proportion_gt10: float
     mean_tags_per_image: float
     mean_tags_per_tagged_image: float | None  # None when nothing is tagged
-
-
-def normalize_density(
-    counts: Mapping[str, float], areas: Mapping[str, float]
-) -> dict[str, float]:
-    """count / area_km2 per tract. Zero-count tracts stay in with 0.0, so
-    that the inequality indexes see empty tracts."""
-    out: dict[str, float] = {}
-    for tid, count in counts.items():
-        area = areas.get(tid)
-        if area is None:
-            raise MissingArea(tid)
-        if area <= 0:
-            raise DegenerateArea(f"tract {tid}: area {area}")
-        out[tid] = count / area
-    return out
 
 
 def tag_summary_from_components(

@@ -49,13 +49,16 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         help="comma list from: visitor,local,super_local,all",
     )
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--format", choices=["json", "csv", "all"], default="all")
     p.add_argument("--seed", type=int, default=0, help="echoed into the report")
     p.add_argument("--partitions", type=int, default=1, help="parallel partitions")
 
 
+def _events_format(path: str) -> str:
+    """The event file's format, from its name: JSONL for ``*.jsonl``, else CSV."""
+    return "jsonl" if str(path).endswith(".jsonl") else "csv"
+
+
 def _config_from_args(args) -> PipelineConfig:
-    fmt = "jsonl" if str(args.events).endswith(".jsonl") else "csv"
     return PipelineConfig(
         events_path=args.events,
         tracts_path=args.tracts,
@@ -66,7 +69,7 @@ def _config_from_args(args) -> PipelineConfig:
         cohorts=tuple(c.strip() for c in args.cohorts.split(",") if c.strip()),
         out_dir=args.out,
         seed=args.seed,
-        events_format=fmt,
+        events_format=_events_format(args.events),
     )
 
 
@@ -102,7 +105,7 @@ def _read_csv_column(path: str, column: str) -> tuple[list[str], list[float]]:
 def cmd_run(args) -> int:
     config = _config_from_args(args)
     report, internals = run_pipeline_full(config, partitions=args.partitions)
-    written = emit_outputs(report, internals, args.out, table_format=args.format)
+    written = emit_outputs(report, internals, args.out)
     for p in written:
         print(p)
     return 0
@@ -111,7 +114,7 @@ def cmd_run(args) -> int:
 def cmd_ingest_check(args) -> int:
     # run's ingest stage, the calls its partition job makes
     stats = ParseStats()
-    fmt = "jsonl" if str(args.events).endswith(".jsonl") else "csv"
+    fmt = _events_format(args.events)
     (byte_range,) = report.partition_byte_ranges(args.events, 1, fmt)
     report.parse_event_batch(report.read_byte_range(args.events, byte_range), fmt, stats)
     summary = {"events": stats.summary()}
@@ -173,8 +176,8 @@ def cmd_synth(args) -> int:
 def cmd_lorenz(args) -> int:
     curves = []
     for column in args.column:
-        _, values = _read_csv_column(args.csv, column)
-        curves.append(lorenz_curve(Distribution.from_values(values, label=column)))
+        ids, values = _read_csv_column(args.csv, column)
+        curves.append(lorenz_curve(Distribution(tuple(ids), tuple(values), label=column)))
     Path(args.out).write_text(emit_lorenz_svg(curves), encoding="utf-8")
     print(args.out)
     return 0

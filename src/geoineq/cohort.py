@@ -13,7 +13,9 @@ steps over arrays: :func:`user_partials` summarises one partition's
 events per distinct user from the user codes parse gave them, and
 :func:`classify_partials` concatenates every partition's summaries,
 gives each user a global code and reduces them to one mask per user.
-``oracles.classify_users_direct`` is the per-event reference.
+It also fixes the dataset's month axis, the one every partition's
+aggregate cube counts on. ``oracles.classify_users_direct`` is the
+per-event reference.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .ingest import intern_codes
-from .timebins import month_tuple
 
 MASK_VISITOR = 1
 MASK_LOCAL = 2
@@ -49,12 +50,13 @@ class UserPartials(NamedTuple):
 
 class Cohorts(NamedTuple):
     """Every user's cohort mask, aligned with ``user_ids``, the dataset
-    months as (year, month), and for each classified partial the global
-    code (index into ``user_ids``) of each of its users."""
+    months as a range of month numbers (as ``LocalClock.local_fields``
+    counts them), and for each classified partial the global code (index
+    into ``user_ids``) of each of its users."""
 
     user_ids: list[str]
     masks: np.ndarray
-    dataset_months: list[tuple[int, int]]
+    months: range
     partial_codes: list[np.ndarray]
 
 
@@ -122,7 +124,7 @@ def classify_partials(partials: Sequence[UserPartials], window_days: int) -> Coh
     partial_codes = np.split(codes, bounds) if partials else []
     n_users = len(uids)
     if n_users == 0:
-        return Cohorts([], np.empty(0, np.uint8), [], partial_codes)
+        return Cohorts([], np.empty(0, np.uint8), range(0), partial_codes)
     first, last = _span(
         codes,
         n_users,
@@ -145,4 +147,4 @@ def classify_partials(partials: Sequence[UserPartials], window_days: int) -> Coh
     every_month = np.bincount(month_user, minlength=n_users) == hi - lo + 1
     masks = np.where(local, MASK_LOCAL, MASK_VISITOR).astype(np.uint8)
     masks[local & every_month] |= MASK_SUPER
-    return Cohorts(uids, masks, [month_tuple(m) for m in range(lo, hi + 1)], partial_codes)
+    return Cohorts(uids, masks, range(lo, hi + 1), partial_codes)

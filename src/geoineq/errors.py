@@ -52,8 +52,8 @@ class NonNumericValue(IngestError):
 
 
 class RateOutOfRange(IngestError):
-    """Numeric value outside the valid range for its column (rates must
-    lie in [0, 1], monetary values must be nonnegative)."""
+    """Numeric value outside the valid range for its column (every value
+    must be nonnegative, and rates must lie in [0, 1])."""
 
 
 # --- geo ------------------------------------------------------------------
@@ -64,16 +64,6 @@ class EmptyTractSet(GeoIneqError):
 
 class DegeneratePolygon(GeoIneqError):
     """Polygon whose area is zero within tolerance."""
-
-
-# --- aggregate ------------------------------------------------------------
-
-class MissingArea(GeoIneqError):
-    pass
-
-
-class DegenerateArea(GeoIneqError):
-    pass
 
 
 # --- metrics --------------------------------------------------------------

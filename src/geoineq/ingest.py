@@ -134,15 +134,6 @@ class RawTractFeature:
             yield from poly
 
 
-@dataclass(frozen=True)
-class CensusRecord:
-    tract_id: str
-    median_income: float | None = None
-    median_rent: float | None = None
-    unemployment_rate: float | None = None
-    extra: dict[str, float] = field(default_factory=dict)
-
-
 @dataclass
 class ParseStats:
     """Skip-and-count bookkeeping for one parse run."""
@@ -583,20 +574,16 @@ def _parse_block(view, ends, quotes, joined, format, stats, code_of, vocab, tag_
 
 
 def parse_event_batch(
-    source: ByteRange | bytes, format: str = "csv", stats: ParseStats | None = None
+    source: ByteRange, format: str = "csv", stats: ParseStats | None = None
 ) -> EventBatch:
     """Parse a headerless event body into columnar arrays, with user ids
     and hashtags interned block by block. ``source`` is the body's
-    :class:`ByteRange` in a file, as :func:`read_byte_range` gives it, or
-    the body's bytes; a range is read one window at a time."""
+    :class:`ByteRange` in a file, as :func:`read_byte_range` gives it; it
+    is read one window at a time."""
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown event format {format!r}")
     if stats is None:
         stats = ParseStats()
-    if isinstance(source, ByteRange):
-        f, start, size = open(source.path, "rb"), source.start, source.end - source.start
-    else:
-        f, start, size = io.BytesIO(source), 0, len(source)
     code_of: dict[str, int] = {}  # user id -> code
     vocab: dict[str, int] = {}  # casefolded tag -> id
     tag_id_of: dict[str, int] = {}  # raw tag -> id
@@ -604,8 +591,8 @@ def parse_event_batch(
     # place: a window's arrays are freed once appended, not kept until a
     # final join, so they leave no holes in the heap
     columns = [array(t) for t in "idddii"]
-    with f:
-        for _, *block in _scan(f, start, size, format == "csv"):
+    with open(source.path, "rb") as f:
+        for _, *block in _scan(f, source.start, source.end - source.start, format == "csv"):
             pieces = _parse_block(*block, format, stats, code_of, vocab, tag_id_of)
             for col, piece in zip(columns, pieces):
                 col.frombytes(memoryview(piece).cast("B"))
@@ -738,18 +725,21 @@ def parse_tracts(data: bytes) -> list[RawTractFeature]:
 
 # --- census table parsing ---------------------------------------------------
 
-_CENSUS_KNOWN = ("median_income", "median_rent", "unemployment_rate")
-_CENSUS_MONETARY = ("median_income", "median_rent")
+# the indicators every report lists, whether or not the census file has them
+CENSUS_COLUMNS = ("median_income", "median_rent", "unemployment_rate")
 
 
-def parse_census(data: bytes) -> dict[str, CensusRecord]:
-    """Parse a census indicator CSV into one record per tract.
+def parse_census(data: bytes) -> dict[str, dict[str, float]]:
+    """Parse a census indicator CSV into one row per tract, a dict from
+    column to value that leaves out blank cells.
 
     The header must name a ``tract_id`` column; every other column is
-    numeric, and a cell that is not a finite number (``inf`` and ``nan``
-    included) is refused with NonNumericValue. Known columns land on the
-    record fields, anything else goes to ``extra``. Rows for tracts missing from the boundary file are kept
-    here and flagged later, so id mismatches stay diagnosable.
+    numeric. A cell that is not a finite number (``inf`` and ``nan``
+    included) is refused with NonNumericValue, and a negative one, or a
+    ``*rate`` column's value outside [0, 1], with RateOutOfRange; both
+    name the column and the tract. Rows for tracts missing from the
+    boundary file are kept here and flagged later, so id mismatches stay
+    diagnosable.
     """
     text = data.decode("utf-8-sig")
     if "\r" in text:
@@ -760,7 +750,7 @@ def parse_census(data: bytes) -> dict[str, CensusRecord]:
         raise MalformedRecord("census CSV must have a tract_id column")
     cols = [h.strip() for h in header]
     id_idx = cols.index("tract_id")
-    out: dict[str, CensusRecord] = {}
+    out: dict[str, dict[str, float]] = {}
     for row in reader:
         if not row or all(not c.strip() for c in row):
             continue
@@ -771,8 +761,7 @@ def parse_census(data: bytes) -> dict[str, CensusRecord]:
             raise MissingTractId("census row with empty tract_id")
         if tid in out:
             raise DuplicateTractId(tid)
-        known: dict[str, float] = {}
-        extra: dict[str, float] = {}
+        values: dict[str, float] = {}
         for name, cell in zip(cols, row):
             if name == "tract_id" or not cell.strip():
                 continue
@@ -782,14 +771,10 @@ def parse_census(data: bytes) -> dict[str, CensusRecord]:
                 v = math.nan
             if not math.isfinite(v):
                 raise NonNumericValue(f"{name}={cell!r} for tract {tid} is not a finite number")
-            if name.endswith("rate"):
-                if not (0.0 <= v <= 1.0):
-                    raise RateOutOfRange(f"{name}={v} for tract {tid}")
-            elif name in _CENSUS_MONETARY and v < 0:
+            if v < 0:
                 raise RateOutOfRange(f"{name}={v} for tract {tid} (negative)")
-            if name in _CENSUS_KNOWN:
-                known[name] = v
-            else:
-                extra[name] = v
-        out[tid] = CensusRecord(tract_id=tid, extra=extra, **known)
+            if name.endswith("rate") and v > 1.0:
+                raise RateOutOfRange(f"{name}={v} for tract {tid}")
+            values[name] = v
+        out[tid] = values
     return out

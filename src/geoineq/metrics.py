@@ -43,9 +43,11 @@ class Distribution:
             raise ValueError("unit_ids and values must have equal length")
         if not self.values:
             raise ValueError("distribution must have at least one unit")
-        for v in self.values:
+        for unit, v in zip(self.unit_ids, self.values):
             if not (0.0 <= v < math.inf):  # also rejects NaN
-                raise ValueError(f"negative or non-finite value {v!r}")
+                raise ValueError(
+                    f"{self.label!r}, unit {unit!r}: negative or non-finite value {v!r}"
+                )
 
     @classmethod
     def from_values(cls, values: Sequence[float], label: str = "") -> "Distribution":

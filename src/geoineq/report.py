@@ -10,11 +10,13 @@ The event file is split at record boundaries into one byte range per
 partition, and each range is processed by the same two-phase job.
 Classification is global (a user's posts can land in any partition), so
 the job first parses, assigns and summarises user activity, then waits
-for its users' cohort masks, which the parent classifies from every
-partition's summaries, then aggregates. With ``--partitions 1`` the job
-runs in the parent process; otherwise each range gets a forked worker,
-which uses the spatial index it inherits and talks to the parent over a
-pipe. The parent's classify and merge code is the same for every
+for the phase-2 message: its users' cohort masks, which the parent
+classifies from every partition's summaries, and the dataset's month
+axis, which the classification fixes. It then aggregates on that axis,
+so the parent merges the partitions' cubes by adding them. With
+``--partitions 1`` the job runs in the parent process; otherwise each
+range gets a forked worker, which uses the spatial index it inherits
+and talks to the parent over a pipe. The parent's classify and merge code is the same for every
 partition count.
 """
 
@@ -40,7 +42,6 @@ from .aggregate import (
     empty_cube,
     merge_aggregate_maps,
     merge_tag_components,
-    normalize_density,
     tag_summary_from_components,
 )
 from .cohort import COHORT_MASKS, classify_partials, user_partials
@@ -54,6 +55,7 @@ from .errors import (
 )
 from .geo import SpatialIndex, Tract, build_spatial_index, tract_from_feature
 from .ingest import (
+    CENSUS_COLUMNS,
     ParseStats,
     parse_census,
     parse_event_batch,
@@ -74,7 +76,7 @@ from .metrics import (
     suite_ratio,
     top_share,
 )
-from .timebins import LocalClock, month_number, month_tuple
+from .timebins import LocalClock, month_tuple
 
 DISTRIBUTION_NAMES = ("images", "tags", "unique_tags")
 DEFAULT_COHORTS = ("visitor", "local", "super_local", "all")
@@ -184,8 +186,8 @@ class PipelineInternals:
     tract_ids: tuple[str, ...]
     user_ids: list[str]
     user_masks: np.ndarray  # cohort mask per user, aligned with user_ids
-    aggregates: TractCube  # every partition's, merged; its month axis is dataset_months
-    dataset_months: list[tuple[int, int]]
+    aggregates: TractCube  # every partition's, merged; its month axis is months
+    months: range  # month numbers, as cohort.Cohorts holds them
 
 
 def suite_to_dict(suite: IndexSuite | None) -> dict | None:
@@ -208,10 +210,11 @@ def _partition_job(events_path, fmt, byte_range, index, tz):
 
     Phase 1 yields (parse stats, events outside every tract, user
     partials); the job is then sent the cohort mask of each of its
-    partials' users as bytes, and phase 2 yields the partition's
-    aggregate cube. Its memory is one parse window plus per-event
-    columns: the range is read window by window, the points are dropped
-    once assigned, and phase 2 keeps only the columns it reads.
+    partials' users as bytes and the dataset's month axis, and phase 2
+    yields the partition's aggregate cube on that axis. Its memory is
+    one parse window plus per-event columns: the range is read window by
+    window, the points are dropped once assigned, and phase 2 keeps only
+    the columns it reads.
     """
     stats = ParseStats()
     batch = parse_event_batch(read_byte_range(events_path, byte_range), fmt, stats)
@@ -225,9 +228,9 @@ def _partition_job(events_path, fmt, byte_range, index, tz):
     partials, codes = user_partials(batch.users, batch.user_codes, batch.epochs, local[2])
     tags = (batch.tag_counts, batch.tag_ids, batch.tags)
     del batch  # phase 2 needs none of its other columns
-    user_masks = yield stats, dropped, partials
+    user_masks, months = yield stats, dropped, partials
     masks = np.frombuffer(user_masks, dtype=np.uint8)[codes]
-    yield aggregate_batch(index.tract_ids, tract_idx, local, tags, masks)
+    yield aggregate_batch(index.tract_ids, tract_idx, local, tags, masks, months)
 
 
 class _InProcess:
@@ -334,11 +337,8 @@ def run_pipeline_full(
             partials.append(p_partials)
         cohorts = classify_partials(partials, config.window_days)
         for conn, codes in zip(conns, cohorts.partial_codes):
-            conn.send(cohorts.masks[codes].tobytes())
-        # every partition's months lie on the dataset's month axis
-        months = cohorts.dataset_months
-        first_month = month_number(*months[0]) if months else 0
-        cube = empty_cube(len(index.tract_ids), first_month, len(months))
+            conn.send((cohorts.masks[codes].tobytes(), cohorts.months))
+        cube = empty_cube(len(index.tract_ids), len(cohorts.months))
         for part in _replies(conns, ranges):
             cube = merge_tag_components(merge_aggregate_maps(cube, part), part)
     except BaseException:
@@ -354,18 +354,10 @@ def run_pipeline_full(
             proc.join()
 
     report = _build_report(
-        config,
-        tracts,
-        index.tract_ids,
-        stats,
-        dropped_total,
-        cohorts.masks,
-        cube,
-        census,
-        cohorts.dataset_months,
+        config, index, stats, dropped_total, cohorts.masks, cube, census, cohorts.months
     )
     internals = PipelineInternals(
-        tracts, index.tract_ids, cohorts.user_ids, cohorts.masks, cube, cohorts.dataset_months
+        tracts, index.tract_ids, cohorts.user_ids, cohorts.masks, cube, cohorts.months
     )
     return report, internals
 
@@ -385,9 +377,10 @@ def _try_suite(d: Distribution) -> IndexSuite | None:
         return None
 
 
-def _build_report(
-    config, tracts, tract_ids, stats, dropped_total, user_masks, cube, census, dataset_months
-) -> Report:
+def _build_report(config, index, stats, dropped_total, user_masks, cube, census, months) -> Report:
+    """The report of a run. Every per-tract count is an array on the
+    tract axis of ``index``, whose ids are sorted as a Distribution's
+    units are."""
     assigned = stats.records_ok - dropped_total
     totals = dict(zip(BUCKET_KEYS, cube.events.sum(axis=1).tolist()))
     if stats.records_ok + stats.records_skipped != stats.records_total:
@@ -398,7 +391,9 @@ def _build_report(
             f"visitor+local={totals['visitor'] + totals['local']}"
         )
 
-    areas = {t.tract_id: t.area_km2 for t in tracts}
+    tract_ids = index.tract_ids
+    areas = np.array([t.area_km2 for t in index.tracts])
+    divisor = areas if config.normalization == "per_km2" else 1.0
     census_unmatched = sorted(set(census) - set(tract_ids)) if census is not None else []
 
     users = {"total": len(user_masks)}
@@ -408,22 +403,17 @@ def _build_report(
     buckets = {cohort: BUCKET_KEYS.index(cohort) for cohort in config.cohorts}
     per_tract = dict(zip(DISTRIBUTION_NAMES, (cube.events, cube.tags, cube.unique_tags)))
     distributions: dict = {}
-    images_values: dict[str, dict[str, float]] = {}
+    images: dict[str, Distribution] = {}
     for dist_name, counts in per_tract.items():
         per_cohort: dict = {}
         suites: dict[str, IndexSuite | None] = {}
         for cohort, b in buckets.items():
-            values = dict(zip(tract_ids, map(float, counts[b].tolist())))
-            if config.normalization == "per_km2":
-                values = normalize_density(values, areas)
+            values = tuple((counts[b] / divisor).tolist())
+            d = Distribution(tract_ids, values, label=f"{dist_name}/{cohort}")
             if dist_name == "images":
-                images_values[cohort] = values
-            d = Distribution.from_mapping(values, label=f"{dist_name}/{cohort}")
+                images[cohort] = d
             suites[cohort] = suite = _try_suite(d)
-            per_cohort[cohort] = {
-                "total": float(math.fsum(values.values())),
-                "suite": suite_to_dict(suite),
-            }
+            per_cohort[cohort] = {"total": math.fsum(values), "suite": suite_to_dict(suite)}
         both = suites.get("visitor") is not None and suites.get("local") is not None
         ratio = suite_ratio(suites["visitor"], suites["local"]) if both else None
         per_cohort["ratio_visitor_local"] = suite_to_dict(ratio)
@@ -435,11 +425,11 @@ def _build_report(
     tag_summaries: dict = {}
     day, night = cube.day.sum(axis=1).tolist(), cube.night.sum(axis=1).tolist()
     for cohort, b in buckets.items():
-        d = Distribution.from_mapping(images_values[cohort], label=cohort)
+        d = images[cohort]
         try:
             share10 = top_share(d, 0.1)
             min_half = min_units_for_share(d, 0.5)
-            lorenz_curves.append(lorenz_curve(d))
+            lorenz_curves.append(LorenzCurve(lorenz_curve(d).points, label=cohort))
         except AllZero:
             share10 = min_half = None
         concentration[cohort] = {
@@ -454,8 +444,7 @@ def _build_report(
         temporal[cohort] = {
             "hourly": hourly,
             "daily": daily,
-            "monthly": {"%04d-%02d" % month_tuple(cube.first_month + i): n
-                        for i, n in enumerate(monthly) if n},
+            "monthly": {"%04d-%02d" % month_tuple(m): n for m, n in zip(months, monthly) if n},
             "day_events": day[b],
             "night_events": night[b],
             "hourly_relative_entropy": _try_entropy(hourly),
@@ -467,18 +456,13 @@ def _build_report(
     census_indexes = None
     incomes = {}
     if census is not None:
-        records = {tid: census[tid] for tid in tract_ids if tid in census}
-        incomes = {tid: rec.median_income for tid, rec in records.items()
-                   if rec.median_income is not None}
+        rows = {tid: census[tid] for tid in tract_ids if tid in census}
+        incomes = {tid: row["median_income"] for tid, row in rows.items()
+                   if "median_income" in row}
         census_indexes = {}
-        indicator_names = ["median_income", "median_rent", "unemployment_rate"]
-        extras = sorted({k for rec in census.values() for k in rec.extra})
-        for name in indicator_names + extras:
-            vals = {}
-            for tid, rec in records.items():
-                v = getattr(rec, name) if name in indicator_names else rec.extra.get(name)
-                if v is not None:
-                    vals[tid] = v
+        others = sorted({name for row in census.values() for name in row} - set(CENSUS_COLUMNS))
+        for name in (*CENSUS_COLUMNS, *others):
+            vals = {tid: row[name] for tid, row in rows.items() if name in row}
             if vals:
                 d = Distribution.from_mapping(vals, label=f"census/{name}")
                 census_indexes[name] = suite_to_dict(_try_suite(d))
@@ -507,8 +491,8 @@ def _build_report(
         },
         tracts={
             "count": len(tract_ids),
-            "total_area_km2": float(math.fsum(areas[tid] for tid in tract_ids)),
-            "dataset_months": ["%04d-%02d" % m for m in dataset_months],
+            "total_area_km2": math.fsum(areas.tolist()),
+            "dataset_months": ["%04d-%02d" % month_tuple(m) for m in months],
         },
         users=users,
         events_by_cohort=totals,
@@ -519,7 +503,7 @@ def _build_report(
         census_indexes=census_indexes,
         rank_table=rank_table,
         lorenz_curves=lorenz_curves,
-        choropleth_values=images_values.get(choropleth_cohort, {}),
+        choropleth_values=dict(zip(tract_ids, images[choropleth_cohort].values)),
     )
 
 
@@ -701,23 +685,21 @@ def emit_outputs(
     report: Report,
     internals: PipelineInternals,
     out_dir,
-    table_format: str = "all",
     choropleth_breaks: int = DEFAULT_CHOROPLETH_BREAKS,
 ) -> list[Path]:
-    """Write every artifact for a run: report.json, the four CSV tables
-    unless ``table_format`` is "json", the Lorenz SVG when there are
-    curves, and the choropleth, from the run's own tracts: no input file
-    is read. Every text is made, as its parts, before the first file is
-    written, and the manifest is stamped into the report before
-    report.json is serialized."""
+    """Write every artifact for a run: report.json, the four CSV tables,
+    the Lorenz SVG when there are curves, and the choropleth, from the
+    run's own tracts: no input file is read. Every text is made, as its
+    parts, before the first file is written, and the manifest is stamped
+    into the report before report.json is serialized."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    texts: dict[str, list[str]] = {}
-    if table_format in ("csv", "all"):
-        texts["indexes"] = [_indexes_csv(report)]
-        texts["tags"] = [_tags_csv(report)]
-        texts["ranks"] = [_ranks_csv(report)]
-        texts["tracts"] = [_tracts_csv(report, internals)]
+    texts = {
+        "indexes": [_indexes_csv(report)],
+        "tags": [_tags_csv(report)],
+        "ranks": [_ranks_csv(report)],
+        "tracts": [_tracts_csv(report, internals)],
+    }
     if report.lorenz_curves:
         texts["lorenz"] = [emit_lorenz_svg(report.lorenz_curves)]
     texts["choropleth"] = choropleth_parts(

@@ -79,8 +79,3 @@ class LocalClock:
 def month_tuple(month_num: int) -> tuple[int, int]:
     y, m = divmod(int(month_num), 12)
     return (1970 + y, m + 1)
-
-
-def month_number(year: int, month: int) -> int:
-    """The month number of (year, month), as ``month_tuple`` reads it."""
-    return (year - 1970) * 12 + month - 1

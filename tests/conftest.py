@@ -68,15 +68,16 @@ def batch_hashtags(batch) -> list[list[str]]:
     return [[batch.tags[t] for t in ids[a:b]] for a, b in zip([0, *ends], ends)]
 
 
-def cube_view(cube, tract_ids) -> dict:
-    """{tract_id: {bucket: stats}} of an aggregate cube, in the shape of
-    oracles.aggregate_by_tract: only the tracts and buckets with events,
-    months with a count, and each bucket's distinct tags as a set."""
+def cube_view(cube, tract_ids, months) -> dict:
+    """{tract_id: {bucket: stats}} of an aggregate cube on the month axis
+    ``months``, in the shape of oracles.aggregate_by_tract: only the
+    tracts and buckets with events, months with a count, and each
+    bucket's distinct tags as a set."""
     tag_sets: dict[int, set[str]] = {}
     cells, tags = np.divmod(cube.tag_keys, max(len(cube.vocab), 1))
     for cell, tag in zip(cells.tolist(), tags.tolist()):
         tag_sets.setdefault(cell, set()).add(cube.vocab[tag])
-    events, tag_counts, hours, dows, months, day, night = (
+    events, tag_counts, hours, dows, month_hists, day, night = (
         a.tolist()
         for a in (cube.events, cube.tags, cube.hours, cube.dows, cube.months, cube.day, cube.night)
     )
@@ -92,7 +93,7 @@ def cube_view(cube, tract_ids) -> dict:
                 "hour_histogram": hours[b][t],
                 "dow_histogram": dows[b][t],
                 "month_histogram": {
-                    month_tuple(cube.first_month + m): n for m, n in enumerate(months[b][t]) if n
+                    month_tuple(m): n for m, n in zip(months, month_hists[b][t]) if n
                 },
                 "day_count": day[b][t],
                 "night_count": night[b][t],
@@ -136,6 +137,15 @@ def parse_events_file(data: bytes, fmt: str = "csv", stats=None):
         path.write_bytes(data)
         (byte_range,) = partition_byte_ranges(path, 1, fmt)
         return parse_event_batch(read_byte_range(path, byte_range), fmt, stats)
+
+
+def parse_body(data: bytes, fmt: str = "csv", stats=None):
+    """Parse a headerless event body: the one byte range of a file that
+    holds just its bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "body"
+        path.write_bytes(data)
+        return parse_event_batch(read_byte_range(path, (0, len(data))), fmt, stats)
 
 
 @pytest.fixture

@@ -14,10 +14,9 @@ from geoineq.aggregate import (
     empty_cube,
     merge_aggregate_maps,
     merge_tag_components,
-    normalize_density,
     tag_summary_from_components,
 )
-from geoineq.errors import DegenerateArea, MissingArea
+from geoineq.errors import InternalInvariantError
 
 UTC = timezone.utc
 LOCAL = ("local", False)
@@ -25,20 +24,23 @@ VISITOR = ("visitor", False)
 SUPER = ("local", True)
 MASK_OF = {label: mask for mask, label in MASK_LABELS.items()}
 TRACT_IDS = ("T1", "T2", "T3")
+# the month numbers of 2012 to 2015, the months of every row below but
+# one test's: a dataset's month axis, as classify_partials fixes it
+MONTHS = range(12 * (2012 - 1970), 12 * (2016 - 1970))
 
 
-def aggregate(rows, tz="UTC"):
+def aggregate(rows, tz="UTC", months=MONTHS):
     """aggregate_batch over (epoch, text, tract_id, (kind, super_local))
     rows, the input of oracles.aggregate_by_tract, on the tracts TRACT_IDS."""
     epochs = np.array([epoch for epoch, _, _, _ in rows], dtype=np.float64)
     idx = np.array([TRACT_IDS.index(tid) for _, _, tid, _ in rows], dtype=np.int64)
     masks = np.array([MASK_OF[c] for _, _, _, c in rows], dtype=np.uint8)
     tags = interned_tags([text for _, text, _, _ in rows])
-    return aggregate_batch(TRACT_IDS, idx, local_fields(epochs, tz), tags, masks)
+    return aggregate_batch(TRACT_IDS, idx, local_fields(epochs, tz), tags, masks, months)
 
 
-def view(cube) -> dict:
-    return cube_view(cube, TRACT_IDS)
+def view(cube, months=MONTHS) -> dict:
+    return cube_view(cube, TRACT_IDS, months)
 
 
 def merge(a, b):
@@ -47,9 +49,9 @@ def merge(a, b):
 
 
 def state(cube):
-    """What a cube holds, with its tags decoded: the view, the month
-    axis and the tag-summary components."""
-    return view(cube), cube.first_month, cube.months.shape, cube.tag_summary.tolist()
+    """What a cube holds, with its tags decoded: the view, the shape of
+    the month histograms and the tag-summary components."""
+    return view(cube), cube.months.shape, cube.tag_summary.tolist()
 
 
 def row(ts, text="", tract_id="T1", cohort=LOCAL):
@@ -66,9 +68,9 @@ class TestAggregateByTract:
         assert st_["unique_tags"] == {"a", "b"}
 
     def test_sunday_first_dow_and_hour_bins(self):
-        # 1970-01-04 was a Sunday
+        # 1970-01-04 was a Sunday, in month number 0
         rows = [row(datetime(1970, 1, 4, 10, 0, tzinfo=UTC), cohort=VISITOR)]
-        st_ = view(aggregate(rows))["T1"]["visitor"]
+        st_ = view(aggregate(rows, months=range(1)), range(1))["T1"]["visitor"]
         assert st_["dow_histogram"][0] == 1 and sum(st_["dow_histogram"]) == 1
         assert st_["hour_histogram"][10] == 1 and sum(st_["hour_histogram"]) == 1
         assert st_["month_histogram"] == {(1970, 1): 1}
@@ -77,7 +79,14 @@ class TestAggregateByTract:
         cube = aggregate([])
         assert view(cube) == {}
         assert not cube.tag_summary.any() and cube.tag_keys.size == 0
-        assert cube.months.shape == (len(BUCKET_KEYS), len(TRACT_IDS), 0)
+        assert cube.months.shape == (len(BUCKET_KEYS), len(TRACT_IDS), len(MONTHS))
+        assert aggregate([], months=range(0)).months.shape == (len(BUCKET_KEYS), len(TRACT_IDS), 0)
+
+    @pytest.mark.parametrize("month", [(2011, 12), (2016, 1)])
+    def test_month_off_the_axis_refused(self, month):
+        rows = [row(datetime(*month, 15, 12, 0, tzinfo=UTC))]
+        with pytest.raises(InternalInvariantError, match="off the month axis"):
+            aggregate(rows)
 
     def test_super_local_counts_in_both_buckets(self):
         rows = [row(datetime(2014, 3, 15, 12, 0, tzinfo=UTC), cohort=SUPER)]
@@ -122,23 +131,6 @@ class TestDayNight:
         assert sum(st_["hour_histogram"]) == st_["event_count"]
         assert sum(st_["dow_histogram"]) == st_["event_count"]
         assert sum(st_["month_histogram"].values()) == st_["event_count"]
-
-
-class TestNormalizeDensity:
-    def test_division(self):
-        assert normalize_density({"T1": 10}, {"T1": 0.5}) == {"T1": 20.0}
-
-    def test_zero_count_retained(self):
-        out = normalize_density({"T1": 0, "T2": 4}, {"T1": 1.0, "T2": 2.0})
-        assert out == {"T1": 0.0, "T2": 2.0}
-
-    def test_zero_area_rejected(self):
-        with pytest.raises(DegenerateArea):
-            normalize_density({"T1": 1}, {"T1": 0.0})
-
-    def test_missing_area(self):
-        with pytest.raises(MissingArea):
-            normalize_density({"T1": 1}, {})
 
 
 def tag_summary(tag_counts):
@@ -202,7 +194,7 @@ class TestMerge:
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = random_cube(rng)
-            zero = empty_cube(len(TRACT_IDS))
+            zero = empty_cube(len(TRACT_IDS), len(MONTHS))
             assert state(merge(x, zero)) == state(x)
             assert state(merge(zero, x)) == state(x)
 
@@ -264,7 +256,7 @@ class TestBatchEquivalence:
         ],
         2,
     )
-    @example(  # January and March: the halves' month axes are disjoint
+    @example(  # January and March: the halves' months are disjoint
         [
             (_BASE + 86400, "#b #a", "T1", LOCAL),
             (_BASE + 9 * 86400, "#c", "T3", VISITOR),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import cohort_labels, local_fields, user_codes
 from geoineq import oracles
 from geoineq.cohort import MASK_VISITOR, classify_partials, distinct, user_partials
+from geoineq.timebins import month_tuple
 
 UTC = timezone.utc
 T0 = datetime(2014, 3, 1, 12, 0, 0, tzinfo=UTC)
@@ -38,7 +39,7 @@ def activity(timestamps, user_id="u"):
 def classified(parts, window_days=12):
     """({user_id: (kind, super_local)}, dataset months) of the partials."""
     cohorts = classify_partials(parts, window_days)
-    return cohort_labels(cohorts.user_ids, cohorts.masks), cohorts.dataset_months
+    return cohort_labels(cohorts.user_ids, cohorts.masks), [month_tuple(m) for m in cohorts.months]
 
 
 def label(timestamps, window_days=12):
@@ -75,7 +76,7 @@ class TestClassify:
             ("v", datetime(2014, 4, 2, tzinfo=UTC)),
         ]
         cohorts = classify_partials([partials(posts)], 12)
-        assert cohorts.dataset_months == [(2014, 3), (2014, 4)]
+        assert cohorts.months == range(month_num(2014, 3), month_num(2014, 5))
         assert cohorts.masks[cohorts.user_ids.index("v")] == MASK_VISITOR
 
 
@@ -106,9 +107,7 @@ class TestActivity:
         assert parts.month_user.tolist() == parts.month_num.tolist() == []
         for split in ([], [parts]):
             cohorts = classify_partials(split, 12)
-            assert (cohorts.user_ids, cohorts.masks.tolist(), cohorts.dataset_months) == (
-                [], [], []
-            )
+            assert (cohorts.user_ids, cohorts.masks.tolist(), len(cohorts.months)) == ([], [], 0)
 
     def test_partials_hold_only_users_with_events(self):
         # parse coded "a" to "d"; the tract filter left events of c and a
@@ -125,7 +124,8 @@ class TestActivity:
         # 2014-04-01T01:00Z is still March 31 in New York
         parts = partials([("u", datetime(2014, 4, 1, 1, 0, tzinfo=UTC))], "America/New_York")
         assert activity_of(parts, "u")[3] == (month_num(2014, 3),)
-        assert classify_partials([parts], 12).dataset_months == [(2014, 3)]
+        months = classify_partials([parts], 12).months
+        assert months == range(month_num(2014, 3), month_num(2014, 4))
 
     def test_merge_is_commutative_and_matches_single_pass(self):
         # each half alone spans less than the 5-day window, the whole more

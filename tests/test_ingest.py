@@ -16,6 +16,7 @@ from conftest import (
     batch_user_ids,
     events_csv,
     feature_collection,
+    parse_body,
     parse_events_file,
     square_feature,
 )
@@ -354,7 +355,7 @@ class TestColumnarParse:
             lines += [""] * blank + [_csv_line(fields, quote_all)]
         body = ("\r\n" if crlf else "\n").join(lines) + "\n"
         stats = ParseStats()
-        parse = parse_events_file if header else parse_event_batch
+        parse = parse_events_file if header else parse_body
         batch = parse(body.encode(), "csv", stats)
         _assert_matches_reference(batch, stats, records)
 
@@ -554,8 +555,8 @@ class TestPartitioning:
             merged = ParseStats()
             for a, b in ranges:
                 from_file = parse_event_batch(read_byte_range(path, (a, b)), "csv", merged)
-                from_bytes = parse_event_batch(data[a:b], "csv", stats := ParseStats())
-                assert stats.records_total and _same_batch(from_file, from_bytes)
+                by_itself = parse_body(data[a:b], "csv", stats := ParseStats())
+                assert stats.records_total and _same_batch(from_file, by_itself)
             assert merged == whole
 
     def test_range_past_end_of_file(self, tmp_path):
@@ -683,18 +684,20 @@ class TestInterning:
             transient.append(peak - retained)
         assert transient[1] <= 1.5 * transient[0], f"{transient[0]} B, then {transient[1]} B"
 
-    def test_batch_memory_is_bounded(self):
+    def test_batch_memory_is_bounded(self, tmp_path):
         # a parsed event keeps three float64 fields and int32 codes; the
         # strings it was parsed from, a user id and a text of about 100
         # bytes each as Python objects, must be gone
         city = generate_city(SynthParams(seed=3, n_tracts=50, n_users_local=400,
                                          n_users_visitor=400, n_events=20_000))
-        body = city.events_csv.encode().split(b"\n", 1)[1]
+        path = tmp_path / "events.csv"
+        path.write_bytes(city.events_csv.encode())
+        (byte_range,) = partition_byte_ranges(path, 1)
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            batch = parse_event_batch(body)
+            batch = parse_event_batch(read_byte_range(path, byte_range))
             size = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -837,11 +840,8 @@ class TestParseCensus:
 
     def test_direct_mapping(self):
         data = f"{self.HEADER}\n36061000100,74693,1500,0.08\n".encode()
-        recs = parse_census(data)
-        rec = recs["36061000100"]
-        assert rec.median_income == 74693
-        assert rec.median_rent == 1500
-        assert rec.unemployment_rate == 0.08
+        assert parse_census(data) == {"36061000100": {
+            "median_income": 74693, "median_rent": 1500, "unemployment_rate": 0.08}}
 
     def test_rate_out_of_range(self):
         data = f"{self.HEADER}\nT1,100,100,1.5\n".encode()
@@ -873,8 +873,11 @@ class TestParseCensus:
         with pytest.raises(RateOutOfRange):
             parse_census(data)
 
+    def test_negative_rejected_in_any_column(self):
+        data = b"tract_id,net_migration\nT0,4\nT1,-3\n"
+        with pytest.raises(RateOutOfRange, match="^net_migration=-3.0 for tract T1 "):
+            parse_census(data)
+
     def test_missing_cells_and_extras(self):
         data = b"tract_id,median_income,commute_minutes\nT1,,31.5\n"
-        rec = parse_census(data)["T1"]
-        assert rec.median_income is None
-        assert rec.extra == {"commute_minutes": 31.5}
+        assert parse_census(data) == {"T1": {"commute_minutes": 31.5}}

@@ -195,6 +195,23 @@ class TestRunPipeline:
         assert raw.distributions["images"]["all"]["total"] == n_events
         assert dens.distributions["images"]["all"]["total"] != n_events
 
+    @pytest.mark.parametrize("normalization", ["raw", "per_km2"])
+    def test_tract_without_events_is_a_zero_unit(self, tmp_path, normalization):
+        # T3 gets no event, yet it is one of the three units: over 5, 5
+        # and 0 events on equal areas Gini is 1/3, and over 5 and 5 it is 0
+        tracts_path = tmp_path / "t.geojson"
+        tracts_path.write_bytes(feature_collection(
+            [square_feature("T1", 0, 0), square_feature("T2", 1, 0), square_feature("T3", 5, 0)]
+        ))
+        ep = tmp_path / "e.csv"
+        ep.write_bytes(events_csv([f"u{i},0.5,{i % 2}.5,2014-03-1{i}T10:00:00Z,"
+                                   for i in range(10)]))
+        cfg = PipelineConfig(events_path=str(ep), tracts_path=str(tracts_path),
+                             normalization=normalization)
+        rep = run_pipeline(cfg)
+        assert rep.distributions["images"]["all"]["suite"]["gini"] == pytest.approx(1 / 3)
+        assert len(rep.lorenz_curves[0].points) == 4
+
     def test_empty_events_vacuous_run(self, city_paths, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("user_id,lat,lon,timestamp,text\n")
@@ -248,7 +265,7 @@ class TestRunPipeline:
         events_path.write_bytes(events_csv(rows))
         cfg = PipelineConfig(events_path=str(events_path), tracts_path=str(tracts_path))
         _, internals = run_pipeline_full(cfg)
-        view = cube_view(internals.aggregates, internals.tract_ids)
+        view = cube_view(internals.aggregates, internals.tract_ids, internals.months)
         want = ["night", "day", "day", "night"]
         for i, expect in enumerate(want):
             st = view[f"T{i}"]["all"]
@@ -287,7 +304,8 @@ class TestRunPipeline:
         assert "RuntimeError: unreadable range" in str(exc.value)
 
     def test_workers_receive_masks_as_bytes(self, city_paths, monkeypatch):
-        # the parent's only sends are the phase-2 messages, one per worker
+        # the parent's only sends are the phase-2 messages, one per worker:
+        # its users' masks as bytes and the dataset's month axis
         cfg = quick_config(city_paths)
         sent = []
         send = Connection.send
@@ -297,14 +315,16 @@ class TestRunPipeline:
             send(conn, obj)
 
         monkeypatch.setattr(Connection, "send", record)
-        rep = run_pipeline(cfg, partitions=2)
+        rep, internals = run_pipeline_full(cfg, partitions=2)
         assert rep.ingest["events_outside_tracts"] == 0
+        assert len(internals.months) == CITY.months
         users = [
             len(parse_event_batch(read_byte_range(cfg.events_path, r)).users)
             for r in partition_byte_ranges(cfg.events_path, 2)
         ]
-        assert [type(m) for m in sent] == [bytes, bytes]
-        assert [len(m) for m in sent] == users
+        assert [(type(m), len(m), months) for m, months in sent] == [
+            (bytes, n, internals.months) for n in users
+        ]
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_user_outside_every_tract_not_counted(self, tmp_path, monkeypatch, k):
@@ -391,7 +411,7 @@ class TestRunPipeline:
         )
         rows = [(epoch, text, tid, labels[uid]) for uid, epoch, text, tid in kept]
         want = oracles.aggregate_by_tract(rows, cfg.timezone)
-        assert cube_view(internals.aggregates, internals.tract_ids) == want
+        assert cube_view(internals.aggregates, internals.tract_ids, internals.months) == want
 
     def test_k1_run_leaves_numpy_ma_unloaded(self, city_paths, census_path, tmp_path):
         # a plain np.unique imports numpy.ma on its first call (15-17 ms
@@ -407,24 +427,44 @@ class TestRunPipeline:
 
 
 class TestTracer:
+    # the spans the benchmark's layer metrics read; at k=2 the partition
+    # jobs run in the workers, whose spans the tracer does not collect
+    PARENT_SPANS = {"report.pipeline", "report.emit", "jsonio.dumps", "metrics", "ingest.census",
+                    "ingest.tracts", "ingest.split", "geo.index", "aggregate.merge"}
+    JOB_SPANS = {"ingest.read", "ingest.parse", "geo.assign", "timebins", "aggregate.batch"}
+    PIPE_SPANS = {"partition.recv", "partition.recv_bytes", "partition.send_bytes"}
+
     @pytest.mark.parametrize("k", [1, 2])
-    def test_benchmark_tracer_installs(self, city_paths, tmp_path, k):
-        # the benchmark's tracer rebinds pipeline names; a run under it
-        # fails or loses spans when one of them is renamed away. At k=2
-        # aggregate_batch runs in the workers, whose spans it does not
-        # collect, so only the parent's merge and pipe spans show
+    def test_benchmark_tracer_installs(self, city_paths, census_path, tmp_path, k):
+        # the benchmark's tracer rebinds pipeline names and reads their
+        # arguments by position; a run under it fails, loses spans or
+        # miscounts when one of them is renamed away or reordered
         tracer = Path(__file__).resolve().parents[1] / "geobench" / "tracer.py"
         spans_path = tmp_path / "spans.json"
         argv = [sys.executable, str(tracer), str(spans_path), "run",
                 "--events", city_paths["events"], "--tracts", city_paths["tracts"],
-                "--out", str(tmp_path / "out"), "--partitions", str(k)]
+                "--census", census_path, "--out", str(tmp_path / "out"), "--partitions", str(k)]
         env = dict(os.environ, PYTHONPATH=str(Path(geoineq.__file__).parents[1]))
         done = subprocess.run(argv, env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
-        names = {span["name"] for span in json.loads(spans_path.read_text())["spans"]}
-        want = {"aggregate.batch", "aggregate.merge"} if k == 1 else {
-            "aggregate.merge", "partition.recv"}
-        assert want <= names
+        spans = json.loads(spans_path.read_text())["spans"]
+        ingest = json.loads((tmp_path / "out" / "report.json").read_text())["ingest"]
+
+        def total(name, key):
+            return sum(span[key] for span in spans if span["name"] == name)
+
+        names = {span["name"] for span in spans}
+        if k == 1:
+            assert self.PARENT_SPANS | self.JOB_SPANS <= names
+            assert total("ingest.parse", "records") == ingest["records_total"]
+            assert total("geo.assign", "points") == ingest["records_ok"]
+            assert total("aggregate.batch", "events") == ingest["events_assigned"]
+        else:
+            assert self.PARENT_SPANS | self.PIPE_SPANS <= names
+            assert not self.JOB_SPANS & names
+            phase1 = [span["records"] for span in spans
+                      if span["name"] == "partition.recv" and "records" in span]
+            assert len(phase1) == k and sum(phase1) == ingest["records_total"]
 
 
 class TestCsvTables:
@@ -887,6 +927,32 @@ class TestCli:
             want = f"error: median_income='{bad}' for tract T0003 is not a finite number\n"
         else:
             want = f"error: column 'median_income', row 3: '{bad}' is not a finite number\n"
+        assert capsys.readouterr() == ("", want)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["metrics", "lorenz", "run", "ingest-check"])
+    def test_negative_value_exit_1(self, city_paths, tmp_path, capsys, command):
+        # one negative cell, in the third row (tract T0003), of a column
+        # that is no named census indicator
+        rows = ["tract_id,net_migration"] + [f"T{k:04d},{k}" for k in range(1, CITY.n_tracts + 1)]
+        rows[3] = "T0003,-3"
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        column = ["--column", "net_migration"]
+        inputs = ["--events", city_paths["events"], "--tracts", city_paths["tracts"],
+                  "--census", str(table)]
+        argv = {
+            "metrics": ["metrics", "--csv", str(table), *column],
+            "lorenz": ["lorenz", "--csv", str(table), *column, "--out", str(out)],
+            "run": ["run", *inputs, "--out", str(out)],
+            "ingest-check": ["ingest-check", *inputs],
+        }[command]
+        assert cli.main(argv) == 1
+        if command in ("metrics", "lorenz"):
+            want = "error: 'net_migration', unit 'T0003': negative or non-finite value -3.0\n"
+        else:
+            want = "error: net_migration=-3.0 for tract T0003 (negative)\n"
         assert capsys.readouterr() == ("", want)
         assert not out.exists()
 

@@ -16,6 +16,7 @@ from geoineq.errors import InvalidParams
 from geoineq.ingest import ParseStats, parse_tracts
 from geoineq.oracles import SplitMix64
 from geoineq.synth import SynthParams, generate_city, write_city
+from geoineq.timebins import month_tuple
 
 SMALL = SynthParams(
     seed=11, n_tracts=25, n_users_local=20, n_users_visitor=20, n_events=900, months=5
@@ -233,7 +234,7 @@ def city_labels(city, tz):
     """{user_id: (kind, super_local)} and the dataset months, classified
     from a synthetic city's events at the default 12-day window."""
     cohorts = classify_partials([city_partials(city, tz)], 12)
-    return cohort_labels(cohorts.user_ids, cohorts.masks), cohorts.dataset_months
+    return cohort_labels(cohorts.user_ids, cohorts.masks), [month_tuple(m) for m in cohorts.months]
 
 
 class TestConstruction:
