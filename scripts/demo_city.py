@@ -46,13 +46,14 @@ def main() -> int:
     report, internals = run_pipeline_full(config)
     files = emit_outputs(report, internals, Path(args.out) / "report")
 
-    print(f"\n{report.ingest['events_assigned']} events over {report.tracts['count']} tracts")
-    print(f"users: {report.users}")
+    assigned, n_tracts = report["ingest"]["events_assigned"], report["tracts"]["count"]
+    print(f"\n{assigned} events over {n_tracts} tracts")
+    print(f"users: {report['users']}")
 
     header = f"{'index':<14}{'visitor':>12}{'local':>12}{'ratio':>10}"
     print("\n" + header)
     print("-" * len(header))
-    dists = report.distributions["images"]
+    dists = report["distributions"]["images"]
     ratio = dists["ratio_visitor_local"]
     for key in SUITE_KEYS:
         v = dists["visitor"]["suite"][key]
@@ -67,7 +68,7 @@ def main() -> int:
     got = run_pipeline_full(
         PipelineConfig(events_path=paths["events"], tracts_path=paths["tracts"],
                        normalization="raw")
-    )[0].distributions["images"]["all"]["suite"]
+    )[0]["distributions"]["images"]["all"]["suite"]
     worst = max(
         abs(got[k] - oracle[k]) for k in SUITE_KEYS if oracle[k] is not None
     )

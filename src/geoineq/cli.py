@@ -67,7 +67,6 @@ def _config_from_args(args) -> PipelineConfig:
         window_days=args.window_days,
         normalization=args.normalize.replace("-", "_"),
         cohorts=tuple(c.strip() for c in args.cohorts.split(",") if c.strip()),
-        out_dir=args.out,
         seed=args.seed,
         events_format=_events_format(args.events),
     )

@@ -318,7 +318,7 @@ def aggregate_by_tract(rows: Iterable, tz: str) -> dict[str, dict[str, dict]]:
 
 
 def choropleth_direct(geojson: dict, values: dict[str, float], breaks: int) -> dict:
-    """Reference for ``report.emit_choropleth``: the classed
+    """Reference for ``report.choropleth_parts``: the classed
     FeatureCollection built from a GeoJSON dict as read from the file,
     every geometry passed through as it is.
 

@@ -16,8 +16,12 @@ axis, which the classification fixes. It then aggregates on that axis,
 so the parent merges the partitions' cubes by adding them. With
 ``--partitions 1`` the job runs in the parent process; otherwise each
 range gets a forked worker, which uses the spatial index it inherits
-and talks to the parent over a pipe. The parent's classify and merge code is the same for every
-partition count.
+and talks to the parent over a pipe. The parent's classify and merge
+code is the same for every partition count.
+
+A run returns its ``report.json`` dict and the arrays the other outputs
+read; each cohort's image densities serve its indexes, ``tracts.csv``
+and the choropleth.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import gc
 import math
 import multiprocessing as mp
 import traceback
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -102,7 +106,6 @@ class PipelineConfig:
     window_days: int = 12
     normalization: str = "per_km2"  # "raw" | "per_km2"
     cohorts: tuple[str, ...] = DEFAULT_COHORTS
-    out_dir: str = "out"
     seed: int = 0  # echoed for synth-generated inputs
     events_format: str = "csv"
 
@@ -127,60 +130,6 @@ class PipelineConfig:
 
 
 @dataclass
-class Report:
-    config: PipelineConfig
-    ingest: dict
-    tracts: dict
-    users: dict
-    events_by_cohort: dict
-    distributions: dict
-    concentration: dict
-    temporal: dict
-    tag_summaries: dict
-    census_indexes: dict | None
-    rank_table: list[RankRow]
-    manifest: list[str] = field(default_factory=list)
-    lorenz_curves: list[LorenzCurve] = field(default_factory=list, repr=False)
-    choropleth_values: dict[str, float] = field(default_factory=dict, repr=False)
-
-    def to_json_dict(self) -> dict:
-        cfg = self.config
-        return {
-            "schema": "geoineq-report/1",
-            "config": {
-                "events_path": str(cfg.events_path),
-                "tracts_path": str(cfg.tracts_path),
-                "census_path": str(cfg.census_path) if cfg.census_path else None,
-                "timezone": cfg.timezone,
-                "window_days": cfg.window_days,
-                "normalization": cfg.normalization,
-                "cohorts": list(cfg.cohorts),
-                "seed": cfg.seed,
-                "events_format": cfg.events_format,
-            },
-            "ingest": self.ingest,
-            "tracts": self.tracts,
-            "users": self.users,
-            "events_by_cohort": self.events_by_cohort,
-            "distributions": self.distributions,
-            "concentration": self.concentration,
-            "temporal": self.temporal,
-            "tag_summary": self.tag_summaries,
-            "census_indexes": self.census_indexes,
-            "rank_table": [
-                {
-                    "tract_id": r.tract_id,
-                    "day_rank": r.day_rank,
-                    "night_rank": r.night_rank,
-                    "income_flag": r.income_flag,
-                }
-                for r in self.rank_table
-            ],
-            "manifest": list(self.manifest),
-        }
-
-
-@dataclass
 class PipelineInternals:
     tracts: tuple[Tract, ...]  # in file order, as the choropleth writes them
     tract_ids: tuple[str, ...]
@@ -188,18 +137,14 @@ class PipelineInternals:
     user_masks: np.ndarray  # cohort mask per user, aligned with user_ids
     aggregates: TractCube  # every partition's, merged; its month axis is months
     months: range  # month numbers, as cohort.Cohorts holds them
+    areas: np.ndarray  # km2 per tract, on the tract axis of tract_ids
+    # each reported cohort's images per km2 (per tract when raw), on that axis
+    densities: dict[str, np.ndarray]
+    lorenz_curves: list[LorenzCurve]  # one per reported cohort with images
 
 
 def suite_to_dict(suite: IndexSuite | None) -> dict | None:
-    if suite is None:
-        return None
-    return {
-        "gini": suite.gini,
-        "ratio_80_20": suite.ratio_80_20,
-        "ratio_90_10": suite.ratio_90_10,
-        "hoover": suite.hoover,
-        "theil": suite.theil,
-    }
+    return None if suite is None else asdict(suite)
 
 
 # --- partition job ----------------------------------------------------------
@@ -285,7 +230,9 @@ def load_tracts(path) -> tuple[tuple[Tract, ...], SpatialIndex]:
 
 def run_pipeline_full(
     config: PipelineConfig, partitions: int = 1
-) -> tuple[Report, PipelineInternals]:
+) -> tuple[dict, PipelineInternals]:
+    """The run's ``report.json`` dict (its manifest still empty) and the
+    arrays that the other outputs are made from."""
     config.validate()
     if partitions < 1:
         raise ValueError("partitions must be >= 1")
@@ -353,16 +300,17 @@ def run_pipeline_full(
         for proc in procs:
             proc.join()
 
-    report = _build_report(
+    report, *emit_inputs = _build_report(
         config, index, stats, dropped_total, cohorts.masks, cube, census, cohorts.months
     )
     internals = PipelineInternals(
-        tracts, index.tract_ids, cohorts.user_ids, cohorts.masks, cube, cohorts.months
+        tracts, index.tract_ids, cohorts.user_ids, cohorts.masks, cube, cohorts.months,
+        *emit_inputs,
     )
     return report, internals
 
 
-def run_pipeline(config: PipelineConfig, partitions: int = 1) -> Report:
+def run_pipeline(config: PipelineConfig, partitions: int = 1) -> dict:
     report, _ = run_pipeline_full(config, partitions)
     return report
 
@@ -377,10 +325,11 @@ def _try_suite(d: Distribution) -> IndexSuite | None:
         return None
 
 
-def _build_report(config, index, stats, dropped_total, user_masks, cube, census, months) -> Report:
-    """The report of a run. Every per-tract count is an array on the
-    tract axis of ``index``, whose ids are sorted as a Distribution's
-    units are."""
+def _build_report(config, index, stats, dropped_total, user_masks, cube, census, months):
+    """The ``report.json`` dict of a run, then the tract areas, each
+    reported cohort's image densities and the Lorenz curves. Every
+    per-tract count is an array on the tract axis of ``index``, whose
+    ids are sorted as a Distribution's units are."""
     assigned = stats.records_ok - dropped_total
     totals = dict(zip(BUCKET_KEYS, cube.events.sum(axis=1).tolist()))
     if stats.records_ok + stats.records_skipped != stats.records_total:
@@ -394,7 +343,6 @@ def _build_report(config, index, stats, dropped_total, user_masks, cube, census,
     tract_ids = index.tract_ids
     areas = np.array([t.area_km2 for t in index.tracts])
     divisor = areas if config.normalization == "per_km2" else 1.0
-    census_unmatched = sorted(set(census) - set(tract_ids)) if census is not None else []
 
     users = {"total": len(user_masks)}
     for key, bit in COHORT_MASKS.items():
@@ -404,14 +352,16 @@ def _build_report(config, index, stats, dropped_total, user_masks, cube, census,
     per_tract = dict(zip(DISTRIBUTION_NAMES, (cube.events, cube.tags, cube.unique_tags)))
     distributions: dict = {}
     images: dict[str, Distribution] = {}
+    densities: dict[str, np.ndarray] = {}
     for dist_name, counts in per_tract.items():
         per_cohort: dict = {}
         suites: dict[str, IndexSuite | None] = {}
         for cohort, b in buckets.items():
-            values = tuple((counts[b] / divisor).tolist())
+            density = counts[b] / divisor
+            values = tuple(density.tolist())
             d = Distribution(tract_ids, values, label=f"{dist_name}/{cohort}")
             if dist_name == "images":
-                images[cohort] = d
+                images[cohort], densities[cohort] = d, density
             suites[cohort] = suite = _try_suite(d)
             per_cohort[cohort] = {"total": math.fsum(values), "suite": suite_to_dict(suite)}
         both = suites.get("visitor") is not None and suites.get("local") is not None
@@ -478,33 +428,42 @@ def _build_report(config, index, stats, dropped_total, user_masks, cube, census,
             incomes,
         )
 
-    choropleth_cohort = "local" if "local" in config.cohorts else config.cohorts[0]
-
-    return Report(
-        config=config,
-        ingest={
+    report = {
+        "schema": "geoineq-report/1",
+        "config": {
+            "events_path": str(config.events_path),
+            "tracts_path": str(config.tracts_path),
+            "census_path": str(config.census_path) if config.census_path else None,
+            "timezone": config.timezone,
+            "window_days": config.window_days,
+            "normalization": config.normalization,
+            "cohorts": list(config.cohorts),
+            "seed": config.seed,
+            "events_format": config.events_format,
+        },
+        "ingest": {
             **stats.summary(),
             "events_assigned": assigned,
             "events_outside_tracts": dropped_total,
             "census_rows": len(census) if census is not None else None,
-            "census_unmatched_tracts": census_unmatched,
+            "census_unmatched_tracts": sorted(set(census) - set(tract_ids)) if census else [],
         },
-        tracts={
+        "tracts": {
             "count": len(tract_ids),
             "total_area_km2": math.fsum(areas.tolist()),
             "dataset_months": ["%04d-%02d" % month_tuple(m) for m in months],
         },
-        users=users,
-        events_by_cohort=totals,
-        distributions=distributions,
-        concentration=concentration,
-        temporal=temporal,
-        tag_summaries=tag_summaries,
-        census_indexes=census_indexes,
-        rank_table=rank_table,
-        lorenz_curves=lorenz_curves,
-        choropleth_values=dict(zip(tract_ids, images[choropleth_cohort].values)),
-    )
+        "users": users,
+        "events_by_cohort": totals,
+        "distributions": distributions,
+        "concentration": concentration,
+        "temporal": temporal,
+        "tag_summary": tag_summaries,
+        "census_indexes": census_indexes,
+        "rank_table": [asdict(row) for row in rank_table],
+        "manifest": [],  # emit_outputs lists the files it writes
+    }
+    return report, areas, densities, lorenz_curves
 
 
 def _try_entropy(counts) -> float | None:
@@ -531,13 +490,13 @@ def _csv_lines(rows) -> str:
     return "\n".join(",".join(_fmt_cell(c) for c in row) for row in rows) + "\n"
 
 
-def _indexes_csv(report: Report) -> str:
-    cohorts = [c for c in report.config.cohorts]
-    rows = [["distribution", "metric"] + cohorts + ["ratio"]]
+def _indexes_csv(report: dict) -> str:
+    cohorts = report["config"]["cohorts"]
+    rows = [["distribution", "metric", *cohorts, "ratio"]]
     for dist_name in DISTRIBUTION_NAMES:
-        per_cohort = report.distributions[dist_name]
-        ratio = per_cohort.get("ratio_visitor_local")
-        for metric in ("gini", "ratio_80_20", "ratio_90_10", "hoover", "theil"):
+        per_cohort = report["distributions"][dist_name]
+        ratio = per_cohort["ratio_visitor_local"]
+        for metric in (f.name for f in fields(IndexSuite)):
             row = [dist_name, metric]
             for cohort in cohorts:
                 suite = per_cohort[cohort]["suite"]
@@ -547,36 +506,32 @@ def _indexes_csv(report: Report) -> str:
     return _csv_lines(rows)
 
 
-def _tags_csv(report: Report) -> str:
+def _tags_csv(report: dict) -> str:
     cols = [f.name for f in fields(TagSummary)]
     rows = [["cohort", *cols]]
-    for cohort in report.config.cohorts:
-        ts = report.tag_summaries.get(cohort)
+    for cohort, ts in report["tag_summary"].items():
         rows.append([cohort] + ([None] * len(cols) if ts is None else [ts[k] for k in cols]))
     return _csv_lines(rows)
 
 
-def _ranks_csv(report: Report) -> str:
-    rows = [["tract_id", "day_rank", "night_rank", "income_flag"]]
-    for r in report.rank_table:
-        rows.append([r.tract_id, r.day_rank, r.night_rank, r.income_flag])
-    return _csv_lines(rows)
+def _ranks_csv(report: dict) -> str:
+    cols = [f.name for f in fields(RankRow)]
+    return _csv_lines([cols] + [[row[k] for k in cols] for row in report["rank_table"]])
 
 
-def _tracts_csv(report: Report, internals: PipelineInternals) -> str:
+def _tracts_csv(internals: PipelineInternals) -> str:
     rows = [["tract_id", "cohort", "event_count", "tag_count", "unique_tag_count",
              "day_count", "night_count", "area_km2", "value"]]
-    areas = {t.tract_id: t.area_km2 for t in internals.tracts}
-    per_km2 = report.config.normalization == "per_km2"
     cube = internals.aggregates
-    cohorts = report.config.cohorts
+    cohorts = list(internals.densities)
     table = np.stack([cube.events, cube.tags, cube.unique_tags, cube.day, cube.night], axis=-1)
-    # [tract][cohort][column]
+    # [tract][cohort][column] and [tract][cohort]
     counts = table[[BUCKET_KEYS.index(c) for c in cohorts]].transpose(1, 0, 2).tolist()
-    for tid, per_cohort in zip(internals.tract_ids, counts):
-        for cohort, (count, *rest) in zip(cohorts, per_cohort):
-            value = count / areas[tid] if per_km2 else float(count)
-            rows.append([tid, cohort, count, *rest, areas[tid], value])
+    values = np.stack(list(internals.densities.values()), axis=-1).tolist()
+    per_tract = zip(internals.tract_ids, internals.areas.tolist(), counts, values)
+    for tid, area, per_cohort, per_value in per_tract:
+        for cohort, row, value in zip(cohorts, per_cohort, per_value):
+            rows.append([tid, cohort, *row, area, value])
     return _csv_lines(rows)
 
 
@@ -631,8 +586,15 @@ def emit_lorenz_svg(curves: list[LorenzCurve]) -> str:
 
 
 def choropleth_parts(tracts: Iterable[Tract], values: dict[str, float], breaks: int) -> list[str]:
-    """The choropleth GeoJSON text as its parts, in order (see
-    :func:`emit_choropleth`)."""
+    """The choropleth GeoJSON text as its parts, in order: one feature
+    per tract, in the order given, with the tract's properties plus
+    'value' and a quantile-bucket 'class', and its parsed geometry.
+
+    Classes are 0..breaks-1 from nearest-rank quantile thresholds over
+    the tracts that have values; a missing value classes as "no-data".
+    The geometry keeps the tract's type and its 2D positions, printed at
+    12 significant digits.
+    """
     if breaks < 2:
         raise BadBreakCount(f"need at least 2 classes, got {breaks}")
     present = sorted(values.values())
@@ -661,19 +623,6 @@ def choropleth_parts(tracts: Iterable[Tract], values: dict[str, float], breaks: 
     return jsonio.parts({"type": "FeatureCollection", "features": features})
 
 
-def emit_choropleth(tracts: Iterable[Tract], values: dict[str, float], breaks: int) -> str:
-    """The choropleth GeoJSON text: one feature per tract, in the order
-    given, with the tract's properties plus 'value' and a quantile-bucket
-    'class', and its parsed geometry.
-
-    Classes are 0..breaks-1 from nearest-rank quantile thresholds over
-    the tracts that have values; a missing value classes as "no-data".
-    The geometry keeps the tract's type and its 2D positions, printed at
-    12 significant digits.
-    """
-    return "".join(choropleth_parts(tracts, values, breaks))
-
-
 def write_parts(path, parts: Iterable[str]) -> None:
     """Write a text given as its parts, UTF-8 with LF line ends, part by
     part: the whole text is never joined or encoded at once."""
@@ -681,35 +630,36 @@ def write_parts(path, parts: Iterable[str]) -> None:
         f.writelines(parts)
 
 
-def emit_outputs(
-    report: Report,
-    internals: PipelineInternals,
-    out_dir,
-    choropleth_breaks: int = DEFAULT_CHOROPLETH_BREAKS,
-) -> list[Path]:
+def emit_outputs(report: dict, internals: PipelineInternals, out_dir) -> list[Path]:
     """Write every artifact for a run: report.json, the four CSV tables,
-    the Lorenz SVG when there are curves, and the choropleth, from the
-    run's own tracts: no input file is read. Every text is made, as its
-    parts, before the first file is written, and the manifest is stamped
-    into the report before report.json is serialized."""
+    the Lorenz SVG when there are curves, and the choropleth of the
+    local cohort's densities (of the first cohort when locals are not
+    reported), from the run's own tracts: no input file is read. Every
+    text is made, as its parts, before the first file is written, and
+    the manifest is stamped into the report before report.json is
+    serialized. An output this run does not make is removed from
+    ``out_dir``, so no earlier run's output is left beside the report."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     texts = {
         "indexes": [_indexes_csv(report)],
         "tags": [_tags_csv(report)],
         "ranks": [_ranks_csv(report)],
-        "tracts": [_tracts_csv(report, internals)],
+        "tracts": [_tracts_csv(internals)],
     }
-    if report.lorenz_curves:
-        texts["lorenz"] = [emit_lorenz_svg(report.lorenz_curves)]
-    texts["choropleth"] = choropleth_parts(
-        internals.tracts, report.choropleth_values, choropleth_breaks
-    )
-    report.manifest = [OUTPUT_NAMES[name] for name in ("report", *texts)]
-    texts = {"report": [jsonio.dumps(report.to_json_dict())], **texts}
+    if internals.lorenz_curves:
+        texts["lorenz"] = [emit_lorenz_svg(internals.lorenz_curves)]
+    densities = internals.densities
+    cohort = "local" if "local" in densities else next(iter(densities))
+    values = dict(zip(internals.tract_ids, densities[cohort].tolist()))
+    texts["choropleth"] = choropleth_parts(internals.tracts, values, DEFAULT_CHOROPLETH_BREAKS)
+    report["manifest"] = [OUTPUT_NAMES[name] for name in ("report", *texts)]
+    texts = {"report": [jsonio.dumps(report)], **texts}
     written = []
     for name, text in texts.items():
         p = out / OUTPUT_NAMES[name]
         write_parts(p, text)
         written.append(p)
+    for name in OUTPUT_NAMES.keys() - texts.keys():
+        (out / OUTPUT_NAMES[name]).unlink(missing_ok=True)
     return written

@@ -227,14 +227,14 @@ def test_criterion_7_end_to_end_oracle_closure(city_100k):
 
     count_vec = [float(gt["tract_counts"][tid]) for tid in internals.tract_ids]
     oracle_raw = oracles.index_suite_direct(count_vec)
-    got_raw = report_raw.distributions["images"]["all"]["suite"]
+    got_raw = report_raw["distributions"]["images"]["all"]["suite"]
     worst = 0.0
     for key in SUITE_KEYS:
         assert (got_raw[key] is None) == (oracle_raw[key] is None), key
         if oracle_raw[key] is not None:
             worst = max(worst, abs(got_raw[key] - oracle_raw[key]))
     assert worst <= 1e-12
-    entropy = report_raw.concentration["all"]["spatial_relative_entropy"]
+    entropy = report_raw["concentration"]["all"]["spatial_relative_entropy"]
     oracle_entropy = oracles.relative_entropy_direct(gt["tract_counts"].values())
     worst = max(worst, abs(entropy - oracle_entropy))
     assert worst <= 1e-12
@@ -245,7 +245,7 @@ def test_criterion_7_end_to_end_oracle_closure(city_100k):
     areas = {t.tract_id: t.area_km2 for t in internals.tracts}
     dens_vec = [gt["tract_counts"][tid] / areas[tid] for tid in internals.tract_ids]
     oracle_dens = oracles.index_suite_direct(dens_vec)
-    got_dens = report_dens.distributions["images"]["all"]["suite"]
+    got_dens = report_dens["distributions"]["images"]["all"]["suite"]
     for key in SUITE_KEYS:
         if oracle_dens[key] is not None:
             worst = max(worst, abs(got_dens[key] - oracle_dens[key]))
@@ -314,7 +314,7 @@ def perf_measurements(city_1m, tmp_path_factory):
     emit_outputs(report1, internals1, out / "p1")
     emit_outputs(report4, internals4, out / "p4")
     return {
-        "events": report1.ingest["events_assigned"],
+        "events": report1["ingest"]["events_assigned"],
         "single": single,
         "partitioned": partitioned,
         "identical": (out / "p1" / "report.json").read_bytes()

@@ -29,7 +29,7 @@ from geoineq.ingest import (
 from geoineq.metrics import Distribution, lorenz_curve
 from geoineq.report import (
     PipelineConfig,
-    emit_choropleth,
+    choropleth_parts,
     emit_lorenz_svg,
     emit_outputs,
     run_pipeline,
@@ -142,11 +142,12 @@ class TestRunPipeline:
 
     def test_accounting_identity(self, city_paths):
         rep = run_pipeline(quick_config(city_paths))
-        ing = rep.ingest
+        ing = rep["ingest"]
         assert ing["records_total"] == ing["records_ok"] + ing["records_skipped"]
         assert ing["records_ok"] == ing["events_assigned"] + ing["events_outside_tracts"]
-        assert rep.events_by_cohort["visitor"] + rep.events_by_cohort["local"] == ing["events_assigned"]
-        assert rep.events_by_cohort["all"] == ing["events_assigned"]
+        by_cohort = rep["events_by_cohort"]
+        assert by_cohort["visitor"] + by_cohort["local"] == ing["events_assigned"]
+        assert by_cohort["all"] == ing["events_assigned"]
 
     def test_emitted_twice_byte_identical(self, city_paths, tmp_path):
         cfg = quick_config(city_paths)
@@ -173,27 +174,27 @@ class TestRunPipeline:
 
     def test_census_suites_and_unmatched(self, city_paths, census_path):
         rep = run_pipeline(quick_config(city_paths, census=census_path))
-        assert rep.ingest["census_unmatched_tracts"] == ["Z9999"]
-        suites = rep.census_indexes
+        assert rep["ingest"]["census_unmatched_tracts"] == ["Z9999"]
+        suites = rep["census_indexes"]
         assert set(suites) == {"median_income", "median_rent", "unemployment_rate"}
         assert 0.0 < suites["median_income"]["gini"] < 1.0
 
     def test_rank_table_income_flags(self, city_paths, census_path):
         rep = run_pipeline(quick_config(city_paths, census=census_path))
-        flags = {r.income_flag for r in rep.rank_table}
+        flags = {r["income_flag"] for r in rep["rank_table"]}
         assert flags <= {"above", "below", "unknown"}
         n = CITY.n_tracts
-        assert sorted(r.day_rank for r in rep.rank_table) == list(range(1, n + 1))
+        assert sorted(r["day_rank"] for r in rep["rank_table"]) == list(range(1, n + 1))
         # T0016-like tract has no census row in the fixture
-        by_id = {r.tract_id: r for r in rep.rank_table}
-        assert by_id[f"T{n:04d}"].income_flag == "unknown"
+        by_id = {r["tract_id"]: r for r in rep["rank_table"]}
+        assert by_id[f"T{n:04d}"]["income_flag"] == "unknown"
 
     def test_raw_vs_density_normalization(self, city_paths):
         raw = run_pipeline(quick_config(city_paths, normalization="raw"))
         dens = run_pipeline(quick_config(city_paths, normalization="per_km2"))
-        n_events = raw.ingest["events_assigned"]
-        assert raw.distributions["images"]["all"]["total"] == n_events
-        assert dens.distributions["images"]["all"]["total"] != n_events
+        n_events = raw["ingest"]["events_assigned"]
+        assert raw["distributions"]["images"]["all"]["total"] == n_events
+        assert dens["distributions"]["images"]["all"]["total"] != n_events
 
     @pytest.mark.parametrize("normalization", ["raw", "per_km2"])
     def test_tract_without_events_is_a_zero_unit(self, tmp_path, normalization):
@@ -208,22 +209,22 @@ class TestRunPipeline:
                                    for i in range(10)]))
         cfg = PipelineConfig(events_path=str(ep), tracts_path=str(tracts_path),
                              normalization=normalization)
-        rep = run_pipeline(cfg)
-        assert rep.distributions["images"]["all"]["suite"]["gini"] == pytest.approx(1 / 3)
-        assert len(rep.lorenz_curves[0].points) == 4
+        rep, internals = run_pipeline_full(cfg)
+        assert rep["distributions"]["images"]["all"]["suite"]["gini"] == pytest.approx(1 / 3)
+        assert len(internals.lorenz_curves[0].points) == 4
 
     def test_empty_events_vacuous_run(self, city_paths, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("user_id,lat,lon,timestamp,text\n")
         cfg = PipelineConfig(events_path=str(empty), tracts_path=city_paths["tracts"])
         rep, internals = run_pipeline_full(cfg)
-        assert rep.ingest["records_total"] == 0
-        assert rep.users["total"] == 0
-        for dist in rep.distributions.values():
+        assert rep["ingest"]["records_total"] == 0
+        assert rep["users"]["total"] == 0
+        for dist in rep["distributions"].values():
             for cohort, block in dist.items():
                 if cohort != "ratio_visitor_local":
                     assert block["suite"] is None
-        assert rep.rank_table == []
+        assert rep["rank_table"] == []
         files = emit_outputs(rep, internals, tmp_path / "out")
         names = [p.name for p in files]
         assert "report.json" in names and "lorenz.svg" not in names
@@ -246,8 +247,8 @@ class TestRunPipeline:
             events_path=str(path), tracts_path=city_paths["tracts"], events_format="jsonl"
         )
         rep = run_pipeline(cfg)
-        assert rep.ingest["events_assigned"] == 2
-        assert rep.users["local"] == 1
+        assert rep["ingest"]["events_assigned"] == 2
+        assert rep["users"]["local"] == 1
 
     def test_day_night_boundary_through_pipeline(self, tmp_path):
         tracts = feature_collection(
@@ -283,8 +284,8 @@ class TestRunPipeline:
         ep = tmp_path / "e.csv"
         ep.write_bytes(events_csv(rows))
         rep = run_pipeline(PipelineConfig(events_path=str(ep), tracts_path=str(tracts_path)))
-        assert rep.ingest["events_assigned"] == 1
-        assert rep.ingest["events_outside_tracts"] == 1
+        assert rep["ingest"]["events_assigned"] == 1
+        assert rep["ingest"]["events_outside_tracts"] == 1
 
     def test_failed_worker_names_its_partition(self, city_paths, monkeypatch):
         cfg = quick_config(city_paths)
@@ -316,7 +317,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(Connection, "send", record)
         rep, internals = run_pipeline_full(cfg, partitions=2)
-        assert rep.ingest["events_outside_tracts"] == 0
+        assert rep["ingest"]["events_outside_tracts"] == 0
         assert len(internals.months) == CITY.months
         users = [
             len(parse_event_batch(read_byte_range(cfg.events_path, r)).users)
@@ -352,9 +353,9 @@ class TestRunPipeline:
         assert len(seen) == k
         assert all("gone" not in p.user_ids for p in seen)
         assert sorted(internals.user_ids) == ["in", "mixed"]
-        assert rep.users == {"total": 2, "visitor": 0, "local": 2, "super_local": 2}
-        assert rep.ingest["events_outside_tracts"] == 6
-        assert rep.events_by_cohort["all"] == 5
+        assert rep["users"] == {"total": 2, "visitor": 0, "local": 2, "super_local": 2}
+        assert rep["ingest"]["events_outside_tracts"] == 6
+        assert rep["events_by_cohort"]["all"] == 5
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_no_locals_and_months_apart(self, tmp_path, k):
@@ -375,13 +376,13 @@ class TestRunPipeline:
             assert b"2014-03" not in first and b"2014-01" not in second
         cfg = PipelineConfig(events_path=str(ep), tracts_path=str(tracts_path))
         rep = run_pipeline(cfg, partitions=k)
-        assert rep.users == {"total": 20, "visitor": 20, "local": 0, "super_local": 0}
-        assert rep.tag_summaries["local"] is None
-        assert rep.temporal["local"]["hourly_relative_entropy"] is None
-        assert rep.temporal["local"]["daily_relative_entropy"] is None
-        assert rep.rank_table == []
-        assert rep.tracts["dataset_months"] == ["2014-01", "2014-02", "2014-03"]
-        assert rep.temporal["visitor"]["monthly"] == {"2014-01": 10, "2014-03": 10}
+        assert rep["users"] == {"total": 20, "visitor": 20, "local": 0, "super_local": 0}
+        assert rep["tag_summary"]["local"] is None
+        assert rep["temporal"]["local"]["hourly_relative_entropy"] is None
+        assert rep["temporal"]["local"]["daily_relative_entropy"] is None
+        assert rep["rank_table"] == []
+        assert rep["tracts"]["dataset_months"] == ["2014-01", "2014-02", "2014-03"]
+        assert rep["temporal"]["visitor"]["monthly"] == {"2014-01": 10, "2014-03": 10}
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_events_outside_tracts_match_oracle(self, city_paths, tmp_path, k):
@@ -398,7 +399,7 @@ class TestRunPipeline:
         ep.write_text(text.getvalue())
         cfg = PipelineConfig(events_path=str(ep), tracts_path=city_paths["tracts"])
         rep, internals = run_pipeline_full(cfg, partitions=k)
-        assert rep.ingest["events_outside_tracts"] == len(records[::5])
+        assert rep["ingest"]["events_outside_tracts"] == len(records[::5])
 
         kept = []
         for rec in records:
@@ -493,13 +494,13 @@ class TestCsvTables:
         reader = csv.DictReader(io.StringIO(text))
         row = next(r for r in reader if r["cohort"] == "visitor")
         assert row["mean_tags_per_tagged_image"] == ""
-        assert rep.tag_summaries["visitor"]["mean_tags_per_tagged_image"] is None
+        assert rep["tag_summary"]["visitor"]["mean_tags_per_tagged_image"] is None
 
     def test_tracts_csv_covers_all_tracts(self, city_paths, tmp_path):
         rep, internals = run_pipeline_full(quick_config(city_paths))
         emit_outputs(rep, internals, tmp_path)
         lines = (tmp_path / "tracts.csv").read_text().splitlines()
-        assert len(lines) == 1 + CITY.n_tracts * len(rep.config.cohorts)
+        assert len(lines) == 1 + CITY.n_tracts * len(rep["config"]["cohorts"])
 
 
 class TestLorenzSvg:
@@ -579,26 +580,28 @@ class TestChoropleth:
 
     def test_one_class_per_bucket(self):
         values = {"T0": 1.0, "T1": 2.0, "T2": 3.0, "T3": 4.0}
-        out = json.loads(emit_choropleth(self.TRACTS, values, 4))
+        out = json.loads("".join(choropleth_parts(self.TRACTS, values, 4)))
         classes = {f["properties"]["tract_id"]: f["properties"]["class"] for f in out["features"]}
         assert classes == {"T0": 0, "T1": 1, "T2": 2, "T3": 3}
 
     def test_equal_values_single_class(self):
-        out = json.loads(emit_choropleth(self.TRACTS, {f"T{i}": 7.0 for i in range(4)}, 4))
+        values = {f"T{i}": 7.0 for i in range(4)}
+        out = json.loads("".join(choropleth_parts(self.TRACTS, values, 4)))
         assert {f["properties"]["class"] for f in out["features"]} == {0}
 
     def test_missing_value_no_data(self):
-        out = json.loads(emit_choropleth(self.TRACTS, {"T0": 1.0, "T1": 2.0, "T2": 3.0}, 3))
+        values = {"T0": 1.0, "T1": 2.0, "T2": 3.0}
+        out = json.loads("".join(choropleth_parts(self.TRACTS, values, 3)))
         by_id = {f["properties"]["tract_id"]: f["properties"] for f in out["features"]}
         assert by_id["T3"]["class"] == "no-data"
         assert by_id["T3"]["value"] is None
 
     def test_bad_break_count(self):
         with pytest.raises(BadBreakCount):
-            emit_choropleth(self.TRACTS, {"T0": 1.0}, 1)
+            choropleth_parts(self.TRACTS, {"T0": 1.0}, 1)
 
     def test_geometry_passthrough(self):
-        out = json.loads(emit_choropleth(self.TRACTS, {"T0": 1.0}, 2))
+        out = json.loads("".join(choropleth_parts(self.TRACTS, {"T0": 1.0}, 2)))
         for feat, tract in zip(out["features"], self.TRACTS, strict=True):
             assert feat["geometry"]["type"] == "Polygon"
             (poly,) = tract.polygons
@@ -609,7 +612,7 @@ class TestChoropleth:
         geojson, values, breaks = case
         want = jsonio.dumps(oracles.choropleth_direct(json.loads(json.dumps(geojson)),
                                                       values, breaks))
-        assert emit_choropleth(_parsed_tracts(geojson), values, breaks) == want
+        assert "".join(choropleth_parts(_parsed_tracts(geojson), values, breaks)) == want
 
     def test_altitude_and_extra_members_not_carried(self):
         feat = square_feature("T0", 0.0, 0.0)
@@ -617,7 +620,7 @@ class TestChoropleth:
         feat["geometry"]["coordinates"][0] = [[x, y, 12.5] for x, y in ring]
         feat["geometry"]["bbox"] = [0.0, 0.0, 1.0, 1.0]
         tracts = _parsed_tracts({"type": "FeatureCollection", "features": [feat]})
-        out = json.loads(emit_choropleth(tracts, {}, 2))
+        out = json.loads("".join(choropleth_parts(tracts, {}, 2)))
         assert out["features"][0]["geometry"] == {"type": "Polygon", "coordinates": [ring]}
 
     def test_emit_never_holds_joined_choropleth(self, city_paths, tmp_path):
@@ -670,6 +673,48 @@ class TestCli:
         assert sorted(report["manifest"]) == sorted(
             p.name for p in out_dir.iterdir()
         )
+
+    def test_rerun_removes_outputs_it_does_not_make(self, city_paths, tmp_path, capsys):
+        # a header-only events file gives no Lorenz curve, so the rerun
+        # must not leave the first run's lorenz.svg beside its report
+        empty = tmp_path / "empty.csv"
+        empty.write_text("user_id,lat,lon,timestamp,text\n")
+        out = tmp_path / "out"
+        for events in (city_paths["events"], str(empty)):
+            rc = cli.main(["run", "--events", events, "--tracts", city_paths["tracts"],
+                           "--out", str(out)])
+            assert rc == 0
+            manifest = json.loads((out / "report.json").read_text())["manifest"]
+            assert sorted(p.name for p in out.iterdir()) == sorted(manifest)
+        assert "lorenz.svg" not in manifest
+
+    @pytest.mark.parametrize("cohorts,chosen", [(None, "local"), ("visitor,all", "visitor")])
+    def test_choropleth_maps_local_else_first_cohort(self, city_paths, tmp_path, capsys,
+                                                      cohorts, chosen):
+        out = tmp_path / "out"
+        argv = ["run", "--events", city_paths["events"], "--tracts", city_paths["tracts"],
+                "--out", str(out)]
+        assert cli.main(argv + (["--cohorts", cohorts] if cohorts else [])) == 0
+        by_cohort: dict = {}
+        with open(out / "tracts.csv", encoding="utf-8", newline="") as f:
+            for row in csv.DictReader(f):
+                by_cohort.setdefault(row["cohort"], {})[row["tract_id"]] = float(row["value"])
+        features = json.loads((out / "choropleth.geojson").read_text())["features"]
+        got = {f["properties"]["tract_id"]: f["properties"]["value"] for f in features}
+        assert got == by_cohort[chosen]
+        # super_local may map as local does on this city; the others differ
+        others = [c for c in ("visitor", "local", "all") if c in by_cohort and c != chosen]
+        assert others and all(got != by_cohort[c] for c in others)
+
+    def test_demo_city_script(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "demo_city.py"
+        argv = [sys.executable, str(script), "--events", "5000", "--tracts", "50",
+                "--out", str(tmp_path)]
+        env = dict(os.environ, PYTHONPATH=str(Path(geoineq.__file__).parents[1]))
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        (line,) = [ln for ln in done.stdout.splitlines() if ln.startswith("ground-truth closure")]
+        assert float(line.rsplit(" ", 1)[1]) <= 1e-12
 
     def test_missing_input_exit_1(self, city_paths, capsys):
         rc = cli.main(["run", "--events", "/nope.csv", "--tracts", city_paths["tracts"]])
