@@ -24,12 +24,16 @@ left out. The crossing test runs per (point, edge) with the same
 operations as a scan over every edge, so indexed assignment answers like
 ``oracles.assign_batch_naive``, bit for bit.
 
-Memory: a tract's rings are the float64 ``(n, 2)`` arrays that parsing
-made, 16 bytes per vertex and no Python object per vertex; areas and
-bounding boxes are computed on them with numpy, the sums in vertex
-order. ``assign_batch`` takes points in blocks of ``_POINT_BLOCK``,
-and a block in slices whose worst-case count of (point, tract, edge)
-tests stays under ``_PAIR_BUDGET``. Besides its int32 result, its
+A GeoJSON feature becomes a :class:`Tract` in one call,
+:func:`tract_from_feature`, which checks its geometry. Each ring is
+checked into one float64 ``(n, 2)`` array of its positions, the form
+that areas, the spatial index and the choropleth all read, unconverted.
+
+Memory: a ring holds 16 bytes per vertex and no Python object per
+vertex; areas and bounding boxes are computed on it with numpy, the sums
+in vertex order. ``assign_batch`` takes points in blocks of
+``_POINT_BLOCK``, and a block in slices whose worst-case count of
+(point, tract, edge) tests stays under ``_PAIR_BUDGET``. Besides its int32 result, its
 temporaries are O(block + budget + largest band), whatever the batch
 size or the tracts' vertex counts.
 """
@@ -38,12 +42,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DegeneratePolygon, DuplicateTractId, EmptyTractSet
-from .ingest import Polygon, RawTractFeature
+from .errors import (
+    DegeneratePolygon,
+    DuplicateTractId,
+    EmptyTractSet,
+    NonPolygonGeometry,
+    UnclosedRing,
+)
 
 EARTH_RADIUS_KM = 6371.0
 AREA_EPS_KM2 = 1e-12
@@ -57,6 +67,9 @@ _PAIR_BUDGET = 1 << 16
 # Points per assign_batch block: it bounds the per-point temporaries
 # (a few words each) whatever the batch size.
 _POINT_BLOCK = 1 << 15
+
+Ring = np.ndarray  # float64 (x, y) positions, shape (n, 2), closed
+Polygon = tuple[Ring, ...]  # exterior ring first, holes after
 
 
 @dataclass(frozen=True, eq=False)  # rings are arrays: a tract equals only itself
@@ -75,22 +88,6 @@ class Tract:
             yield from poly
 
 
-def _normalize_polygons(rings_or_polygons) -> tuple[Polygon, ...]:
-    """Accept either one polygon (a sequence of rings) or a sequence of
-    polygons; return the nested form, each ring a float64 ``(n, 2)``
-    array (an array ring is kept as it is)."""
-    first = rings_or_polygons[0]
-    try:
-        float(first[0][0])
-        polygons = (rings_or_polygons,)
-    except (TypeError, ValueError):
-        polygons = rings_or_polygons
-    return tuple(
-        tuple(np.asarray(r, dtype=np.float64).reshape(len(r), 2) for r in poly)
-        for poly in polygons
-    )
-
-
 def _sum_in_order(values: np.ndarray) -> float:
     """``values`` added one after another from 0.0, as a Python loop adds
     them (``np.cumsum`` is sequential; ``np.sum`` adds pairwise, which
@@ -98,7 +95,7 @@ def _sum_in_order(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
-def polygon_area_km2(rings_or_polygons) -> float:
+def polygon_area_km2(polygons: Iterable[Polygon]) -> float:
     """Shoelace area in km² under a local equirectangular projection.
 
     All rings are projected about the mean latitude of their vertices
@@ -110,7 +107,6 @@ def polygon_area_km2(rings_or_polygons) -> float:
     Each sum runs in vertex order, so the area is bit for bit that of
     the plain loop over positions.
     """
-    polygons = _normalize_polygons(rings_or_polygons)
     # closing duplicates excluded from the mean
     lats = [ring[:-1, 1] for poly in polygons for ring in poly]
     n_pts = sum(map(len, lats))
@@ -131,34 +127,83 @@ def polygon_area_km2(rings_or_polygons) -> float:
     return total
 
 
-def tract_from_feature(feature: RawTractFeature) -> Tract:
-    """Attach bbox and area to a parsed tract.
+def _validate_ring(tract_id: str, ring) -> Ring:
+    """The ring's (x, y) positions as a float64 ``(n, 2)`` array. Every
+    value of a position must be a JSON number: a string, a boolean or
+    null is refused, not converted. Values past the second (an altitude)
+    are checked but not kept."""
+    if not isinstance(ring, (list, tuple)) or len(ring) < 4:
+        raise UnclosedRing(f"tract {tract_id}: ring with < 4 points")
+    malformed = f"tract {tract_id}: malformed coordinates"
+    try:
+        kinds = set(map(type, chain.from_iterable(ring)))
+    except TypeError:  # a position that is not a list
+        raise NonPolygonGeometry(malformed) from None
+    if not kinds <= {int, float}:
+        bad = next(v for p in ring for v in p if type(v) not in (int, float))
+        raise NonPolygonGeometry(f"tract {tract_id}: coordinate {bad!r} is not a number")
+    try:
+        pts = np.array(ring, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # not all [x, y]: read one by one
+        pts = None
+    if pts is None or pts.shape[1] != 2:
+        try:
+            pts = np.array([(p[0], p[1]) for p in ring], dtype=np.float64)
+        except (IndexError, KeyError, OverflowError):  # a short position, a huge integer
+            raise NonPolygonGeometry(malformed) from None
+    # NaN equals NaN here: JSON's NaN is one object, which the closing
+    # position repeats (such a ring is refused later, for its area)
+    first, last = pts[0], pts[-1]
+    if not ((first == last) | (np.isnan(first) & np.isnan(last))).all():
+        raise UnclosedRing(f"tract {tract_id}: ring not closed")
+    return pts
 
-    An ``area_km2`` property in the source file overrides computation
-    (authoritative areas, e.g. published census figures, beat our local
-    projection).
+
+def tract_from_feature(feature: dict) -> Tract:
+    """The tract of one GeoJSON feature as ``ingest.parse_tracts`` returns
+    it, its geometry checked and its bbox and area attached.
+
+    A Polygon or a MultiPolygon is accepted, and a MultiPolygon becomes
+    one tract with several polygon parts. An ``area_km2`` property in the
+    source file overrides computation (authoritative areas, e.g.
+    published census figures, beat our local projection).
     """
-    polygons = _normalize_polygons(feature.polygons)
+    properties = feature["properties"]
+    tid = str(properties["tract_id"])
+    geom = feature.get("geometry")
+    gtype = geom.get("type") if isinstance(geom, dict) else None
+    if gtype == "Polygon":
+        parts = [geom.get("coordinates")]
+    elif gtype == "MultiPolygon":
+        parts = geom.get("coordinates") or []
+    else:
+        raise NonPolygonGeometry(f"tract {tid}: geometry type {gtype!r}")
+    if not isinstance(parts, list):
+        raise NonPolygonGeometry(f"tract {tid}: malformed coordinates")
+    if not parts:
+        raise NonPolygonGeometry(f"tract {tid}: empty MultiPolygon")
+    polygons = []
+    for rings in parts:
+        if not rings:
+            raise NonPolygonGeometry(f"tract {tid}: polygon without rings")
+        if not isinstance(rings, list):
+            raise NonPolygonGeometry(f"tract {tid}: malformed coordinates")
+        polygons.append(tuple(_validate_ring(tid, r) for r in rings))
     pts = np.concatenate([ring for poly in polygons for ring in poly])
     lo, hi = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
     bbox = (lo[0], lo[1], hi[0], hi[1])
-    override = feature.properties.get("area_km2")
+    override = properties.get("area_km2")
     try:
         area = polygon_area_km2(polygons) if override is None else float(override)
     except DegeneratePolygon as e:
-        raise DegeneratePolygon(f"tract {feature.tract_id}: {e}") from None
+        raise DegeneratePolygon(f"tract {tid}: {e}") from None
     except (TypeError, ValueError):  # a provided value that is not a number
         area = math.nan
     # a NaN vertex makes the computed area NaN, and NaN passes no comparison
     if not math.isfinite(area) or area <= AREA_EPS_KM2:
         what = f"computed area_km2 {area!r}" if override is None else f"area_km2 {override!r}"
-        raise DegeneratePolygon(
-            f"tract {feature.tract_id}: {what} is not a finite positive number"
-        )
-    return Tract(
-        feature.tract_id, polygons, bbox, area, feature.properties,
-        feature.geometry_type,
-    )
+        raise DegeneratePolygon(f"tract {tid}: {what} is not a finite positive number")
+    return Tract(tid, tuple(polygons), bbox, area, properties, gtype)
 
 
 def _inverse(n, extent):
@@ -220,8 +265,7 @@ class SpatialIndex:
         # straddle a latitude and are left out
         segs, seg_tract = [], []
         for ti, t in enumerate(ordered):
-            for ring in t.rings:
-                v = np.asarray(ring, dtype=np.float64).reshape(-1, 2)
+            for v in t.rings:
                 segs.append(np.hstack((v[:-1], v[1:])))
                 seg_tract.append(np.full(len(v) - 1, ti, dtype=np.int64))
         seg = np.concatenate(segs)

@@ -9,9 +9,9 @@ census indicators a CSV keyed by ``tract_id``.
 Event parsing is skip-and-count: a bad record is tallied under its error
 kind and the stream continues. Multi-million-row exports always contain
 some noise, and one broken line must never abort a run. Tract and census
-files are small and authoritative, so they fail fast instead. Each tract
-ring is kept as one float64 ``(n, 2)`` array of its positions, the form
-that geometry, the spatial index and the choropleth all read.
+files are small and authoritative, so they fail fast instead. The tract
+file's rules are checked here and each feature's geometry by
+``geo.tract_from_feature``.
 
 One scanner over the bytes, :func:`_scan`, sets the event record
 boundaries that the split and parse both use. It reads a byte range
@@ -60,7 +60,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -74,7 +74,6 @@ from .errors import (
     NonPolygonGeometry,
     OutOfRangeCoordinate,
     RateOutOfRange,
-    UnclosedRing,
 )
 
 EVENT_COLUMNS = ("user_id", "lat", "lon", "timestamp", "text")
@@ -112,27 +111,6 @@ _TS_SEP_POS = np.array([4, 7, 10, 13, 16, 22])
 _TS_SEP = np.frombuffer(b"--T:::", dtype=np.uint8)
 _TS_SIGN_POS = 19
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-
-Ring = np.ndarray  # float64 (x, y) positions, shape (n, 2), closed
-Polygon = tuple[Ring, ...]  # exterior ring first, holes after
-
-
-@dataclass(frozen=True, eq=False)  # rings are arrays: a feature equals only itself
-class RawTractFeature:
-    """A tract boundary as parsed: one or more polygons with their holes,
-    the feature's properties, and its geometry type (``Polygon`` or
-    ``MultiPolygon``; a MultiPolygon can hold any tract)."""
-
-    tract_id: str
-    polygons: tuple[Polygon, ...]
-    properties: dict
-    geometry_type: str = "MultiPolygon"
-
-    @property
-    def rings(self) -> Iterator[Ring]:
-        for poly in self.polygons:
-            yield from poly
-
 
 @dataclass
 class ParseStats:
@@ -646,46 +624,17 @@ def read_byte_range(path, byte_range: tuple[int, int]) -> ByteRange:
     return ByteRange(os.fspath(path), *byte_range)
 
 
-# --- tract geometry parsing -------------------------------------------------
+# --- tract file parsing ----------------------------------------------------
 
 
-def _validate_ring(tract_id: str, ring) -> Ring:
-    """The ring's (x, y) positions as a float64 ``(n, 2)`` array. Every
-    value of a position must be a JSON number: a string, a boolean or
-    null is refused, not converted. Values past the second (an altitude)
-    are checked but not kept."""
-    if not isinstance(ring, (list, tuple)) or len(ring) < 4:
-        raise UnclosedRing(f"tract {tract_id}: ring with < 4 points")
-    malformed = f"tract {tract_id}: malformed coordinates"
-    try:
-        kinds = set(map(type, chain.from_iterable(ring)))
-    except TypeError:  # a position that is not a list
-        raise NonPolygonGeometry(malformed) from None
-    if not kinds <= {int, float}:
-        bad = next(v for p in ring for v in p if type(v) not in (int, float))
-        raise NonPolygonGeometry(f"tract {tract_id}: coordinate {bad!r} is not a number")
-    try:
-        pts = np.array(ring, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):  # not all [x, y]: read one by one
-        pts = None
-    if pts is None or pts.shape[1] != 2:
-        try:
-            pts = np.array([(p[0], p[1]) for p in ring], dtype=np.float64)
-        except (IndexError, KeyError, OverflowError):  # a short position, a huge integer
-            raise NonPolygonGeometry(malformed) from None
-    # NaN equals NaN here: JSON's NaN is one object, which the closing
-    # position repeats (such a ring is refused later, for its area)
-    first, last = pts[0], pts[-1]
-    if not ((first == last) | (np.isnan(first) & np.isnan(last))).all():
-        raise UnclosedRing(f"tract {tract_id}: ring not closed")
-    return pts
+def parse_tracts(data: bytes) -> list[dict]:
+    """The features of a GeoJSON FeatureCollection of tracts, decoded, in
+    file order.
 
-
-def parse_tracts(data: bytes) -> list[RawTractFeature]:
-    """Parse a GeoJSON FeatureCollection of Polygon/MultiPolygon tracts.
-
-    A MultiPolygon becomes one tract with several polygon parts. Each
-    feature must carry a unique, non-empty ``tract_id`` property.
+    The file must be JSON (it may start with a BOM) and a
+    FeatureCollection, and each feature must be an object whose
+    properties carry a unique, non-empty ``tract_id``. Every id is
+    checked before any geometry, which ``geo.tract_from_feature`` checks.
     """
     try:
         obj = json.loads(data.decode("utf-8-sig"))
@@ -693,34 +642,20 @@ def parse_tracts(data: bytes) -> list[RawTractFeature]:
         raise NonPolygonGeometry(f"not valid GeoJSON: {e}") from None
     if not isinstance(obj, dict) or obj.get("type") != "FeatureCollection":
         raise NonPolygonGeometry("input is not a GeoJSON FeatureCollection")
-    out: list[RawTractFeature] = []
+    features = obj.get("features") or []
+    if not isinstance(features, list):
+        raise NonPolygonGeometry("input is not a GeoJSON FeatureCollection")
     seen: set[str] = set()
-    for feat in obj.get("features") or []:
-        props = feat.get("properties") or {}
-        tid = props.get("tract_id")
+    for feat in features:
+        props = feat.get("properties") if isinstance(feat, dict) else None
+        tid = props.get("tract_id") if isinstance(props, dict) else None
         if tid is None or str(tid) == "":
             raise MissingTractId("feature lacks a tract_id property")
         tid = str(tid)
         if tid in seen:
             raise DuplicateTractId(tid)
-        geom = feat.get("geometry") or {}
-        gtype = geom.get("type")
-        if gtype == "Polygon":
-            raw_polys = [geom.get("coordinates")]
-        elif gtype == "MultiPolygon":
-            raw_polys = geom.get("coordinates") or []
-        else:
-            raise NonPolygonGeometry(f"tract {tid}: geometry type {gtype!r}")
-        polygons = []
-        for rings in raw_polys:
-            if not rings:
-                raise NonPolygonGeometry(f"tract {tid}: polygon without rings")
-            polygons.append(tuple(_validate_ring(tid, r) for r in rings))
-        if not polygons:
-            raise NonPolygonGeometry(f"tract {tid}: empty MultiPolygon")
         seen.add(tid)
-        out.append(RawTractFeature(tid, tuple(polygons), dict(props), gtype))
-    return out
+    return features
 
 
 # --- census table parsing ---------------------------------------------------

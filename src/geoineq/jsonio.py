@@ -4,12 +4,12 @@ Reports must be byte-identical across runs and partitioning schemes, so
 we control the serialization ourselves: insertion-ordered keys, floats
 printed at 12 significant digits, two-space indent, LF line endings.
 
-Geometry is the bulk of a choropleth, so a :class:`Ring` of 2D
-positions is written as one string by :func:`format_ring`, one ``%``
-template over the whole ring, in the same layout and float rule as a
-nested list. :func:`parts` returns a text as the list of strings that
-:func:`dumps` joins, so a large text can be written out without ever
-being held whole.
+Geometry is the bulk of a choropleth, so a float64 ``(n, 2)`` array of
+2D positions, the form a tract's ring has, is written as one string by
+:func:`format_ring`, one ``%`` template over the whole ring, in the same
+layout and float rule as a nested list. :func:`parts` returns a text as
+the list of strings that :func:`dumps` joins, so a large text can be
+written out without ever being held whole.
 """
 
 from __future__ import annotations
@@ -20,30 +20,17 @@ import math
 import numpy as np
 
 
-def format_float(x: float, mode: str = "12g") -> str:
+def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"non-finite value in report: {x!r}")
-    if mode == "repr":  # shortest round-trip form, for ground-truth files
-        return repr(x)
     return format(x, ".12g")
 
 
-class Ring:
-    """A sequence of (x, y) positions, such as a float64 ``(n, 2)``
-    array, that :func:`dumps` writes as a list of [x, y] lists, through
-    :func:`format_ring` (``12g`` mode only)."""
-
-    __slots__ = ("positions",)
-
-    def __init__(self, positions):
-        self.positions = positions
-
-
-def format_ring(positions, depth: int) -> str:
-    """The text ``dumps`` gives a list of [x, y] lists written at
-    ``depth``, built by one ``%.12g`` template, which prints each value
-    as ``format(x, ".12g")`` does."""
-    xy = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+def format_ring(xy: np.ndarray, depth: int) -> str:
+    """The text ``dumps`` gives the (x, y) positions of an ``(n, 2)``
+    array as a list of [x, y] lists written at ``depth``, built by one
+    ``%.12g`` template, which prints each value as ``format(x, ".12g")``
+    does."""
     if not len(xy):
         return "[]"
     if not np.isfinite(xy).all():
@@ -55,20 +42,20 @@ def format_ring(positions, depth: int) -> str:
     return f"[\n{pad}{template % tuple(xy.ravel().tolist())}\n{'  ' * depth}]"
 
 
-def parts(obj, float_mode: str = "12g") -> list[str]:
+def parts(obj) -> list[str]:
     """The JSON text of ``obj``, newline-terminated, as a list of strings
     in order."""
     out: list[str] = []
-    _write(obj, out, 0, float_mode)
+    _write(obj, out, 0)
     out.append("\n")
     return out
 
 
-def dumps(obj, float_mode: str = "12g") -> str:
-    return "".join(parts(obj, float_mode))
+def dumps(obj) -> str:
+    return "".join(parts(obj))
 
 
-def _write(obj, out: list[str], depth: int, float_mode: str = "12g") -> None:
+def _write(obj, out: list[str], depth: int) -> None:
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -78,7 +65,7 @@ def _write(obj, out: list[str], depth: int, float_mode: str = "12g") -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(format_float(obj, float_mode))
+        out.append(format_float(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
@@ -93,7 +80,7 @@ def _write(obj, out: list[str], depth: int, float_mode: str = "12g") -> None:
             out.append(pad)
             out.append(json.dumps(k, ensure_ascii=False))
             out.append(": ")
-            _write(v, out, depth + 1, float_mode)
+            _write(v, out, depth + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append("  " * depth + "}")
     elif isinstance(obj, (list, tuple)):
@@ -104,10 +91,10 @@ def _write(obj, out: list[str], depth: int, float_mode: str = "12g") -> None:
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(pad)
-            _write(v, out, depth + 1, float_mode)
+            _write(v, out, depth + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append("  " * depth + "]")
-    elif isinstance(obj, Ring) and float_mode == "12g":
-        out.append(format_ring(obj.positions, depth))
+    elif isinstance(obj, np.ndarray):
+        out.append(format_ring(obj, depth))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -614,7 +614,7 @@ def choropleth_parts(tracts: Iterable[Tract], values: dict[str, float], breaks: 
         else:
             props["value"] = None
             props["class"] = "no-data"
-        coords = [[jsonio.Ring(ring) for ring in poly] for poly in tract.polygons]
+        coords = tract.polygons  # rings are arrays, which jsonio writes whole
         geometry = {
             "type": tract.geometry_type,
             "coordinates": coords[0] if tract.geometry_type == "Polygon" else coords,

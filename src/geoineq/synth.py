@@ -42,8 +42,9 @@ from __future__ import annotations
 
 import calendar
 import itertools
+import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from datetime import date, datetime
 from fractions import Fraction
 from pathlib import Path
@@ -51,9 +52,10 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
-from . import jsonio, oracles
+from . import oracles
 from .errors import InvalidParams
-from .geo import polygon_area_km2
+from .geo import tract_from_feature
+from .ingest import EVENT_COLUMNS
 
 _MASK64 = (1 << 64) - 1
 
@@ -142,7 +144,7 @@ _MMSS = np.array([f"{mm:02d}:{ss:02d}" for mm in range(60) for ss in range(60)],
 _DIGITS4 = np.array([f"{k:04d}" for k in range(10_000)], dtype=object)
 _DIGITS3 = np.array([f"{k:03d}," for k in range(1000)], dtype=object)
 _LINE_ENDS = np.array(["\n", '"\n'], dtype=object)  # by "text starts with _NICE"
-_HEADER = "user_id,lat,lon,timestamp,text\n"
+_HEADER = ",".join(EVENT_COLUMNS) + "\n"
 
 
 def _at_least(p: float) -> np.uint64:
@@ -538,9 +540,10 @@ def _city(params: SynthParams, geojson: dict, events_csv: str,
     counts by cohort."""
     tract_ids = [f"T{k + 1:04d}" for k in range(params.n_tracts)]
     tract_counts = [v + l for v, l in zip(by_cohort["visitor"], by_cohort["local"])]
+    # each area as the pipeline computes it from the tract file
     areas = {
-        tid: polygon_area_km2(geojson["features"][k]["geometry"]["coordinates"])
-        for k, tid in enumerate(tract_ids)
+        tid: tract_from_feature(feature).area_km2
+        for tid, feature in zip(tract_ids, geojson["features"])
     }
     counts_map = {tid: tract_counts[k] for k, tid in enumerate(tract_ids)}
     density = [tract_counts[k] / areas[tid] for k, tid in enumerate(tract_ids)]
@@ -554,20 +557,7 @@ def _city(params: SynthParams, geojson: dict, events_csv: str,
     )
 
     ground_truth = {
-        "params": {
-            "seed": params.seed,
-            "n_tracts": params.n_tracts,
-            "n_users_local": params.n_users_local,
-            "n_users_visitor": params.n_users_visitor,
-            "n_events": params.n_events,
-            "zipf_s": params.zipf_s,
-            "start_year": params.start_year,
-            "start_month": params.start_month,
-            "months": params.months,
-            "day_fraction_local": params.day_fraction_local,
-            "day_fraction_visitor": params.day_fraction_visitor,
-            "tz": params.tz,
-        },
+        "params": asdict(params),
         "months": [[y, m] for (y, m) in _month_list(params)],
         "tract_counts": counts_map,
         "tract_counts_by_cohort": {
@@ -599,13 +589,14 @@ def generate_city(params: SynthParams) -> SynthCity:
 
 def city_files(city: SynthCity) -> dict[str, str]:
     """The text of tracts.geojson, events.csv and ground_truth.json."""
-    # full-precision floats throughout: ground-truth closure checks run at
-    # 1e-12, and the areas entering those checks come from the tract file
-    return {
-        "tracts": jsonio.dumps(city.tracts_geojson, float_mode="repr"),
-        "events": city.events_csv,
-        "ground_truth": jsonio.dumps(city.ground_truth, float_mode="repr"),
-    }
+    # full-precision (shortest round-trip) floats throughout: ground-truth
+    # closure checks run at 1e-12, and the areas entering those checks
+    # come from the tract file
+    tracts, truth = (
+        json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+        for obj in (city.tracts_geojson, city.ground_truth)
+    )
+    return {"tracts": tracts, "events": city.events_csv, "ground_truth": truth}
 
 
 def write_city(params: SynthParams, out_dir) -> dict[str, str]:

@@ -20,7 +20,7 @@ from geoineq.geo import (
     polygon_area_km2,
     tract_from_feature,
 )
-from geoineq.ingest import RawTractFeature, parse_tracts
+from geoineq.ingest import parse_tracts
 
 
 def square_ring(x0, y0, size=1.0):
@@ -41,7 +41,15 @@ def square_tract(tract_id, x0, y0, size=1.0):
 
 def ring_index(*rings):
     """Index over one tract "R" with ``rings`` (exterior first, holes after)."""
-    return build_spatial_index([tract_from_feature(RawTractFeature("R", (tuple(rings),), {}))])
+    feature = {"properties": {"tract_id": "R"},
+               "geometry": {"type": "Polygon", "coordinates": list(rings)}}
+    return build_spatial_index([tract_from_feature(feature)])
+
+
+def arrays(polygons):
+    """``polygons`` with each ring a float64 ``(n, 2)`` array, as a tract
+    holds them."""
+    return [[np.array(ring, dtype=np.float64) for ring in poly] for poly in polygons]
 
 
 def polygons_tract(tract_id, polygons):
@@ -49,7 +57,7 @@ def polygons_tract(tract_id, polygons):
     by assignment, so self-touching test shapes need not have one."""
     xs = [x for poly in polygons for ring in poly for x, _ in ring]
     ys = [y for poly in polygons for ring in poly for _, y in ring]
-    return Tract(tract_id, tuple(tuple(poly) for poly in polygons),
+    return Tract(tract_id, tuple(map(tuple, arrays(polygons))),
                  (min(xs), min(ys), max(xs), max(ys)), 1.0)
 
 
@@ -90,34 +98,34 @@ DEG_KM = math.pi / 180.0 * EARTH_RADIUS_KM  # one degree of latitude, km
 class TestArea:
     def test_unit_square_at_equator(self):
         # 1x1 degree square centered on the equator
-        area = polygon_area_km2([square_ring(0.0, -0.5)])
+        area = polygon_area_km2(arrays([[square_ring(0.0, -0.5)]]))
         assert area == pytest.approx(DEG_KM**2, rel=1e-3)
 
     def test_unit_square_at_60_degrees(self):
-        area = polygon_area_km2([square_ring(0.0, 59.5)])
+        area = polygon_area_km2(arrays([[square_ring(0.0, 59.5)]]))
         assert area == pytest.approx(DEG_KM**2 * 0.5, rel=1e-3)
 
     def test_sliver_degenerate(self):
         flat = ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 0.0))
         with pytest.raises(DegeneratePolygon):
-            polygon_area_km2([flat])
+            polygon_area_km2(arrays([[flat]]))
 
     def test_hole_subtracts(self):
         outer = square_ring(0.0, -0.5, 1.0)
         hole = square_ring(0.25, -0.25, 0.5)
-        with_hole = polygon_area_km2([outer, hole])
-        full = polygon_area_km2([outer])
+        with_hole = polygon_area_km2(arrays([[outer, hole]]))
+        full = polygon_area_km2(arrays([[outer]]))
         assert with_hole == pytest.approx(full * 0.75, rel=1e-12)
 
     def test_vertical_strip_additivity(self):
         # strips share the parent's latitude extent, so the projection is
         # identical and areas must add up almost exactly
         x0, y0, size = 10.0, 40.0, 1.0
-        whole = polygon_area_km2([square_ring(x0, y0, size)])
+        whole = polygon_area_km2(arrays([[square_ring(x0, y0, size)]]))
         n = 8
         parts = sum(
             polygon_area_km2(
-                [
+                arrays([[
                     (
                         (x0 + i * size / n, y0),
                         (x0 + (i + 1) * size / n, y0),
@@ -125,7 +133,7 @@ class TestArea:
                         (x0 + i * size / n, y0 + size),
                         (x0 + i * size / n, y0),
                     )
-                ]
+                ]])
             )
             for i in range(n)
         )
@@ -170,13 +178,13 @@ class TestArea:
                 want += abs(s) * 0.5 * kx * ky * (1 if ring_idx == 0 else -1)
         if want <= geo.AREA_EPS_KM2:
             with pytest.raises(DegeneratePolygon):
-                polygon_area_km2(polygons)
+                polygon_area_km2(arrays(polygons))
         else:
-            assert polygon_area_km2(polygons) == want
+            assert polygon_area_km2(arrays(polygons)) == want
 
     def test_multipolygon_area_sums(self):
-        a = polygon_area_km2([[square_ring(0, 0)], [square_ring(3, 0)]])
-        b = 2 * polygon_area_km2([square_ring(0, 0)])
+        a = polygon_area_km2(arrays([[square_ring(0, 0)], [square_ring(3, 0)]]))
+        b = 2 * polygon_area_km2(arrays([[square_ring(0, 0)]]))
         assert a == pytest.approx(b, rel=1e-6)
 
 
@@ -439,10 +447,10 @@ class TestBandIndex:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            feats = parse_tracts(data)
-            index = build_spatial_index([tract_from_feature(f) for f in feats])
+            tracts = [tract_from_feature(f) for f in parse_tracts(data)]
+            index = build_spatial_index(tracts)
             size = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(index.tracts) == 16 and len(feats) == 16
+        assert len(index.tracts) == 16 and len(tracts) == 16
         assert size < 80 * vertices, f"{size / vertices:.1f} bytes per vertex"

@@ -33,6 +33,7 @@ from geoineq.errors import (
     RateOutOfRange,
     UnclosedRing,
 )
+from geoineq.geo import tract_from_feature
 from geoineq.ingest import (
     EVENT_COLUMNS,
     ParseStats,
@@ -737,9 +738,10 @@ class TestParseTracts:
     def test_minimal_square(self, unit_square_tracts):
         feats = parse_tracts(unit_square_tracts)
         assert len(feats) == 1
-        assert feats[0].tract_id == "T1"
-        assert len(feats[0].polygons) == 1
-        assert len(feats[0].polygons[0][0]) == 5
+        tract = tract_from_feature(feats[0])
+        assert tract.tract_id == "T1"
+        assert len(tract.polygons) == 1
+        assert len(tract.polygons[0][0]) == 5
 
     def test_point_geometry_rejected(self):
         data = json.dumps(
@@ -755,7 +757,7 @@ class TestParseTracts:
             }
         ).encode()
         with pytest.raises(NonPolygonGeometry):
-            parse_tracts(data)
+            tract_from_feature(parse_tracts(data)[0])
 
     def test_duplicate_id_rejected(self):
         data = feature_collection(
@@ -774,7 +776,7 @@ class TestParseTracts:
         feat = square_feature("T1", 0, 0)
         feat["geometry"]["coordinates"][0] = [[0, 0], [1, 0], [1, 1], [0, 1]]
         with pytest.raises(UnclosedRing):
-            parse_tracts(feature_collection([feat]))
+            tract_from_feature(parse_tracts(feature_collection([feat]))[0])
 
     def test_multipolygon_one_tract(self):
         ring1 = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
@@ -793,8 +795,9 @@ class TestParseTracts:
         ).encode()
         feats = parse_tracts(data)
         assert len(feats) == 1
-        assert len(feats[0].polygons) == 2
-        assert feats[0].geometry_type == "MultiPolygon"
+        tract = tract_from_feature(feats[0])
+        assert len(tract.polygons) == 2
+        assert tract.geometry_type == "MultiPolygon"
 
     @pytest.mark.parametrize("ring, kind, message", [
         ([[0, 0], [1, 0], [0, 0]], UnclosedRing, "ring with < 4 points"),
@@ -815,7 +818,7 @@ class TestParseTracts:
         feat = square_feature("T1", 0, 0)
         feat["geometry"]["coordinates"][0] = ring
         with pytest.raises(kind) as caught:
-            parse_tracts(feature_collection([feat]))
+            tract_from_feature(parse_tracts(feature_collection([feat]))[0])
         assert str(caught.value) == f"tract T1: {message}"
 
     def test_rings_are_float64_arrays(self):
@@ -823,7 +826,7 @@ class TestParseTracts:
         # unequal length and integers are read like any other
         feat = square_feature("T1", 0, 0)
         feat["geometry"]["coordinates"][0] = [[0, 0, 10**400], [1, 0], [1, 1, 7.5], [0, 0, 0]]
-        (ring,) = parse_tracts(feature_collection([feat]))[0].polygons[0]
+        (ring,) = tract_from_feature(parse_tracts(feature_collection([feat]))[0]).polygons[0]
         assert ring.dtype == np.float64 and ring.shape == (4, 2)
         assert ring.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]
 
@@ -832,7 +835,13 @@ class TestParseTracts:
         feat = square_feature("T1", 0, 0)
         feat["geometry"]["coordinates"][0][1][0] = bad
         with pytest.raises(NonPolygonGeometry, match="tract T1: coordinate .* is not a number"):
-            parse_tracts(feature_collection([feat]))
+            tract_from_feature(parse_tracts(feature_collection([feat]))[0])
+
+    def test_ids_checked_before_geometry(self):
+        feats = [square_feature("T1", 0, 0), square_feature("T1", 2, 0)]
+        feats[0]["geometry"]["type"] = "Point"
+        with pytest.raises(DuplicateTractId):
+            parse_tracts(feature_collection(feats))
 
 
 class TestParseCensus:

@@ -10,6 +10,7 @@ import tracemalloc
 from multiprocessing.connection import Connection
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,7 +36,7 @@ from geoineq.report import (
     run_pipeline,
     run_pipeline_full,
 )
-from geoineq.synth import SynthParams, write_city
+from geoineq.synth import SynthParams, city_files, generate_city, write_city
 
 CITY = SynthParams(
     seed=21, n_tracts=16, n_users_local=15, n_users_visitor=15, n_events=600, months=3
@@ -857,6 +858,41 @@ class TestCli:
         assert capsys.readouterr().err == f"error: tract T3: coordinate {bad!r} is not a number\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "ingest-check", "choropleth"])
+    @pytest.mark.parametrize("shape, message", [
+        ({"features": [1]}, "feature lacks a tract_id property"),
+        ({"features": {"a": 1}}, "input is not a GeoJSON FeatureCollection"),
+        ({"properties": [1]}, "feature lacks a tract_id property"),
+        ({"geometry": "x"}, "tract T3: geometry type None"),
+        ({"geometry": {"type": "Polygon", "coordinates": 5}}, "tract T3: malformed coordinates"),
+        ({"geometry": {"type": "MultiPolygon", "coordinates": [5]}},
+         "tract T3: malformed coordinates"),
+    ], ids=["features-ints", "features-object", "properties-list", "geometry-string",
+            "polygon-int", "multipolygon-ints"])
+    def test_malformed_geojson_structure_exit_1(self, tmp_path, capsys, command, shape,
+                                                message):
+        feats = [square_feature(f"T{i}", 2 * i, 0) for i in range(6)]
+        collection = {"type": "FeatureCollection", "features": feats}
+        if "features" in shape:
+            collection.update(shape)
+        else:
+            feats[3].update(shape)
+        tracts = tmp_path / "t.geojson"
+        tracts.write_text(json.dumps(collection))
+        events = tmp_path / "e.csv"
+        events.write_bytes(events_csv(["u1,0.5,0.5,2014-03-01T10:00:00Z,"]))
+        values = tmp_path / "values.csv"
+        values.write_text("tract_id,value\nT0,1.0\n")
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run", "--events", str(events), "--out", str(out)],
+            "ingest-check": ["ingest-check", "--events", str(events)],
+            "choropleth": ["choropleth", "--values", str(values), "--out", str(out)],
+        }[command]
+        assert cli.main(argv + ["--tracts", str(tracts)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_unknown_timezone_exit_1(self, city_paths, tmp_path, capsys, k):
         rc = cli.main(
@@ -1079,14 +1115,17 @@ class TestJsonIo:
     def test_ring_as_nested_lists(self):
         ring = [(0.1 + 0.2, -0.0), (5.0, 1e-7), (-73.98765432109876, 40.0), (0.1 + 0.2, -0.0)]
         nested = {"g": [[[list(p) for p in ring]], []]}
-        assert jsonio.dumps({"g": [[jsonio.Ring(ring)], jsonio.Ring([])]}) == jsonio.dumps(nested)
+        empty = np.empty((0, 2))
+        assert jsonio.dumps({"g": [[np.array(ring)], empty]}) == jsonio.dumps(nested)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_ring_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            jsonio.dumps({"g": jsonio.Ring([(0.0, 0.0), (bad, 1.0)])})
+            jsonio.dumps({"g": np.array([(0.0, 0.0), (bad, 1.0)])})
 
     def test_repr_mode_roundtrip(self):
-        v = 0.1 + 0.2
-        out = jsonio.dumps({"x": v}, float_mode="repr")
-        assert json.loads(out)["x"] == v
+        # synth writes its ground truth at full precision, every float
+        # read back bit for bit
+        city = generate_city(SynthParams(seed=3, n_tracts=5, n_users_local=20,
+                                         n_users_visitor=20, n_events=500))
+        assert json.loads(city_files(city)["ground_truth"]) == city.ground_truth
