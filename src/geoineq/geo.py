@@ -25,9 +25,15 @@ operations as a scan over every edge, so indexed assignment answers like
 ``oracles.assign_batch_naive``, bit for bit.
 
 A GeoJSON feature becomes a :class:`Tract` in one call,
-:func:`tract_from_feature`, which checks its geometry. Each ring is
-checked into one float64 ``(n, 2)`` array of its positions, the form
-that areas, the spatial index and the choropleth all read, unconverted.
+:func:`tract_from_feature`, which checks its geometry. Each ring is held
+as one float64 ``(n, 2)`` array of its positions, the form that areas,
+the spatial index and the choropleth all read, unconverted. A ring of
+two Python floats per position is converted while ``ingest.parse_tracts``
+decodes the file, by :func:`rings_to_arrays`, its ``json.loads`` object
+hook, so the decode never builds a tree of Python floats for the whole
+file; ``tract_from_feature`` then checks only its length and closure.
+Any other ring reaches it as a list and is read or refused there, with
+the same messages.
 
 Memory: a ring holds 16 bytes per vertex and no Python object per
 vertex; areas and bounding boxes are computed on it with numpy, the sums
@@ -127,13 +133,65 @@ def polygon_area_km2(polygons: Iterable[Polygon]) -> float:
     return total
 
 
+def _ring_array(ring) -> Ring | None:
+    """The positions of a ring as a float64 ``(n, 2)`` array when every
+    position is a list of exactly two Python floats, else None; it never
+    raises. jsonio writes such an array as it writes the list, so a
+    ring it accepts reads and prints the same in either form. Any other
+    ring (ints, an altitude, a value that is not a number) is left for
+    :func:`_validate_ring` to read or refuse."""
+    if (
+        type(ring) is not list
+        or set(map(type, ring)) != {list}
+        or set(map(len, ring)) != {2}
+        or set(map(type, chain.from_iterable(ring))) != {float}
+    ):
+        return None
+    return np.array(ring, dtype=np.float64)
+
+
+def rings_to_arrays(obj: dict) -> dict:
+    """``json.loads`` object hook: in an object whose ``geometry`` is a
+    Polygon or a MultiPolygon (a feature), each ring that
+    :func:`_ring_array` accepts becomes its array. An object's members
+    decode before it, so a feature's coordinate lists die here, one
+    feature at a time. It never raises: a ring it leaves as a list is
+    read or refused by :func:`tract_from_feature`."""
+    geom = obj.get("geometry")
+    if type(geom) is not dict or type(coords := geom.get("coordinates")) is not list:
+        return obj
+    gtype = geom.get("type")
+    polygons = [coords] if gtype == "Polygon" else coords if gtype == "MultiPolygon" else []
+    for rings in polygons:
+        if type(rings) is list:
+            for i, ring in enumerate(rings):
+                pts = _ring_array(ring)
+                if pts is not None:
+                    rings[i] = pts
+    return obj
+
+
 def _validate_ring(tract_id: str, ring) -> Ring:
-    """The ring's (x, y) positions as a float64 ``(n, 2)`` array. Every
-    value of a position must be a JSON number: a string, a boolean or
-    null is refused, not converted. Values past the second (an altitude)
-    are checked but not kept."""
-    if not isinstance(ring, (list, tuple)) or len(ring) < 4:
+    """The ring's (x, y) positions as a float64 ``(n, 2)`` array, refused
+    with the tract's id if it has fewer than 4 positions or is not
+    closed. A ring that ``ingest.parse_tracts`` left as a list is read
+    here: every value of a position must be a JSON number, and a
+    string, a boolean or null is refused, not converted. Values past
+    the second (an altitude) are checked but not kept."""
+    if not isinstance(ring, (list, tuple, np.ndarray)) or len(ring) < 4:
         raise UnclosedRing(f"tract {tract_id}: ring with < 4 points")
+    pts = ring if isinstance(ring, np.ndarray) else _list_ring_array(tract_id, ring)
+    # NaN equals NaN here: JSON's NaN is one object, which the closing
+    # position repeats (such a ring is refused later, for its area)
+    first, last = pts[0], pts[-1]
+    if not ((first == last) | (np.isnan(first) & np.isnan(last))).all():
+        raise UnclosedRing(f"tract {tract_id}: ring not closed")
+    return pts
+
+
+def _list_ring_array(tract_id: str, ring) -> Ring:
+    """A ring that ``_ring_array`` did not take, read (ints, altitudes) or
+    refused with the tract's id."""
     malformed = f"tract {tract_id}: malformed coordinates"
     try:
         kinds = set(map(type, chain.from_iterable(ring)))
@@ -151,17 +209,14 @@ def _validate_ring(tract_id: str, ring) -> Ring:
             pts = np.array([(p[0], p[1]) for p in ring], dtype=np.float64)
         except (IndexError, KeyError, OverflowError):  # a short position, a huge integer
             raise NonPolygonGeometry(malformed) from None
-    # NaN equals NaN here: JSON's NaN is one object, which the closing
-    # position repeats (such a ring is refused later, for its area)
-    first, last = pts[0], pts[-1]
-    if not ((first == last) | (np.isnan(first) & np.isnan(last))).all():
-        raise UnclosedRing(f"tract {tract_id}: ring not closed")
     return pts
 
 
 def tract_from_feature(feature: dict) -> Tract:
     """The tract of one GeoJSON feature as ``ingest.parse_tracts`` returns
-    it, its geometry checked and its bbox and area attached.
+    it, its geometry checked and its bbox and area attached. Rings that
+    the parse already made arrays are checked for length and closure;
+    rings still lists (or a feature built in Python) get every check.
 
     A Polygon or a MultiPolygon is accepted, and a MultiPolygon becomes
     one tract with several polygon parts. An ``area_km2`` property in the
@@ -263,13 +318,11 @@ class SpatialIndex:
 
         # edges, tract by tract in ring order; horizontal ones never
         # straddle a latitude and are left out
-        segs, seg_tract = [], []
-        for ti, t in enumerate(ordered):
-            for v in t.rings:
-                segs.append(np.hstack((v[:-1], v[1:])))
-                seg_tract.append(np.full(len(v) - 1, ti, dtype=np.int64))
-        seg = np.concatenate(segs)
-        etr = np.concatenate(seg_tract)
+        rings = [(ti, v) for ti, t in enumerate(ordered) for v in t.rings]
+        seg = np.concatenate([np.hstack((v[:-1], v[1:])) for _, v in rings])
+        etr = np.repeat(
+            np.array([ti for ti, _ in rings], dtype=np.int64), [len(v) - 1 for _, v in rings]
+        )
         bad = ~np.isfinite(bbox).all(axis=1)
         bad[etr[~np.isfinite(seg).all(axis=1)]] = True
         if bad.any():

@@ -75,6 +75,7 @@ from .errors import (
     OutOfRangeCoordinate,
     RateOutOfRange,
 )
+from .geo import rings_to_arrays
 
 EVENT_COLUMNS = ("user_id", "lat", "lon", "timestamp", "text")
 
@@ -631,14 +632,17 @@ def parse_tracts(data: bytes) -> list[dict]:
     """The features of a GeoJSON FeatureCollection of tracts, decoded, in
     file order.
 
-    The file must be JSON (it may start with a BOM) and a
+    The file must be UTF-8 JSON (it may start with a BOM) and a
     FeatureCollection, and each feature must be an object whose
     properties carry a unique, non-empty ``tract_id``. Every id is
     checked before any geometry, which ``geo.tract_from_feature`` checks.
+    Each ring of two floats per position is checked into its float64
+    array while the text decodes (``geo.rings_to_arrays``), so the
+    decode never holds a Python float per vertex of the whole file.
     """
     try:
-        obj = json.loads(data.decode("utf-8-sig"))
-    except json.JSONDecodeError as e:
+        obj = json.loads(data.decode("utf-8-sig"), object_hook=rings_to_arrays)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise NonPolygonGeometry(f"not valid GeoJSON: {e}") from None
     if not isinstance(obj, dict) or obj.get("type") != "FeatureCollection":
         raise NonPolygonGeometry("input is not a GeoJSON FeatureCollection")
@@ -676,7 +680,10 @@ def parse_census(data: bytes) -> dict[str, dict[str, float]]:
     boundary file are kept here and flagged later, so id mismatches stay
     diagnosable.
     """
-    text = data.decode("utf-8-sig")
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as e:
+        raise MalformedRecord(f"census CSV is not UTF-8: {e}") from None
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     reader = csv.reader(io.StringIO(text))

@@ -454,3 +454,29 @@ class TestBandIndex:
             tracemalloc.stop()
         assert len(index.tracts) == 16 and len(tracts) == 16
         assert size < 80 * vertices, f"{size / vertices:.1f} bytes per vertex"
+
+    def test_decode_memory_is_bounded(self):
+        # two-float rings become arrays while the file decodes: the peak
+        # is the decoded text, 16 bytes per vertex and one feature's
+        # lists; a whole decoded tree of Python floats and lists first
+        # would hold about 150 bytes per vertex
+        rnd = random.Random(1)
+        features = []
+        for i in range(16):
+            feat = square_feature(f"T{i:02d}", i % 4 + 0.5, i // 4 + 0.5)
+            ring = feat["geometry"]["coordinates"][0]
+            feat["geometry"]["coordinates"][0] = densify(tuple(map(tuple, ring)), 500, rnd)
+            features.append(feat)
+        data = feature_collection(features)
+        vertices = 16 * (4 * 500 + 1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracts = [tract_from_feature(f) for f in parse_tracts(data)]
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tracts) == 16
+        per_vertex = (peak - len(data)) / vertices
+        assert per_vertex < 48, f"{per_vertex:.1f} bytes per vertex on top of the text"

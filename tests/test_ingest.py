@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import random
 import re
 import tracemalloc
@@ -24,6 +25,7 @@ from geoineq import ingest, oracles
 from geoineq.errors import (
     BadTimestamp,
     DuplicateTractId,
+    GeoIneqError,
     IngestError,
     MalformedRecord,
     MissingTractId,
@@ -48,6 +50,106 @@ from geoineq.oracles import validate_event_fields
 from geoineq.synth import SynthParams, generate_city
 
 T_1830Z = datetime(2014, 3, 15, 18, 30, tzinfo=timezone.utc).timestamp()
+
+# (ring, error class, message after "tract T1: ") for refused rings
+RING_REFUSALS = [
+    ([[0, 0], [1, 0], [0, 0]], UnclosedRing, "ring with < 4 points"),
+    ("abcd", UnclosedRing, "ring with < 4 points"),
+    ([[0, 0], 5, [1, 1], [0, 0]], NonPolygonGeometry, "malformed coordinates"),
+    ([[0, 0], ["1", 0], [1, 1], [0, 0]], NonPolygonGeometry, "coordinate '1' is not a number"),
+    ([[0, 0], [True, 0], [1, 1], [0, 0]], NonPolygonGeometry, "coordinate True is not a number"),
+    ([[0, 0], [None, 0], [1, 1], [0, 0]], NonPolygonGeometry, "coordinate None is not a number"),
+    ([[0, 0], {"a": 1}, [1, 1], [0, 0]], NonPolygonGeometry, "coordinate 'a' is not a number"),
+    ([[0, 0], [1], [1, 1], [0, 0]], NonPolygonGeometry, "malformed coordinates"),
+    ([[0], [1], [1], [0]], NonPolygonGeometry, "malformed coordinates"),
+    ([{}, {}, {}, {}], NonPolygonGeometry, "malformed coordinates"),
+    (["", "", "", ""], NonPolygonGeometry, "malformed coordinates"),
+    ([[0, 0], [10**400, 0], [1, 1], [0, 0]], NonPolygonGeometry, "malformed coordinates"),
+    ([[0, 0], [1, 0], [1, 1], [0, 1]], UnclosedRing, "ring not closed"),
+]
+
+
+def _floated(value):
+    """``value`` with every int a float can hold exactly made a float, so
+    that a ring of two numbers per position is one the decode converts."""
+    if isinstance(value, list):
+        return [_floated(v) for v in value]
+    if type(value) is int and abs(value) < 2**53:
+        return float(value)
+    return value
+
+
+def _tract_outcomes(features) -> list:
+    """Per feature: its tract's ring bytes, bbox and area as ``repr``
+    (NaN-safe), or the class and message of its refusal."""
+    out = []
+    for feat in features:
+        try:
+            t = tract_from_feature(feat)
+        except GeoIneqError as e:
+            out.append((type(e), str(e)))
+            continue
+        rings = [[(r.dtype.str, r.shape, r.tobytes()) for r in poly] for poly in t.polygons]
+        out.append((rings, repr(t.bbox), repr(t.area_km2), t.geometry_type, t.properties))
+    return out
+
+
+def _both_routes(data: bytes) -> tuple[list, list]:
+    """The tracts of ``data`` through ``parse_tracts``, whose decode
+    checks rings into arrays, and through a plain ``json.loads``, whose
+    rings reach ``tract_from_feature`` as lists."""
+    return _tract_outcomes(parse_tracts(data)), _tract_outcomes(json.loads(data)["features"])
+
+
+@st.composite
+def _ring_files(draw):
+    """A tracts file of Polygons and MultiPolygons, some with holes, whose
+    rings may hold ints, altitudes, NaN, 17-digit floats, short
+    positions, or be short or unclosed."""
+    coord = st.one_of(
+        st.floats(-180, 180), st.integers(-180, 180),
+        st.floats(-180, 180).map(lambda v: v + 1.2345678901234567e-9),
+    )
+    size = st.one_of(st.floats(1e-6, 5), st.integers(1, 5))
+    flaw = st.sampled_from(["", "", "", "int", "altitude", "nan", "short", "unclosed",
+                            "position", "17-digit"])
+
+    def ring(x0, y0, w, h):
+        pts = [[x0, y0], [x0 + w, y0], [x0 + w, y0 + h], [x0, y0 + h]]
+        for _ in range(draw(st.integers(0, 3))):  # collinear extra vertices on the first edge
+            pts.insert(1, [x0 + w * draw(st.floats(0, 1)), y0])
+        kind = draw(flaw)
+        i = draw(st.integers(0, len(pts) - 1))
+        if kind == "int":
+            pts[i] = [int(v) if math.isfinite(v) else v for v in pts[i]]
+        elif kind == "altitude":
+            pts[i] = pts[i] + [draw(st.one_of(st.floats(allow_nan=False), st.integers()))]
+        elif kind == "nan":
+            pts[i] = [math.nan, pts[i][1]]
+        elif kind == "17-digit":
+            pts[i] = [pts[i][0] + 0.30000000000000004, pts[i][1]]
+        elif kind == "position":
+            pts[i] = pts[i][:1]
+        if kind == "short":
+            return pts[:2] + pts[:1]
+        return pts if kind == "unclosed" else pts + [list(pts[0])]
+
+    features = []
+    for k in range(draw(st.integers(1, 4))):
+        polygons = []
+        for _ in range(draw(st.integers(1, 3))):
+            x0, y0, w, h = draw(coord), draw(coord), draw(size), draw(size)
+            rings = [ring(x0, y0, w, h)]
+            if draw(st.booleans()):
+                rings.append(ring(x0 + w / 4, y0 + h / 4, w / 2, h / 2))
+            polygons.append(rings)
+        if len(polygons) == 1 and draw(st.booleans()):
+            geometry = {"type": "Polygon", "coordinates": polygons[0]}
+        else:
+            geometry = {"type": "MultiPolygon", "coordinates": polygons}
+        features.append({"type": "Feature", "properties": {"tract_id": f"T{k}"},
+                         "geometry": geometry})
+    return feature_collection(features)
 
 
 class TestParseEvents:
@@ -799,27 +901,38 @@ class TestParseTracts:
         assert len(tract.polygons) == 2
         assert tract.geometry_type == "MultiPolygon"
 
-    @pytest.mark.parametrize("ring, kind, message", [
-        ([[0, 0], [1, 0], [0, 0]], UnclosedRing, "ring with < 4 points"),
-        ("abcd", UnclosedRing, "ring with < 4 points"),
-        ([[0, 0], 5, [1, 1], [0, 0]], NonPolygonGeometry, "malformed coordinates"),
-        ([[0, 0], ["1", 0], [1, 1], [0, 0]], NonPolygonGeometry, "coordinate '1' is not a number"),
-        ([[0, 0], [True, 0], [1, 1], [0, 0]], NonPolygonGeometry, "coordinate True is not a number"),
-        ([[0, 0], [None, 0], [1, 1], [0, 0]], NonPolygonGeometry, "coordinate None is not a number"),
-        ([[0, 0], {"a": 1}, [1, 1], [0, 0]], NonPolygonGeometry, "coordinate 'a' is not a number"),
-        ([[0, 0], [1], [1, 1], [0, 0]], NonPolygonGeometry, "malformed coordinates"),
-        ([[0], [1], [1], [0]], NonPolygonGeometry, "malformed coordinates"),
-        ([{}, {}, {}, {}], NonPolygonGeometry, "malformed coordinates"),
-        (["", "", "", ""], NonPolygonGeometry, "malformed coordinates"),
-        ([[0, 0], [10**400, 0], [1, 1], [0, 0]], NonPolygonGeometry, "malformed coordinates"),
-        ([[0, 0], [1, 0], [1, 1], [0, 1]], UnclosedRing, "ring not closed"),
-    ])
+    @pytest.mark.parametrize("ring, kind, message", RING_REFUSALS)
     def test_ring_refusals(self, ring, kind, message):
         feat = square_feature("T1", 0, 0)
         feat["geometry"]["coordinates"][0] = ring
         with pytest.raises(kind) as caught:
             tract_from_feature(parse_tracts(feature_collection([feat]))[0])
         assert str(caught.value) == f"tract T1: {message}"
+
+    @pytest.mark.parametrize("ring, kind, message", RING_REFUSALS)
+    def test_ring_refusals_with_float_positions(self, ring, kind, message):
+        # the same rings with float values: a short or unclosed one now
+        # reaches tract_from_feature as an array, and is refused alike
+        feat = square_feature("T1", 0.0, 0.0)
+        feat["geometry"]["coordinates"][0] = _floated(ring)
+        data = feature_collection([feat])
+        decoded, plain = _both_routes(data)
+        assert decoded == plain == [(kind, f"tract T1: {message}")]
+
+    def test_decode_checks_two_float_rings_into_arrays(self):
+        ring = [[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 0.5]]
+        feats = [square_feature("T1", 0.5, 0.5), square_feature("T2", 2, 0)]
+        feats[0]["properties"]["shape"] = {"type": "Polygon", "coordinates": [ring]}
+        decoded = parse_tracts(feature_collection(feats))
+        assert isinstance(decoded[0]["geometry"]["coordinates"][0], np.ndarray)
+        # ints stay lists, as does a geometry-shaped property
+        assert decoded[1]["geometry"]["coordinates"][0] == feats[1]["geometry"]["coordinates"][0]
+        assert decoded[0]["properties"]["shape"]["coordinates"] == [ring]
+
+    @given(_ring_files())
+    def test_decoded_and_plain_rings_agree(self, data):
+        decoded, plain = _both_routes(data)
+        assert decoded == plain
 
     def test_rings_are_float64_arrays(self):
         # altitudes are checked as numbers, then dropped; positions of
@@ -842,6 +955,11 @@ class TestParseTracts:
         feats[0]["geometry"]["type"] = "Point"
         with pytest.raises(DuplicateTractId):
             parse_tracts(feature_collection(feats))
+
+    def test_not_utf8_refused(self):
+        data = feature_collection([square_feature("T1", 0, 0)]).replace(b"T1", b"T\xff")
+        with pytest.raises(NonPolygonGeometry, match="^not valid GeoJSON: 'utf-8' codec"):
+            parse_tracts(data)
 
 
 class TestParseCensus:

@@ -38,6 +38,8 @@ from geoineq.report import (
 )
 from geoineq.synth import SynthParams, city_files, generate_city, write_city
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 CITY = SynthParams(
     seed=21, n_tracts=16, n_users_local=15, n_users_visitor=15, n_events=600, months=3
 )
@@ -892,6 +894,75 @@ class TestCli:
         assert cli.main(argv + ["--tracts", str(tracts)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ingest-check", "choropleth"])
+    def test_tracts_not_utf8_exit_1(self, tmp_path, capsys, command):
+        data = feature_collection([square_feature(f"T{i}", 2 * i, 0) for i in range(6)])
+        tracts = tmp_path / "t.geojson"
+        tracts.write_bytes(data.replace(b"T3", b"T\xff"))
+        position = data.index(b"T3") + 1
+        events = tmp_path / "e.csv"
+        events.write_bytes(events_csv(["u1,0.5,0.5,2014-03-01T10:00:00Z,"]))
+        values = tmp_path / "values.csv"
+        values.write_text("tract_id,value\nT0,1.0\n")
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run", "--events", str(events), "--out", str(out)],
+            "ingest-check": ["ingest-check", "--events", str(events)],
+            "choropleth": ["choropleth", "--values", str(values), "--out", str(out)],
+        }[command]
+        assert cli.main(argv + ["--tracts", str(tracts)]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: not valid GeoJSON: 'utf-8' codec can't decode byte 0xff in position "
+            f"{position}: invalid start byte\n"
+        ))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ingest-check"])
+    def test_census_not_utf8_exit_1(self, city_paths, tmp_path, capsys, command):
+        census = tmp_path / "census.csv"
+        census.write_bytes(b"tract_id,median_income\nT0001,4\xff000\n")
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run", "--out", str(out)],
+            "ingest-check": ["ingest-check"],
+        }[command]
+        rc = cli.main(argv + ["--events", city_paths["events"], "--tracts", city_paths["tracts"],
+                              "--census", str(census)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", (
+            "error: census CSV is not UTF-8: 'utf-8' codec can't decode byte 0xff in "
+            "position 30: invalid start byte\n"
+        ))
+        assert not out.exists()
+
+    def test_choropleth_geometry_shaped_properties_unchanged(self, tmp_path, capsys):
+        # properties holding Polygon- and MultiPolygon-shaped objects, and
+        # a geometry member, with two-float, int, 3D and 17-digit rings,
+        # are written as the lists they were read from
+        ring = [[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 1.5], [0.5, 0.5]]
+        shapes = {
+            "two_float": {"type": "Polygon", "coordinates": [ring]},
+            "int": {"type": "Polygon", "coordinates": [[[0, 0], [10**13, 0], [1, 1], [0, 0]]]},
+            "three_d": {"type": "MultiPolygon",
+                        "coordinates": [[[[0.5, 0.5, 12.5], [1.5, 0.5, 3], [0.5, 0.5, 0.0]]]]},
+            "digits_17": {"type": "Polygon", "coordinates": [[[0.30000000000000004, -0.0],
+                                                              [-73.98765432109876, 1e-7]]]},
+        }
+        feats = [
+            square_feature("T0", 0.5, 0.5, props=shapes),
+            square_feature("T1", 2.5, 0.5, props={"geometry": shapes["two_float"],
+                                                  "nested": {"geometry": shapes["int"]}}),
+        ]
+        tracts = tmp_path / "t.geojson"
+        tracts.write_bytes(feature_collection(feats))
+        values = tmp_path / "values.csv"
+        values.write_text("tract_id,value\nT0,1.0\nT1,2.5\n")
+        out = tmp_path / "map.geojson"
+        argv = ["choropleth", "--tracts", str(tracts), "--values", str(values), "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == f"{out}\n"
+        assert out.read_bytes() == (GOLDEN / "choropleth_geometry_properties.geojson").read_bytes()
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_unknown_timezone_exit_1(self, city_paths, tmp_path, capsys, k):
