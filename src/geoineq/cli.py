@@ -17,9 +17,10 @@ import io
 import math
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
-from . import jsonio, report
+from . import errors, jsonio, report
 from .errors import GeoIneqError, InternalInvariantError, InvalidParams, NonNumericValue
 from .ingest import ParseStats, parse_census
 from .metrics import Distribution, index_suite, lorenz_curve
@@ -76,7 +77,10 @@ def _read_csv_column(path: str, column: str) -> tuple[list[str], list[float]]:
     """Row ids (``tract_id`` when the file has one) and the values of one
     column; blank cells are left out, and a cell that is not a finite
     number is refused, naming its column and row."""
-    text = Path(path).read_text(encoding="utf-8-sig")
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as e:
+        raise GeoIneqError(f"value table {path} is not UTF-8: {e}") from None
     reader = csv.DictReader(io.StringIO(text))
     ids, values = [], []
     if reader.fieldnames is None or column not in reader.fieldnames:
@@ -184,7 +188,11 @@ def cmd_lorenz(args) -> int:
 
 def cmd_choropleth(args) -> int:
     tracts, _ = report.load_tracts(args.tracts)
-    values = dict(zip(*_read_csv_column(args.values, args.column)))
+    ids, column = _read_csv_column(args.values, args.column)
+    values = dict(zip(ids, column))
+    if len(values) < len(ids):
+        repeated = next(t for t, n in Counter(ids).items() if n > 1)
+        raise errors.DuplicateTractId(f"tract_id {repeated} repeats in value table {args.values}")
     write_parts(args.out, choropleth_parts(tracts, values, args.breaks))
     print(args.out)
     return 0

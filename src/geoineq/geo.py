@@ -445,9 +445,3 @@ class SpatialIndex:
 
 def build_spatial_index(tracts: Iterable[Tract]) -> SpatialIndex:
     return SpatialIndex(tracts)
-
-
-def assign_tract(lat: float, lon: float, index: SpatialIndex) -> str | None:
-    """Tract containing the point, or None; smallest tract_id on ties."""
-    i = int(index.assign_batch(np.array([lat], dtype=float), np.array([lon], dtype=float))[0])
-    return index.tract_ids[i] if i >= 0 else None

@@ -1,4 +1,4 @@
-"""Event, tract, and census ingestion, plus hashtag extraction.
+"""Event, tract, and census ingestion.
 
 Events arrive as CSV (RFC 4180 quoting) whose first line is the header
 ``user_id,lat,lon,timestamp,text``, or as JSONL with the same keys;
@@ -40,11 +40,11 @@ the route a record took.
 
 No per-event string outlives its block. Each block's accepted user ids
 are interned to integer codes and its texts to the ids of their
-hashtags (:func:`_intern_tags`, the only hashtag-interning code, one
-regex pass per block), and the block's strings are then dropped; what
-the parse returns is the distinct users, the tag vocabulary and arrays
-of numbers. Its memory is those arrays plus one block's work, whatever
-the size of the range.
+hashtags (:func:`_intern_tags`, the only hashtag code, one regex pass
+per block), and the block's strings are then dropped; what the parse
+returns is the distinct users, the tag vocabulary and arrays of
+numbers. Its memory is those arrays plus one block's work, whatever the
+size of the range.
 """
 
 from __future__ import annotations
@@ -80,8 +80,10 @@ from .geo import rings_to_arrays
 EVENT_COLUMNS = ("user_id", "lat", "lon", "timestamp", "text")
 
 # A hashtag is '#' followed by a maximal run of word characters (Unicode
-# letters, digits, underscore); tags are casefolded so #NYC == #nyc.
-TAG_PATTERN = re.compile(r"#(\w+)")
+# letters, digits, underscore); tags are casefolded so #NYC == #nyc. The
+# run may be empty, so the pattern matches once at every '#': a '#' is
+# never a word character.
+TAG_PATTERN = re.compile(r"#(\w*)")
 
 # the UTC offset at the end of a stamp that takes the fromisoformat
 # fallback; groups are its minutes and seconds, if present
@@ -191,17 +193,6 @@ class EventBatch:
         )
 
 
-def extract_hashtags(text: str) -> list[str]:
-    """All '#'-prefixed word runs in order, casefolded, duplicates kept.
-
-    This is the total-count view; uniqueness is applied downstream where
-    needed.
-    """
-    if "#" not in text:
-        return []
-    return [t.casefold() for t in TAG_PATTERN.findall(text)]
-
-
 def intern_codes(values: Sequence[str], code_of: dict[str, int]) -> np.ndarray:
     """Each value's code in ``code_of``, as int32. A value not there yet
     gets the next code, so codes follow the order of first appearance
@@ -219,27 +210,27 @@ def _intern_tags(
     in order of first appearance: (tag count per text, id of every tag
     occurrence in text order), as int32.
 
-    ``id_of`` maps each raw tag seen so far to its id, so casefolding and
-    interning run once per distinct raw tag, not per occurrence. Calls
-    that share the two dicts code tags as one call over all their texts
-    would.
+    ``id_of`` maps each raw tag seen so far to its id (the empty match of
+    a ``#`` without a tag to -1), so casefolding and interning run once
+    per distinct raw tag, not per occurrence. Calls that share the two
+    dicts code tags as one call over all their texts would.
 
-    One regex pass over the texts joined by newlines finds every tag: a
-    tag never holds a newline or a ``#``. Each tag takes one ``#``, so
-    when the texts hold as many ``#`` as tags, each text holds as many
-    tags as ``#``; otherwise the texts are searched one by one.
+    One regex pass over the texts joined by newlines finds every ``#``
+    and the tag after it, empty where none follows; a newline is not a
+    word character. So each text's ``#`` count sets its share of the
+    matches, and its non-empty matches are its tags.
     """
     joined = "\n".join(texts)
-    pattern = _TAG_ASCII if joined.isascii() else TAG_PATTERN
-    found = pattern.findall(joined)
-    counts = np.fromiter(map(str.count, texts, repeat("#")), dtype=np.int32, count=len(texts))
-    if counts.sum() != len(found):  # a '#' that starts no tag
-        per_text = map(len, map(pattern.findall, texts))
-        counts = np.fromiter(per_text, dtype=np.int32, count=len(texts))
+    found = (_TAG_ASCII if joined.isascii() else TAG_PATTERN).findall(joined)
     for raw in dict.fromkeys(found):
         if raw not in id_of:
-            id_of[raw] = vocab.setdefault(raw.casefold(), len(vocab))
-    return counts, np.fromiter(map(id_of.__getitem__, found), dtype=np.int32, count=len(found))
+            id_of[raw] = vocab.setdefault(raw.casefold(), len(vocab)) if raw else -1
+    ids = np.fromiter(map(id_of.__getitem__, found), dtype=np.int32, count=len(found))
+    tagged = ids >= 0
+    hashes = np.fromiter(map(str.count, texts, repeat("#")), dtype=np.int64, count=len(texts))
+    # the tags up to each text's end; a text's count is the step at its end
+    upto = np.concatenate(([0], np.cumsum(tagged)))[np.cumsum(hashes)]
+    return np.diff(upto, prepend=0).astype(np.int32), ids[tagged]
 
 
 # --- event stream parsing ---------------------------------------------------

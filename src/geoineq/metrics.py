@@ -50,12 +50,6 @@ class Distribution:
                 )
 
     @classmethod
-    def from_values(cls, values: Sequence[float], label: str = "") -> "Distribution":
-        vals = tuple(float(v) for v in values)
-        ids = tuple(f"u{i + 1:04d}" for i in range(len(vals)))
-        return cls(ids, vals, label)
-
-    @classmethod
     def from_mapping(cls, mapping: Mapping[str, float], label: str = "") -> "Distribution":
         ids = tuple(sorted(mapping))
         return cls(ids, tuple(float(mapping[k]) for k in ids), label)
@@ -196,17 +190,13 @@ def _x_log_x(r: float) -> float:
     return r * math.log(r) if r > 0.0 else 0.0
 
 
-def relative_entropy(category_counts: Mapping[object, float] | Sequence[float]) -> float:
+def relative_entropy(category_counts: Sequence[float]) -> float:
     """Shannon entropy over nonzero categories, normalized to [0, 1].
 
     0 means fully concentrated (a single nonzero category, by
     convention), 1 means uniform over the nonzero categories.
     """
-    if isinstance(category_counts, Mapping):
-        values = [float(v) for v in category_counts.values()]
-    else:
-        values = [float(v) for v in category_counts]
-    positive = sorted(v for v in values if v > 0.0)
+    positive = sorted(v for v in map(float, category_counts) if v > 0.0)
     if not positive:
         raise AllZero("no category has a positive count")
     k = len(positive)

@@ -3,12 +3,13 @@
 These deliberately do not share code with the production paths: Gini is
 the O(n^2) pairwise sum, containment is a textbook ray cast over every
 polygon with no index, a timestamp is read field by field into a
-``datetime`` where ingest decodes whole columns of bytes, and so on. Of
-ingest they take only the input grammar: the event column names and
-hashtag extraction. Synthetic-city ground truth is computed with these,
-so the pipeline is always checked against a second route. The synthetic
-city's own generator has a reference here too: the per-draw event loop
-that ``synth`` reproduces in bulk.
+``datetime`` where ingest decodes whole columns of bytes, a hashtag is
+read character by character where ingest runs one regex over a block,
+and so on. Of ingest they take only the event column names.
+Synthetic-city ground truth is computed with these, so the pipeline is
+always checked against a second route. The synthetic city's own
+generator has a reference here too: the per-draw event loop that
+``synth`` reproduces in bulk.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from zoneinfo import ZoneInfo
 
 from .errors import BadTimestamp, MalformedRecord, OutOfRangeCoordinate
 from .geo import Tract
-from .ingest import EVENT_COLUMNS, extract_hashtags
+from .ingest import EVENT_COLUMNS
 
 
 def gini_pairwise(values: Sequence[float]) -> float:
@@ -245,6 +246,23 @@ def validate_event_fields(fields: list[str]):
     return uid, lat, lon, epoch, text
 
 
+def hashtags_direct(text: str) -> list[str]:
+    """A text's hashtags in order, casefolded, duplicates kept: each
+    ``#`` followed by a maximal non-empty run of letters, digits and
+    underscores (Unicode), read one character at a time."""
+    tags = []
+    i = 0
+    while i < len(text):
+        j = i + 1
+        if text[i] == "#":
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            if j > i + 1:
+                tags.append(text[i + 1 : j].casefold())
+        i = j
+    return tags
+
+
 def _local_month(epoch: float, zone: ZoneInfo) -> tuple[int, int]:
     t = datetime.fromtimestamp(epoch, zone)
     return t.year, t.month
@@ -298,7 +316,7 @@ def aggregate_by_tract(rows: Iterable, tz: str) -> dict[str, dict[str, dict]]:
     for epoch, text, tract_id, (kind, super_local) in rows:
         loc = datetime.fromtimestamp(epoch, zone)
         is_day = 7 <= loc.hour < 19
-        tags = extract_hashtags(text)
+        tags = hashtags_direct(text)
         buckets = ["all", kind] + (["super_local"] if super_local else [])
         for key in buckets:
             st = out.setdefault(tract_id, {}).setdefault(key, {

@@ -15,6 +15,7 @@ from geoineq.ingest import (
     partition_byte_ranges,
     read_byte_range,
 )
+from geoineq.metrics import Distribution
 from geoineq.timebins import LocalClock, month_tuple
 
 # the sandbox CPU is noisy; wall-clock deadlines just flake here
@@ -53,6 +54,19 @@ def interned_tags(texts):
     vocab: dict[str, int] = {}
     counts, ids = _intern_tags(texts, vocab, {})
     return counts, ids, list(vocab)
+
+
+def distribution(values, label: str = "") -> Distribution:
+    """A Distribution of the values, its units named u0001, u0002, ..."""
+    vals = tuple(float(v) for v in values)
+    return Distribution(tuple(f"u{i + 1:04d}" for i in range(len(vals))), vals, label)
+
+
+def assign_point(lat, lon, index):
+    """The id of the tract that ``index.assign_batch`` gives the one
+    point, or None."""
+    i = int(index.assign_batch(np.array([lat], dtype=float), np.array([lon], dtype=float))[0])
+    return index.tract_ids[i] if i >= 0 else None
 
 
 def batch_user_ids(batch) -> list[str]:

@@ -16,13 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cohort_labels, cube_view
+from conftest import assign_point, cohort_labels, cube_view, distribution
 from geoineq import oracles
 from geoineq.aggregate import tag_summary_from_components
-from geoineq.geo import assign_tract, build_spatial_index, tract_from_feature
+from geoineq.geo import build_spatial_index, tract_from_feature
 from geoineq.ingest import parse_tracts
 from geoineq.metrics import (
-    Distribution,
     IndexSuite,
     gini,
     hoover,
@@ -35,7 +34,7 @@ from geoineq.metrics import (
 from geoineq.report import OUTPUT_NAMES, PipelineConfig, run_pipeline_full
 from geoineq.synth import SynthParams, write_city
 
-D = Distribution.from_values
+D = distribution
 
 SUITE_KEYS = ("gini", "ratio_80_20", "ratio_90_10", "hoover", "theil")
 
@@ -170,10 +169,10 @@ def test_criterion_5_point_in_polygon_oracle():
     mismatches = sum(1 for a, b in zip(got, want) if a != b)
     assert mismatches == 0
 
-    # independent scalar route on a subsample, plus scalar==batch
+    # one-point batches and the naive scalar scan on a subsample
     for i in rng.choice(n, size=3000, replace=False):
         lat, lon = float(lats[i]), float(lons[i])
-        assert assign_tract(lat, lon, index) == got[i]
+        assert assign_point(lat, lon, index) == got[i]
         assert oracles.assign_tract_naive(lat, lon, tracts) == got[i]
     assigned = sum(1 for g in got if g is not None)
     print(f"\nPASS criterion 5: indexed == naive scan on {n} points ({assigned} assigned)")

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import feature_collection, square_feature
+from conftest import assign_point, feature_collection, square_feature
 from geoineq import geo, oracles
 from geoineq.errors import DegeneratePolygon, EmptyTractSet
 from geoineq.geo import (
     EARTH_RADIUS_KM,
     Tract,
-    assign_tract,
     build_spatial_index,
     polygon_area_km2,
     tract_from_feature,
@@ -190,25 +189,25 @@ class TestArea:
 
 class TestContainment:
     def test_interior_point(self):
-        assert assign_tract(0.5, 0.5, ring_index(square_ring(0, 0))) == "R"
+        assert assign_point(0.5, 0.5, ring_index(square_ring(0, 0))) == "R"
 
     def test_outside_point(self):
-        assert assign_tract(2.0, 2.0, ring_index(square_ring(0, 0))) is None
+        assert assign_point(2.0, 2.0, ring_index(square_ring(0, 0))) is None
 
     def test_hole_excludes(self):
         index = ring_index(square_ring(0, 0, 1.0), square_ring(0.25, 0.25, 0.5))
-        assert assign_tract(0.5, 0.5, index) is None
-        assert assign_tract(0.1, 0.1, index) == "R"
+        assert assign_point(0.5, 0.5, index) is None
+        assert assign_point(0.1, 0.1, index) == "R"
 
 
 class TestAssignment:
     def test_unit_square_interior(self):
         index = build_spatial_index([square_tract("T1", 0, 0)])
-        assert assign_tract(0.5, 0.5, index) == "T1"
+        assert assign_point(0.5, 0.5, index) == "T1"
 
     def test_point_outside(self):
         index = build_spatial_index([square_tract("T1", 0, 0)])
-        assert assign_tract(2.0, 2.0, index) is None
+        assert assign_point(2.0, 2.0, index) is None
 
     def test_shared_edge_is_deterministic(self):
         # two squares sharing the edge x=1: the even-odd rule puts an
@@ -217,16 +216,16 @@ class TestAssignment:
         a = square_tract("A", 0, 0)
         b = square_tract("B", 1, 0)
         index = build_spatial_index([a, b])
-        got = assign_tract(0.5, 1.0, index)
+        got = assign_point(0.5, 1.0, index)
         assert got == oracles.assign_tract_naive(0.5, 1.0, [a, b])
         assert got in ("A", "B")
-        assert assign_tract(0.5, 1.0, build_spatial_index([b, a])) == got
+        assert assign_point(0.5, 1.0, build_spatial_index([b, a])) == got
 
     def test_overlapping_tracts_smallest_id_wins(self):
         a = square_tract("A", 0, 0)
         b = square_tract("B", 0, 0)  # identical geometry
         index = build_spatial_index([b, a])
-        assert assign_tract(0.5, 0.5, index) == "A"
+        assert assign_point(0.5, 0.5, index) == "A"
         assert oracles.assign_tract_naive(0.5, 0.5, [a, b]) == "A"
 
     def test_empty_tract_set(self):
@@ -244,7 +243,7 @@ class TestAssignment:
         batch = index.assign_batch(np.asarray(lats), np.asarray(lons))
         for lat, lon, bi in zip(lats, lons, batch):
             want = oracles.assign_tract_naive(lat, lon, tracts)
-            got_scalar = assign_tract(lat, lon, index)
+            got_scalar = assign_point(lat, lon, index)
             got_batch = index.tract_ids[bi] if bi >= 0 else None
             assert got_scalar == want
             assert got_batch == want
@@ -258,8 +257,8 @@ class TestAssignment:
         i2 = build_spatial_index(shuffled)
         pts = rng.uniform(-0.5, 4.5, size=(500, 2))
         for lon, lat in pts:
-            got = assign_tract(lat, lon, i1)
-            assert got == assign_tract(lat, lon, i2)
+            got = assign_point(lat, lon, i1)
+            assert got == assign_point(lat, lon, i2)
             assert got == oracles.assign_tract_naive(lat, lon, tracts)
 
     def test_candidates_superset(self):
@@ -325,8 +324,8 @@ class TestAssignment:
             )
         )[0]
         index = build_spatial_index([tract_from_feature(feat)])
-        assert assign_tract(0.5, 0.5, index) is None  # inside the hole
-        assert assign_tract(0.2, 0.2, index) == "H1"
+        assert assign_point(0.5, 0.5, index) is None  # inside the hole
+        assert assign_point(0.2, 0.2, index) == "H1"
 
     @given(st.lists(st.tuples(st.floats(-2, 8), st.floats(-2, 8)), max_size=40))
     def test_scalar_equals_batch(self, points):

@@ -6,6 +6,7 @@ import re
 import tracemalloc
 from collections import Counter
 from datetime import datetime, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ from geoineq.geo import tract_from_feature
 from geoineq.ingest import (
     EVENT_COLUMNS,
     ParseStats,
-    extract_hashtags,
     parse_census,
     parse_event_batch,
     parse_tracts,
@@ -390,6 +390,11 @@ _TEXTS = st.lists(
     ),
     max_size=6,
 ).map("".join)
+# texts from '#', '##', '_', digits, non-ASCII letters, NUL and newlines
+_TAG_TEXTS = st.lists(
+    st.sampled_from(["#", "##", "_", "7", "a", "Z", "é", "İ", "ß", "\x00", "\n", " ", ","]),
+    max_size=12,
+).map("".join)
 _RULE_EDGES = [
     ("", "abc", "abc", "never", "x"),  # MalformedRecord comes first
     ("u", "nan", "-74.0", "never", "x"),  # then OutOfRangeCoordinate: nan parses
@@ -416,7 +421,8 @@ def _csv_line(fields, quote_all):
 
 def _reference(records):
     """validate_event_fields applied record by record, with each text's
-    hashtags in place of the text: (rows, tallies)."""
+    hashtags (oracles.hashtags_direct) in place of the text: (rows,
+    tallies)."""
     rows, errors = [], Counter()
     for fields in records:
         try:
@@ -424,7 +430,7 @@ def _reference(records):
         except IngestError as e:
             errors[type(e).__name__] += 1
         else:
-            rows.append((*row, extract_hashtags(text)))
+            rows.append((*row, oracles.hashtags_direct(text)))
     return rows, errors
 
 
@@ -743,24 +749,37 @@ class TestInterning:
         assert kept.users == batch.users and kept.tags == batch.tags
         assert batch.take(np.ones(4, dtype=bool)) is batch
 
-    # texts from '#', '##', '_', digits, non-ASCII letters, NUL and newlines,
     # interned as two windows that share the dicts
-    @given(st.lists(st.lists(st.sampled_from(["#", "##", "_", "7", "a", "Z", "é", "İ", "ß",
-                                              "\x00", "\n", " ", ","]), max_size=12)
-                    .map("".join), max_size=30), st.integers(0, 30))
-    @example(["#a #b", "#a"], 1)  # one '#' per tag: the one-pass counts
-    @example(["#a #", "#B"], 1)  # a bare '#': the texts one by one
+    @given(st.lists(_TAG_TEXTS, max_size=30), st.integers(0, 30))
+    @example(["#a #b", "#a"], 1)  # one '#' per tag
+    @example(["#a #", "#B"], 1)  # a bare '#': an empty match
     @example(["#İ #i", "#é"], 2)  # non-ASCII: the Unicode pattern
     def test_one_pass_matches_per_text(self, texts, cut):
         vocab, id_of = {}, {}
         counts, ids = zip(*(ingest._intern_tags(part, vocab, id_of)
                             for part in (texts[:cut], texts[cut:])))
-        found = [[t.casefold() for t in ingest.TAG_PATTERN.findall(text)] for text in texts]
+        found = [oracles.hashtags_direct(text) for text in texts]
         want_vocab = list(dict.fromkeys(t for tags in found for t in tags))
         assert list(vocab) == want_vocab
         assert np.concatenate(counts).tolist() == list(map(len, found))
         assert np.concatenate(ids).tolist() == [want_vocab.index(t) for tags in found for t in tags]
         assert all(c.dtype == np.int32 for c in (*counts, *ids))
+
+    # every record a window or more of its own, so that ASCII windows and
+    # non-ASCII ones share the dicts
+    @given(st.lists(_TAG_TEXTS, min_size=1, max_size=40), st.sampled_from(["csv", "jsonl"]))
+    @example(["#a", "#é #A", "x # #a\n#"], "csv")
+    def test_parsed_tags_match_oracle(self, texts, fmt):
+        rows = [[f"u{i}", "40.7", "-74.0", "2014-03-01T08:03:00Z", t] for i, t in enumerate(texts)]
+        if fmt == "csv":
+            data = events_csv([_csv_line(r, False) for r in rows])
+        else:
+            data = "\n".join(json.dumps(dict(zip(EVENT_COLUMNS, r))) for r in rows).encode()
+        with mock.patch.object(ingest, "_CHUNK", 64):
+            batch = parse_events_file(data, fmt)
+        want = [oracles.hashtags_direct(t) for t in texts]
+        assert batch_hashtags(batch) == want
+        assert batch.tags == list(dict.fromkeys(t for tags in want for t in tags))
 
     def test_parse_peak_does_not_grow_with_range(self, tmp_path, monkeypatch):
         # what a parse holds besides its result is one window's work: it
@@ -808,22 +827,37 @@ class TestInterning:
         assert size < 64 * len(batch), f"{size / len(batch):.1f} bytes per event"
 
 
+def _parsed_tags(*texts):
+    """Each text's hashtags as parse_event_batch reads them from a JSONL
+    event file of one event per text."""
+    rows = [json.dumps({"user_id": "u", "lat": 40.7, "lon": -74.0,
+                        "timestamp": "2014-03-01T08:03:00Z", "text": t}) for t in texts]
+    return batch_hashtags(parse_events_file("\n".join(rows).encode(), "jsonl"))
+
+
 class TestExtractHashtags:
+    """Hashtags as the parse extracts them, checked against
+    oracles.hashtags_direct."""
+
     def test_basic(self):
-        assert extract_hashtags("great #NYC day #NoFilter!") == ["nyc", "nofilter"]
+        text = "great #NYC day #NoFilter!"
+        assert _parsed_tags(text) == [oracles.hashtags_direct(text)] == [["nyc", "nofilter"]]
 
     def test_empty(self):
-        assert extract_hashtags("") == []
+        assert _parsed_tags("") == [oracles.hashtags_direct("")] == [[]]
 
     def test_adjacent_unicode_and_bare_hash(self):
-        assert extract_hashtags("#café#2021 #a_b #") == ["café", "2021", "a_b"]
+        text = "#café#2021 #a_b #"
+        assert _parsed_tags(text) == [oracles.hashtags_direct(text)] == [["café", "2021", "a_b"]]
 
     def test_duplicates_kept(self):
-        assert extract_hashtags("#a #b #a") == ["a", "b", "a"]
+        text = "#a #b #a"
+        assert _parsed_tags(text) == [oracles.hashtags_direct(text)] == [["a", "b", "a"]]
 
     @given(st.text(max_size=200))
     def test_tags_are_clean(self, text):
-        tags = extract_hashtags(text)
+        (tags,) = _parsed_tags(text)
+        assert tags == oracles.hashtags_direct(text)
         for t in tags:
             assert t
             assert "#" not in t
@@ -833,7 +867,8 @@ class TestExtractHashtags:
     def test_concatenation(self, a, b):
         # guard: a must not end mid-tag with b continuing the word run
         assume(not (re.search(r"#\w*$", a) and re.match(r"\w", b)))
-        assert extract_hashtags(a + b) == extract_hashtags(a) + extract_hashtags(b)
+        joined, tags_a, tags_b = _parsed_tags(a + b, a, b)
+        assert joined == tags_a + tags_b == oracles.hashtags_direct(a + b)
 
 
 class TestParseTracts:

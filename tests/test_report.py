@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cube_view, events_csv, feature_collection, square_feature
+from conftest import cube_view, distribution, events_csv, feature_collection, square_feature
 import geoineq
 from geoineq import cli, jsonio, oracles, report
 from geoineq.errors import BadBreakCount, EmptyCurveList, InternalInvariantError, MissingInput
@@ -27,7 +27,7 @@ from geoineq.ingest import (
     partition_byte_ranges,
     read_byte_range,
 )
-from geoineq.metrics import Distribution, lorenz_curve
+from geoineq.metrics import lorenz_curve
 from geoineq.report import (
     PipelineConfig,
     choropleth_parts,
@@ -512,15 +512,15 @@ class TestLorenzSvg:
             emit_lorenz_svg([])
 
     def test_equality_curve_is_diagonal(self):
-        svg = emit_lorenz_svg([lorenz_curve(Distribution.from_values([2, 2], "flat"))])
+        svg = emit_lorenz_svg([lorenz_curve(distribution([2, 2], "flat"))])
         # with margin 48 and plot 384: (0,0) -> "48.00,432.00", (1,1) -> "432.00,48.00"
         assert 'points="48.00,432.00 240.00,240.00 432.00,48.00"' in svg
         assert "flat" in svg
 
     def test_legend_and_polyline_per_curve(self):
         curves = [
-            lorenz_curve(Distribution.from_values([1, 5], "visitors")),
-            lorenz_curve(Distribution.from_values([2, 3], "locals")),
+            lorenz_curve(distribution([1, 5], "visitors")),
+            lorenz_curve(distribution([2, 3], "locals")),
         ]
         svg = emit_lorenz_svg(curves)
         assert svg.count("<polyline") == 2
@@ -934,6 +934,37 @@ class TestCli:
             "error: census CSV is not UTF-8: 'utf-8' codec can't decode byte 0xff in "
             "position 30: invalid start byte\n"
         ))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["metrics", "lorenz", "choropleth"])
+    def test_value_table_not_utf8_exit_1(self, city_paths, tmp_path, capsys, command):
+        table = tmp_path / "table.csv"
+        table.write_bytes(b"tract_id,value\nT0001,4\xff000\n")
+        out = tmp_path / "out"
+        argv = {
+            "metrics": ["metrics", "--csv", str(table)],
+            "lorenz": ["lorenz", "--csv", str(table), "--out", str(out)],
+            "choropleth": ["choropleth", "--tracts", city_paths["tracts"],
+                           "--values", str(table), "--out", str(out)],
+        }[command]
+        assert cli.main(argv + ["--column", "value"]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: value table {table} is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+            "in position 22: invalid start byte\n"
+        ))
+        assert not out.exists()
+
+    def test_choropleth_repeated_tract_id_exit_1(self, city_paths, tmp_path, capsys):
+        # the last row must not silently win
+        values = tmp_path / "values.csv"
+        values.write_text("tract_id,value\nT0001,1\nT0002,2\nT0001,4\n")
+        out = tmp_path / "ch.geojson"
+        rc = cli.main(["choropleth", "--tracts", city_paths["tracts"], "--values", str(values),
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", f"error: tract_id T0001 repeats in value table {values}\n"
+        )
         assert not out.exists()
 
     def test_choropleth_geometry_shaped_properties_unchanged(self, tmp_path, capsys):
