@@ -4,11 +4,11 @@ Every number the report needs is a count per (cohort bucket, tract, time
 bin): a data cube (Gray et al., 1997). Its axes are fixed before any
 event is counted: the tracts, the bins of hour and day of week, and the
 dataset's month axis, which ``cohort.classify_partials`` decides and the
-parent sends to every partition with its cohort masks. Aggregation is a
-fold: any partitioning of the event stream, aggregated separately and
-merged, must equal the single-pass result. Counts add, and the distinct
-(bucket, tract, tag) keys are unioned once both sides' tags are coded in
-one vocabulary.
+parent sends to every partition with its cohort masks. Any partitioning
+of the event stream, aggregated separately and merged, must equal the
+single-pass result. In one call each, :func:`merge_aggregate_maps` adds
+every partition's counts and :func:`merge_tag_components` unions their
+(bucket, tract, tag) keys, their tags coded in one vocabulary.
 
 Each event arrives with its hashtags as ids into one casefolded
 vocabulary, as parse interned them (``ingest.EventBatch``), and with its
@@ -30,7 +30,7 @@ import numpy as np
 
 from .cohort import COHORT_MASKS, distinct
 from .errors import InternalInvariantError
-from .ingest import intern_codes
+from .ingest import recode
 
 DAY_HOURS = slice(7, 19)  # 07:00:00 local inclusive to 19:00:00 exclusive
 
@@ -82,36 +82,24 @@ class TractCube(NamedTuple):
         return np.bincount(cells, minlength=self.tags.size).reshape(self.tags.shape)
 
 
-def empty_cube(n_tracts: int, n_months: int) -> TractCube:
-    """The cube of no events, on a month axis of ``n_months`` months."""
-
-    def zeros(*shape: int) -> np.ndarray:
-        return np.zeros((len(BUCKET_KEYS), *shape), dtype=np.int64)
-
-    return TractCube(
-        zeros(n_tracts, 24), zeros(n_tracts, 7), zeros(n_tracts, n_months),
-        zeros(n_tracts), zeros(5), np.empty(0, dtype=np.int64), [],
-    )
-
-
-def merge_aggregate_maps(a: TractCube, b: TractCube) -> TractCube:
-    """``a`` with ``b``'s counts added; both cubes must have the same
-    axes. The tag keys and vocabulary stay ``a``'s."""
+def merge_aggregate_maps(parts: Sequence[TractCube]) -> TractCube:
+    """The first of ``parts`` with the counts of them all added; every
+    cube must have the same axes. The tag keys and vocabulary stay the
+    first cube's."""
     fields = ("hours", "dows", "months", "tags", "tag_summary")
-    return a._replace(**{f: getattr(a, f) + getattr(b, f) for f in fields})
+    return parts[0]._replace(**{f: sum(getattr(p, f) for p in parts) for f in fields})
 
 
-def merge_tag_components(a: TractCube, b: TractCube) -> TractCube:
-    """``a`` with ``b``'s (bucket, tract, tag) keys added: ``b``'s tags
-    are re-coded into ``a``'s vocabulary, which gains the ones it lacks.
-    Both cubes must have the same tracts."""
-    code_of = {tag: i for i, tag in enumerate(a.vocab)}
-    codes = intern_codes(b.vocab, code_of)
-    n_vocab = len(code_of)
-    a_cells, a_tags = np.divmod(a.tag_keys, max(len(a.vocab), 1))
-    b_cells, b_tags = np.divmod(b.tag_keys, max(len(b.vocab), 1))
-    keys = np.concatenate((a_cells * n_vocab + a_tags, b_cells * n_vocab + codes[b_tags]))
-    return a._replace(tag_keys=distinct(keys), vocab=list(code_of))
+def merge_tag_components(cube: TractCube, parts: Sequence[TractCube]) -> TractCube:
+    """``cube`` with the union of the (bucket, tract, tag) keys of
+    ``parts``, their tags re-coded into one vocabulary. Every cube must
+    have the same tracts."""
+    vocab, codes = recode([p.vocab for p in parts])
+    keys = []
+    for p, code in zip(parts, codes):
+        cells, tags = np.divmod(p.tag_keys, max(len(p.vocab), 1))
+        keys.append(cells * len(vocab) + code[tags])
+    return cube._replace(tag_keys=distinct(np.concatenate(keys)), vocab=vocab)
 
 
 def aggregate_batch(

@@ -17,7 +17,6 @@ import io
 import math
 import re
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import errors, jsonio, report
@@ -73,16 +72,17 @@ def _config_from_args(args) -> PipelineConfig:
     )
 
 
-def _read_csv_column(path: str, column: str) -> tuple[list[str], list[float]]:
-    """Row ids (``tract_id`` when the file has one) and the values of one
-    column; blank cells are left out, and a cell that is not a finite
-    number is refused, naming its column and row."""
+def _read_csv_column(path: str, column: str) -> dict[str, float]:
+    """The values of one column by row id (``tract_id`` when the file has
+    one), in file order; blank cells are left out. A cell that is not a
+    finite number is refused, naming its column and row, and so is a
+    ``tract_id`` on two rows."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise GeoIneqError(f"value table {path} is not UTF-8: {e}") from None
     reader = csv.DictReader(io.StringIO(text))
-    ids, values = [], []
+    values: dict[str, float] = {}
     if reader.fieldnames is None or column not in reader.fieldnames:
         raise GeoIneqError(f"column {column!r} not in {path}")
     id_col = "tract_id" if "tract_id" in (reader.fieldnames or []) else None
@@ -98,11 +98,13 @@ def _read_csv_column(path: str, column: str) -> tuple[list[str], list[float]]:
             raise NonNumericValue(
                 f"column {column!r}, row {i + 1}: {cell!r} is not a finite number"
             )
-        ids.append(row[id_col] if id_col else f"row{i + 1}")
-        values.append(value)
+        row_id = row[id_col] if id_col else f"row{i + 1}"
+        if row_id in values:
+            raise errors.DuplicateTractId(f"tract_id {row_id} repeats in value table {path}")
+        values[row_id] = value
     if not values:
         raise GeoIneqError(f"no numeric values in column {column!r}")
-    return ids, values
+    return values
 
 
 def cmd_run(args) -> int:
@@ -133,8 +135,8 @@ def cmd_ingest_check(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    ids, values = _read_csv_column(args.csv, args.column)
-    d = Distribution(tuple(ids), tuple(values), label=args.column)
+    values = _read_csv_column(args.csv, args.column)
+    d = Distribution(tuple(values), tuple(values.values()), label=args.column)
     out = {
         "label": args.column,
         "n": len(values),
@@ -179,8 +181,9 @@ def cmd_synth(args) -> int:
 def cmd_lorenz(args) -> int:
     curves = []
     for column in args.column:
-        ids, values = _read_csv_column(args.csv, column)
-        curves.append(lorenz_curve(Distribution(tuple(ids), tuple(values), label=column)))
+        values = _read_csv_column(args.csv, column)
+        d = Distribution(tuple(values), tuple(values.values()), label=column)
+        curves.append(lorenz_curve(d))
     Path(args.out).write_text(emit_lorenz_svg(curves), encoding="utf-8")
     print(args.out)
     return 0
@@ -188,11 +191,7 @@ def cmd_lorenz(args) -> int:
 
 def cmd_choropleth(args) -> int:
     tracts, _ = report.load_tracts(args.tracts)
-    ids, column = _read_csv_column(args.values, args.column)
-    values = dict(zip(ids, column))
-    if len(values) < len(ids):
-        repeated = next(t for t, n in Counter(ids).items() if n > 1)
-        raise errors.DuplicateTractId(f"tract_id {repeated} repeats in value table {args.values}")
+    values = _read_csv_column(args.values, args.column)
     write_parts(args.out, choropleth_parts(tracts, values, args.breaks))
     print(args.out)
     return 0

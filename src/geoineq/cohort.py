@@ -11,8 +11,8 @@ implicit. This module is the only one that decides those bits.
 Classification is global while events are partitioned, so it runs in two
 steps over arrays: :func:`user_partials` summarises one partition's
 events per distinct user from the user codes parse gave them, and
-:func:`classify_partials` concatenates every partition's summaries,
-gives each user a global code and reduces them to one mask per user.
+:func:`classify_partials` codes each user once over every partition's
+summaries (``ingest.recode``) and reduces them to one mask per user.
 It also fixes the dataset's month axis, the one every partition's
 aggregate cube counts on. ``oracles.classify_users_direct`` is the
 per-event reference.
@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ingest import intern_codes
+from .ingest import recode
 
 MASK_VISITOR = 1
 MASK_LOCAL = 2
@@ -36,14 +36,13 @@ COHORT_MASKS = {"visitor": MASK_VISITOR, "local": MASK_LOCAL, "super_local": MAS
 
 class UserPartials(NamedTuple):
     """One partition's activity per distinct user: ``user_ids`` in order
-    of first appearance, the aligned first and last epoch and post count,
-    and the distinct (index into ``user_ids``, month number) pairs of
-    their posts, month numbers counted in the display timezone."""
+    of first appearance, the aligned first and last epoch, and the
+    distinct (index into ``user_ids``, month number) pairs of their
+    posts, month numbers counted in the display timezone."""
 
     user_ids: list[str]
     first: np.ndarray
     last: np.ndarray
-    count: np.ndarray
     month_user: np.ndarray
     month_num: np.ndarray
 
@@ -101,13 +100,12 @@ def user_partials(
     more (parse codes every accepted record, the tract filter comes
     later), and the codes are compacted to the ones in use, in order.
     """
-    count = np.bincount(user_codes, minlength=len(users))
-    present = count > 0
+    present = np.bincount(user_codes, minlength=len(users)) > 0
     codes = (np.cumsum(present, dtype=np.int32) - 1)[user_codes]
     uids = list(compress(users, present.tolist()))
     first, last = _span(codes, len(uids), epochs, epochs)
     pairs = _distinct_pairs(codes, month_nums)
-    return UserPartials(uids, first, last, count[present], *pairs), codes
+    return UserPartials(uids, first, last, *pairs), codes
 
 
 def classify_partials(partials: Sequence[UserPartials], window_days: int) -> Cohorts:
@@ -117,22 +115,15 @@ def classify_partials(partials: Sequence[UserPartials], window_days: int) -> Coh
     partials. The dataset months are the contiguous range between the
     earliest and latest observed month.
     """
-    code_of: dict[str, int] = {}
-    codes = intern_codes([u for p in partials for u in p.user_ids], code_of)
-    uids = list(code_of)
-    bounds = np.cumsum([len(p.user_ids) for p in partials])[:-1]
-    partial_codes = np.split(codes, bounds) if partials else []
+    uids, partial_codes = recode([p.user_ids for p in partials])
     n_users = len(uids)
     if n_users == 0:
         return Cohorts([], np.empty(0, np.uint8), range(0), partial_codes)
     first, last = _span(
-        codes,
+        np.concatenate(partial_codes),
         n_users,
         np.concatenate([p.first for p in partials]),
         np.concatenate([p.last for p in partials]),
-    )
-    count = np.bincount(
-        codes, weights=np.concatenate([p.count for p in partials]), minlength=n_users
     )
     month_user, month_num = _distinct_pairs(
         np.concatenate([c[p.month_user] for c, p in zip(partial_codes, partials)]),
@@ -140,8 +131,9 @@ def classify_partials(partials: Sequence[UserPartials], window_days: int) -> Coh
     )
     lo, hi = int(month_num.min()), int(month_num.max())
     # the comparison is strict so that exactly window_days apart is still a
-    # visitor; the span is measured in seconds, not calendar days
-    local = (count >= 2) & (last - first > window_days * 86400.0)
+    # visitor; the span is in seconds, not calendar days. One post spans 0 s,
+    # so a span over the window (window_days >= 1) implies two posts
+    local = last - first > window_days * 86400.0
     # a user's months lie within the dataset range, so posting in all of
     # them means as many distinct months as the range has
     every_month = np.bincount(month_user, minlength=n_users) == hi - lo + 1

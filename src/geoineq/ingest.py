@@ -120,8 +120,11 @@ class ParseStats:
     """Skip-and-count bookkeeping for one parse run."""
 
     records_ok: int = 0
-    records_skipped: int = 0
     errors: Counter = field(default_factory=Counter)
+
+    @property
+    def records_skipped(self) -> int:
+        return sum(self.errors.values())
 
     @property
     def records_total(self) -> int:
@@ -129,12 +132,10 @@ class ParseStats:
 
     def count_error(self, kind: str, n: int = 1) -> None:
         if n:
-            self.records_skipped += n
             self.errors[kind] += n
 
     def merge(self, other: "ParseStats") -> None:
         self.records_ok += other.records_ok
-        self.records_skipped += other.records_skipped
         self.errors.update(other.errors)
 
     def summary(self) -> dict:
@@ -201,6 +202,15 @@ def intern_codes(values: Sequence[str], code_of: dict[str, int]) -> np.ndarray:
         if v not in code_of:
             code_of[v] = len(code_of)
     return np.fromiter(map(code_of.__getitem__, values), dtype=np.int32, count=len(values))
+
+
+def recode(vocabs: Sequence[Sequence[str]]) -> tuple[list[str], list[np.ndarray]]:
+    """One vocabulary for lists coded apart (each partition's users or
+    hashtags), in order of first appearance across the lists, and each
+    list's codes in it."""
+    code_of: dict[str, int] = {}
+    codes = [intern_codes(vocab, code_of) for vocab in vocabs]
+    return list(code_of), codes
 
 
 def _intern_tags(
@@ -385,7 +395,8 @@ def _jsonl_fields(line: str) -> list[str] | None:
         text = obj.get("text", "")
     except (ValueError, TypeError, KeyError):  # not JSON, not an object, no such key
         return None
-    if not isinstance(ts, str) or not isinstance(text, str):
+    # json.loads gives exact types, so a bool id is not an int here
+    if type(uid) not in (str, int) or not isinstance(ts, str) or not isinstance(text, str):
         return None
     return [str(uid), str(lat), str(lon), ts, text]
 
@@ -648,7 +659,7 @@ def parse_tracts(data: bytes) -> list[dict]:
             raise MissingTractId("feature lacks a tract_id property")
         tid = str(tid)
         if tid in seen:
-            raise DuplicateTractId(tid)
+            raise DuplicateTractId(f"tract_id {tid} repeats in tracts GeoJSON")
         seen.add(tid)
     return features
 
@@ -693,7 +704,7 @@ def parse_census(data: bytes) -> dict[str, dict[str, float]]:
         if not tid:
             raise MissingTractId("census row with empty tract_id")
         if tid in out:
-            raise DuplicateTractId(tid)
+            raise DuplicateTractId(f"tract_id {tid} repeats in census CSV")
         values: dict[str, float] = {}
         for name, cell in zip(cols, row):
             if name == "tract_id" or not cell.strip():

@@ -10,13 +10,17 @@ hours are local 0..23, months are local (year, month).
 
 from __future__ import annotations
 
-from datetime import datetime
+from datetime import datetime, timezone
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
 _PROBE_STEP = 6 * 3600
 _MARGIN = 2 * 86400
+# the epochs datetime can hold, one day inside its range: no UTC offset
+# reaches a day, so every probe's local time is a datetime too
+_PROBE_MIN = int(datetime.min.replace(tzinfo=timezone.utc).timestamp()) + 86400
+_PROBE_MAX = int(datetime.max.replace(tzinfo=timezone.utc).timestamp()) - 86400
 _SLICE = 1 << 15  # epochs binned per step
 
 
@@ -29,8 +33,8 @@ class LocalClock:
 
     def __init__(self, tz: str | ZoneInfo, t_min: float, t_max: float):
         self.tz = ZoneInfo(tz) if isinstance(tz, str) else tz
-        lo = int(np.floor(t_min)) - _MARGIN
-        hi = int(np.ceil(t_max)) + _MARGIN
+        lo = max(int(np.floor(t_min)) - _MARGIN, _PROBE_MIN)
+        hi = min(int(np.ceil(t_max)) + _MARGIN, _PROBE_MAX)
         starts = [lo]
         offsets = [_offset_at(self.tz, lo)]
         t = lo

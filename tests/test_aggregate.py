@@ -11,7 +11,6 @@ from geoineq import oracles
 from geoineq.aggregate import (
     BUCKET_KEYS,
     aggregate_batch,
-    empty_cube,
     merge_aggregate_maps,
     merge_tag_components,
     tag_summary_from_components,
@@ -43,9 +42,9 @@ def view(cube, months=MONTHS) -> dict:
     return cube_view(cube, TRACT_IDS, months)
 
 
-def merge(a, b):
-    """The two cubes merged as the pipeline's parent merges them."""
-    return merge_tag_components(merge_aggregate_maps(a, b), b)
+def merge(*parts):
+    """The cubes merged as the pipeline's parent merges them."""
+    return merge_tag_components(merge_aggregate_maps(parts), parts)
 
 
 def state(cube):
@@ -194,7 +193,7 @@ class TestMerge:
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = random_cube(rng)
-            zero = empty_cube(len(TRACT_IDS), len(MONTHS))
+            zero = aggregate([])
             assert state(merge(x, zero)) == state(x)
             assert state(merge(zero, x)) == state(x)
 
@@ -209,6 +208,7 @@ class TestMerge:
         for _ in range(10):
             a, b, c = (random_cube(rng) for _ in range(3))
             assert state(merge(merge(a, b), c)) == state(merge(a, merge(b, c)))
+            assert state(merge(a, b, c)) == state(merge(merge(a, b), c))
 
     def test_unique_tags_union_vs_sum(self):
         ts = datetime(2014, 3, 15, 12, 0, tzinfo=UTC)
@@ -246,7 +246,7 @@ class TestBatchEquivalence:
     def test_matches_reference(self, rows):
         assert view(aggregate(rows, _TZ)) == oracles.aggregate_by_tract(rows, _TZ)
 
-    @given(_ROWS, st.integers(0, 60))
+    @given(_ROWS, st.lists(st.integers(0, 60), max_size=3))
     @example(  # the halves number the same tags differently
         [
             (_BASE, "#b #a", "T1", LOCAL),
@@ -254,7 +254,7 @@ class TestBatchEquivalence:
             (_BASE + 99, "#A", "T1", SUPER),
             (_BASE + 7, "#C #B", "T2", LOCAL),
         ],
-        2,
+        [2],
     )
     @example(  # January and March: the halves' months are disjoint
         [
@@ -263,13 +263,14 @@ class TestBatchEquivalence:
             (_BASE + 70 * 86400, "#A #c", "T1", SUPER),
             (_BASE + 71 * 86400, "#d #B", "T2", VISITOR),
         ],
-        2,
+        [2],
     )
-    def test_halves_merge_to_whole(self, rows, cut):
-        whole = aggregate(rows, _TZ)
-        a = aggregate(rows[:cut], _TZ)
-        b = aggregate(rows[cut:], _TZ)
-        assert state(merge(a, b)) == state(whole)
+    def test_parts_merge_to_whole(self, rows, cuts):
+        """Rows cut into 1 to 4 parts, each aggregated alone, merge in one
+        call to the whole batch's cube."""
+        bounds = [0, *sorted(cuts), len(rows)]
+        parts = [aggregate(rows[lo:hi], _TZ) for lo, hi in zip(bounds, bounds[1:])]
+        assert state(merge(*parts)) == state(aggregate(rows, _TZ))
 
 
 def test_cohort_buckets_mapping():

@@ -26,10 +26,10 @@ def partials(posts, tz="UTC"):
 
 
 def activity_of(parts, user_id):
-    """(first epoch, last epoch, post count, ascending months) of one user."""
+    """(first epoch, last epoch, ascending months) of one user."""
     c = parts.user_ids.index(user_id)
     months = parts.month_num[parts.month_user == c].tolist()
-    return float(parts.first[c]), float(parts.last[c]), int(parts.count[c]), tuple(months)
+    return float(parts.first[c]), float(parts.last[c]), tuple(months)
 
 
 def activity(timestamps, user_id="u"):
@@ -82,28 +82,28 @@ class TestClassify:
 
 class TestActivity:
     def test_span_count_months(self):
-        act = activity(
-            [
-                datetime(2014, 3, 1, tzinfo=UTC),
-                datetime(2014, 3, 5, tzinfo=UTC),
-                datetime(2014, 7, 2, tzinfo=UTC),
-            ]
-        )
-        assert act == (
+        posts = [
+            datetime(2014, 3, 1, tzinfo=UTC),
+            datetime(2014, 3, 5, tzinfo=UTC),
+            datetime(2014, 7, 2, tzinfo=UTC),
+        ]
+        assert activity(posts) == (
             datetime(2014, 3, 1, tzinfo=UTC).timestamp(),
             datetime(2014, 7, 2, tzinfo=UTC).timestamp(),
-            3,
             (month_num(2014, 3), month_num(2014, 7)),
         )
+        # posts in two of the dataset's five months, first to last 123 days
+        assert label(posts) == ("local", False)
 
     def test_single_post_degenerate_span(self):
-        first, last, count, _ = activity([T0])
+        first, last, _ = activity([T0])
         assert first == last
-        assert count == 1
+        # a span of 0 s fits in the shortest window
+        assert label([T0], window_days=1) == ("visitor", False)
 
     def test_empty_input(self):
         parts, codes = user_partials([], np.empty(0, np.int32), np.empty(0), np.empty(0, np.int64))
-        assert (parts.user_ids, parts.count.tolist(), codes.tolist()) == ([], [], [])
+        assert (parts.user_ids, parts.first.tolist(), codes.tolist()) == ([], [], [])
         assert parts.month_user.tolist() == parts.month_num.tolist() == []
         for split in ([], [parts]):
             cohorts = classify_partials(split, 12)
@@ -117,13 +117,14 @@ class TestActivity:
                                      epochs, months)
         assert (parts.user_ids, codes.tolist()) == (["a", "c"], [1, 0, 1])
         assert (parts.first.tolist(), parts.last.tolist()) == ([20.0, 10.0], [20.0, 30.0])
-        assert parts.count.tolist() == [1, 2]
+        # c's two posts are 20 s apart, inside the shortest window
+        assert classified([parts], 1)[0] == {"a": ("visitor", False), "c": ("visitor", False)}
         assert (parts.month_user.tolist(), parts.month_num.tolist()) == ([0, 1, 1], [5, 5, 6])
 
     def test_months_use_display_timezone(self):
         # 2014-04-01T01:00Z is still March 31 in New York
         parts = partials([("u", datetime(2014, 4, 1, 1, 0, tzinfo=UTC))], "America/New_York")
-        assert activity_of(parts, "u")[3] == (month_num(2014, 3),)
+        assert activity_of(parts, "u")[2] == (month_num(2014, 3),)
         months = classify_partials([parts], 12).months
         assert months == range(month_num(2014, 3), month_num(2014, 4))
 

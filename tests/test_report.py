@@ -1025,6 +1025,50 @@ class TestCli:
             ingest = json.loads((out / "report.json").read_text())["ingest"]
             assert {key: ingest[key] for key in want} == want, k
 
+    def test_jsonl_user_id_not_string_or_int_is_malformed(self, tmp_path, capsys):
+        tracts = tmp_path / "t.geojson"
+        tracts.write_bytes(feature_collection([square_feature("T1", 0, 0)]))
+        ids = [None, True, 1.5, [], {}, 42, "42", "u1"]
+        rows = [
+            json.dumps({"user_id": uid, "lat": 0.5, "lon": 0.5,
+                        "timestamp": f"2014-03-{i + 1:02d}T10:00:00-04:00", "text": ""})
+            for i, uid in enumerate(ids)
+        ]
+        events = tmp_path / "e.jsonl"
+        events.write_text("\n".join(rows) + "\n")
+        assert cli.main(["ingest-check", "--events", str(events)]) == 0
+        want = json.loads(capsys.readouterr().out)["events"]
+        assert (want["records_ok"], want["errors"]) == (3, {"MalformedRecord": 5})
+        for k in (1, 2):
+            out = tmp_path / f"out{k}"
+            rc = cli.main(["run", "--events", str(events), "--tracts", str(tracts),
+                           "--partitions", str(k), "--out", str(out)])
+            assert rc == 0
+            got = json.loads((out / "report.json").read_text())
+            assert {key: got["ingest"][key] for key in want} == want, k
+            assert got["users"]["total"] == 2  # 42 and "42" are one user
+
+    @pytest.mark.parametrize("month", ["9999-12", "0001-01"])
+    def test_edge_year_run_matches_ingest_check(self, tmp_path, capsys, month):
+        # both months have 31 days; two days past them lies outside
+        # datetime's range
+        tracts = tmp_path / "t.geojson"
+        tracts.write_bytes(feature_collection([square_feature("T1", 0, 0)]))
+        rows = [f"u{i % 3},0.5,0.5,{month}-{i + 1:02d}T12:00:00Z,#x" for i in range(31)]
+        events = tmp_path / "e.csv"
+        events.write_bytes(events_csv([*rows, "u0,0.5,0.5,not-a-time,"]))
+        assert cli.main(["ingest-check", "--events", str(events)]) == 0
+        want = json.loads(capsys.readouterr().out)["events"]
+        assert (want["records_ok"], want["records_skipped"]) == (31, 1)
+        for k in (1, 2):
+            out = tmp_path / f"out{k}"
+            rc = cli.main(["run", "--events", str(events), "--tracts", str(tracts),
+                           "--partitions", str(k), "--out", str(out)])
+            assert rc == 0, capsys.readouterr().err
+            got = json.loads((out / "report.json").read_text())
+            assert {key: got["ingest"][key] for key in want} == want, k
+            assert got["tracts"]["dataset_months"] == [month]
+
     @pytest.mark.parametrize("probe", list(_PROBE_RESULTS))
     def test_probe_input_same_in_run_and_ingest_check(self, probe_city, tmp_path, capsys, probe):
         rc, tallies = _PROBE_RESULTS[probe]
@@ -1136,6 +1180,31 @@ class TestCli:
             want = "error: 'net_migration', unit 'T0003': negative or non-finite value -3.0\n"
         else:
             want = "error: net_migration=-3.0 for tract T0003 (negative)\n"
+        assert capsys.readouterr() == ("", want)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["metrics", "lorenz", "ingest-check", "run"])
+    def test_repeated_tract_id_exit_1(self, city_paths, tmp_path, capsys, command):
+        # T0001 on two rows of a value table or census CSV, or on two
+        # features of the tracts file
+        table = tmp_path / "table.csv"
+        table.write_text("tract_id,value\nT0001,100\nT0002,200\nT0001,300\n")
+        tracts = tmp_path / "t.geojson"
+        tracts.write_bytes(feature_collection(
+            [square_feature("T0001", 0, 0), square_feature("T0001", 2, 0)]
+        ))
+        out = tmp_path / "out"
+        argv = {
+            "metrics": ["metrics", "--csv", str(table), "--column", "value"],
+            "lorenz": ["lorenz", "--csv", str(table), "--column", "value", "--out", str(out)],
+            "ingest-check": ["ingest-check", "--events", city_paths["events"],
+                             "--census", str(table)],
+            "run": ["run", "--events", city_paths["events"], "--tracts", str(tracts),
+                    "--out", str(out)],
+        }[command]
+        where = {"ingest-check": "census CSV", "run": "tracts GeoJSON"}
+        assert cli.main(argv) == 1
+        want = f"error: tract_id T0001 repeats in {where.get(command, f'value table {table}')}\n"
         assert capsys.readouterr() == ("", want)
         assert not out.exists()
 
