@@ -1,10 +1,13 @@
 """Per-tract, per-cohort aggregation as one data cube.
 
-Every number the report needs is a count per (cohort bucket, tract, time
-bin): a data cube (Gray et al., 1997). Its axes are fixed before any
-event is counted: the tracts, the bins of hour and day of week, and the
-dataset's month axis, which ``cohort.classify_partials`` decides and the
-parent sends to every partition with its cohort masks. Any partitioning
+Every number the report needs is a count per cohort bucket: a data cube
+(Gray et al., 1997) holding only the group-bys the outputs read. Hour
+histograms and hashtag occurrences are also per tract; day-of-week and
+month histograms are not, since only their sums over tracts are read.
+The axes are fixed before any event is counted: the tracts, the bins of
+hour and day of week, and the dataset's month axis, which
+``cohort.classify_partials`` decides and the parent sends to every
+partition with its cohort masks. Any partitioning
 of the event stream, aggregated separately and merged, must equal the
 single-pass result. In one call each, :func:`merge_aggregate_maps` adds
 every partition's counts and :func:`merge_tag_components` unions their
@@ -47,10 +50,11 @@ _IN_BUCKET = np.array(
 
 
 class TractCube(NamedTuple):
-    """Counts per (bucket, tract), buckets in ``BUCKET_KEYS`` order. The
-    histograms add an axis of bins: local hour, Sunday-first day of week,
-    and local month on the dataset's month axis (see
-    ``cohort.Cohorts.months``). ``tag_summary`` holds the
+    """Counts per bucket, buckets in ``BUCKET_KEYS`` order. ``hours``
+    (local hour bins) and ``tags`` are per (bucket, tract); ``dows``
+    (Sunday-first day of week) and ``months`` (local month on the
+    dataset's month axis, see ``cohort.Cohorts.months``) are per bucket,
+    summed over tracts. ``tag_summary`` holds the
     :func:`tag_summary_from_components` components per bucket.
     ``tag_keys`` are the distinct (bucket, tract, tag) triples, ascending,
     as ``(bucket * n_tracts + tract) * len(vocab) + tag``."""
@@ -119,7 +123,8 @@ def aggregate_batch(
     epochs, ``tags`` is the events' interned hashtags as ``EventBatch``
     holds them (tag count per event, tag id per occurrence, vocabulary),
     and ``masks`` holds each event's cohort mask. Each event is counted
-    in its (mask, tract) cell, and ``_IN_BUCKET`` sums cells into buckets.
+    in its (mask, tract) cell, or for day of week and month in its mask,
+    and ``_IN_BUCKET`` sums masks into buckets.
     Events are counted ``_SLICE`` at a time and the counts added, so the
     temporaries stay a slice long whatever the batch size.
     """
@@ -129,12 +134,13 @@ def aggregate_batch(
         raise InternalInvariantError(f"an event's month lies off the month axis {months}")
     tag_counts, tag_ids, vocab = tags
     n_vocab = len(vocab)
-    # per (mask, tract) cell: hour, day-of-week and month histograms, and
-    # hashtag occurrences; per mask: images, tag total, images with >0, >5
-    # and >10 tags
-    hists = [np.zeros((_N_MASKS * n_tracts, n_bins), dtype=np.int64)
-             for n_bins in (24, 7, len(months), 1)]
-    summary = np.zeros((_N_MASKS, 5), dtype=np.int64)
+    # the cube's counts per mask, in its field order: per (mask, tract)
+    # cell the hour histogram; per mask the day-of-week and month
+    # histograms; per cell the hashtag occurrences; per mask images, tag
+    # total, and images with >0, >5 and >10 tags
+    counts_per_mask = [np.zeros((_N_MASKS, *shape), dtype=np.int64)
+                       for shape in ((n_tracts, 24), (7,), (len(months),), (n_tracts,), (5,))]
+    hours, dows, month_hist, tag_totals, summary = counts_per_mask
     # the distinct (cell, tag) pairs of the occurrences, as the int64 keys
     # cell * n_vocab + tag: each slice's, unioned into ``pairs`` once they
     # outnumber it
@@ -150,12 +156,14 @@ def aggregate_batch(
         part = slice(a, a + _SLICE)
         counts = tag_counts[part]
         tag_start, tag_end = tag_end, tag_end + int(counts.sum())
-        cell = masks[part].astype(np.int64) * n_tracts + tract_idx[part]
-        bins = (sod[part] // 3600, dow[part], month_num[part] - months.start, 0)
-        for hist, b, weights in zip(hists, bins, (None, None, None, counts)):
-            add(hist, cell * hist.shape[1] + b, weights)
+        mask = masks[part].astype(np.int64)
+        cell = mask * n_tracts + tract_idx[part]
+        add(hours, cell * 24 + sod[part] // 3600)
+        add(tag_totals, cell, counts)
+        add(dows, mask * 7 + dow[part])
+        add(month_hist, mask * len(months) + (month_num[part] - months.start))
         for col, weights in enumerate((None, counts, counts > 0, counts >= 6, counts >= 11)):
-            add(summary[:, col], masks[part], weights)
+            add(summary[:, col], mask, weights)
         keys = np.repeat(cell * n_vocab, counts)
         keys += tag_ids[tag_start:tag_end]
         pending.append(distinct(keys))
@@ -169,20 +177,9 @@ def aggregate_batch(
     bucket, pair = np.nonzero(_IN_BUCKET[:, pair_mask])
     tag_keys = (bucket * n_tracts + pair_tract[pair]) * n_vocab + pair_tag[pair]
 
-    def per_bucket(hist: np.ndarray) -> np.ndarray:
-        per_mask = hist.reshape(_N_MASKS, n_tracts * hist.shape[1])
-        return (_IN_BUCKET @ per_mask).reshape(len(BUCKET_KEYS), n_tracts, hist.shape[1])
-
-    hours, dows, month_hist, tag_totals = map(per_bucket, hists)
-    return TractCube(
-        hours=hours,
-        dows=dows,
-        months=month_hist,
-        tags=tag_totals[..., 0],
-        tag_summary=_IN_BUCKET @ summary,
-        tag_keys=distinct(tag_keys),
-        vocab=vocab,
-    )
+    # each count's mask axis summed into the buckets
+    buckets = (np.tensordot(_IN_BUCKET, c, 1) for c in counts_per_mask)
+    return TractCube(*buckets, tag_keys=distinct(tag_keys), vocab=vocab)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import compress, repeat
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -630,9 +631,10 @@ def read_byte_range(path, byte_range: tuple[int, int]) -> ByteRange:
 # --- tract file parsing ----------------------------------------------------
 
 
-def parse_tracts(data: bytes) -> list[dict]:
+def parse_tracts(source: bytes | Path) -> list[dict]:
     """The features of a GeoJSON FeatureCollection of tracts, decoded, in
-    file order.
+    file order, from its bytes or its path (read here, so that its bytes
+    are dropped before the JSON decode runs).
 
     The file must be UTF-8 JSON (it may start with a BOM) and a
     FeatureCollection, and each feature must be an object whose
@@ -643,7 +645,8 @@ def parse_tracts(data: bytes) -> list[dict]:
     decode never holds a Python float per vertex of the whole file.
     """
     try:
-        obj = json.loads(data.decode("utf-8-sig"), object_hook=rings_to_arrays)
+        text = (source.read_bytes() if isinstance(source, Path) else source).decode("utf-8-sig")
+        obj = json.loads(text, object_hook=rings_to_arrays)
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise NonPolygonGeometry(f"not valid GeoJSON: {e}") from None
     if not isinstance(obj, dict) or obj.get("type") != "FeatureCollection":

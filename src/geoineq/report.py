@@ -167,8 +167,7 @@ def _partition_job(events_path, fmt, byte_range, index, tz):
     keep = tract_idx >= 0
     dropped = len(batch) - int(keep.sum())
     batch, tract_idx = batch.take(keep), tract_idx[keep]
-    span = (batch.epochs.min(), batch.epochs.max()) if len(batch) else (0, 0)
-    local = LocalClock(tz, *span).local_fields(batch.epochs)  # the partition's one clock
+    local = LocalClock(tz, batch.epochs).local_fields(batch.epochs)  # the partition's one clock
     partials, codes = user_partials(batch.users, batch.user_codes, batch.epochs, local[2])
     tags = (batch.tag_counts, batch.tag_ids, batch.tags)
     del batch  # phase 2 needs none of its other columns
@@ -223,7 +222,7 @@ def _replies(conns, ranges):
 def load_tracts(path) -> tuple[tuple[Tract, ...], SpatialIndex]:
     """The tracts of a GeoJSON file in file order, and their spatial
     index, whose build runs the checks every command makes on them."""
-    tracts = tuple(tract_from_feature(f) for f in parse_tracts(Path(path).read_bytes()))
+    tracts = tuple(tract_from_feature(f) for f in parse_tracts(Path(path)))
     return tracts, build_spatial_index(tracts)
 
 
@@ -383,10 +382,11 @@ def _build_report(config, index, stats, dropped_total, user_masks, cube, census,
             "min_tracts_for_half": min_half,
             "spatial_relative_entropy": _try_entropy(cube.events[b].tolist()),
         }
-        # the temporal histograms and the tag summary sum over tracts
+        # the hour histogram sums over tracts; the cube counts day of
+        # week, month and the tag summary per bucket already
         hourly = cube.hours[b].sum(axis=0).tolist()
-        daily = cube.dows[b].sum(axis=0).tolist()
-        monthly = cube.months[b].sum(axis=0).tolist()
+        daily = cube.dows[b].tolist()
+        monthly = cube.months[b].tolist()
         temporal[cohort] = {
             "hourly": hourly,
             "daily": daily,

@@ -1,9 +1,12 @@
 """Vectorized wall-clock binning for one IANA timezone.
 
-A timezone's UTC offset is a step function of absolute time. We sample
-it every six hours across the data span, bisect each change down to the
-exact second, and binning millions of epochs becomes a searchsorted plus
-integer arithmetic, a slice of epochs at a time into int32 bins.
+A timezone's UTC offset is a step function of absolute time. We probe
+it at the ends of every six-hour step that holds an event, bisect each
+change down to the exact second, and binning millions of epochs becomes
+a searchsorted plus integer arithmetic, a slice of epochs at a time into
+int32 bins. Time that holds no event is never probed, so a stray record
+centuries away costs one step's probes, not a scan of the centuries
+between.
 Histogram conventions: day-of-week is Sunday-first (Sunday = bin 0),
 hours are local 0..23, months are local (year, month).
 """
@@ -15,8 +18,9 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-_PROBE_STEP = 6 * 3600
-_MARGIN = 2 * 86400
+from .cohort import distinct
+
+_PROBE_STEP = 6 * 3600  # assumed: no zone changes its offset twice within one step
 # the epochs datetime can hold, one day inside its range: no UTC offset
 # reaches a day, so every probe's local time is a datetime too
 _PROBE_MIN = int(datetime.min.replace(tzinfo=timezone.utc).timestamp()) + 86400
@@ -29,40 +33,34 @@ def _offset_at(tz: ZoneInfo, epoch: int) -> int:
 
 
 class LocalClock:
-    """UTC-offset lookup table for a timezone over a fixed epoch range."""
+    """UTC-offset lookup table for a timezone at the given epochs."""
 
-    def __init__(self, tz: str | ZoneInfo, t_min: float, t_max: float):
+    def __init__(self, tz: str | ZoneInfo, epochs: np.ndarray):
         self.tz = ZoneInfo(tz) if isinstance(tz, str) else tz
-        lo = max(int(np.floor(t_min)) - _MARGIN, _PROBE_MIN)
-        hi = min(int(np.ceil(t_max)) + _MARGIN, _PROBE_MAX)
-        starts = [lo]
-        offsets = [_offset_at(self.tz, lo)]
-        t = lo
-        while t < hi:
-            nxt = min(t + _PROBE_STEP, hi)
-            off = _offset_at(self.tz, nxt)
-            if off != offsets[-1]:
-                # bisect the change point down to the second
-                a, b = t, nxt  # offset(a) == offsets[-1], offset(b) == off
+        epochs = np.asarray(epochs, dtype=np.float64)
+        # the six-hour steps that hold an epoch, found a slice at a time
+        steps = [distinct(epochs[a:a + _SLICE] // _PROBE_STEP)
+                 for a in range(0, len(epochs), _SLICE)]
+        table = []  # (epoch, offset from then on): each step's start, each change
+        end = end_offset = None  # the previous step's end and its offset
+        for s in distinct(np.concatenate([[], *steps])).astype(np.int64).tolist():
+            a, b = (min(max(t * _PROBE_STEP, _PROBE_MIN), _PROBE_MAX) for t in (s, s + 1))
+            off_a = end_offset if a == end else _offset_at(self.tz, a)
+            end, end_offset = b, _offset_at(self.tz, b)
+            table.append((a, off_a))
+            if end_offset != off_a:
+                # bisect the change point down to the second, keeping
+                # offset(a) == off_a != offset(b)
                 while b - a > 1:
                     m = (a + b) // 2
-                    if _offset_at(self.tz, m) == offsets[-1]:
-                        a = m
-                    else:
-                        b = m
-                starts.append(b)
-                offsets.append(off)
-            t = nxt
-        self._starts = np.array(starts, dtype=np.int64)
-        self._offsets = np.array(offsets, dtype=np.int64)
-
-    def offsets(self, epochs: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._starts, epochs, side="right") - 1
-        return self._offsets[np.clip(idx, 0, len(self._offsets) - 1)]
+                    a, b = (m, b) if _offset_at(self.tz, m) == off_a else (a, m)
+                table.append((b, end_offset))
+        self._starts, self._offsets = np.array(table, dtype=np.int64).reshape(-1, 2).T.copy()
 
     def local_fields(self, epochs: np.ndarray):
         """Per-epoch local bins: (second_of_day, dow Sunday-first 0..6,
-        months-since-1970-01) as int32 arrays.
+        months-since-1970-01) as int32 arrays, for epochs the clock was
+        built on.
 
         Epochs are binned ``_SLICE`` at a time into the three arrays, so
         the int64 temporaries stay a slice long whatever the batch size.
@@ -72,7 +70,8 @@ class LocalClock:
         for a in range(0, len(epochs), _SLICE):
             part = slice(a, a + _SLICE)
             ep = np.floor(epochs[part]).astype(np.int64)
-            loc = ep + self.offsets(ep)
+            row = np.searchsorted(self._starts, ep, side="right") - 1
+            loc = ep + self._offsets[np.clip(row, 0, len(self._offsets) - 1)]
             day = loc // 86400
             sod[part] = loc - day * 86400
             dow[part] = (day + 4) % 7  # 1970-01-01 is a Thursday -> Sunday-first bin 4

@@ -82,18 +82,17 @@ def batch_hashtags(batch) -> list[list[str]]:
     return [[batch.tags[t] for t in ids[a:b]] for a, b in zip([0, *ends], ends)]
 
 
-def cube_view(cube, tract_ids, months) -> dict:
-    """{tract_id: {bucket: stats}} of an aggregate cube on the month axis
-    ``months``, in the shape of oracles.aggregate_by_tract: only the
-    tracts and buckets with events, months with a count, and each
-    bucket's distinct tags as a set."""
+def cube_view(cube, tract_ids) -> dict:
+    """{tract_id: {bucket: stats}} of an aggregate cube, in the shape of
+    oracles.aggregate_by_tract less the weekday and month histograms
+    (see :func:`bucket_view`): only the tracts and buckets with events,
+    and each bucket's distinct tags as a set."""
     tag_sets: dict[int, set[str]] = {}
     cells, tags = np.divmod(cube.tag_keys, max(len(cube.vocab), 1))
     for cell, tag in zip(cells.tolist(), tags.tolist()):
         tag_sets.setdefault(cell, set()).add(cube.vocab[tag])
-    events, tag_counts, hours, dows, month_hists, day, night = (
-        a.tolist()
-        for a in (cube.events, cube.tags, cube.hours, cube.dows, cube.months, cube.day, cube.night)
+    events, tag_counts, hours, day, night = (
+        a.tolist() for a in (cube.events, cube.tags, cube.hours, cube.day, cube.night)
     )
     out: dict = {}
     for b, bucket in enumerate(BUCKET_KEYS):
@@ -105,21 +104,50 @@ def cube_view(cube, tract_ids, months) -> dict:
                 "tag_count": tag_counts[b][t],
                 "unique_tags": tag_sets.get(b * len(tract_ids) + t, set()),
                 "hour_histogram": hours[b][t],
-                "dow_histogram": dows[b][t],
-                "month_histogram": {
-                    month_tuple(m): n for m, n in zip(months, month_hists[b][t]) if n
-                },
                 "day_count": day[b][t],
                 "night_count": night[b][t],
             }
     return out
 
 
+def bucket_view(cube, months) -> dict:
+    """{bucket: histograms} of an aggregate cube on the month axis
+    ``months``: each bucket with events, its weekday histogram and its
+    months with a count, summed over tracts."""
+    return {
+        bucket: {
+            "dow_histogram": dows,
+            "month_histogram": {month_tuple(m): n for m, n in zip(months, month_hist) if n},
+        }
+        for bucket, dows, month_hist, n in zip(
+            BUCKET_KEYS, cube.dows.tolist(), cube.months.tolist(), cube.events.sum(axis=1).tolist()
+        )
+        if n
+    }
+
+
+def oracle_views(by_tract: dict) -> tuple[dict, dict]:
+    """oracles.aggregate_by_tract's result as (:func:`cube_view`,
+    :func:`bucket_view`) show a cube: the weekday and month histograms
+    taken out of each tract's stats and summed per bucket over tracts."""
+    tracts: dict = {}
+    buckets: dict = {}
+    for tid, per_bucket in by_tract.items():
+        for bucket, stats in per_bucket.items():
+            stats = dict(stats)
+            dows, month_hist = stats.pop("dow_histogram"), stats.pop("month_histogram")
+            tracts.setdefault(tid, {})[bucket] = stats
+            acc = buckets.setdefault(bucket, {"dow_histogram": [0] * 7, "month_histogram": {}})
+            acc["dow_histogram"] = [x + y for x, y in zip(acc["dow_histogram"], dows)]
+            for month, n in month_hist.items():
+                acc["month_histogram"][month] = acc["month_histogram"].get(month, 0) + n
+    return tracts, buckets
+
+
 def local_fields(epochs, tz):
-    """Local time bins of epochs from one clock over their span, as a
+    """Local time bins of epochs from one clock built on them, as a
     partition job computes them: (second of day, day of week, month)."""
-    span = (epochs.min(), epochs.max()) if len(epochs) else (0, 0)
-    return LocalClock(tz, *span).local_fields(epochs)
+    return LocalClock(tz, epochs).local_fields(epochs)
 
 
 def square_feature(tract_id, x0, y0, size=1.0, props=None, holes=None):

@@ -212,7 +212,7 @@ def test_criterion_7_end_to_end_oracle_closure(city_100k):
     )
     report_raw, internals = run_pipeline_full(cfg_raw)
 
-    view = cube_view(internals.aggregates, internals.tract_ids, internals.months)
+    view = cube_view(internals.aggregates, internals.tract_ids)
     counts = {tid: view.get(tid, {}).get("all", {}).get("event_count", 0)
               for tid in internals.tract_ids}
     assert counts == gt["tract_counts"]
@@ -282,7 +282,7 @@ def test_criterion_8_day_night_boundary(tmp_path):
         timezone="America/New_York",
     )
     _, internals = run_pipeline_full(cfg)
-    view = cube_view(internals.aggregates, internals.tract_ids, internals.months)
+    view = cube_view(internals.aggregates, internals.tract_ids)
     got = []
     for i in range(4):
         st = view[f"T{i}"]["all"]

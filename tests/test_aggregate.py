@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import MASK_LABELS, cube_view, interned_tags, local_fields
+from conftest import MASK_LABELS, bucket_view, cube_view, interned_tags, local_fields, oracle_views
 from geoineq import oracles
 from geoineq.aggregate import (
     BUCKET_KEYS,
@@ -38,8 +38,8 @@ def aggregate(rows, tz="UTC", months=MONTHS):
     return aggregate_batch(TRACT_IDS, idx, local_fields(epochs, tz), tags, masks, months)
 
 
-def view(cube, months=MONTHS) -> dict:
-    return cube_view(cube, TRACT_IDS, months)
+def view(cube) -> dict:
+    return cube_view(cube, TRACT_IDS)
 
 
 def merge(*parts):
@@ -48,9 +48,10 @@ def merge(*parts):
 
 
 def state(cube):
-    """What a cube holds, with its tags decoded: the view, the shape of
-    the month histograms and the tag-summary components."""
-    return view(cube), cube.months.shape, cube.tag_summary.tolist()
+    """What a cube holds, with its tags decoded: the per-tract and
+    per-bucket views, the shape of the month histograms and the
+    tag-summary components."""
+    return view(cube), bucket_view(cube, MONTHS), cube.months.shape, cube.tag_summary.tolist()
 
 
 def row(ts, text="", tract_id="T1", cohort=LOCAL):
@@ -69,17 +70,20 @@ class TestAggregateByTract:
     def test_sunday_first_dow_and_hour_bins(self):
         # 1970-01-04 was a Sunday, in month number 0
         rows = [row(datetime(1970, 1, 4, 10, 0, tzinfo=UTC), cohort=VISITOR)]
-        st_ = view(aggregate(rows, months=range(1)), range(1))["T1"]["visitor"]
-        assert st_["dow_histogram"][0] == 1 and sum(st_["dow_histogram"]) == 1
+        cube = aggregate(rows, months=range(1))
+        st_ = view(cube)["T1"]["visitor"]
+        hists = bucket_view(cube, range(1))["visitor"]
+        assert hists["dow_histogram"][0] == 1 and sum(hists["dow_histogram"]) == 1
         assert st_["hour_histogram"][10] == 1 and sum(st_["hour_histogram"]) == 1
-        assert st_["month_histogram"] == {(1970, 1): 1}
+        assert hists["month_histogram"] == {(1970, 1): 1}
 
     def test_empty_input(self):
         cube = aggregate([])
-        assert view(cube) == {}
+        assert view(cube) == {} and bucket_view(cube, MONTHS) == {}
         assert not cube.tag_summary.any() and cube.tag_keys.size == 0
-        assert cube.months.shape == (len(BUCKET_KEYS), len(TRACT_IDS), len(MONTHS))
-        assert aggregate([], months=range(0)).months.shape == (len(BUCKET_KEYS), len(TRACT_IDS), 0)
+        assert cube.dows.shape == (len(BUCKET_KEYS), 7)
+        assert cube.months.shape == (len(BUCKET_KEYS), len(MONTHS))
+        assert aggregate([], months=range(0)).months.shape == (len(BUCKET_KEYS), 0)
 
     @pytest.mark.parametrize("month", [(2011, 12), (2016, 1)])
     def test_month_off_the_axis_refused(self, month):
@@ -125,11 +129,13 @@ class TestDayNight:
     def test_invariant_day_plus_night(self):
         base = datetime(2014, 3, 15, 0, 0, tzinfo=UTC)
         rows = [row(base + timedelta(minutes=37 * i)) for i in range(40)]
-        st_ = view(aggregate(rows))["T1"]["local"]
+        cube = aggregate(rows)
+        st_ = view(cube)["T1"]["local"]
+        hists = bucket_view(cube, MONTHS)["local"]
         assert st_["day_count"] + st_["night_count"] == st_["event_count"]
         assert sum(st_["hour_histogram"]) == st_["event_count"]
-        assert sum(st_["dow_histogram"]) == st_["event_count"]
-        assert sum(st_["month_histogram"].values()) == st_["event_count"]
+        assert sum(hists["dow_histogram"]) == st_["event_count"]
+        assert sum(hists["month_histogram"].values()) == st_["event_count"]
 
 
 def tag_summary(tag_counts):
@@ -244,7 +250,9 @@ class TestBatchEquivalence:
 
     @given(_ROWS)
     def test_matches_reference(self, rows):
-        assert view(aggregate(rows, _TZ)) == oracles.aggregate_by_tract(rows, _TZ)
+        cube = aggregate(rows, _TZ)
+        got = view(cube), bucket_view(cube, MONTHS)
+        assert got == oracle_views(oracles.aggregate_by_tract(rows, _TZ))
 
     @given(_ROWS, st.lists(st.integers(0, 60), max_size=3))
     @example(  # the halves number the same tags differently

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import resource
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +17,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cube_view, distribution, events_csv, feature_collection, square_feature
+from conftest import (
+    bucket_view,
+    cube_view,
+    distribution,
+    events_csv,
+    feature_collection,
+    oracle_views,
+    square_feature,
+)
 import geoineq
 from geoineq import cli, jsonio, oracles, report
 from geoineq.errors import BadBreakCount, EmptyCurveList, InternalInvariantError, MissingInput
@@ -269,7 +279,7 @@ class TestRunPipeline:
         events_path.write_bytes(events_csv(rows))
         cfg = PipelineConfig(events_path=str(events_path), tracts_path=str(tracts_path))
         _, internals = run_pipeline_full(cfg)
-        view = cube_view(internals.aggregates, internals.tract_ids, internals.months)
+        view = cube_view(internals.aggregates, internals.tract_ids)
         want = ["night", "day", "day", "night"]
         for i, expect in enumerate(want):
             st = view[f"T{i}"]["all"]
@@ -415,7 +425,9 @@ class TestRunPipeline:
         )
         rows = [(epoch, text, tid, labels[uid]) for uid, epoch, text, tid in kept]
         want = oracles.aggregate_by_tract(rows, cfg.timezone)
-        assert cube_view(internals.aggregates, internals.tract_ids, internals.months) == want
+        cube = internals.aggregates
+        got = cube_view(cube, internals.tract_ids), bucket_view(cube, internals.months)
+        assert got == oracle_views(want)
 
     def test_k1_run_leaves_numpy_ma_unloaded(self, city_paths, census_path, tmp_path):
         # a plain np.unique imports numpy.ma on its first call (15-17 ms
@@ -1068,6 +1080,69 @@ class TestCli:
             got = json.loads((out / "report.json").read_text())
             assert {key: got["ingest"][key] for key in want} == want, k
             assert got["tracts"]["dataset_months"] == [month]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize(
+        "stamps",
+        [
+            ["1970-01-01T12:00:00Z"],
+            # New York months 0001-01 and 9999-12: within 14 h of either
+            # end of datetime's range a stamp's local month leaves it
+            ["0001-01-15T12:00:00Z", "9999-12-15T12:00:00Z"],
+        ],
+        ids=["1970", "0001-and-9999"],
+    )
+    def test_stray_records_keep_run_small(self, city_paths, tmp_path, capsys, stamps, k):
+        # records far outside the collection period stretch the dataset
+        # months; under a 1 GiB address-space limit the run must still
+        # finish in seconds, tally as ingest-check does, and count the
+        # months the per-event reference counts
+        records = list(csv.reader(io.StringIO(Path(city_paths["events"]).read_text())))[1:]
+        lat, lon = records[0][1:3]
+        records += [[f"stray{i}", lat, lon, ts, "#x"] for i, ts in enumerate(stamps)]
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([EVENT_COLUMNS, *records])
+        events = tmp_path / "e.csv"
+        events.write_text(text.getvalue())
+        out = tmp_path / "out"
+        argv = [sys.executable, "-m", "geoineq", "run", "--events", str(events),
+                "--tracts", city_paths["tracts"], "--partitions", str(k), "--out", str(out)]
+        env = dict(os.environ, PYTHONPATH=str(Path(geoineq.__file__).parents[1]))
+
+        def limit_address_space():  # runs in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        with subprocess.Popen(argv, env=env, stderr=subprocess.PIPE, text=True,
+                              start_new_session=True, preexec_fn=limit_address_space) as child:
+            try:
+                _, err = child.communicate(timeout=10)
+            finally:  # a run past its time takes its workers down with it
+                if child.poll() is None:
+                    os.killpg(child.pid, signal.SIGKILL)
+        assert child.returncode == 0, err
+        got = json.loads((out / "report.json").read_text())
+        assert cli.main(["ingest-check", "--events", str(events)]) == 0
+        want = json.loads(capsys.readouterr().out)["events"]
+        assert {key: got["ingest"][key] for key in want} == want
+
+        tz, window_days = got["config"]["timezone"], got["config"]["window_days"]
+        tracts = [tract_from_feature(f) for f in parse_tracts(Path(city_paths["tracts"]))]
+        kept = []
+        for rec in records:
+            uid, lat_, lon_, epoch, text_ = oracles.validate_event_fields(rec)
+            tid = oracles.assign_tract_naive(lat_, lon_, tracts)
+            if tid is not None:
+                kept.append((uid, epoch, text_, tid))
+        labels, months = oracles.classify_users_direct(
+            [(uid, epoch) for uid, epoch, _, _ in kept], tz, window_days
+        )
+        rows = [(epoch, text_, tid, labels[uid]) for uid, epoch, text_, tid in kept]
+        _, buckets = oracle_views(oracles.aggregate_by_tract(rows, tz))
+        assert got["tracts"]["dataset_months"] == ["%04d-%02d" % m for m in months]
+        for cohort in got["config"]["cohorts"]:
+            hist = buckets[cohort]["month_histogram"] if cohort in buckets else {}
+            want_monthly = {"%04d-%02d" % m: n for m, n in hist.items()}
+            assert got["temporal"][cohort]["monthly"] == want_monthly, cohort
 
     @pytest.mark.parametrize("probe", list(_PROBE_RESULTS))
     def test_probe_input_same_in_run_and_ingest_check(self, probe_city, tmp_path, capsys, probe):
