@@ -54,8 +54,9 @@ class TractCube(NamedTuple):
     (local hour bins) and ``tags`` are per (bucket, tract); ``dows``
     (Sunday-first day of week) and ``months`` (local month on the
     dataset's month axis, see ``cohort.Cohorts.months``) are per bucket,
-    summed over tracts. ``tag_summary`` holds the
-    :func:`tag_summary_from_components` components per bucket.
+    summed over tracts. ``tag_summary`` holds per bucket the images with
+    more than 0, 5 and 10 tags, the :func:`tag_summary_from_components`
+    components that ``events`` and ``tags`` do not.
     ``tag_keys`` are the distinct (bucket, tract, tag) triples, ascending,
     as ``(bucket * n_tracts + tract) * len(vocab) + tag``."""
 
@@ -136,10 +137,10 @@ def aggregate_batch(
     n_vocab = len(vocab)
     # the cube's counts per mask, in its field order: per (mask, tract)
     # cell the hour histogram; per mask the day-of-week and month
-    # histograms; per cell the hashtag occurrences; per mask images, tag
-    # total, and images with >0, >5 and >10 tags
+    # histograms; per cell the hashtag occurrences; per mask images with
+    # >0, >5 and >10 tags
     counts_per_mask = [np.zeros((_N_MASKS, *shape), dtype=np.int64)
-                       for shape in ((n_tracts, 24), (7,), (len(months),), (n_tracts,), (5,))]
+                       for shape in ((n_tracts, 24), (7,), (len(months),), (n_tracts,), (3,))]
     hours, dows, month_hist, tag_totals, summary = counts_per_mask
     # the distinct (cell, tag) pairs of the occurrences, as the int64 keys
     # cell * n_vocab + tag: each slice's, unioned into ``pairs`` once they
@@ -162,7 +163,7 @@ def aggregate_batch(
         add(tag_totals, cell, counts)
         add(dows, mask * 7 + dow[part])
         add(month_hist, mask * len(months) + (month_num[part] - months.start))
-        for col, weights in enumerate((None, counts, counts > 0, counts >= 6, counts >= 11)):
+        for col, weights in enumerate((counts > 0, counts >= 6, counts >= 11)):
             add(summary[:, col], mask, weights)
         keys = np.repeat(cell * n_vocab, counts)
         keys += tag_ids[tag_start:tag_end]

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: run (full pipeline), ingest-check (parse + summary only),
-metrics (index suite over one CSV column), synth (generate a synthetic
-city), lorenz (Lorenz SVG from CSV columns), choropleth (classed
-GeoJSON from a per-tract value table).
+metrics (index suite over one column of a value table), synth (generate
+a synthetic city), lorenz (Lorenz SVG from value table columns),
+choropleth (classed GeoJSON from a value table keyed by ``tract_id``).
+``ingest.read_table`` reads value tables as it reads the census CSV.
 
 Exit codes: 0 success, 1 fatal input error, 2 internal invariant
 violation.
@@ -12,16 +13,13 @@ violation.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import math
 import re
 import sys
 from pathlib import Path
 
-from . import errors, jsonio, report
-from .errors import GeoIneqError, InternalInvariantError, InvalidParams, NonNumericValue
-from .ingest import ParseStats, parse_census
+from . import jsonio, report
+from .errors import GeoIneqError, InternalInvariantError, InvalidParams
+from .ingest import ParseStats, events_format, parse_census, read_table
 from .metrics import Distribution, index_suite, lorenz_curve
 from .report import (
     DEFAULT_CHOROPLETH_BREAKS,
@@ -53,11 +51,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--partitions", type=int, default=1, help="parallel partitions")
 
 
-def _events_format(path: str) -> str:
-    """The event file's format, from its name: JSONL for ``*.jsonl``, else CSV."""
-    return "jsonl" if str(path).endswith(".jsonl") else "csv"
-
-
 def _config_from_args(args) -> PipelineConfig:
     return PipelineConfig(
         events_path=args.events,
@@ -68,43 +61,20 @@ def _config_from_args(args) -> PipelineConfig:
         normalization=args.normalize.replace("-", "_"),
         cohorts=tuple(c.strip() for c in args.cohorts.split(",") if c.strip()),
         seed=args.seed,
-        events_format=_events_format(args.events),
     )
 
 
-def _read_csv_column(path: str, column: str) -> dict[str, float]:
-    """The values of one column by row id (``tract_id`` when the file has
-    one), in file order; blank cells are left out. A cell that is not a
-    finite number is refused, naming its column and row, and so is a
-    ``tract_id`` on two rows."""
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as e:
-        raise GeoIneqError(f"value table {path} is not UTF-8: {e}") from None
-    reader = csv.DictReader(io.StringIO(text))
-    values: dict[str, float] = {}
-    if reader.fieldnames is None or column not in reader.fieldnames:
-        raise GeoIneqError(f"column {column!r} not in {path}")
-    id_col = "tract_id" if "tract_id" in (reader.fieldnames or []) else None
-    for i, row in enumerate(reader):
-        cell = (row.get(column) or "").strip()
-        if not cell:
-            continue
-        try:
-            value = float(cell)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise NonNumericValue(
-                f"column {column!r}, row {i + 1}: {cell!r} is not a finite number"
-            )
-        row_id = row[id_col] if id_col else f"row{i + 1}"
-        if row_id in values:
-            raise errors.DuplicateTractId(f"tract_id {row_id} repeats in value table {path}")
-        values[row_id] = value
-    if not values:
-        raise GeoIneqError(f"no numeric values in column {column!r}")
-    return values
+def _read_columns(path: str, columns: list[str], keyed: bool = False) -> list[dict[str, float]]:
+    """Each of ``columns`` of the value table at ``path`` by row id; a
+    column without a value is refused."""
+    rows = read_table(Path(path).read_bytes(), f"value table {path}", columns, keyed)
+    out = []
+    for column in columns:
+        values = {rid: row[column] for rid, row in rows.items() if column in row}
+        if not values:
+            raise GeoIneqError(f"no numeric values in column {column!r}")
+        out.append(values)
+    return out
 
 
 def cmd_run(args) -> int:
@@ -119,7 +89,7 @@ def cmd_run(args) -> int:
 def cmd_ingest_check(args) -> int:
     # run's ingest stage, the calls its partition job makes
     stats = ParseStats()
-    fmt = _events_format(args.events)
+    fmt = events_format(args.events)
     (byte_range,) = report.partition_byte_ranges(args.events, 1, fmt)
     report.parse_event_batch(report.read_byte_range(args.events, byte_range), fmt, stats)
     summary = {"events": stats.summary()}
@@ -135,7 +105,7 @@ def cmd_ingest_check(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    values = _read_csv_column(args.csv, args.column)
+    (values,) = _read_columns(args.csv, [args.column])
     d = Distribution(tuple(values), tuple(values.values()), label=args.column)
     out = {
         "label": args.column,
@@ -180,8 +150,7 @@ def cmd_synth(args) -> int:
 
 def cmd_lorenz(args) -> int:
     curves = []
-    for column in args.column:
-        values = _read_csv_column(args.csv, column)
+    for column, values in zip(args.column, _read_columns(args.csv, args.column)):
         d = Distribution(tuple(values), tuple(values.values()), label=column)
         curves.append(lorenz_curve(d))
     Path(args.out).write_text(emit_lorenz_svg(curves), encoding="utf-8")
@@ -191,7 +160,7 @@ def cmd_lorenz(args) -> int:
 
 def cmd_choropleth(args) -> int:
     tracts, _ = report.load_tracts(args.tracts)
-    values = _read_csv_column(args.values, args.column)
+    (values,) = _read_columns(args.values, [args.column], keyed=True)
     write_parts(args.out, choropleth_parts(tracts, values, args.breaks))
     print(args.out)
     return 0

@@ -182,7 +182,7 @@ def _validate_ring(tract_id: str, ring) -> Ring:
         raise UnclosedRing(f"tract {tract_id}: ring with < 4 points")
     pts = ring if isinstance(ring, np.ndarray) else _list_ring_array(tract_id, ring)
     # NaN equals NaN here: JSON's NaN is one object, which the closing
-    # position repeats (such a ring is refused later, for its area)
+    # position repeats (such a ring is refused later, by tract_from_feature)
     first, last = pts[0], pts[-1]
     if not ((first == last) | (np.isnan(first) & np.isnan(last))).all():
         raise UnclosedRing(f"tract {tract_id}: ring not closed")
@@ -258,6 +258,10 @@ def tract_from_feature(feature: dict) -> Tract:
     if not math.isfinite(area) or area <= AREA_EPS_KM2:
         what = f"computed area_km2 {area!r}" if override is None else f"area_km2 {override!r}"
         raise DegeneratePolygon(f"tract {tid}: {what} is not a finite positive number")
+    # a stated area hides a non-finite vertex from that check; min and max
+    # pass NaN on, so the bbox is finite only when every vertex is
+    if not all(map(math.isfinite, bbox)):
+        raise DegeneratePolygon(f"tract {tid}: non-finite coordinate")
     return Tract(tid, tuple(polygons), bbox, area, properties, gtype)
 
 
@@ -323,10 +327,6 @@ class SpatialIndex:
         etr = np.repeat(
             np.array([ti for ti, _ in rings], dtype=np.int64), [len(v) - 1 for _, v in rings]
         )
-        bad = ~np.isfinite(bbox).all(axis=1)
-        bad[etr[~np.isfinite(seg).all(axis=1)]] = True
-        if bad.any():
-            raise DegeneratePolygon(f"tract {ids[int(np.argmax(bad))]}: non-finite coordinate")
         keep = seg[:, 1] != seg[:, 3]
         seg, etr = seg[keep], etr[keep]
         self._ex1 = seg[:, 0].copy()

@@ -1,15 +1,16 @@
-"""Event, tract, and census ingestion.
+"""Event, tract, and per-tract table ingestion.
 
 Events arrive as CSV (RFC 4180 quoting) whose first line is the header
-``user_id,lat,lon,timestamp,text``, or as JSONL with the same keys;
-timestamps are ISO-8601 and must carry an explicit UTC offset. Tract
-boundaries are a GeoJSON FeatureCollection with a ``tract_id`` property;
-census indicators a CSV keyed by ``tract_id``.
+``user_id,lat,lon,timestamp,text``, or as JSONL with the same keys (a
+``*.jsonl`` file); timestamps are ISO-8601 and must carry an explicit
+UTC offset. Tract boundaries are a GeoJSON FeatureCollection with a
+``tract_id`` property. :func:`read_table` reads every per-tract table:
+the census CSV and the value tables of metrics, lorenz and choropleth.
 
 Event parsing is skip-and-count: a bad record is tallied under its error
 kind and the stream continues. Multi-million-row exports always contain
-some noise, and one broken line must never abort a run. Tract and census
-files are small and authoritative, so they fail fast instead. The tract
+some noise, and one broken line must never abort a run. Tract files and
+tables are small and authoritative, so they fail fast instead. The tract
 file's rules are checked here and each feature's geometry by
 ``geo.tract_from_feature``.
 
@@ -584,6 +585,11 @@ def parse_event_batch(
     return EventBatch(list(code_of), codes, lats, lons, epochs, list(vocab), tag_counts, tag_ids)
 
 
+def events_format(path) -> str:
+    """The event file's format, from its name: JSONL for ``*.jsonl``, else CSV."""
+    return "jsonl" if os.fspath(path).endswith(".jsonl") else "csv"
+
+
 def partition_byte_ranges(path, k: int, format: str = "csv") -> list[tuple[int, int]]:
     """Check an event file's header and split its body into k byte
     ranges at the record ends of :func:`_scan`: each cut is the first
@@ -667,61 +673,80 @@ def parse_tracts(source: bytes | Path) -> list[dict]:
     return features
 
 
-# --- census table parsing ---------------------------------------------------
+# --- per-tract tables -------------------------------------------------------
 
 # the indicators every report lists, whether or not the census file has them
 CENSUS_COLUMNS = ("median_income", "median_rent", "unemployment_rate")
 
 
-def parse_census(data: bytes) -> dict[str, dict[str, float]]:
-    """Parse a census indicator CSV into one row per tract, a dict from
-    column to value that leaves out blank cells.
-
-    The header must name a ``tract_id`` column; every other column is
-    numeric. A cell that is not a finite number (``inf`` and ``nan``
-    included) is refused with NonNumericValue, and a negative one, or a
-    ``*rate`` column's value outside [0, 1], with RateOutOfRange; both
-    name the column and the tract. Rows for tracts missing from the
-    boundary file are kept here and flagged later, so id mismatches stay
-    diagnosable.
-    """
+def read_table(
+    data: bytes, name: str, columns: Sequence[str] | None = None, keyed: bool = False
+) -> dict[str, dict[str, float]]:
+    """Each row of a UTF-8 CSV table, called ``name`` in messages, in file
+    order: its id maps to its ``columns`` (all but ``tract_id`` when
+    None), blank cells left out. The id is the stripped ``tract_id``,
+    which ``keyed`` requires, or else ``rowN`` for the Nth row; blank rows
+    are skipped. A missing column, a row whose cell count is not the
+    header's, an empty or repeated id and a cell that is not a finite
+    number (``nan`` and ``inf`` too) are refused."""
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as e:
-        raise MalformedRecord(f"census CSV is not UTF-8: {e}") from None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if not header or "tract_id" not in [h.strip() for h in header]:
-        raise MalformedRecord("census CSV must have a tract_id column")
-    cols = [h.strip() for h in header]
-    id_idx = cols.index("tract_id")
-    out: dict[str, dict[str, float]] = {}
-    for row in reader:
-        if not row or all(not c.strip() for c in row):
+        raise MalformedRecord(f"{name} is not UTF-8: {e}") from None
+    try:  # universal newlines: a lone CR ends a line, as in a file read as text
+        table = list(csv.reader(io.StringIO(text, newline=None)))
+    except csv.Error as e:  # a field past csv's size limit
+        raise MalformedRecord(f"{name} is not a CSV table: {e}") from None
+    header = table[0] if table else []
+    at = {h.strip(): i for i, h in enumerate(header)}  # a repeated name: its last column
+    id_at = at.get("tract_id")
+    if keyed and id_at is None:
+        raise MalformedRecord(f"{name} must have a tract_id column")
+    if columns is None:
+        columns = [h for h in at if h != "tract_id"]
+    for column in columns:
+        if column not in at:
+            raise MalformedRecord(f"column {column!r} not in {name}")
+    picked = [(column, at[column]) for column in columns]
+    rows: dict[str, dict[str, float]] = {}
+    for row in table[1:]:
+        if not any(cell.strip() for cell in row):
             continue
-        if len(row) != len(cols):
-            raise MalformedRecord(f"census row has {len(row)} cells, expected {len(cols)}")
-        tid = row[id_idx].strip()
-        if not tid:
-            raise MissingTractId("census row with empty tract_id")
-        if tid in out:
-            raise DuplicateTractId(f"tract_id {tid} repeats in census CSV")
+        if len(row) != len(header):
+            raise MalformedRecord(f"{name} row has {len(row)} cells, expected {len(header)}")
+        rid = f"row{len(rows) + 1}" if id_at is None else row[id_at].strip()
+        if not rid:
+            raise MissingTractId(f"{name} row with empty tract_id")
+        if rid in rows:
+            raise DuplicateTractId(f"tract_id {rid} repeats in {name}")
         values: dict[str, float] = {}
-        for name, cell in zip(cols, row):
-            if name == "tract_id" or not cell.strip():
+        for column, i in picked:
+            cell = row[i].strip()
+            if not cell:
                 continue
             try:
                 v = float(cell)
             except ValueError:
                 v = math.nan
             if not math.isfinite(v):
-                raise NonNumericValue(f"{name}={cell!r} for tract {tid} is not a finite number")
+                where = rid if id_at is None else f"tract {rid}"
+                raise NonNumericValue(f"{column}={cell!r} for {where} is not a finite number")
+            values[column] = v
+        rows[rid] = values
+    return rows
+
+
+def parse_census(data: bytes) -> dict[str, dict[str, float]]:
+    """A census indicator CSV as :func:`read_table` reads it, keyed by
+    ``tract_id``, every other column numeric. A negative value, or a
+    ``*rate`` column's value above 1, is refused with RateOutOfRange.
+    Rows for tracts missing from the boundary file are kept here and
+    flagged later, so id mismatches stay diagnosable."""
+    rows = read_table(data, "census CSV", keyed=True)
+    for tid, values in rows.items():
+        for name, v in values.items():
             if v < 0:
                 raise RateOutOfRange(f"{name}={v} for tract {tid} (negative)")
             if name.endswith("rate") and v > 1.0:
                 raise RateOutOfRange(f"{name}={v} for tract {tid}")
-            values[name] = v
-        out[tid] = values
-    return out
+    return rows

@@ -60,6 +60,7 @@ from .geo import SpatialIndex, Tract, build_spatial_index, tract_from_feature
 from .ingest import (
     CENSUS_COLUMNS,
     ParseStats,
+    events_format,
     parse_census,
     parse_event_batch,
     parse_tracts,
@@ -106,15 +107,12 @@ class PipelineConfig:
     normalization: str = "per_km2"  # "raw" | "per_km2"
     cohorts: tuple[str, ...] = DEFAULT_COHORTS
     seed: int = 0  # echoed for synth-generated inputs
-    events_format: str = "csv"
 
     def validate(self) -> None:
         if self.window_days < 1:
             raise ValueError("window_days must be >= 1")
         if self.normalization not in ("raw", "per_km2"):
             raise ValueError(f"unknown normalization {self.normalization!r}")
-        if self.events_format not in ("csv", "jsonl"):
-            raise ValueError(f"unknown events format {self.events_format!r}")
         try:
             ZoneInfo(self.timezone)
         except (ZoneInfoNotFoundError, ValueError):
@@ -248,10 +246,9 @@ def run_pipeline_full(
         census = parse_census(census_path.read_bytes())
 
     tracts, index = load_tracts(tracts_path)
-    ranges = partition_byte_ranges(events_path, partitions, config.events_format)
-    job_args = [
-        (str(events_path), config.events_format, r, index, config.timezone) for r in ranges
-    ]
+    fmt = events_format(events_path)
+    ranges = partition_byte_ranges(events_path, partitions, fmt)
+    job_args = [(str(events_path), fmt, r, index, config.timezone) for r in ranges]
     conns: list = []
     procs = []
     if partitions == 1:
@@ -369,6 +366,7 @@ def _build_report(config, index, stats, dropped_total, user_masks, cube, census,
     temporal: dict = {}
     tag_summaries: dict = {}
     day, night = cube.day.sum(axis=1).tolist(), cube.night.sum(axis=1).tolist()
+    tag_totals = cube.tags.sum(axis=1).tolist()
     for cohort, b in buckets.items():
         d = images[cohort]
         try:
@@ -396,8 +394,9 @@ def _build_report(config, index, stats, dropped_total, user_masks, cube, census,
             "hourly_relative_entropy": _try_entropy(hourly),
             "daily_relative_entropy": _try_entropy(daily),
         }
-        comp = cube.tag_summary[b].tolist()  # no images, no summary
-        tag_summaries[cohort] = asdict(tag_summary_from_components(*comp)) if comp[0] else None
+        n = totals[cohort]
+        comp = (n, tag_totals[b], *cube.tag_summary[b].tolist())
+        tag_summaries[cohort] = asdict(tag_summary_from_components(*comp)) if n else None
 
     census_indexes = None
     incomes = {}
@@ -435,7 +434,7 @@ def _build_report(config, index, stats, dropped_total, user_masks, cube, census,
             "normalization": config.normalization,
             "cohorts": list(config.cohorts),
             "seed": config.seed,
-            "events_format": config.events_format,
+            "events_format": events_format(config.events_path),
         },
         "ingest": {
             **stats.summary(),

@@ -138,12 +138,18 @@ class TestDayNight:
         assert sum(hists["month_histogram"].values()) == st_["event_count"]
 
 
+def summary_of(cube, bucket):
+    """The tag summary of one bucket, as the report assembles it."""
+    b = BUCKET_KEYS.index(bucket)
+    n, total = int(cube.events[b].sum()), int(cube.tags[b].sum())
+    return tag_summary_from_components(n, total, *cube.tag_summary[b].tolist())
+
+
 def tag_summary(tag_counts):
     """The summary of one event per count, each with that many tags."""
     base = datetime(2014, 3, 15, 12, 0, tzinfo=UTC)
     rows = [row(base, " ".join(f"#t{j}" for j in range(c))) for c in tag_counts]
-    comps = aggregate(rows).tag_summary[BUCKET_KEYS.index("all")]
-    return tag_summary_from_components(*comps.tolist())
+    return summary_of(aggregate(rows), "all")
 
 
 class TestTagSummary:
@@ -169,7 +175,7 @@ class TestTagSummary:
         base = datetime(2014, 3, 15, 12, 0, tzinfo=UTC)
         rows = [row(base, "#a #b #A"), row(base, ""), row(base, "#c", cohort=VISITOR)]
         cube = aggregate(rows)
-        ts = tag_summary_from_components(*cube.tag_summary[BUCKET_KEYS.index("local")].tolist())
+        ts = summary_of(cube, "local")
         assert ts.image_count == 2
         assert ts.tag_total == 3
         assert ts.images_with_tags == 1

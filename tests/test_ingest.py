@@ -45,6 +45,7 @@ from geoineq.ingest import (
     parse_tracts,
     partition_byte_ranges,
     read_byte_range,
+    read_table,
 )
 from geoineq.oracles import validate_event_fields
 from geoineq.synth import SynthParams, generate_city
@@ -1043,3 +1044,24 @@ class TestParseCensus:
     def test_missing_cells_and_extras(self):
         data = b"tract_id,median_income,commute_minutes\nT1,,31.5\n"
         assert parse_census(data) == {"T1": {"commute_minutes": 31.5}}
+
+
+class TestReadTable:
+    def test_rows_numbered_without_tract_id(self):
+        # blank rows are skipped and not numbered; blank cells left out
+        data = b"v,w\n1,\n\n , \n,2\n"
+        assert read_table(data, "t", ["v", "w"]) == {"row1": {"v": 1.0}, "row2": {"w": 2.0}}
+
+    def test_bom_padding_and_line_ends(self):
+        # a BOM, padded names and ids, CRLF and a lone CR as line ends
+        data = b'\xef\xbb\xbf tract_id , v \r\n" T1 ",1\rT2 ,2\n'
+        assert read_table(data, "t", ["v"]) == {"T1": {"v": 1.0}, "T2": {"v": 2.0}}
+
+    def test_missing_column_refused(self):
+        with pytest.raises(MalformedRecord, match="^column 'w' not in value table t.csv$"):
+            read_table(b"tract_id,v\nT1,1\n", "value table t.csv", ["w"])
+
+    def test_field_past_csv_limit_refused(self):
+        data = b'v\n"' + b"9" * 200_000 + b'"\n'
+        with pytest.raises(MalformedRecord, match="^t is not a CSV table: field larger"):
+            read_table(data, "t", ["v"])

@@ -256,9 +256,7 @@ class TestRunPipeline:
         ]
         path = tmp_path / "events.jsonl"
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        cfg = PipelineConfig(
-            events_path=str(path), tracts_path=city_paths["tracts"], events_format="jsonl"
-        )
+        cfg = PipelineConfig(events_path=str(path), tracts_path=city_paths["tracts"])
         rep = run_pipeline(cfg)
         assert rep["ingest"]["events_assigned"] == 2
         assert rep["users"]["local"] == 1
@@ -1225,10 +1223,7 @@ class TestCli:
                     "--census", str(table), "--out", str(out)],
         }[command]
         assert cli.main(argv) == 1
-        if command == "run":
-            want = f"error: median_income='{bad}' for tract T0003 is not a finite number\n"
-        else:
-            want = f"error: column 'median_income', row 3: '{bad}' is not a finite number\n"
+        want = f"error: median_income='{bad}' for tract T0003 is not a finite number\n"
         assert capsys.readouterr() == ("", want)
         assert not out.exists()
 
@@ -1283,6 +1278,65 @@ class TestCli:
         assert capsys.readouterr() == ("", want)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["metrics", "lorenz", "choropleth", "ingest-check"])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("T0002,2,9", "{table} row has 3 cells, expected 2"),
+            ("T0002", "{table} row has 1 cells, expected 2"),
+            ('"",2', "{table} row with empty tract_id"),
+        ],
+        ids=["long-row", "short-row", "empty-id"],
+    )
+    def test_malformed_table_row_exit_1(self, city_paths, tmp_path, capsys, command, row,
+                                        message):
+        # the second row of a value table or census CSV is refused, not
+        # skipped, cut short or counted as a unit of its own
+        table = tmp_path / "table.csv"
+        table.write_text(f"tract_id,value\nT0001,1\n{row}\nT0003,3\n")
+        out = tmp_path / "out"
+        column = ["--column", "value"]
+        argv = {
+            "metrics": ["metrics", "--csv", str(table), *column],
+            "lorenz": ["lorenz", "--csv", str(table), *column, "--out", str(out)],
+            "choropleth": ["choropleth", "--tracts", city_paths["tracts"],
+                           "--values", str(table), *column, "--out", str(out)],
+            "ingest-check": ["ingest-check", "--events", city_paths["events"],
+                             "--census", str(table)],
+        }[command]
+        assert cli.main(argv) == 1
+        name = "census CSV" if command == "ingest-check" else f"value table {table}"
+        assert capsys.readouterr() == ("", f"error: {message.format(table=name)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["choropleth", "ingest-check"])
+    def test_table_without_tract_id_exit_1(self, city_paths, tmp_path, capsys, command):
+        # a misnamed id column must not map every tract to no-data
+        table = tmp_path / "table.csv"
+        table.write_text("GEOID,value\nT0001,1\nT0002,2\n")
+        out = tmp_path / "out"
+        argv = {
+            "choropleth": ["choropleth", "--tracts", city_paths["tracts"],
+                           "--values", str(table), "--out", str(out)],
+            "ingest-check": ["ingest-check", "--events", city_paths["events"],
+                             "--census", str(table)],
+        }[command]
+        assert cli.main(argv) == 1
+        name = "census CSV" if command == "ingest-check" else f"value table {table}"
+        assert capsys.readouterr() == ("", f"error: {name} must have a tract_id column\n")
+        assert not out.exists()
+
+    def test_choropleth_padded_tract_id_maps_to_its_tract(self, city_paths, tmp_path, capsys):
+        values = tmp_path / "values.csv"
+        values.write_text('tract_id,value\n" T0001",1\nT0002 ,2\n')
+        out = tmp_path / "ch.geojson"
+        rc = cli.main(["choropleth", "--tracts", city_paths["tracts"], "--values", str(values),
+                       "--out", str(out)])
+        assert rc == 0
+        features = json.loads(out.read_text())["features"]
+        mapped = {f["properties"]["tract_id"]: f["properties"]["value"] for f in features}
+        assert (mapped["T0001"], mapped["T0002"], mapped["T0003"]) == (1.0, 2.0, None)
+
     @pytest.mark.parametrize("command", ["metrics", "lorenz", "run"])
     def test_sum_past_largest_float_exit_1(self, tmp_path, capsys, command):
         # every value is finite, their sum is not
@@ -1327,7 +1381,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["run", "ingest-check", "choropleth"])
     def test_nan_vertex_with_area_property_exit_1(self, tmp_path, capsys, command):
         # the stated area hides the vertex from the area check, so every
-        # command must find it through the tract index
+        # command must find it by the vertex check that follows
         feats = [square_feature(f"T{i}", 2 * i, 0, props={"area_km2": 1.0}) for i in range(3)]
         feats[1]["geometry"]["coordinates"][0][2] = [math.nan, 1.0]
         tracts = tmp_path / "t.geojson"
