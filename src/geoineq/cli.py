@@ -8,14 +8,25 @@ choropleth (classed GeoJSON from a value table keyed by ``tract_id``).
 
 Exit codes: 0 success, 1 fatal input error, 2 internal invariant
 violation.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` in ``os.environ``
+unless it is set, for the rest of the process and every process it
+starts; ``import geoineq`` and its other modules set nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
+
+# numpy starts an OpenBLAS thread pool, one thread per core, as it loads.
+# That takes tens of milliseconds, and the pipeline makes no BLAS call
+# (its one tensordot is on int64), so the CLI asks for one thread before
+# numpy loads, unless the caller set a count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import jsonio, report
 from .errors import GeoIneqError, InternalInvariantError, InvalidParams

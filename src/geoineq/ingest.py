@@ -21,11 +21,19 @@ one window of input, not the range. A block that is not UTF-8 is
 decoded line by line, and a record with a line that does not decode is
 counted as an UndecodableRecord.
 
-Within a block, quote-free CSV lines with exactly four commas take the
-columnar path: they are split in bulk, one join and one split per block.
-Quoted CSV records and JSONL rows are split one record at a time. A line
-with a CR that is not part of its CRLF ending is split by ``csv.reader``
-too, which takes that CR for a line break.
+Within a block, CSV records take one of three routes. Quote-free lines
+with exactly four commas are split in bulk, one join and one split per
+block. A record whose only quotes enclose its text field, on one line or
+across several, doubled quotes or not, is split in bulk too: the byte
+view tells which records these are (:func:`_text_quoted`), and one split
+of them all at every quote gives each its head and text
+(:func:`_split_text_quoted`), with no Python function call per record.
+Every other record with a quote, in one of the first four fields, in a
+run of quotes that does not pair, or longer than
+``csv.field_size_limit()`` characters, is split by ``csv.reader`` one
+at a time, and so is a record with a CR that is not part of its line's
+CRLF ending, which ``csv.reader`` takes for a line break. JSONL rows
+are split one at a time.
 
 Every record then meets one rule, as vector masks over the block's
 columns, and the first check it fails names its error kind: an empty
@@ -42,10 +50,11 @@ the route a record took.
 No per-event string outlives its block. Each block's accepted user ids
 are interned to integer codes and its texts to the ids of their
 hashtags (:func:`_intern_tags`, the only hashtag code, one regex pass
-per block), and the block's strings are then dropped; what the parse
-returns is the distinct users, the tag vocabulary and arrays of
-numbers. Its memory is those arrays plus one block's work, whatever the
-size of the range.
+per block), each in one pass over dicts that code a value the first
+time it is looked up (:class:`Codes`, :class:`TagIds`), and the block's
+strings are then dropped; what the parse returns is the distinct users,
+the tag vocabulary and arrays of numbers. Its memory is those arrays
+plus one block's work, whatever the size of the range.
 """
 
 from __future__ import annotations
@@ -196,13 +205,33 @@ class EventBatch:
         )
 
 
+class Codes(dict):
+    """Value -> integer code. A value looked up for the first time gets
+    the next code, so codes follow the order of first appearance across
+    every lookup."""
+
+    def __missing__(self, value: str) -> int:
+        self[value] = code = len(self)
+        return code
+
+
+class TagIds(dict):
+    """Raw hashtag -> id of its casefolded form in ``vocab``, a
+    :class:`Codes`; the empty tag of a ``#`` that no word follows gets
+    -1. Casefolding runs once per distinct raw tag, not per occurrence."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.vocab = Codes()
+
+    def __missing__(self, raw: str) -> int:
+        self[raw] = tag_id = self.vocab[raw.casefold()] if raw else -1
+        return tag_id
+
+
 def intern_codes(values: Sequence[str], code_of: dict[str, int]) -> np.ndarray:
-    """Each value's code in ``code_of``, as int32. A value not there yet
-    gets the next code, so codes follow the order of first appearance
-    across calls that share ``code_of``."""
-    for v in dict.fromkeys(values):
-        if v not in code_of:
-            code_of[v] = len(code_of)
+    """Each value's code in ``code_of`` (a :class:`Codes` or
+    :class:`TagIds`, which code a value on first sight), as int32."""
     return np.fromiter(map(code_of.__getitem__, values), dtype=np.int32, count=len(values))
 
 
@@ -210,22 +239,16 @@ def recode(vocabs: Sequence[Sequence[str]]) -> tuple[list[str], list[np.ndarray]
     """One vocabulary for lists coded apart (each partition's users or
     hashtags), in order of first appearance across the lists, and each
     list's codes in it."""
-    code_of: dict[str, int] = {}
+    code_of = Codes()
     codes = [intern_codes(vocab, code_of) for vocab in vocabs]
     return list(code_of), codes
 
 
-def _intern_tags(
-    texts: Sequence[str], vocab: dict[str, int], id_of: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every text's hashtags as ids into ``vocab``, the casefolded tags
-    in order of first appearance: (tag count per text, id of every tag
-    occurrence in text order), as int32.
-
-    ``id_of`` maps each raw tag seen so far to its id (the empty match of
-    a ``#`` without a tag to -1), so casefolding and interning run once
-    per distinct raw tag, not per occurrence. Calls that share the two
-    dicts code tags as one call over all their texts would.
+def _intern_tags(texts: Sequence[str], tag_id_of: TagIds) -> tuple[np.ndarray, np.ndarray]:
+    """Every text's hashtags as ids into ``tag_id_of.vocab``, the
+    casefolded tags in order of first appearance: (tag count per text,
+    id of every tag occurrence in text order), as int32. Calls that share
+    ``tag_id_of`` code tags as one call over all their texts would.
 
     One regex pass over the texts joined by newlines finds every ``#``
     and the tag after it, empty where none follows; a newline is not a
@@ -234,10 +257,7 @@ def _intern_tags(
     """
     joined = "\n".join(texts)
     found = (_TAG_ASCII if joined.isascii() else TAG_PATTERN).findall(joined)
-    for raw in dict.fromkeys(found):
-        if raw not in id_of:
-            id_of[raw] = vocab.setdefault(raw.casefold(), len(vocab)) if raw else -1
-    ids = np.fromiter(map(id_of.__getitem__, found), dtype=np.int32, count=len(found))
+    ids = intern_codes(found, tag_id_of)
     tagged = ids >= 0
     hashes = np.fromiter(map(str.count, texts, repeat("#")), dtype=np.int64, count=len(texts))
     # the tags up to each text's end; a text's count is the step at its end
@@ -258,23 +278,24 @@ def _csv_parse_quoted(record: str) -> list[str] | None:
     return rows[0]
 
 
-def _per_line(view: np.ndarray, ends: np.ndarray, char: str) -> np.ndarray:
-    """How often ``char`` occurs on each line; line i ends at ``ends[i]``."""
-    return np.diff(np.searchsorted(np.flatnonzero(view == ord(char)), ends), prepend=0)
+def _per_line(at: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """How many of the sorted positions ``at`` fall on each line; line i
+    ends at ``ends[i]``."""
+    return np.diff(np.searchsorted(at, ends), prepend=0)
 
 
-def _bare_crs(view: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Whether each line holds a CR other than that of a CRLF ending."""
+def _crlf(view: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Whether each line ends in CRLF."""
     lf = view[ends - 1] == ord("\n")
-    crlf = lf & (ends >= 2) & (view[np.maximum(ends - 2, 0)] == ord("\r"))
-    return _per_line(view, ends, "\r") > crlf
+    return lf & (ends >= 2) & (view[np.maximum(ends - 2, 0)] == ord("\r"))
 
 
 def _scan(f, start: int, size: int, quoting: bool) -> Iterator[tuple]:
     """Blocks of whole records of the ``size`` bytes of file ``f`` from
     ``start``, one per ``_CHUNK``-byte window (more for a longer record),
-    as ``(offset from start, bytes as uint8, line ends, quotes per line,
-    whether each line's record goes on to the next line)``.
+    as ``(offset from start, bytes as uint8, line ends, quote positions,
+    quotes per line, whether each line's record goes on to the next
+    line)``.
 
     With ``quoting`` (CSV) a record ends at a newline with an even quote
     count since its start, within ``_RECORD_LINES`` lines, or else its
@@ -295,7 +316,8 @@ def _scan(f, start: int, size: int, quoting: bool) -> Iterator[tuple]:
         if at_end and (not len(ends) or ends[-1] < len(view)):
             ends = np.append(ends, len(view))
         n = len(ends)
-        quotes = _per_line(view, ends, '"') if quoting else np.zeros(n, np.int64)
+        at = np.flatnonzero(view == ord('"')) if quoting else np.zeros(0, np.int64)
+        quotes = _per_line(at, ends)
         odd = np.flatnonzero(quotes & 1).tolist()
         joined = np.zeros(n, dtype=bool)
         i = 0
@@ -313,13 +335,19 @@ def _scan(f, start: int, size: int, quoting: bool) -> Iterator[tuple]:
             width *= 2  # no whole record in the window yet
             continue
         used = int(ends[n - 1])
-        yield pos, view[:used], ends[:n], quotes[:n], joined[:n]
+        at = at[: np.searchsorted(at, used)]
+        yield pos, view[:used], ends[:n], at, quotes[:n], joined[:n]
         pos += used
 
 
-def _decode_lines(view: np.ndarray, n: int) -> tuple[list[str], set[int]]:
-    """A block's ``n`` lines, CRLF read as LF, and the indexes of the
+def _decode_lines(
+    view: np.ndarray, ends: np.ndarray, crlf: np.ndarray
+) -> tuple[list[str], set[int]]:
+    """A block's lines (line i ends at ``ends[i]``, in CRLF where
+    ``crlf`` is set) without their LF or CRLF, and the indexes of the
     lines that are not UTF-8."""
+    if crlf.any():
+        view = np.delete(view, ends[crlf] - 2)  # the CR of each CRLF
     bad: set[int] = set()
     try:
         text = str(view, "utf-8")
@@ -329,54 +357,115 @@ def _decode_lines(view: np.ndarray, n: int) -> tuple[list[str], set[int]]:
         text = str(view, "utf-8", "replace")
         raw = view.tobytes().split(b"\n")
         bad = {i for i, line in enumerate(text.split("\n")) if line.encode() != raw[i]}
-    lines = text.replace("\r\n", "\n").split("\n")
-    del lines[n:]
+    lines = text.split("\n")
+    del lines[len(ends) :]
     return lines, bad
 
 
-def _csv_records(lines, quotes, commas, bare_cr, joined, bad, stats) -> tuple[list[str], list]:
-    """One block's CSV records as ``(flat, fielded)``: ``flat`` holds one
-    four-comma line per record, ``fielded`` the ``(position, fields)`` of
-    every other record, split one by one (fields None when unparseable;
-    its ``flat`` slot is a placeholder). Blank lines are skipped, and a
-    record with a line that is not UTF-8 is only counted.
+def _text_quoted(view, at, commas, starts, stops, quotes, to_reader, firsts, lasts) -> np.ndarray:
+    """Whether each record, from line ``firsts[r]`` to ``lasts[r]``,
+    quotes its text field and nothing else: its first quote follows the
+    fourth comma of its first line, its last quote ends its last line
+    (``stops`` is where a line's content stops, before its LF or CRLF;
+    ``at`` and ``commas`` are the block's quote and comma positions),
+    the quotes between pair up as doubled quotes, and none of its lines
+    is marked in ``to_reader``. ``csv.reader`` reads such a record as the
+    four fields before the quote and the text with each doubled quote
+    made one, and so does :func:`_split_text_quoted`. A record longer
+    than ``csv.field_size_limit()`` is left to ``csv.reader``, which
+    refuses a field past that limit."""
+    first = (np.cumsum(quotes) - quotes)[firsts]  # each record's first quote in ``at``
+    count = np.add.reduceat(quotes, firsts)
+    ok = (count >= 2) & (count % 2 == 0) & ~np.logical_or.reduceat(to_reader, firsts)
+    ok &= stops[lasts] - starts[firsts] <= csv.field_size_limit()
+    r = np.flatnonzero(ok)
+    first, count = first[r], count[r]
+    opens, closes = at[first], at[first + count - 1]
+    head_commas = np.searchsorted(commas, opens) - np.searchsorted(commas, starts[firsts[r]])
+    ok[r] = (head_commas == 4) & (view[opens - 1] == ord(",")) & (closes == stops[lasts[r]] - 1)
+    # quotes 1 and 2 of a record, 3 and 4, and so on, must be neighbours
+    pairs = (count - 2) // 2
+    before = np.cumsum(pairs) - pairs
+    j = np.repeat(first + 1 - 2 * before, pairs) + 2 * np.arange(pairs.sum())
+    ok[np.repeat(r, pairs)[at[j + 1] != at[j] + 1]] = False
+    return ok
 
-    ``csv.reader`` splits every line with a quote or a bare CR (one that
-    does not end the line as CRLF). It reads an unquoted CR as a line
-    break, so a record with a CR inside an unquoted field is a
-    MalformedRecord, whether its other fields are quoted or not."""
-    special = (quotes != 0) | (commas != 4) | bare_cr | joined
-    special[list(bad)] = True
-    quotes, bare_cr, joined = quotes.tolist(), bare_cr.tolist(), joined.tolist()
-    flat: list[str] = []
+
+def _split_text_quoted(records: str, quotes: np.ndarray) -> tuple[list[str], list[str]]:
+    """The heads (four fields and their commas) and the texts of records
+    that :func:`_text_quoted` accepts, given joined by newlines with the
+    quote count of each.
+
+    Split at every quote, a record's pieces are its head (after the
+    newline that ends the record before it), then its text's pieces
+    between its quotes: every second one is the empty piece inside a
+    doubled quote, so the others joined by a quote are the text.
+    """
+    pieces = records.split('"')
+    at = np.cumsum(quotes) - quotes  # each record's head among the pieces
+    heads = "".join(map(pieces.__getitem__, at.tolist())).split("\n")
+    spans = map(slice, (at + 1).tolist(), (at + quotes).tolist(), repeat(2))
+    return heads, list(map('"'.join, map(pieces.__getitem__, spans)))
+
+
+def _csv_records(
+    view, ends, crlf, at, quotes, joined, lines, bad, stats
+) -> tuple[list[str], list, tuple | None]:
+    """One block's CSV records as ``(flat, fielded, texts)``: ``flat``
+    holds one four-comma line per record. ``texts`` gives the positions
+    and texts of the records whose only quotes enclose their text (see
+    :func:`_text_quoted`), split in bulk; their ``flat`` line is their
+    head with an empty text. ``fielded`` holds the ``(position, fields)``
+    of every other record, split one by one (fields None when
+    unparseable; its ``flat`` line is a placeholder). Blank lines are
+    skipped, and a record with a line that is not UTF-8 is only counted.
+
+    ``csv.reader`` splits every other record with a quote or a bare CR
+    (one that does not end the line as CRLF). It reads an unquoted CR as
+    a line break, so a record with a CR inside an unquoted field is a
+    MalformedRecord, whether its other fields are quoted or not. A
+    quoted record with a NUL goes to ``csv.reader`` too: Python 3.10's
+    refuses it, 3.11's reads it."""
+    n = len(ends)
+    firsts = np.flatnonzero(np.concatenate(([True], ~joined[:-1])))  # each record's first line
+    lasts = np.append(firsts[1:], n) - 1
+    starts = np.concatenate(([0], ends[:-1]))
+    stops = ends - (view[ends - 1] == ord("\n")) - crlf
+    bare_cr = _per_line(np.flatnonzero(view == ord("\r")), ends) > crlf
+    undecodable = np.zeros(n, dtype=bool)
+    undecodable[list(bad)] = True
+    undecodable = np.logical_or.reduceat(undecodable, firsts)
+    one_line = firsts == lasts
+    commas = np.flatnonzero(view == ord(","))
+    plain = one_line & (quotes[firsts] == 0) & ~bare_cr[firsts] & ~undecodable
+    plain &= _per_line(commas, ends)[firsts] == 4
+    stats.count_error("UndecodableRecord", int(undecodable.sum()))
+    rows = ~undecodable & ~(one_line & (stops == starts)[firsts])  # not blank
+    row_of = np.cumsum(rows) - 1
+    nul = _per_line(np.flatnonzero(view == 0), ends) > 0
+    quoted = _text_quoted(view, at, commas, starts, stops, quotes, bare_cr | nul, firsts, lasts)
+    quoted &= ~undecodable
+    other = rows & ~plain & ~quoted
+    flat = np.array(lines, dtype=object)[firsts[rows]]
+    flat[row_of[other]] = ",,,,"
+    texts = None
+    if quoted.any():
+        span = "\n".join(compress(lines, np.repeat(quoted, lasts - firsts + 1).tolist()))
+        heads, found = _split_text_quoted(span, np.add.reduceat(quotes, firsts)[quoted])
+        flat[row_of[quoted]] = heads
+        texts = row_of[quoted], found
+    quotes, bare_cr = quotes.tolist(), bare_cr.tolist()
     fielded: list[tuple[int, list[str] | None]] = []
-    prev = 0
-    for i in np.flatnonzero(special).tolist():
-        if i < prev:
-            continue  # a later line of the record just read
-        flat += lines[prev:i]
-        last = i
-        while joined[last]:
-            last += 1
-        prev = last + 1
-        if bad and not bad.isdisjoint(range(i, prev)):
-            stats.count_error("UndecodableRecord")
-            continue
-        line = lines[i]
+    for r in np.flatnonzero(other).tolist():
+        i, last = int(firsts[r]), int(lasts[r])
         if last > i:
-            fields = _csv_parse_quoted("\n".join(lines[i:prev]))
-        elif quotes[i] & 1:
-            fields = None  # a quote that never closes
-        elif quotes[i] or bare_cr[i]:
-            fields = _csv_parse_quoted(line)
-        elif not line:
-            continue
+            fields = _csv_parse_quoted("\n".join(lines[i : last + 1]))
+        elif quotes[i] % 2 == 0 and (quotes[i] or bare_cr[i]):
+            fields = _csv_parse_quoted(lines[i])
         else:
-            fields = line.split(",")
-        fielded.append((len(flat), fields))
-        flat.append(",,,,")
-    flat += lines[prev:]
-    return flat, fielded
+            fields = None  # a quote that never closes, or not four commas
+        fielded.append((int(row_of[r]), fields))
+    return flat.tolist(), fielded, texts
 
 
 def _jsonl_records(lines, bad, stats) -> tuple[list[str], list]:
@@ -420,16 +509,22 @@ def _timestamp_to_epoch(s: str) -> float:
     return dt.timestamp()
 
 
-def _columns(flat: list[str], fielded: list) -> list[list[str]]:
+def _columns(flat: list[str], fielded: list, texts: tuple | None) -> list[list[str]]:
     """The five field columns of a chunk of records.
 
-    ``flat`` is split in bulk; each five-field list in ``fielded`` then
-    overwrites its placeholder row. A record without five fields keeps
-    the empty placeholder, and its empty user id makes it a
-    MalformedRecord.
+    ``flat`` is split in bulk, and ``texts`` (positions and texts) fill
+    the text column where ``flat`` left it empty. Each five-field list in
+    ``fielded`` then overwrites its placeholder row. A record without
+    five fields keeps the empty placeholder, and its empty user id makes
+    it a MalformedRecord.
     """
     fields = ",".join(flat).split(",")
     cols = [fields[c::5] for c in range(5)]
+    if texts is not None:
+        at, values = texts
+        col = np.array(cols[4], dtype=object)
+        col[at] = values
+        cols[4] = col.tolist()
     for i, rec in fielded:
         if rec is not None and len(rec) == 5:
             for col, value in zip(cols, rec):
@@ -495,15 +590,17 @@ def _fixed_width_epochs(stamps: list[str], width: int) -> tuple[np.ndarray, np.n
     return epochs.astype(np.float64), ok
 
 
-def _parse_chunk(flat: list[str], fielded: list, stats: ParseStats):
+def _parse_chunk(flat: list[str], fielded: list, texts: tuple | None, stats: ParseStats):
     """Apply the record rule (see the module docstring) to one chunk of
     records (see :func:`_csv_records`); returns the accepted rows as
     (user ids, texts, (lats, lons, epochs)) in input order."""
-    uids, lat_s, lon_s, ts_s, texts = _columns(flat, fielded)
+    uids, lat_s, lon_s, ts_s, texts = _columns(flat, fielded, texts)
     n = len(uids)
     lats, lat_raised = _float_column(lat_s)
     lons, lon_raised = _float_column(lon_s)
-    malformed = ~np.fromiter(map(bool, uids), dtype=bool, count=n)
+    malformed = np.zeros(n, dtype=bool)
+    if "" in uids:
+        malformed = ~np.fromiter(map(bool, uids), dtype=bool, count=n)
     malformed[lat_raised] = True
     malformed[lon_raised] = True
     in_range = (lats >= -90.0) & (lats <= 90.0) & (lons >= -180.0) & (lons <= 180.0)
@@ -538,21 +635,20 @@ def _parse_chunk(flat: list[str], fielded: list, stats: ParseStats):
     )
 
 
-def _parse_block(view, ends, quotes, joined, format, stats, code_of, vocab, tag_id_of):
+def _parse_block(view, ends, at, quotes, joined, format, stats, code_of, tag_id_of):
     """The columns of one scanner block's accepted records, as
     :class:`EventBatch` holds them: user codes, lats, lons, epochs, tag
     counts and tag ids. The block's strings die with this call."""
-    lines, bad = _decode_lines(view, len(ends))
+    crlf = _crlf(view, ends)
+    lines, bad = _decode_lines(view, ends, crlf)
     if format == "csv":
-        commas = _per_line(view, ends, ",")
-        bare_cr = _bare_crs(view, ends)
-        flat, fielded = _csv_records(lines, quotes, commas, bare_cr, joined, bad, stats)
+        flat, fielded, texts = _csv_records(view, ends, crlf, at, quotes, joined, lines, bad, stats)
     else:
-        flat, fielded = _jsonl_records(lines, bad, stats)
+        (flat, fielded), texts = _jsonl_records(lines, bad, stats), None
     if not flat:
         return ()
-    uids, texts, (lats, lons, epochs) = _parse_chunk(flat, fielded, stats)
-    tag_counts, tag_ids = _intern_tags(texts, vocab, tag_id_of)
+    uids, texts, (lats, lons, epochs) = _parse_chunk(flat, fielded, texts, stats)
+    tag_counts, tag_ids = _intern_tags(texts, tag_id_of)
     return intern_codes(uids, code_of), lats, lons, epochs, tag_counts, tag_ids
 
 
@@ -567,22 +663,22 @@ def parse_event_batch(
         raise ValueError(f"unknown event format {format!r}")
     if stats is None:
         stats = ParseStats()
-    code_of: dict[str, int] = {}  # user id -> code
-    vocab: dict[str, int] = {}  # casefolded tag -> id
-    tag_id_of: dict[str, int] = {}  # raw tag -> id
+    code_of = Codes()  # user id -> code
+    tag_id_of = TagIds()  # raw tag -> id; its vocab: casefolded tag -> id
     # user codes, lats, lons, epochs, tag counts and tag ids, each grown in
     # place: a window's arrays are freed once appended, not kept until a
     # final join, so they leave no holes in the heap
     columns = [array(t) for t in "idddii"]
     with open(source.path, "rb") as f:
         for _, *block in _scan(f, source.start, source.end - source.start, format == "csv"):
-            pieces = _parse_block(*block, format, stats, code_of, vocab, tag_id_of)
+            pieces = _parse_block(*block, format, stats, code_of, tag_id_of)
             for col, piece in zip(columns, pieces):
                 col.frombytes(memoryview(piece).cast("B"))
     codes, lats, lons, epochs, tag_counts, tag_ids = (
         np.frombuffer(col, col.typecode) for col in columns
     )
-    return EventBatch(list(code_of), codes, lats, lons, epochs, list(vocab), tag_counts, tag_ids)
+    tags = list(tag_id_of.vocab)
+    return EventBatch(list(code_of), codes, lats, lons, epochs, tags, tag_counts, tag_ids)
 
 
 def events_format(path) -> str:
@@ -617,7 +713,7 @@ def partition_byte_ranges(path, k: int, format: str = "csv") -> list[tuple[int, 
         targets = [start + (end - start) * i // k for i in range(1, k)]
         cuts: list[int] = []
         blocks = _scan(f, start, end - start, format == "csv") if targets else ()
-        for pos, _, ends, _, joined in blocks:
+        for pos, _, ends, _, _, joined in blocks:
             record_ends = start + pos + ends[~joined]
             due = [t for t in targets[len(cuts) :] if t <= record_ends[-1]]
             cuts += record_ends[np.searchsorted(record_ends, due)].tolist()
@@ -686,9 +782,10 @@ def read_table(
     order: its id maps to its ``columns`` (all but ``tract_id`` when
     None), blank cells left out. The id is the stripped ``tract_id``,
     which ``keyed`` requires, or else ``rowN`` for the Nth row; blank rows
-    are skipped. A missing column, a row whose cell count is not the
-    header's, an empty or repeated id and a cell that is not a finite
-    number (``nan`` and ``inf`` too) are refused."""
+    are skipped. A header that names a column twice, a missing column, a
+    row whose cell count is not the header's, an empty or repeated id and
+    a cell that is not a finite number (``nan`` and ``inf`` too) are
+    refused."""
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as e:
@@ -698,7 +795,11 @@ def read_table(
     except csv.Error as e:  # a field past csv's size limit
         raise MalformedRecord(f"{name} is not a CSV table: {e}") from None
     header = table[0] if table else []
-    at = {h.strip(): i for i, h in enumerate(header)}  # a repeated name: its last column
+    at: dict[str, int] = {}
+    for i, column in enumerate(h.strip() for h in header):
+        if column and column in at:
+            raise MalformedRecord(f"column {column!r} repeats in {name}")
+        at[column] = i
     id_at = at.get("tract_id")
     if keyed and id_at is None:
         raise MalformedRecord(f"{name} must have a tract_id column")

@@ -9,6 +9,8 @@ from hypothesis import HealthCheck, settings
 from geoineq.aggregate import BUCKET_KEYS
 from geoineq.cohort import MASK_LOCAL, MASK_SUPER, MASK_VISITOR
 from geoineq.ingest import (
+    Codes,
+    TagIds,
     _intern_tags,
     intern_codes,
     parse_event_batch,
@@ -43,7 +45,7 @@ def cohort_labels(user_ids, masks) -> dict:
 
 def user_codes(user_ids):
     """(distinct user ids, each id's code) as a parsed batch holds them."""
-    code_of: dict[str, int] = {}
+    code_of = Codes()
     codes = intern_codes(user_ids, code_of)
     return list(code_of), codes
 
@@ -51,9 +53,9 @@ def user_codes(user_ids):
 def interned_tags(texts):
     """The texts' hashtags as a parsed batch holds them:
     (tag count per text, tag id per occurrence, vocabulary)."""
-    vocab: dict[str, int] = {}
-    counts, ids = _intern_tags(texts, vocab, {})
-    return counts, ids, list(vocab)
+    tag_id_of = TagIds()
+    counts, ids = _intern_tags(texts, tag_id_of)
+    return counts, ids, list(tag_id_of.vocab)
 
 
 def distribution(values, label: str = "") -> Distribution:

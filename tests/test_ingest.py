@@ -597,6 +597,108 @@ class TestColumnarParse:
         assert stats.errors == Counter({"UndecodableRecord": 2})
 
 
+# record pieces from quotes alone and doubled, commas, line breaks, a
+# bare CR, NUL, '#', a non-ASCII letter and letters
+_TOKENS = st.lists(
+    st.sampled_from(['"', '""', ",", "\n", "\r", "\x00", "#", "é", "a", "B"]), max_size=8
+).map("".join)
+_HEADS = st.one_of(
+    st.sampled_from([
+        "u1,40.7,-74.0,2014-03-01T08:03:00Z",
+        "é,40.7,-74.0,2014-03-01T08:03:00-05:00",
+        ",40.7,-74.0,2014-03-01T08:03:00Z",  # MalformedRecord
+        "u2,91,-74.0,2014-03-01T08:03:00Z",  # OutOfRangeCoordinate
+        "u3,40.7,-74.0,never",  # BadTimestamp
+    ]),
+    st.builds("{},{},-74.0,2014-03-01T08:03:00Z".format, _TOKENS,
+              st.sampled_from(["40.7", '"40.7"'])),
+)
+_TEXT_FIELDS = st.one_of(
+    _TOKENS,  # as drawn
+    _TOKENS.map('"{}"'.format),  # in quotes, its own quotes as drawn
+    _TOKENS.map(lambda t: '"' + t.replace('"', '""') + '"'),  # quoted as RFC 4180 writes it
+    st.builds('{}"{}"'.format, _TOKENS, _TOKENS),  # ends in quotes, starts with none
+)
+_LIMIT_HEAD = "u1,40.7,-74.0,2014-03-01T08:03:00Z"
+
+
+def _fields_rows_tallies(body: bytes, chunk: int, bulk: bool):
+    """Parse ``body`` in ``chunk``-byte windows, with the bulk route for
+    records whose only quotes enclose their text on or, as before it,
+    off: (the field columns of every block, the accepted rows, the
+    tallies)."""
+    blocks = []
+    split_columns, text_quoted = ingest._columns, ingest._text_quoted
+
+    def columns(*args):
+        blocks.append(split_columns(*args))
+        return blocks[-1]
+
+    def route(*args):
+        return text_quoted(*args) if bulk else np.zeros(len(args[-1]), dtype=bool)
+
+    stats = ParseStats()
+    with mock.patch.object(ingest, "_CHUNK", chunk), \
+            mock.patch.object(ingest, "_columns", columns), \
+            mock.patch.object(ingest, "_text_quoted", route):
+        batch = parse_body(body, "csv", stats)
+    rows = list(zip(batch_user_ids(batch), batch.lats.tolist(), batch.lons.tolist(),
+                    batch.epochs.tolist(), batch_hashtags(batch)))
+    return blocks, rows, (stats.records_ok, stats.errors)
+
+
+class TestQuotedTextRoute:
+    """A record whose only quotes enclose its text is split in bulk, not
+    by csv.reader; its fields, and so every row and tally, must be what
+    csv.reader gives."""
+
+    @given(st.lists(st.tuples(_HEADS, _TEXT_FIELDS), max_size=20),
+           st.sampled_from(["\n", "\r\n"]), st.booleans(), st.sampled_from([64, 256, 1 << 18]))
+    @example([(_LIMIT_HEAD, '"x"y'), (_LIMIT_HEAD, '""""""'), (_LIMIT_HEAD, 'x"y"')], "\n", True,
+             1 << 18)
+    @example([('q"u,40.7,-74.0,2014-03-01T08:03:00Z', '"a,b"'),
+              ('"q""u",40.7,-74.0,2014-03-01T08:03:00Z', '"a,b"')], "\r\n", False, 64)
+    @example([(_LIMIT_HEAD, '"' + "a" * 131_072 + '"'), (_LIMIT_HEAD, '"' + "a" * 131_073 + '"')],
+             "\n", True, 1 << 18)
+    def test_fields_match_csv_reader(self, records, newline, last_newline, chunk):
+        body = newline.join(f"{head},{text}" for head, text in records)
+        body = (body + newline * last_newline).encode()
+        assert _fields_rows_tallies(body, chunk, True) == _fields_rows_tallies(body, chunk, False)
+
+    @pytest.mark.parametrize("size, kept", [(131_072, True), (131_073, False)])
+    def test_quoted_text_past_csv_field_limit_refused(self, size, kept):
+        stats = ParseStats()
+        text = "#" + "a" * (size - 1)
+        batch = parse_events_file(events_csv([f'{_LIMIT_HEAD},"{text}"']), "csv", stats)
+        assert batch_hashtags(batch) == ([[text[1:]]] if kept else [])
+        assert stats.errors == (Counter() if kept else Counter({"MalformedRecord": 1}))
+
+    def test_text_only_quoted_records_skip_csv_reader(self):
+        records = [
+            ["u1", "40.7", "-74.0", "2014-03-01T08:03:00Z", 'she said "wow", #A'],
+            ["u2", "40.7", "-74.0", "2014-03-01T08:03:00-05:00", "two\nlines, #b"],
+            ["é", "40.7", "-74.0", "2014-03-01T08:03:00Z", '""'],
+            ["u3", "40.7", "-74.0", "2014-03-01T08:03:00Z", ""],
+            ["u4", "91", "-74.0", "2014-03-01T08:03:00Z", "a,\n\nb"],
+            ["u5", "40.7", "-74.0", "never", '#c""\n'],
+        ]
+        lines = [",".join(r[:4]) + ',"' + r[4].replace('"', '""') + '"' for r in records]
+        stats = ParseStats()
+        raising = mock.Mock(side_effect=AssertionError("csv.reader called"))
+        with mock.patch.object(ingest, "_csv_parse_quoted", raising):
+            batch = parse_body(("\r\n".join(lines) + "\r\n").encode(), "csv", stats)
+        _assert_matches_reference(batch, stats, records)
+
+    def test_quoted_text_with_nul_goes_to_csv_reader(self):
+        # Python 3.10's csv.reader refuses a NUL and 3.11's reads it, so
+        # the parse is the same as the reader's only when the reader splits it
+        line = f'{_LIMIT_HEAD},"a\x00b"'
+        spy = mock.Mock(wraps=ingest._csv_parse_quoted)
+        with mock.patch.object(ingest, "_csv_parse_quoted", spy):
+            parse_body((line + "\n").encode(), "csv", ParseStats())
+        spy.assert_called_once_with(line)
+
+
 # one stray quote or one byte that is not UTF-8 in record 5 of the city
 _PROBES = {
     "unterminated-quote": lambda row: row + b',"',
@@ -756,12 +858,12 @@ class TestInterning:
     @example(["#a #", "#B"], 1)  # a bare '#': an empty match
     @example(["#İ #i", "#é"], 2)  # non-ASCII: the Unicode pattern
     def test_one_pass_matches_per_text(self, texts, cut):
-        vocab, id_of = {}, {}
-        counts, ids = zip(*(ingest._intern_tags(part, vocab, id_of)
+        id_of = ingest.TagIds()
+        counts, ids = zip(*(ingest._intern_tags(part, id_of)
                             for part in (texts[:cut], texts[cut:])))
         found = [oracles.hashtags_direct(text) for text in texts]
         want_vocab = list(dict.fromkeys(t for tags in found for t in tags))
-        assert list(vocab) == want_vocab
+        assert list(id_of.vocab) == want_vocab
         assert np.concatenate(counts).tolist() == list(map(len, found))
         assert np.concatenate(ids).tolist() == [want_vocab.index(t) for tags in found for t in tags]
         assert all(c.dtype == np.int32 for c in (*counts, *ids))
@@ -1044,6 +1146,17 @@ class TestParseCensus:
     def test_missing_cells_and_extras(self):
         data = b"tract_id,median_income,commute_minutes\nT1,,31.5\n"
         assert parse_census(data) == {"T1": {"commute_minutes": 31.5}}
+
+    @pytest.mark.parametrize("header", ["tract_id,median_rent, median_rent ",
+                                        "tract_id,median_rent,tract_id"])
+    def test_repeated_column_refused(self, header):
+        name = header.split(",")[-1].strip()
+        with pytest.raises(MalformedRecord, match=f"^column '{name}' repeats in census CSV$"):
+            parse_census(f"{header}\nT1,1,2\n".encode())
+
+    def test_repeated_empty_column_name_kept(self):
+        # unnamed columns are not read by name, so they may repeat
+        assert parse_census(b"tract_id,,median_rent,\nT1,,5,\n") == {"T1": {"median_rent": 5.0}}
 
 
 class TestReadTable:

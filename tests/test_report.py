@@ -440,6 +440,53 @@ class TestRunPipeline:
         assert done.stdout.splitlines()[-1] == "False"
 
 
+def _fresh_interpreter(code: str, **env: str) -> list[str]:
+    """What ``code`` prints in a new interpreter, split at whitespace, run
+    without OPENBLAS_NUM_THREADS unless ``env`` sets it."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = dict(base, PYTHONPATH=str(Path(geoineq.__file__).parents[1]), **env)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    return done.stdout.split()
+
+
+def _numpy_blas() -> str:
+    """The name of the BLAS numpy was built with, lowercased; empty where
+    numpy cannot say (before 1.26)."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
+    except (TypeError, KeyError):
+        return ""
+
+
+class TestBlasThreads:
+    """numpy's OpenBLAS pool costs a CLI run tens of milliseconds to start
+    and the pipeline makes no BLAS call, so the CLI asks for one thread.
+    A program that only imports the package keeps its own setting."""
+
+    def test_package_imports_set_nothing(self):
+        out = _fresh_interpreter(
+            "import os, sys, geoineq; print('numpy' in sys.modules); "
+            "import geoineq.synth, geoineq.oracles; print('OPENBLAS_NUM_THREADS' in os.environ)"
+        )
+        assert out == ["False", "False"]
+
+    def test_cli_defaults_to_one_thread(self):
+        code = "import os, geoineq.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert _fresh_interpreter(code) == ["1"]
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc to count threads")
+    @pytest.mark.skipif("openblas" not in _numpy_blas(), reason="numpy is not built on OpenBLAS")
+    def test_cli_process_has_one_thread(self):
+        # one thread holds only while no other module starts one at import
+        code = "import os, geoineq.cli; print(len(os.listdir('/proc/self/task')))"
+        assert _fresh_interpreter(code) == ["1"]
+
+    def test_callers_thread_count_kept(self):
+        code = "import os, geoineq.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert _fresh_interpreter(code, OPENBLAS_NUM_THREADS="2") == ["2"]
+
+
 class TestTracer:
     # the spans the benchmark's layer metrics read; at k=2 the partition
     # jobs run in the workers, whose spans the tracer does not collect
@@ -1324,6 +1371,26 @@ class TestCli:
         assert cli.main(argv) == 1
         name = "census CSV" if command == "ingest-check" else f"value table {table}"
         assert capsys.readouterr() == ("", f"error: {name} must have a tract_id column\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["metrics", "lorenz", "choropleth", "ingest-check"])
+    def test_repeated_column_exit_1(self, city_paths, tmp_path, capsys, command):
+        # the second v must not silently stand for the column
+        table = tmp_path / "table.csv"
+        table.write_text("tract_id,v,v\nT0001,1,2\nT0002,3,4\n")
+        out = tmp_path / "out"
+        column = ["--column", "v"]
+        argv = {
+            "metrics": ["metrics", "--csv", str(table), *column],
+            "lorenz": ["lorenz", "--csv", str(table), *column, "--out", str(out)],
+            "choropleth": ["choropleth", "--tracts", city_paths["tracts"],
+                           "--values", str(table), *column, "--out", str(out)],
+            "ingest-check": ["ingest-check", "--events", city_paths["events"],
+                             "--census", str(table)],
+        }[command]
+        assert cli.main(argv) == 1
+        name = "census CSV" if command == "ingest-check" else f"value table {table}"
+        assert capsys.readouterr() == ("", f"error: column 'v' repeats in {name}\n")
         assert not out.exists()
 
     def test_choropleth_padded_tract_id_maps_to_its_tract(self, city_paths, tmp_path, capsys):
