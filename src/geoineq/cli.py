@@ -11,16 +11,22 @@ violation.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` in ``os.environ``
 unless it is set, for the rest of the process and every process it
-starts; ``import geoineq`` and its other modules set nothing.
+starts; ``import geoineq`` and its other modules set nothing. It also
+pauses cyclic GC while it imports numpy and the pipeline, moves what the
+imports made to the oldest generation, and leaves GC enabled or
+disabled, and the frozen count, as it found them.
+
+:func:`entry` is ``main`` for a CLI process (``python -m geoineq`` and
+the ``geoineq`` script): it freezes the heap once ``main`` returns, so
+the collection the interpreter makes as it exits skips the objects that
+only die with the process. In-process callers call ``main`` and keep
+their heap as it was.
 """
 
 from __future__ import annotations
 
-import argparse
+import gc
 import os
-import re
-import sys
-from pathlib import Path
 
 # numpy starts an OpenBLAS thread pool, one thread per core, as it loads.
 # That takes tens of milliseconds, and the pipeline makes no BLAS call
@@ -28,21 +34,42 @@ from pathlib import Path
 # numpy loads, unless the caller set a count.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import jsonio, report
-from .errors import GeoIneqError, InternalInvariantError, InvalidParams
-from .ingest import ParseStats, events_format, parse_census, read_table
-from .metrics import Distribution, index_suite, lorenz_curve
-from .report import (
-    DEFAULT_CHOROPLETH_BREAKS,
-    DEFAULT_COHORTS,
-    PipelineConfig,
-    choropleth_parts,
-    emit_lorenz_svg,
-    emit_outputs,
-    run_pipeline_full,
-    suite_to_dict,
-    write_parts,
-)
+# Importing numpy and the pipeline makes some 24,000 objects that live
+# as long as the process; the 38 collections they would set off free a
+# few hundred. So collection pauses while they are made, and
+# they then go to the oldest generation, where the young collections of
+# the run do not traverse them: a freeze and an unfreeze move every
+# tracked object there without a sweep. That is skipped where the caller
+# has frozen objects, which the unfreeze would thaw.
+_gc_enabled, _gc_frozen = gc.isenabled(), gc.get_freeze_count()
+gc.disable()
+try:
+    import argparse
+    import re
+    import sys
+    from pathlib import Path
+
+    from . import jsonio, report
+    from .errors import GeoIneqError, InternalInvariantError, InvalidParams
+    from .ingest import ParseStats, events_format, parse_census, read_table
+    from .metrics import Distribution, index_suite, lorenz_curve
+    from .report import (
+        DEFAULT_CHOROPLETH_BREAKS,
+        DEFAULT_COHORTS,
+        PipelineConfig,
+        choropleth_parts,
+        emit_lorenz_svg,
+        emit_outputs,
+        run_pipeline_full,
+        suite_to_dict,
+        write_parts,
+    )
+finally:
+    if not _gc_frozen:
+        gc.freeze()
+        gc.unfreeze()
+    if _gc_enabled:
+        gc.enable()
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -243,5 +270,14 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> int:
+    """``main`` for a CLI process, which ends when it returns. At exit
+    the interpreter collects every generation once more; frozen objects
+    are left out, and they are all the run made that is still alive."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -28,12 +28,13 @@ across several, doubled quotes or not, is split in bulk too: the byte
 view tells which records these are (:func:`_text_quoted`), and one split
 of them all at every quote gives each its head and text
 (:func:`_split_text_quoted`), with no Python function call per record.
-Every other record with a quote, in one of the first four fields, in a
-run of quotes that does not pair, or longer than
-``csv.field_size_limit()`` characters, is split by ``csv.reader`` one
-at a time, and so is a record with a CR that is not part of its line's
-CRLF ending, which ``csv.reader`` takes for a line break. JSONL rows
-are split one at a time.
+Every other record with a quote, in one of the first four fields or in
+a run of quotes that does not pair, is split by ``csv.reader`` one at a
+time, and so is a record with a CR that is not part of its line's CRLF
+ending, which ``csv.reader`` takes for a line break, and a record of
+more bytes than ``csv.field_size_limit()``, quoted or not, whose field
+may be past the limit that ``csv.reader`` refuses. JSONL rows are split
+one at a time.
 
 Every record then meets one rule, as vector masks over the block's
 columns, and the first check it fails names its error kind: an empty
@@ -368,16 +369,13 @@ def _text_quoted(view, at, commas, starts, stops, quotes, to_reader, firsts, las
     fourth comma of its first line, its last quote ends its last line
     (``stops`` is where a line's content stops, before its LF or CRLF;
     ``at`` and ``commas`` are the block's quote and comma positions),
-    the quotes between pair up as doubled quotes, and none of its lines
-    is marked in ``to_reader``. ``csv.reader`` reads such a record as the
-    four fields before the quote and the text with each doubled quote
-    made one, and so does :func:`_split_text_quoted`. A record longer
-    than ``csv.field_size_limit()`` is left to ``csv.reader``, which
-    refuses a field past that limit."""
+    the quotes between pair up as doubled quotes, and it is not marked
+    in ``to_reader`` (one flag per record). ``csv.reader`` reads such a
+    record as the four fields before the quote and the text with each
+    doubled quote made one, and so does :func:`_split_text_quoted`."""
     first = (np.cumsum(quotes) - quotes)[firsts]  # each record's first quote in ``at``
     count = np.add.reduceat(quotes, firsts)
-    ok = (count >= 2) & (count % 2 == 0) & ~np.logical_or.reduceat(to_reader, firsts)
-    ok &= stops[lasts] - starts[firsts] <= csv.field_size_limit()
+    ok = (count >= 2) & (count % 2 == 0) & ~to_reader
     r = np.flatnonzero(ok)
     first, count = first[r], count[r]
     opens, closes = at[first], at[first + count - 1]
@@ -425,7 +423,10 @@ def _csv_records(
     a line break, so a record with a CR inside an unquoted field is a
     MalformedRecord, whether its other fields are quoted or not. A
     quoted record with a NUL goes to ``csv.reader`` too: Python 3.10's
-    refuses it, 3.11's reads it."""
+    refuses it, 3.11's reads it. So does a record of more bytes than
+    ``csv.field_size_limit()``, quoted or not, since ``csv.reader``
+    refuses a field of more characters than that; a shorter record
+    cannot hold such a field."""
     n = len(ends)
     firsts = np.flatnonzero(np.concatenate(([True], ~joined[:-1])))  # each record's first line
     lasts = np.append(firsts[1:], n) - 1
@@ -436,14 +437,16 @@ def _csv_records(
     undecodable[list(bad)] = True
     undecodable = np.logical_or.reduceat(undecodable, firsts)
     one_line = firsts == lasts
+    over = stops[lasts] - starts[firsts] > csv.field_size_limit()
     commas = np.flatnonzero(view == ord(","))
-    plain = one_line & (quotes[firsts] == 0) & ~bare_cr[firsts] & ~undecodable
+    plain = one_line & (quotes[firsts] == 0) & ~bare_cr[firsts] & ~over & ~undecodable
     plain &= _per_line(commas, ends)[firsts] == 4
     stats.count_error("UndecodableRecord", int(undecodable.sum()))
     rows = ~undecodable & ~(one_line & (stops == starts)[firsts])  # not blank
     row_of = np.cumsum(rows) - 1
     nul = _per_line(np.flatnonzero(view == 0), ends) > 0
-    quoted = _text_quoted(view, at, commas, starts, stops, quotes, bare_cr | nul, firsts, lasts)
+    to_reader = np.logical_or.reduceat(bare_cr | nul, firsts) | over
+    quoted = _text_quoted(view, at, commas, starts, stops, quotes, to_reader, firsts, lasts)
     quoted &= ~undecodable
     other = rows & ~plain & ~quoted
     flat = np.array(lines, dtype=object)[firsts[rows]]
@@ -454,13 +457,13 @@ def _csv_records(
         heads, found = _split_text_quoted(span, np.add.reduceat(quotes, firsts)[quoted])
         flat[row_of[quoted]] = heads
         texts = row_of[quoted], found
-    quotes, bare_cr = quotes.tolist(), bare_cr.tolist()
+    quotes, bare_cr, over = quotes.tolist(), bare_cr.tolist(), over.tolist()
     fielded: list[tuple[int, list[str] | None]] = []
     for r in np.flatnonzero(other).tolist():
         i, last = int(firsts[r]), int(lasts[r])
         if last > i:
             fields = _csv_parse_quoted("\n".join(lines[i : last + 1]))
-        elif quotes[i] % 2 == 0 and (quotes[i] or bare_cr[i]):
+        elif quotes[i] % 2 == 0 and (quotes[i] or bare_cr[i] or over[r]):
             fields = _csv_parse_quoted(lines[i])
         else:
             fields = None  # a quote that never closes, or not four commas
@@ -782,10 +785,10 @@ def read_table(
     order: its id maps to its ``columns`` (all but ``tract_id`` when
     None), blank cells left out. The id is the stripped ``tract_id``,
     which ``keyed`` requires, or else ``rowN`` for the Nth row; blank rows
-    are skipped. A header that names a column twice, a missing column, a
-    row whose cell count is not the header's, an empty or repeated id and
-    a cell that is not a finite number (``nan`` and ``inf`` too) are
-    refused."""
+    are skipped. A header that names a column twice or leaves one
+    unnamed, a missing column, a row whose cell count is not the
+    header's, an empty or repeated id and a cell that is not a finite
+    number (``nan`` and ``inf`` too) are refused."""
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as e:
@@ -797,7 +800,9 @@ def read_table(
     header = table[0] if table else []
     at: dict[str, int] = {}
     for i, column in enumerate(h.strip() for h in header):
-        if column and column in at:
+        if not column:
+            raise MalformedRecord(f"column {i + 1} of {name} has no name")
+        if column in at:
             raise MalformedRecord(f"column {column!r} repeats in {name}")
         at[column] = i
     id_at = at.get("tract_id")

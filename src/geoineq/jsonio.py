@@ -3,6 +3,9 @@
 Reports must be byte-identical across runs and partitioning schemes, so
 we control the serialization ourselves: insertion-ordered keys, floats
 printed at 12 significant digits, two-space indent, LF line endings.
+Strings and keys are written by ``json.encoder.encode_basestring``, the
+function ``json.dumps(s, ensure_ascii=False)`` ends in, without the
+encoder that each such call builds first.
 
 Geometry is the bulk of a choropleth, so a float64 ``(n, 2)`` array of
 2D positions, the form a tract's ring has, is written as one string by
@@ -14,8 +17,8 @@ written out without ever being held whole.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -67,7 +70,7 @@ def _write(obj, out: list[str], depth: int) -> None:
     elif isinstance(obj, float):
         out.append(format_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -78,7 +81,7 @@ def _write(obj, out: list[str], depth: int) -> None:
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be str, got {k!r}")
             out.append(pad)
-            out.append(json.dumps(k, ensure_ascii=False))
+            out.append(encode_basestring(k))
             out.append(": ")
             _write(v, out, depth + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import gc
 import math
-import multiprocessing as mp
 import traceback
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -254,6 +253,8 @@ def run_pipeline_full(
     if partitions == 1:
         conns.append(_InProcess(_partition_job(*job_args[0])))
     else:
+        import multiprocessing as mp  # not at k=1: it loads socket, selectors and signal
+
         ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
         # frozen objects are left out of every collection, so a forked
         # worker's GC does not write to, and so copy, the pages it shares
@@ -515,19 +516,26 @@ def _ranks_csv(report: dict) -> str:
 
 
 def _tracts_csv(internals: PipelineInternals) -> str:
-    rows = [["tract_id", "cohort", "event_count", "tag_count", "unique_tag_count",
-             "day_count", "night_count", "area_km2", "value"]]
+    """One row per tract and cohort, each written by one ``%`` template,
+    whose ``%.12g`` prints a float as ``jsonio.format_float`` does once
+    every area and value is known to be finite."""
+    lines = ["tract_id,cohort,event_count,tag_count,unique_tag_count,"
+             "day_count,night_count,area_km2,value\n"]
     cube = internals.aggregates
     cohorts = list(internals.densities)
     table = np.stack([cube.events, cube.tags, cube.unique_tags, cube.day, cube.night], axis=-1)
+    values = np.stack(list(internals.densities.values()), axis=-1)
+    floats = np.column_stack([internals.areas, values])  # a tract's cells in row order
+    if not np.isfinite(floats).all():
+        jsonio.format_float(float(floats[~np.isfinite(floats)][0]))  # raises
     # [tract][cohort][column] and [tract][cohort]
     counts = table[[BUCKET_KEYS.index(c) for c in cohorts]].transpose(1, 0, 2).tolist()
-    values = np.stack(list(internals.densities.values()), axis=-1).tolist()
-    per_tract = zip(internals.tract_ids, internals.areas.tolist(), counts, values)
+    per_tract = zip(internals.tract_ids, internals.areas.tolist(), counts, values.tolist())
+    row = "%s,%s,%d,%d,%d,%d,%d,%.12g,%.12g\n"
     for tid, area, per_cohort, per_value in per_tract:
-        for cohort, row, value in zip(cohorts, per_cohort, per_value):
-            rows.append([tid, cohort, *row, area, value])
-    return _csv_lines(rows)
+        for cohort, cells, value in zip(cohorts, per_cohort, per_value):
+            lines.append(row % (tid, cohort, *cells, area, value))
+    return "".join(lines)
 
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")

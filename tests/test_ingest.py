@@ -660,6 +660,8 @@ class TestQuotedTextRoute:
               ('"q""u",40.7,-74.0,2014-03-01T08:03:00Z', '"a,b"')], "\r\n", False, 64)
     @example([(_LIMIT_HEAD, '"' + "a" * 131_072 + '"'), (_LIMIT_HEAD, '"' + "a" * 131_073 + '"')],
              "\n", True, 1 << 18)
+    @example([(_LIMIT_HEAD, "a" * 131_072), (_LIMIT_HEAD, "a" * 131_073),
+              (_LIMIT_HEAD, "é" * 131_072)], "\r\n", True, 1 << 18)
     def test_fields_match_csv_reader(self, records, newline, last_newline, chunk):
         body = newline.join(f"{head},{text}" for head, text in records)
         body = (body + newline * last_newline).encode()
@@ -667,11 +669,23 @@ class TestQuotedTextRoute:
 
     @pytest.mark.parametrize("size, kept", [(131_072, True), (131_073, False)])
     def test_quoted_text_past_csv_field_limit_refused(self, size, kept):
-        stats = ParseStats()
+        # quoted or not, a text is refused past the limit csv.reader keeps
         text = "#" + "a" * (size - 1)
-        batch = parse_events_file(events_csv([f'{_LIMIT_HEAD},"{text}"']), "csv", stats)
-        assert batch_hashtags(batch) == ([[text[1:]]] if kept else [])
-        assert stats.errors == (Counter() if kept else Counter({"MalformedRecord": 1}))
+        for field in (f'"{text}"', text):
+            stats = ParseStats()
+            batch = parse_events_file(events_csv([f"{_LIMIT_HEAD},{field}"]), "csv", stats)
+            assert batch_hashtags(batch) == ([[text[1:]]] if kept else [])
+            assert stats.errors == (Counter() if kept else Counter({"MalformedRecord": 1}))
+
+    def test_long_text_limit_counts_characters(self):
+        # 131,072 two-byte characters are past the limit in bytes, not in
+        # characters, which is what csv.reader counts
+        text = "#" + "é" * 131_071
+        for field in (f'"{text}"', text):
+            stats = ParseStats()
+            batch = parse_events_file(events_csv([f"{_LIMIT_HEAD},{field}"] * 2), "csv", stats)
+            assert batch_hashtags(batch) == [[text[1:]]] * 2
+            assert stats.records_ok == 2
 
     def test_text_only_quoted_records_skip_csv_reader(self):
         records = [
@@ -1154,9 +1168,13 @@ class TestParseCensus:
         with pytest.raises(MalformedRecord, match=f"^column '{name}' repeats in census CSV$"):
             parse_census(f"{header}\nT1,1,2\n".encode())
 
-    def test_repeated_empty_column_name_kept(self):
-        # unnamed columns are not read by name, so they may repeat
-        assert parse_census(b"tract_id,,median_rent,\nT1,,5,\n") == {"T1": {"median_rent": 5.0}}
+    def test_unnamed_column_refused(self):
+        # a trailing comma or an empty name would be read as an indicator
+        # named "", and a second one would repeat it
+        for header, position in [("tract_id,median_income,", 3), ("tract_id,,median_rent,", 2),
+                                 ("tract_id, ,median_rent", 2)]:
+            with pytest.raises(MalformedRecord, match=f"^column {position} of census CSV has no"):
+                parse_census(f"{header}\nT1,1,2\n".encode())
 
 
 class TestReadTable:

@@ -88,3 +88,12 @@ def test_package_defines_only_what_its_commands_use():
         if name not in used
     ]
     assert not unused, unused
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10, which a newer
+    # interpreter running the tests would not hold the code to
+    paths = sorted([*(_ROOT / "src").rglob("*.py"), *(_ROOT / "tests").rglob("*.py")])
+    assert paths
+    for p in paths:
+        ast.parse(p.read_text(encoding="utf-8"), str(p), feature_version=(3, 10))

@@ -439,6 +439,15 @@ class TestRunPipeline:
                               text=True, check=True)
         assert done.stdout.splitlines()[-1] == "False"
 
+    def test_k1_run_leaves_multiprocessing_unloaded(self, city_paths, tmp_path):
+        # multiprocessing loads socket, selectors and signal (about 5 ms
+        # per process); only a partitioned run needs it
+        argv = ["run", "--events", city_paths["events"], "--tracts", city_paths["tracts"],
+                "--out", str(tmp_path / "out")]
+        code = (f"import sys; from geoineq import cli; assert cli.main({argv!r}) == 0; "
+                "print('multiprocessing' in sys.modules)")
+        assert _fresh_interpreter(code)[-1] == "False"
+
 
 def _fresh_interpreter(code: str, **env: str) -> list[str]:
     """What ``code`` prints in a new interpreter, split at whitespace, run
@@ -485,6 +494,78 @@ class TestBlasThreads:
     def test_callers_thread_count_kept(self):
         code = "import os, geoineq.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
         assert _fresh_interpreter(code, OPENBLAS_NUM_THREADS="2") == ["2"]
+
+
+def _module_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m geoineq`` with ``argv``, in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(geoineq.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "geoineq", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+class TestCliProcess:
+    """A CLI process pauses GC while it imports and freezes its heap
+    before it exits; a program that imports the CLI keeps its GC state,
+    and the process entry keeps main's outputs and exit codes."""
+
+    @pytest.mark.parametrize("disabled", [False, True])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_import_leaves_gc_as_found(self, disabled, frozen):
+        # frozen objects may die during the import, but none may thaw; and
+        # unless the caller froze some, what the import made is in the
+        # oldest generation, where no young collection traverses it
+        code = (
+            "import gc\n"
+            f"if {disabled}: gc.disable()\n"
+            f"if {frozen}: gc.freeze()\n"
+            "enabled, frozen = gc.isenabled(), gc.get_freeze_count()\n"
+            "import geoineq, geoineq.cli\n"
+            "young = len(gc.get_objects(0)) + len(gc.get_objects(1))\n"
+            "print(gc.isenabled() == enabled)\n"
+            "print(0 < gc.get_freeze_count() <= frozen if frozen else gc.get_freeze_count() == 0)\n"
+            "print(young < 5000 or frozen > 0)\n"
+        )
+        assert _fresh_interpreter(code) == ["True"] * 3
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_module_entry_writes_what_main_writes(self, city_paths, census_path, tmp_path, k):
+        out = tmp_path / "out"
+        argv = ["run", "--events", city_paths["events"], "--tracts", city_paths["tracts"],
+                "--census", census_path, "--out", str(out), "--partitions", str(k)]
+        done = _module_cli(*argv)
+        assert done.returncode == 0, done.stderr
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(written) == 7
+        assert cli.main(argv) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+    def test_module_entry_exit_codes(self, city_paths, tmp_path):
+        done = _module_cli("run", "--events", str(tmp_path / "nope.csv"),
+                           "--tracts", city_paths["tracts"], "--out", str(tmp_path / "out"))
+        assert (done.returncode, done.stderr.startswith("error: ")) == (1, True)
+        # an invariant violation, raised where the run starts
+        code = (
+            "import runpy, sys\n"
+            "from geoineq import cli\n"
+            "from geoineq.errors import InternalInvariantError\n"
+            "def broken(*args, **kwargs):\n"
+            "    raise InternalInvariantError('broken')\n"
+            "cli.run_pipeline_full = broken\n"
+            f"sys.argv = ['geoineq', 'run', '--events', {city_paths['events']!r},\n"
+            f"            '--tracts', {city_paths['tracts']!r}, '--out', {str(tmp_path)!r}]\n"
+            "runpy.run_module('geoineq', run_name='__main__')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(geoineq.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert (done.returncode, done.stderr) == (2, "internal error: broken\n")
+
+    def test_entry_freezes_and_main_does_not(self, city_paths):
+        argv = ["ingest-check", "--events", city_paths["events"]]
+        code = (f"import gc, sys; from geoineq import cli; sys.argv = {['geoineq', *argv]!r}; "
+                "cli.main(); after_main = gc.get_freeze_count(); "
+                "cli.entry(); print(after_main, gc.get_freeze_count() > 0)")
+        assert _fresh_interpreter(code)[-2:] == ["0", "True"]
 
 
 class TestTracer:
@@ -1391,6 +1472,28 @@ class TestCli:
         assert cli.main(argv) == 1
         name = "census CSV" if command == "ingest-check" else f"value table {table}"
         assert capsys.readouterr() == ("", f"error: column 'v' repeats in {name}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "metrics", "lorenz", "choropleth", "ingest-check"])
+    def test_unnamed_column_exit_1(self, city_paths, tmp_path, capsys, command):
+        # a trailing comma in the header must not read as a column named ""
+        table = tmp_path / "table.csv"
+        table.write_text("tract_id,v,\nT0001,1,\nT0002,3,\n")
+        out = tmp_path / "out"
+        column = ["--column", "v"]
+        argv = {
+            "run": ["run", "--events", city_paths["events"], "--tracts", city_paths["tracts"],
+                    "--census", str(table), "--out", str(out)],
+            "metrics": ["metrics", "--csv", str(table), *column],
+            "lorenz": ["lorenz", "--csv", str(table), *column, "--out", str(out)],
+            "choropleth": ["choropleth", "--tracts", city_paths["tracts"],
+                           "--values", str(table), *column, "--out", str(out)],
+            "ingest-check": ["ingest-check", "--events", city_paths["events"],
+                             "--census", str(table)],
+        }[command]
+        assert cli.main(argv) == 1
+        name = "census CSV" if command in ("run", "ingest-check") else f"value table {table}"
+        assert capsys.readouterr() == ("", f"error: column 3 of {name} has no name\n")
         assert not out.exists()
 
     def test_choropleth_padded_tract_id_maps_to_its_tract(self, city_paths, tmp_path, capsys):
