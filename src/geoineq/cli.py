@@ -76,16 +76,21 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--events", required=True, help="event CSV/JSONL path")
     p.add_argument("--tracts", required=True, help="tract GeoJSON path")
     p.add_argument("--census", default=None, help="census indicator CSV path")
-    p.add_argument("--tz", default="America/New_York", help="display timezone (IANA id)")
-    p.add_argument("--window-days", type=int, default=12, help="visitor/local window")
-    p.add_argument("--normalize", choices=["raw", "per-km2"], default="per-km2")
+    config = PipelineConfig  # whose defaults the flags take
+    p.add_argument("--tz", default=config.timezone, help="display timezone (IANA id)")
+    p.add_argument(
+        "--window-days", type=int, default=config.window_days, help="visitor/local window"
+    )
+    p.add_argument(
+        "--normalize", choices=["raw", "per-km2"], default=config.normalization.replace("_", "-")
+    )
     p.add_argument(
         "--cohorts",
         default=",".join(DEFAULT_COHORTS),
         help="comma list from: visitor,local,super_local,all",
     )
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="echoed into the report")
+    p.add_argument("--seed", type=int, default=config.seed, help="echoed into the report")
     p.add_argument("--partitions", type=int, default=1, help="parallel partitions")
 
 
@@ -162,26 +167,23 @@ def _parse_start(text: str) -> tuple[int, int]:
     return int(m[1]), int(m[2])
 
 
-def cmd_synth(args) -> int:
+def _synth_params(args):
+    """The SynthParams of synth's flags, each stored under its field's
+    name. A flag not given is not in ``args``, so its field keeps the
+    dataclass's default."""
     # imported here, so that the other commands do not load the generator
-    from .synth import SynthParams, write_city
+    from .synth import SynthParams
 
-    start_year, start_month = _parse_start(args.start)
-    params = SynthParams(
-        seed=args.seed,
-        n_tracts=args.tracts,
-        n_users_local=args.local_users,
-        n_users_visitor=args.visitor_users,
-        n_events=args.events,
-        zipf_s=args.zipf_s,
-        start_year=start_year,
-        start_month=start_month,
-        months=args.months,
-        day_fraction_local=args.day_frac_local,
-        day_fraction_visitor=args.day_frac_visitor,
-        tz=args.tz,
-    )
-    for name, path in write_city(params, args.out).items():
+    given = {k: v for k, v in vars(args).items() if k in SynthParams.__dataclass_fields__}
+    if "start" in args:
+        given["start_year"], given["start_month"] = _parse_start(args.start)
+    return SynthParams(**given)
+
+
+def cmd_synth(args) -> int:
+    from .synth import write_city
+
+    for name, path in write_city(_synth_params(args), args.out).items():
         print(f"{name}: {path}")
     return 0
 
@@ -226,18 +228,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--column", required=True)
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("synth", help="generate a synthetic city with ground truth")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tracts", type=int, default=200)
-    p.add_argument("--local-users", type=int, default=400)
-    p.add_argument("--visitor-users", type=int, default=400)
-    p.add_argument("--events", type=int, default=20000)
-    p.add_argument("--zipf-s", type=float, default=1.0)
-    p.add_argument("--start", default="2014-03", help="first month, YYYY-MM")
-    p.add_argument("--months", type=int, default=5)
-    p.add_argument("--day-frac-local", type=float, default=0.6)
-    p.add_argument("--day-frac-visitor", type=float, default=0.75)
-    p.add_argument("--tz", default="America/New_York")
+    # a flag left out is left out of the namespace too; see _synth_params
+    p = sub.add_parser(
+        "synth",
+        help="generate a synthetic city with ground truth",
+        argument_default=argparse.SUPPRESS,
+    )
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tracts", type=int, dest="n_tracts", metavar="TRACTS")
+    p.add_argument("--local-users", type=int, dest="n_users_local", metavar="LOCAL_USERS")
+    p.add_argument("--visitor-users", type=int, dest="n_users_visitor", metavar="VISITOR_USERS")
+    p.add_argument("--events", type=int, dest="n_events", metavar="EVENTS")
+    p.add_argument("--zipf-s", type=float)
+    p.add_argument("--start", help="first month, YYYY-MM")
+    p.add_argument("--months", type=int)
+    p.add_argument(
+        "--day-frac-local", type=float, dest="day_fraction_local", metavar="DAY_FRAC_LOCAL"
+    )
+    p.add_argument(
+        "--day-frac-visitor", type=float, dest="day_fraction_visitor", metavar="DAY_FRAC_VISITOR"
+    )
+    p.add_argument("--tz")
     p.add_argument("--out", default="synth_city")
     p.set_defaults(func=cmd_synth)
 

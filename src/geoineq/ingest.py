@@ -21,20 +21,25 @@ one window of input, not the range. A block that is not UTF-8 is
 decoded line by line, and a record with a line that does not decode is
 counted as an UndecodableRecord.
 
-Within a block, CSV records take one of three routes. Quote-free lines
-with exactly four commas are split in bulk, one join and one split per
-block. A record whose only quotes enclose its text field, on one line or
-across several, doubled quotes or not, is split in bulk too: the byte
-view tells which records these are (:func:`_text_quoted`), and one split
-of them all at every quote gives each its head and text
-(:func:`_split_text_quoted`), with no Python function call per record.
-Every other record with a quote, in one of the first four fields or in
-a run of quotes that does not pair, is split by ``csv.reader`` one at a
-time, and so is a record with a CR that is not part of its line's CRLF
-ending, which ``csv.reader`` takes for a line break, and a record of
-more bytes than ``csv.field_size_limit()``, quoted or not, whose field
-may be past the limit that ``csv.reader`` refuses. JSONL rows are split
-one at a time.
+A block becomes the five field columns of its records, in record order,
+and the record rule reads only those. CSV records reach them by one of
+three routes. Quote-free lines with exactly four commas are split in
+bulk, one join and one split per block. A record whose only quotes
+enclose its text field, on one line or across several, doubled quotes or
+not, is split in bulk too: the byte view tells which records these are
+(:func:`_text_quoted`), and one split of them all at every quote gives
+each its head and text (:func:`_split_text_quoted`), with no Python
+function call per record. Every other record goes to ``csv.reader`` one
+at a time when its quote count is even, and keeps empty fields when it
+is odd, as a quote that never closes leaves it. These are the records
+with a quote in one of the first four fields or in a run of quotes that
+does not pair, with a CR that is not part of its line's CRLF ending,
+which ``csv.reader`` takes for a line break, or of more bytes than
+``csv.field_size_limit()``, quoted or not, whose field may be past the
+limit that ``csv.reader`` refuses; a quote-free line whose comma count
+is not four meets the reader too, and gets other than five fields. Each
+JSONL line is decoded on its own, and one that is not an event object
+keeps empty fields.
 
 Every record then meets one rule, as vector masks over the block's
 columns, and the first check it fails names its error kind: an empty
@@ -78,13 +83,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (
-    BadTimestamp,
     DuplicateTractId,
     MalformedRecord,
     MissingTractId,
     NonNumericValue,
     NonPolygonGeometry,
-    OutOfRangeCoordinate,
     RateOutOfRange,
 )
 from .geo import rings_to_arrays
@@ -406,27 +409,22 @@ def _split_text_quoted(records: str, quotes: np.ndarray) -> tuple[list[str], lis
     return heads, list(map('"'.join, map(pieces.__getitem__, spans)))
 
 
-def _csv_records(
-    view, ends, crlf, at, quotes, joined, lines, bad, stats
-) -> tuple[list[str], list, tuple | None]:
-    """One block's CSV records as ``(flat, fielded, texts)``: ``flat``
-    holds one four-comma line per record. ``texts`` gives the positions
-    and texts of the records whose only quotes enclose their text (see
-    :func:`_text_quoted`), split in bulk; their ``flat`` line is their
-    head with an empty text. ``fielded`` holds the ``(position, fields)``
-    of every other record, split one by one (fields None when
-    unparseable; its ``flat`` line is a placeholder). Blank lines are
-    skipped, and a record with a line that is not UTF-8 is only counted.
+def _csv_records(view, ends, crlf, at, quotes, joined, lines, bad, stats) -> list[list[str]]:
+    """One block's CSV records as their five field columns, in record
+    order; blank lines are skipped, and a record with a line that is not
+    UTF-8 is only counted. Quote-free lines of four commas, and the heads
+    of records whose only quotes enclose their text (:func:`_text_quoted`),
+    are split in one join and one split, and those texts then fill their
+    column. Every other record meets ``csv.reader`` if its quote count is
+    even, and keeps empty fields if the reader gives other than five or
+    the count is odd.
 
-    ``csv.reader`` splits every other record with a quote or a bare CR
-    (one that does not end the line as CRLF). It reads an unquoted CR as
-    a line break, so a record with a CR inside an unquoted field is a
-    MalformedRecord, whether its other fields are quoted or not. A
-    quoted record with a NUL goes to ``csv.reader`` too: Python 3.10's
-    refuses it, 3.11's reads it. So does a record of more bytes than
-    ``csv.field_size_limit()``, quoted or not, since ``csv.reader``
-    refuses a field of more characters than that; a shorter record
-    cannot hold such a field."""
+    Those are the records with a quote in a head field, with a bare CR
+    (one that does not end the line as CRLF), which ``csv.reader`` reads
+    as a line break, or with a NUL and a quote: Python 3.10's reader
+    refuses a NUL, 3.11's reads it. So is a record of more bytes than
+    ``csv.field_size_limit()``, quoted or not: it may hold a field of
+    more characters than that, which ``csv.reader`` refuses."""
     n = len(ends)
     firsts = np.flatnonzero(np.concatenate(([True], ~joined[:-1])))  # each record's first line
     lasts = np.append(firsts[1:], n) - 1
@@ -439,7 +437,8 @@ def _csv_records(
     one_line = firsts == lasts
     over = stops[lasts] - starts[firsts] > csv.field_size_limit()
     commas = np.flatnonzero(view == ord(","))
-    plain = one_line & (quotes[firsts] == 0) & ~bare_cr[firsts] & ~over & ~undecodable
+    count = np.add.reduceat(quotes, firsts)  # each record's quotes
+    plain = one_line & (count == 0) & ~bare_cr[firsts] & ~over & ~undecodable
     plain &= _per_line(commas, ends)[firsts] == 4
     stats.count_error("UndecodableRecord", int(undecodable.sum()))
     rows = ~undecodable & ~(one_line & (stops == starts)[firsts])  # not blank
@@ -451,55 +450,60 @@ def _csv_records(
     other = rows & ~plain & ~quoted
     flat = np.array(lines, dtype=object)[firsts[rows]]
     flat[row_of[other]] = ",,,,"
-    texts = None
+    texts = []
     if quoted.any():
         span = "\n".join(compress(lines, np.repeat(quoted, lasts - firsts + 1).tolist()))
-        heads, found = _split_text_quoted(span, np.add.reduceat(quotes, firsts)[quoted])
-        flat[row_of[quoted]] = heads
-        texts = row_of[quoted], found
-    quotes, bare_cr, over = quotes.tolist(), bare_cr.tolist(), over.tolist()
-    fielded: list[tuple[int, list[str] | None]] = []
-    for r in np.flatnonzero(other).tolist():
-        i, last = int(firsts[r]), int(lasts[r])
-        if last > i:
-            fields = _csv_parse_quoted("\n".join(lines[i : last + 1]))
-        elif quotes[i] % 2 == 0 and (quotes[i] or bare_cr[i] or over[r]):
-            fields = _csv_parse_quoted(lines[i])
-        else:
-            fields = None  # a quote that never closes, or not four commas
-        fielded.append((int(row_of[r]), fields))
-    return flat.tolist(), fielded, texts
+        flat[row_of[quoted]], texts = _split_text_quoted(span, count[quoted])
+    fields = ",".join(flat.tolist()).split(",") if len(flat) else []
+    cols = [fields[c::5] for c in range(5)]
+    if texts:
+        col = np.array(cols[4], dtype=object)
+        col[row_of[quoted]] = texts
+        cols[4] = col.tolist()
+    read = other & (count % 2 == 0)
+    for row, i, last in zip(*(a[read].tolist() for a in (row_of, firsts, lasts))):
+        record = _csv_parse_quoted("\n".join(lines[i : last + 1]))
+        if record is not None and len(record) == 5:
+            for col, value in zip(cols, record):
+                col[row] = value
+    return cols
 
 
-def _jsonl_records(lines, bad, stats) -> tuple[list[str], list]:
-    """One block's JSONL records, as :func:`_csv_records` gives CSV ones."""
-    fielded = []
+def _jsonl_records(lines, bad, stats) -> list[list[str]]:
+    """One block's JSONL records, one per line that is not blank, as
+    :func:`_csv_records` gives CSV ones: a line that is not an event
+    object keeps empty fields."""
+    rows = []
     for i, line in enumerate(lines):
         if i in bad:
             stats.count_error("UndecodableRecord")
         elif line.strip():
-            fielded.append((len(fielded), _jsonl_fields(line)))
-    return [",,,,"] * len(fielded), fielded
+            rows.append(_jsonl_fields(line))
+    return list(map(list, zip(*rows))) if rows else [[] for _ in EVENT_COLUMNS]
 
 
-def _jsonl_fields(line: str) -> list[str] | None:
+def _jsonl_fields(line: str) -> tuple[str, ...]:
+    empty = ("",) * len(EVENT_COLUMNS)
     try:
         obj = json.loads(line)
         uid, lat, lon, ts = obj["user_id"], obj["lat"], obj["lon"], obj["timestamp"]
         text = obj.get("text", "")
     except (ValueError, TypeError, KeyError):  # not JSON, not an object, no such key
-        return None
+        return empty
     # json.loads gives exact types, so a bool id is not an int here
     if type(uid) not in (str, int) or not isinstance(ts, str) or not isinstance(text, str):
-        return None
-    return [str(uid), str(lat), str(lon), ts, text]
+        return empty
+    return str(uid), str(lat), str(lon), ts, text
 
 
 def _timestamp_to_epoch(s: str) -> float:
     """Parse one ISO-8601 timestamp with a mandatory UTC offset, for a
     stamp the vector decoder did not accept: epoch seconds, or
     ValueError on any problem. ``datetime.fromisoformat`` reads it, so
-    every numeric field must be ASCII digits."""
+    every numeric field must be ASCII digits, and what it takes depends
+    on the interpreter: Python 3.10 refuses
+    ``2014-03-01T08:03:00.5+05:00``, ``2014-03-01T08:03:00.123+0500``
+    and ``20140301T080300+05:00``, which 3.11 reads."""
     if s.endswith("Z"):
         s = s[:-1] + "+00:00"
     dt = datetime.fromisoformat(s)
@@ -510,29 +514,6 @@ def _timestamp_to_epoch(s: str) -> float:
     if off is None or any(f is not None and int(f) > 59 for f in off.groups()):
         raise ValueError(f"offset out of range: {s}")
     return dt.timestamp()
-
-
-def _columns(flat: list[str], fielded: list, texts: tuple | None) -> list[list[str]]:
-    """The five field columns of a chunk of records.
-
-    ``flat`` is split in bulk, and ``texts`` (positions and texts) fill
-    the text column where ``flat`` left it empty. Each five-field list in
-    ``fielded`` then overwrites its placeholder row. A record without
-    five fields keeps the empty placeholder, and its empty user id makes
-    it a MalformedRecord.
-    """
-    fields = ",".join(flat).split(",")
-    cols = [fields[c::5] for c in range(5)]
-    if texts is not None:
-        at, values = texts
-        col = np.array(cols[4], dtype=object)
-        col[at] = values
-        cols[4] = col.tolist()
-    for i, rec in fielded:
-        if rec is not None and len(rec) == 5:
-            for col, value in zip(cols, rec):
-                col[i] = value
-    return cols
 
 
 def _float_column(strings: list[str]) -> tuple[np.ndarray, list[int]]:
@@ -593,11 +574,12 @@ def _fixed_width_epochs(stamps: list[str], width: int) -> tuple[np.ndarray, np.n
     return epochs.astype(np.float64), ok
 
 
-def _parse_chunk(flat: list[str], fielded: list, texts: tuple | None, stats: ParseStats):
-    """Apply the record rule (see the module docstring) to one chunk of
-    records (see :func:`_csv_records`); returns the accepted rows as
-    (user ids, texts, (lats, lons, epochs)) in input order."""
-    uids, lat_s, lon_s, ts_s, texts = _columns(flat, fielded, texts)
+def _parse_chunk(cols: list[list[str]], stats: ParseStats):
+    """Apply the record rule (see the module docstring) to the five field
+    columns of one block's records, as :func:`_csv_records` and
+    :func:`_jsonl_records` give them; returns the accepted rows as (user
+    ids, texts, (lats, lons, epochs)) in input order."""
+    uids, lat_s, lon_s, ts_s, texts = cols
     n = len(uids)
     lats, lat_raised = _float_column(lat_s)
     lons, lon_raised = _float_column(lon_s)
@@ -645,12 +627,12 @@ def _parse_block(view, ends, at, quotes, joined, format, stats, code_of, tag_id_
     crlf = _crlf(view, ends)
     lines, bad = _decode_lines(view, ends, crlf)
     if format == "csv":
-        flat, fielded, texts = _csv_records(view, ends, crlf, at, quotes, joined, lines, bad, stats)
+        cols = _csv_records(view, ends, crlf, at, quotes, joined, lines, bad, stats)
     else:
-        (flat, fielded), texts = _jsonl_records(lines, bad, stats), None
-    if not flat:
+        cols = _jsonl_records(lines, bad, stats)
+    if not cols[0]:
         return ()
-    uids, texts, (lats, lons, epochs) = _parse_chunk(flat, fielded, texts, stats)
+    uids, texts, (lats, lons, epochs) = _parse_chunk(cols, stats)
     tag_counts, tag_ids = _intern_tags(texts, tag_id_of)
     return intern_codes(uids, code_of), lats, lons, epochs, tag_counts, tag_ids
 

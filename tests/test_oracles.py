@@ -90,6 +90,34 @@ def test_package_defines_only_what_its_commands_use():
     assert not unused, unused
 
 
+def _unused_imports(tree):
+    """The names a module imports and never reads, leaving out
+    ``from __future__`` imports and the names its ``__all__`` lists."""
+    imported = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_package_imports_only_what_it_uses():
+    unused = {
+        p.name: names
+        for p in sorted(_PACKAGE.glob("*.py"))
+        if (names := _unused_imports(ast.parse(p.read_text(encoding="utf-8"))))
+    }
+    assert not unused, unused
+
+
 def test_sources_parse_as_python_3_10():
     # pyproject.toml declares requires-python >= 3.10, which a newer
     # interpreter running the tests would not hold the code to

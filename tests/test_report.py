@@ -890,6 +890,25 @@ class TestCli:
         assert (tmp_path / "city" / "tracts.geojson").is_file()
         assert (tmp_path / "city" / "ground_truth.json").is_file()
 
+    def test_flag_defaults_are_the_dataclass_defaults(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["run", "--events", "E", "--tracts", "T"])
+        assert cli._config_from_args(args) == PipelineConfig("E", "T")
+        assert cli._synth_params(parser.parse_args(["synth"])) == SynthParams()
+
+    def test_synth_flags_set_their_fields(self):
+        args = cli.build_parser().parse_args(
+            ["synth", "--seed", "3", "--tracts", "9", "--local-users", "4",
+             "--visitor-users", "5", "--events", "60", "--zipf-s", "0.5", "--start", "2015-12",
+             "--months", "2", "--day-frac-local", "0.25", "--day-frac-visitor", "0.5",
+             "--tz", "Europe/Paris"]
+        )
+        assert cli._synth_params(args) == SynthParams(
+            seed=3, n_tracts=9, n_users_local=4, n_users_visitor=5, n_events=60, zipf_s=0.5,
+            start_year=2015, start_month=12, months=2, day_fraction_local=0.25,
+            day_fraction_visitor=0.5, tz="Europe/Paris",
+        )
+
     def test_synth_unknown_timezone_exit_1(self, tmp_path, capsys):
         rc = cli.main(
             ["synth", "--seed", "3", "--tracts", "9", "--local-users", "4",
