@@ -1,5 +1,3 @@
-import sys
-
 from .cli import entry
 
-sys.exit(entry())
+entry()

@@ -26,7 +26,6 @@ Sunday-first, "day" is the local interval 07:00:00..18:59:59 inclusive
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -183,8 +182,7 @@ def aggregate_batch(
     return TractCube(*buckets, tag_keys=distinct(tag_keys), vocab=vocab)
 
 
-@dataclass(frozen=True)
-class TagSummary:
+class TagSummary(NamedTuple):
     """The tag summary of one bucket; its fields are the report's, in order."""
 
     image_count: int

@@ -17,10 +17,14 @@ imports made to the oldest generation, and leaves GC enabled or
 disabled, and the frozen count, as it found them.
 
 :func:`entry` is ``main`` for a CLI process (``python -m geoineq`` and
-the ``geoineq`` script): it freezes the heap once ``main`` returns, so
-the collection the interpreter makes as it exits skips the objects that
-only die with the process. In-process callers call ``main`` and keep
-their heap as it was.
+the ``geoineq`` script). Once ``main`` returns, it flushes stdout and
+stderr and ends the process with ``os._exit``: the interpreter's
+teardown (a last collection, module clean-up, atexit handlers) frees
+nothing that the exit itself does not. So every file that a command
+opens must be closed, and every worker joined, before ``main`` returns;
+a stats file or a log added later must be closed there too. A stdout
+that cannot be flushed makes the exit code 1 where it was 0.
+In-process callers call ``main``, which returns its exit code.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ try:
     import re
     import sys
     from pathlib import Path
+    from typing import NoReturn
 
     from . import jsonio, report
     from .errors import GeoIneqError, InternalInvariantError, InvalidParams
@@ -76,13 +81,15 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--events", required=True, help="event CSV/JSONL path")
     p.add_argument("--tracts", required=True, help="tract GeoJSON path")
     p.add_argument("--census", default=None, help="census indicator CSV path")
-    config = PipelineConfig  # whose defaults the flags take
-    p.add_argument("--tz", default=config.timezone, help="display timezone (IANA id)")
+    defaults = PipelineConfig._field_defaults  # whose defaults the flags take
+    p.add_argument("--tz", default=defaults["timezone"], help="display timezone (IANA id)")
     p.add_argument(
-        "--window-days", type=int, default=config.window_days, help="visitor/local window"
+        "--window-days", type=int, default=defaults["window_days"], help="visitor/local window"
     )
     p.add_argument(
-        "--normalize", choices=["raw", "per-km2"], default=config.normalization.replace("_", "-")
+        "--normalize",
+        choices=["raw", "per-km2"],
+        default=defaults["normalization"].replace("_", "-"),
     )
     p.add_argument(
         "--cohorts",
@@ -90,7 +97,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         help="comma list from: visitor,local,super_local,all",
     )
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=config.seed, help="echoed into the report")
+    p.add_argument("--seed", type=int, default=defaults["seed"], help="echoed into the report")
     p.add_argument("--partitions", type=int, default=1, help="parallel partitions")
 
 
@@ -281,14 +288,23 @@ def main(argv=None) -> int:
         return 1
 
 
-def entry() -> int:
-    """``main`` for a CLI process, which ends when it returns. At exit
-    the interpreter collects every generation once more; frozen objects
-    are left out, and they are all the run made that is still alive."""
+def entry() -> NoReturn:
+    """``main`` for a CLI process, which it ends without the
+    interpreter's teardown once stdout and stderr are flushed."""
     code = main()
-    gc.freeze()
-    return code
+    try:
+        if sys.stdout is not None:  # None where the process started without one
+            sys.stdout.flush()
+    except OSError as e:  # e.g. a full disk, or a pipe its reader closed
+        code = code or 1
+        print(f"error: cannot write to stdout: {e}", file=sys.stderr)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report it
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(entry())
+    entry()

@@ -47,7 +47,6 @@ size or the tracts' vertex counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
 
@@ -78,15 +77,24 @@ Ring = np.ndarray  # float64 (x, y) positions, shape (n, 2), closed
 Polygon = tuple[Ring, ...]  # exterior ring first, holes after
 
 
-@dataclass(frozen=True, eq=False)  # rings are arrays: a tract equals only itself
 class Tract:
-    tract_id: str
-    polygons: tuple[Polygon, ...]
-    bbox: tuple[float, float, float, float]  # (min_lon, min_lat, max_lon, max_lat)
-    area_km2: float
-    # the source feature's properties and geometry type, for the choropleth
-    properties: dict = field(default_factory=dict)
-    geometry_type: str = "MultiPolygon"
+    """One tract; it equals only itself, as its rings are arrays."""
+
+    __slots__ = ("tract_id", "polygons", "bbox", "area_km2", "properties", "geometry_type")
+
+    def __init__(
+        self,
+        tract_id: str,
+        polygons: tuple[Polygon, ...],
+        bbox: tuple[float, float, float, float],  # (min_lon, min_lat, max_lon, max_lat)
+        area_km2: float,
+        # the source feature's properties and geometry type, for the choropleth
+        properties: dict | None = None,
+        geometry_type: str = "MultiPolygon",
+    ):
+        self.tract_id, self.polygons, self.bbox, self.area_km2 = tract_id, polygons, bbox, area_km2
+        self.properties = {} if properties is None else properties
+        self.geometry_type = geometry_type
 
     @property
     def rings(self):

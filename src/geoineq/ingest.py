@@ -74,11 +74,10 @@ import os
 import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import compress, repeat
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,24 +117,37 @@ _CHUNK = 1 << 18
 # instead of hiding every record after it.
 _RECORD_LINES = 100
 
-# the vector-decoded timestamp shape: YYYY-MM-DDTHH:MM:SS+HH:MM; the
-# ...SS+HHMM and ...SSZ widths are widened to it
-_TS_WIDTH = 25
-_TS_COMPACT_WIDTH = 24
+# the vector-decoded timestamp shapes, YYYY-MM-DDTHH:MM:SS and then
+# +HH:MM, +HHMM or Z, by width: the positions of each two-digit field's
+# digits (the year is two fields) and the separators with their positions
 _TS_Z_WIDTH = 20
-_TS_UTC = np.frombuffer(b"+00:00", dtype=np.uint8)
-_TS_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 23, 24])
-_TS_SEP_POS = np.array([4, 7, 10, 13, 16, 22])
-_TS_SEP = np.frombuffer(b"--T:::", dtype=np.uint8)
+_TS_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_TS_DATE_SEPS = [(4, "-"), (7, "-"), (10, "T"), (13, ":"), (16, ":")]
+_TS_LAYOUTS = {
+    25: (_TS_DATE_DIGITS + [20, 21, 23, 24], _TS_DATE_SEPS + [(22, ":")]),
+    24: (_TS_DATE_DIGITS + [20, 21, 22, 23], _TS_DATE_SEPS),
+    _TS_Z_WIDTH: (_TS_DATE_DIGITS, _TS_DATE_SEPS + [(19, "Z")]),
+}
 _TS_SIGN_POS = 19
-_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
 
-@dataclass
+
 class ParseStats:
     """Skip-and-count bookkeeping for one parse run."""
 
-    records_ok: int = 0
-    errors: Counter = field(default_factory=Counter)
+    __slots__ = ("records_ok", "errors")
+
+    def __init__(self) -> None:
+        self.records_ok = 0
+        self.errors: Counter = Counter()
+
+    def __eq__(self, other):
+        if not isinstance(other, ParseStats):
+            return NotImplemented
+        return (self.records_ok, self.errors) == (other.records_ok, other.errors)
+
+    def __repr__(self) -> str:
+        return f"ParseStats(records_ok={self.records_ok!r}, errors={self.errors!r})"
 
     @property
     def records_skipped(self) -> int:
@@ -163,8 +175,7 @@ class ParseStats:
         }
 
 
-@dataclass(frozen=True)
-class ByteRange:
+class ByteRange(NamedTuple):
     """Bytes ``start`` to ``end`` of the file at ``path``, not yet read."""
 
     path: str
@@ -172,21 +183,23 @@ class ByteRange:
     end: int
 
 
-@dataclass
 class EventBatch:
     """Parsed events as columns, in input order. User ids and hashtags
     are interned: each event holds the code of its user, an index into
     ``users``, and its hashtags as ids into ``tags``, the casefolded
     vocabulary; both lists are in order of first appearance."""
 
-    users: list[str]
-    user_codes: np.ndarray  # int32, one per event
-    lats: np.ndarray | None  # None once the points are no longer needed
-    lons: np.ndarray | None
-    epochs: np.ndarray  # seconds since the Unix epoch (UTC)
-    tags: list[str]
-    tag_counts: np.ndarray  # int32, hashtags per event, duplicates kept
-    tag_ids: np.ndarray  # int32, one per hashtag occurrence, in event order
+    __slots__ = ("users", "user_codes", "lats", "lons", "epochs", "tags", "tag_counts", "tag_ids")
+
+    def __init__(self, users, user_codes, lats, lons, epochs, tags, tag_counts, tag_ids):
+        self.users = users
+        self.user_codes = user_codes  # int32, one per event
+        self.lats = lats  # None once the points are no longer needed
+        self.lons = lons
+        self.epochs = epochs  # seconds since the Unix epoch (UTC)
+        self.tags = tags
+        self.tag_counts = tag_counts  # int32, hashtags per event, duplicates kept
+        self.tag_ids = tag_ids  # int32, one per hashtag occurrence, in event order
 
     def __len__(self) -> int:
         return len(self.user_codes)
@@ -535,43 +548,44 @@ def _float_column(strings: list[str]) -> tuple[np.ndarray, list[int]]:
 def _fixed_width_epochs(stamps: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
     """Decode timestamps of one width from a byte view: (epoch seconds,
     accepted mask). The width is 25 for ``YYYY-MM-DDTHH:MM:SS+HH:MM``, 24
-    for the ``+HHMM`` offset and 20 for the ``Z`` one; the last two are
-    widened to the first, ``Z`` as ``+00:00``.
+    for the ``+HHMM`` offset and 20 for the ``Z`` one; each is read in
+    its own columns (``_TS_LAYOUTS``).
 
     A stamp is accepted when every digit position holds an ASCII digit,
     every separator matches, and the date, time and offset are in range;
     the epoch is then exactly what ``oracles.timestamp_epoch_direct``
     computes. Days come from days-from-civil arithmetic (proleptic
-    Gregorian).
+    Gregorian). Digits are taken from '0' in uint8, where any other byte
+    wraps past 9, the fields are int32, and only the seconds are float64,
+    which holds every epoch of years 1-9999 exactly.
     """
+    digit_pos, seps = _TS_LAYOUTS[width]
     b = np.frombuffer("".join(stamps).encode("ascii", "replace"), dtype=np.uint8)
     b = b.reshape(-1, width)
-    ok = np.ones(len(b), dtype=bool)
-    if width == _TS_Z_WIDTH:
-        ok &= b[:, 19] == ord("Z")
-        b = np.hstack([b[:, :19], np.broadcast_to(_TS_UTC, (len(b), len(_TS_UTC)))])
-    elif width == _TS_COMPACT_WIDTH:
-        b = np.insert(b, 22, ord(":"), axis=1)
-    d = b[:, _TS_DIGITS].astype(np.int64) - ord("0")
-    sign = b[:, _TS_SIGN_POS]
-    ok &= ((d >= 0) & (d <= 9)).all(axis=1)
-    ok &= (b[:, _TS_SEP_POS] == _TS_SEP).all(axis=1)
-    ok &= (sign == ord("+")) | (sign == ord("-"))
-    v = d[:, 0::2] * 10 + d[:, 1::2]  # two-digit fields
+    d = b[:, digit_pos] - np.uint8(ord("0"))
+    ok = (d <= 9).all(axis=1)
+    for pos, sep in seps:
+        ok &= b[:, pos] == ord(sep)
+    v = d[:, 0::2].astype(np.int32) * 10 + d[:, 1::2]  # two-digit fields
     year = v[:, 0] * 100 + v[:, 1]
-    month, day, hh, mi, ss, oh, om = v[:, 2:].T
+    month, day, hh, mi, ss = v[:, 2:7].T
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + ((month == 2) & leap)
     ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
-    ok &= (hh <= 23) & (mi <= 59) & (ss <= 59) & (oh <= 23) & (om <= 59)
-    off = np.where(sign == ord("-"), -1, 1) * (oh * 3600 + om * 60)
+    ok &= (hh <= 23) & (mi <= 59) & (ss <= 59)
+    seconds = hh * 3600 + mi * 60 + ss
+    if width != _TS_Z_WIDTH:
+        sign = b[:, _TS_SIGN_POS]
+        oh, om = v[:, 7], v[:, 8]
+        ok &= ((sign == ord("+")) | (sign == ord("-"))) & (oh <= 23) & (om <= 59)
+        off = oh * 3600 + om * 60
+        seconds -= np.where(sign == ord("-"), -off, off)
     y = year - (month <= 2)  # March-based year
     era = y // 400
     yoe = y - era * 400
     doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
     days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
-    epochs = days * 86400 + hh * 3600 + mi * 60 + ss - off
-    return epochs.astype(np.float64), ok
+    return days * 86400.0 + seconds, ok
 
 
 def _parse_chunk(cols: list[list[str]], stats: ParseStats):
@@ -593,7 +607,7 @@ def _parse_chunk(cols: list[list[str]], stats: ParseStats):
     epochs = np.zeros(n, dtype=np.float64)
     ts_ok = np.zeros(n, dtype=bool)
     lengths = np.fromiter(map(len, ts_s), dtype=np.int64, count=n)
-    for width in (_TS_WIDTH, _TS_COMPACT_WIDTH, _TS_Z_WIDTH):
+    for width in _TS_LAYOUTS:
         sel = lengths == width
         if sel.any():
             stamps = list(compress(ts_s, sel.tolist()))

@@ -22,32 +22,27 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import AllZero, KeyMismatch, TooFewUnits, ValueOverflow, ZeroLowPercentile
 
 
-@dataclass(frozen=True)
 class Distribution:
     """Nonnegative finite values over named units."""
 
-    unit_ids: tuple[str, ...]
-    values: tuple[float, ...]
-    label: str = ""
+    __slots__ = ("unit_ids", "values", "label")
 
-    def __post_init__(self):
-        if len(self.unit_ids) != len(self.values):
+    def __init__(self, unit_ids: tuple[str, ...], values: tuple[float, ...], label: str = ""):
+        if len(unit_ids) != len(values):
             raise ValueError("unit_ids and values must have equal length")
-        if not self.values:
+        if not values:
             raise ValueError("distribution must have at least one unit")
-        for unit, v in zip(self.unit_ids, self.values):
+        for unit, v in zip(unit_ids, values):
             if not (0.0 <= v < math.inf):  # also rejects NaN
-                raise ValueError(
-                    f"{self.label!r}, unit {unit!r}: negative or non-finite value {v!r}"
-                )
+                raise ValueError(f"{label!r}, unit {unit!r}: negative or non-finite value {v!r}")
+        self.unit_ids, self.values, self.label = unit_ids, values, label
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, float], label: str = "") -> "Distribution":
@@ -58,16 +53,14 @@ class Distribution:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class LorenzCurve:
+class LorenzCurve(NamedTuple):
     """Cumulative share points ((0,0) ... (1,1)), ascending and convex."""
 
     points: tuple[tuple[float, float], ...]
     label: str = ""
 
 
-@dataclass(frozen=True)
-class IndexSuite:
+class IndexSuite(NamedTuple):
     """The five-index bundle; a ratio is None when its denominator
     percentile is zero."""
 
@@ -78,8 +71,7 @@ class IndexSuite:
     theil: float
 
 
-@dataclass(frozen=True)
-class RankRow:
+class RankRow(NamedTuple):
     tract_id: str
     day_rank: int  # 1 = most images
     night_rank: int

@@ -29,9 +29,8 @@ from __future__ import annotations
 import gc
 import math
 import traceback
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
@@ -96,8 +95,7 @@ OUTPUT_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     events_path: str
     tracts_path: str
     census_path: str | None = None
@@ -125,8 +123,7 @@ class PipelineConfig:
             raise ValueError("at least one cohort must be reported")
 
 
-@dataclass
-class PipelineInternals:
+class PipelineInternals(NamedTuple):
     tracts: tuple[Tract, ...]  # in file order, as the choropleth writes them
     tract_ids: tuple[str, ...]
     user_ids: list[str]
@@ -140,7 +137,7 @@ class PipelineInternals:
 
 
 def suite_to_dict(suite: IndexSuite | None) -> dict | None:
-    return None if suite is None else asdict(suite)
+    return None if suite is None else suite._asdict()
 
 
 # --- partition job ----------------------------------------------------------
@@ -202,10 +199,15 @@ def _worker_main(conn, *job_args):
         conn.close()
 
 
-def _replies(conns, ranges):
-    """Each partition's next reply, in partition order."""
+def _replies(conns, ranges, procs):
+    """Each partition's next reply, in partition order. ``procs`` holds
+    the worker of each partition, or nothing when the job runs here."""
     for i, (conn, (start, end)) in enumerate(zip(conns, ranges)):
-        status, payload = conn.recv()
+        try:
+            status, payload = conn.recv()
+        except (EOFError, ConnectionError):  # the worker ended without a reply
+            procs[i].join()
+            status, payload = "err", f"no reply; the worker exited with code {procs[i].exitcode}"
         if status != "ok":
             raise InternalInvariantError(
                 f"partition {i} (bytes {start}-{end}) failed:\n{payload}"
@@ -274,14 +276,17 @@ def run_pipeline_full(
         stats = ParseStats()
         dropped_total = 0
         partials = []
-        for p_stats, dropped, p_partials in _replies(conns, ranges):
+        for p_stats, dropped, p_partials in _replies(conns, ranges, procs):
             stats.merge(p_stats)
             dropped_total += dropped
             partials.append(p_partials)
         cohorts = classify_partials(partials, config.window_days)
         for conn, codes in zip(conns, cohorts.partial_codes):
-            conn.send((cohorts.masks[codes].tobytes(), cohorts.months))
-        parts = list(_replies(conns, ranges))
+            try:
+                conn.send((cohorts.masks[codes].tobytes(), cohorts.months))
+            except ConnectionError:
+                pass  # the worker has ended; _replies says how
+        parts = list(_replies(conns, ranges, procs))
         cube = merge_tag_components(merge_aggregate_maps(parts), parts)
     except BaseException:
         # a forked worker holds copies of the parent's pipe ends, so one
@@ -397,7 +402,7 @@ def _build_report(config, index, stats, dropped_total, user_masks, cube, census,
         }
         n = totals[cohort]
         comp = (n, tag_totals[b], *cube.tag_summary[b].tolist())
-        tag_summaries[cohort] = asdict(tag_summary_from_components(*comp)) if n else None
+        tag_summaries[cohort] = tag_summary_from_components(*comp)._asdict() if n else None
 
     census_indexes = None
     incomes = {}
@@ -456,7 +461,7 @@ def _build_report(config, index, stats, dropped_total, user_masks, cube, census,
         "temporal": temporal,
         "tag_summary": tag_summaries,
         "census_indexes": census_indexes,
-        "rank_table": [asdict(row) for row in rank_table],
+        "rank_table": [row._asdict() for row in rank_table],
         "manifest": [],  # emit_outputs lists the files it writes
     }
     return report, areas, densities, lorenz_curves
@@ -492,7 +497,7 @@ def _indexes_csv(report: dict) -> str:
     for dist_name in DISTRIBUTION_NAMES:
         per_cohort = report["distributions"][dist_name]
         ratio = per_cohort["ratio_visitor_local"]
-        for metric in (f.name for f in fields(IndexSuite)):
+        for metric in IndexSuite._fields:
             row = [dist_name, metric]
             for cohort in cohorts:
                 suite = per_cohort[cohort]["suite"]
@@ -503,7 +508,7 @@ def _indexes_csv(report: dict) -> str:
 
 
 def _tags_csv(report: dict) -> str:
-    cols = [f.name for f in fields(TagSummary)]
+    cols = list(TagSummary._fields)
     rows = [["cohort", *cols]]
     for cohort, ts in report["tag_summary"].items():
         rows.append([cohort] + ([None] * len(cols) if ts is None else [ts[k] for k in cols]))
@@ -511,7 +516,7 @@ def _tags_csv(report: dict) -> str:
 
 
 def _ranks_csv(report: dict) -> str:
-    cols = [f.name for f in fields(RankRow)]
+    cols = list(RankRow._fields)
     return _csv_lines([cols] + [[row[k] for k in cols] for row in report["rank_table"]])
 
 

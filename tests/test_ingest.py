@@ -448,6 +448,31 @@ def _assert_matches_reference(batch, stats, records):
     assert stats.records_skipped == len(records) - len(rows)
 
 
+@st.composite
+def _decoder_stamp(draw):
+    """A stamp of 20, 24 or 25 characters: fields at and past their
+    ranges, then up to two characters replaced, by bytes next to the
+    digits ('/' and ':'), a NUL, non-ASCII letters and digits, or a
+    separator."""
+    year = draw(st.sampled_from([0, 1, 2, 1900, 2000, 2014, 2016, 2100, 9999])
+                | st.integers(0, 9999))
+    fields = [draw(st.integers(lo, hi)) for lo, hi in [(0, 13), (0, 32), (0, 24), (0, 60), (0, 60)]]
+    ts = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}".format(year, *fields)
+    layout = draw(st.sampled_from(["Z", "+HH:MM", "+HHMM"]))
+    if layout != "Z":
+        sign, oh, om = draw(st.sampled_from("+-")), draw(st.integers(0, 24)), draw(st.integers(0, 60))
+        layout = f"{sign}{oh:02d}:{om:02d}" if layout == "+HH:MM" else f"{sign}{oh:02d}{om:02d}"
+    ts = list(ts + layout)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(ts) - 1))
+        ts[at] = draw(st.sampled_from(["/", ":", "\x00", "\u00e9", "\u0660", "\x7f", " ", "T",
+                                       "Z", "+", "-", "0", "9"]))
+    return "".join(ts)
+
+
+_DECODER_STAMPS = _decoder_stamp()
+
+
 class TestColumnarParse:
     """parse_event_batch must equal the per-record reference, record by
     record, whichever route (bulk split, vector checks, fallback) each
@@ -530,6 +555,31 @@ class TestColumnarParse:
             assert bool(ok[0]) == (ts in accepted), ts
             if ok[0]:
                 assert epochs[0] == oracles.timestamp_epoch_direct(ts), ts
+
+    @given(st.lists(_DECODER_STAMPS, min_size=1, max_size=30))
+    @example(["2016-02-29T00:00:00Z", "2014-02-29T00:00:00Z", "2000-02-29T12:00:00+0000",
+              "1900-02-29T12:00:00+00:00", "0001-01-01T00:00:00+23:59",
+              "0001-01-01T00:00:00-2359", "9999-12-31T23:59:59-23:59", "9999-12-31T23:59:59Z",
+              "0000-12-31T23:59:59Z", "2014-03-01T08:03:00+24:00", "2014-03-01T08:03:00-2360",
+              "2014-03-01T08:03:00+23:60", "2014-03-01T08:03:/0Z", "2014-03-01T08:03:0:Z",
+              "2014-03-01T08:03:00+05:/0", "2014-03-01T08:03:00+05:0:", "2014-03-01T08:03:00+0:00",
+              "2014-03-01T08:03:00+05\x0000", "2014-03-01T08:03:00\u00e9", "\u00e9014-03-01T08:03:00Z",
+              "2014-03-01T08:03:00-05\u06600", "2014-03-01 08:03:00Z", "2014-03-01T08:03:00*0500"])
+    def test_vector_decoder_matches_oracle(self, stamps):
+        # the decoder accepts exactly the stamps of its three shapes that
+        # the field-by-field reference reads, and to the same epoch; any
+        # other stamp of those widths is left to the fallback
+        for width in {len(ts) for ts in stamps}:
+            same = [ts for ts in stamps if len(ts) == width]
+            epochs, ok = ingest._fixed_width_epochs(same, width)
+            for ts, epoch, accepted in zip(same, epochs.tolist(), ok.tolist()):
+                try:
+                    want = oracles.timestamp_epoch_direct(ts)
+                except ValueError:
+                    want = None
+                if oracles._STAMP_FIELDS.match(ts) is None:  # not one of the decoder's shapes
+                    want = None
+                assert (accepted, epoch if accepted else None) == (want is not None, want), ts
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10's fromisoformat refuses them")
     def test_stamps_only_3_11_reads(self):

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import math
+import multiprocessing
 import os
 import resource
 import signal
@@ -315,6 +316,38 @@ class TestRunPipeline:
         assert str(exc.value).startswith(f"partition 1 (bytes {start}-{end}) failed:\n")
         assert "RuntimeError: unreadable range" in str(exc.value)
 
+    @pytest.mark.parametrize("replies", [0, 1, 2])
+    def test_worker_ending_without_reply_names_its_partition(self, city_paths, tmp_path,
+                                                             monkeypatch, capsys, replies):
+        # partition 1's worker ends after `replies` replies: before its
+        # phase-1 reply, before the parent's phase-2 send, or after it
+        cfg = quick_config(city_paths)
+        ranges = partition_byte_ranges(cfg.events_path, 2)
+        worker_main = report._worker_main
+
+        def worker(conn, *job_args):
+            if job_args[2] != ranges[1]:
+                return worker_main(conn, *job_args)
+            job = report._partition_job(*job_args)
+            if replies > 0:
+                conn.send(("ok", next(job)))
+            if replies > 1:
+                job.send(conn.recv())
+            os._exit(9)
+
+        monkeypatch.setattr(report, "_worker_main", worker)
+        with pytest.raises(InternalInvariantError) as exc:
+            run_pipeline(cfg, partitions=2)
+        start, end = ranges[1]
+        message = f"partition 1 (bytes {start}-{end}) failed:\nno reply; the worker exited with code 9"
+        assert str(exc.value) == message
+        assert multiprocessing.active_children() == []
+        argv = ["run", "--events", cfg.events_path, "--tracts", cfg.tracts_path,
+                "--out", str(tmp_path / "out"), "--partitions", "2"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"internal error: {message}\n"
+        assert multiprocessing.active_children() == []
+
     def test_workers_receive_masks_as_bytes(self, city_paths, monkeypatch):
         # the parent's only sends are the phase-2 messages, one per worker:
         # its users' masks as bytes and the dataset's month axis
@@ -496,17 +529,24 @@ class TestBlasThreads:
         assert _fresh_interpreter(code, OPENBLAS_NUM_THREADS="2") == ["2"]
 
 
+def _module_env() -> dict[str, str]:
+    """The environment of a new CLI process, whose stdout is buffered as
+    a pipe's or a file's is by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONPATH=str(Path(geoineq.__file__).parents[1]))
+
+
 def _module_cli(*argv: str) -> subprocess.CompletedProcess:
     """``python -m geoineq`` with ``argv``, in a new interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(Path(geoineq.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "geoineq", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "geoineq", *argv], env=_module_env(),
                           capture_output=True, text=True)
 
 
 class TestCliProcess:
-    """A CLI process pauses GC while it imports and freezes its heap
-    before it exits; a program that imports the CLI keeps its GC state,
-    and the process entry keeps main's outputs and exit codes."""
+    """A CLI process pauses GC while it imports and ends with ``os._exit``
+    once main returns and its output is flushed; a program that imports
+    the CLI keeps its GC state, and the process entry keeps main's
+    outputs and exit codes."""
 
     @pytest.mark.parametrize("disabled", [False, True])
     @pytest.mark.parametrize("frozen", [False, True])
@@ -560,12 +600,44 @@ class TestCliProcess:
                               text=True)
         assert (done.returncode, done.stderr) == (2, "internal error: broken\n")
 
-    def test_entry_freezes_and_main_does_not(self, city_paths):
-        argv = ["ingest-check", "--events", city_paths["events"]]
-        code = (f"import gc, sys; from geoineq import cli; sys.argv = {['geoineq', *argv]!r}; "
-                "cli.main(); after_main = gc.get_freeze_count(); "
-                "cli.entry(); print(after_main, gc.get_freeze_count() > 0)")
-        assert _fresh_interpreter(code)[-2:] == ["0", "True"]
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_module_entry_lists_written_paths(self, city_paths, tmp_path, capsys, k):
+        # a piped stdout is block-buffered and os._exit does not flush it,
+        # so the entry must
+        out = tmp_path / "out"
+        argv = ["run", "--events", city_paths["events"], "--tracts", city_paths["tracts"],
+                "--out", str(out), "--partitions", str(k)]
+        done = _module_cli(*argv)
+        assert done.returncode == 0, done.stderr
+        assert sorted(done.stdout.splitlines()) == sorted(str(p) for p in out.iterdir())
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == done.stdout
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full to write to")
+    def test_module_entry_unwritable_stdout_exit_1(self, city_paths):
+        # a write to /dev/full fails with ENOSPC; a buffered stdout holds
+        # the summary until the entry flushes it
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "geoineq", "ingest-check", "--events", city_paths["events"]],
+                env=_module_env(), stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: cannot write to stdout: [Errno 28]"), done.stderr
+
+    def test_cli_builds_no_dataclass(self, city_paths, tmp_path):
+        # dataclasses writes and execs source for each class it makes;
+        # synth's SynthParams is one, and synth loads only for its command
+        argv = ["run", "--events", city_paths["events"], "--tracts", city_paths["tracts"],
+                "--out", str(tmp_path / "out")]
+        code = (
+            "import sys; from geoineq import cli; print('dataclasses' in sys.modules); "
+            f"assert cli.main({argv!r}) == 0; print('dataclasses' in sys.modules); "
+            "import dataclasses, geoineq.synth; "
+            "print(dataclasses.is_dataclass(geoineq.synth.SynthParams))"
+        )
+        out = _fresh_interpreter(code)  # the run prints its paths in between
+        assert [out[0], *out[-2:]] == ["False", "False", "True"]
 
 
 class TestTracer:
