@@ -6,8 +6,9 @@ a synthetic city), lorenz (Lorenz SVG from value table columns),
 choropleth (classed GeoJSON from a value table keyed by ``tract_id``).
 ``ingest.read_table`` reads value tables as it reads the census CSV.
 
-Exit codes: 0 success, 1 fatal input error, 2 internal invariant
-violation.
+Exit codes: 0 success (``--help`` too), 1 fatal input error or usage
+error (a missing or unknown flag, a flag value of the wrong type), 2
+internal invariant violation.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` in ``os.environ``
 unless it is set, for the rest of the process and every process it
@@ -276,8 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse's: 0 after --help, 2 for a usage error
+        return 1 if e.code else 0
     try:
         return args.func(args)
     except InternalInvariantError as e:

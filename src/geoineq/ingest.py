@@ -2,10 +2,11 @@
 
 Events arrive as CSV (RFC 4180 quoting) whose first line is the header
 ``user_id,lat,lon,timestamp,text``, or as JSONL with the same keys (a
-``*.jsonl`` file); timestamps are ISO-8601 and must carry an explicit
-UTC offset. Tract boundaries are a GeoJSON FeatureCollection with a
-``tract_id`` property. :func:`read_table` reads every per-tract table:
-the census CSV and the value tables of metrics, lorenz and choropleth.
+``*.jsonl`` file); timestamps follow one grammar, RFC 3339's date-time
+with a space allowed for the ``T`` and a ``+HHMM`` offset too. Tract
+boundaries are a GeoJSON FeatureCollection with a ``tract_id`` property.
+:func:`read_table` reads every per-tract table: the census CSV and the
+value tables of metrics, lorenz and choropleth.
 
 Event parsing is skip-and-count: a bad record is tallied under its error
 kind and the stream continues. Multi-million-row exports always contain
@@ -45,12 +46,10 @@ Every record then meets one rule, as vector masks over the block's
 columns, and the first check it fails names its error kind: an empty
 user id (as a record without five fields has) or a coordinate ``float``
 cannot read is a MalformedRecord, a coordinate out of range (NaN too)
-an OutOfRangeCoordinate, and a timestamp that does not parse a
-BadTimestamp. Stamps in the ``YYYY-MM-DDTHH:MM:SS`` shape with a
-``+HH:MM``, ``+HHMM`` or ``Z`` offset are decoded from a byte view; any
-other stamp (a fractional second, a space for the ``T``, a bad date) is
-left to ``datetime.fromisoformat``. ``oracles.validate_event_fields`` is
-the record-at-a-time reference. Row order and tallies never depend on
+an OutOfRangeCoordinate, and a timestamp outside the grammar or out of
+range a BadTimestamp; every stamp of a block is decoded in one pass over
+their bytes (:func:`_stamp_epochs`). ``oracles.validate_event_fields``
+is the record-at-a-time reference. Row order and tallies never depend on
 the route a record took.
 
 No per-event string outlives its block. Each block's accepted user ids
@@ -74,7 +73,6 @@ import os
 import re
 from array import array
 from collections import Counter
-from datetime import datetime
 from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
@@ -99,10 +97,6 @@ EVENT_COLUMNS = ("user_id", "lat", "lon", "timestamp", "text")
 # never a word character.
 TAG_PATTERN = re.compile(r"#(\w*)")
 
-# the UTC offset at the end of a stamp that takes the fromisoformat
-# fallback; groups are its minutes and seconds, if present
-_OFFSET_RE = re.compile(r"[+-]\d{2}(?::?(\d{2})(?::?(\d{2})(?:[.,]\d+)?)?)?\Z", re.ASCII)
-
 # TAG_PATTERN with ASCII word characters, for ASCII text: on it the two
 # match alike
 _TAG_ASCII = re.compile(TAG_PATTERN.pattern, re.ASCII)
@@ -117,18 +111,16 @@ _CHUNK = 1 << 18
 # instead of hiding every record after it.
 _RECORD_LINES = 100
 
-# the vector-decoded timestamp shapes, YYYY-MM-DDTHH:MM:SS and then
-# +HH:MM, +HHMM or Z, by width: the positions of each two-digit field's
-# digits (the year is two fields) and the separators with their positions
-_TS_Z_WIDTH = 20
-_TS_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
-_TS_DATE_SEPS = [(4, "-"), (7, "-"), (10, "T"), (13, ":"), (16, ":")]
-_TS_LAYOUTS = {
-    25: (_TS_DATE_DIGITS + [20, 21, 23, 24], _TS_DATE_SEPS + [(22, ":")]),
-    24: (_TS_DATE_DIGITS + [20, 21, 22, 23], _TS_DATE_SEPS),
-    _TS_Z_WIDTH: (_TS_DATE_DIGITS, _TS_DATE_SEPS + [(19, "Z")]),
-}
-_TS_SIGN_POS = 19
+# The timestamp grammar, after RFC 3339's date-time: YYYY-MM-DD, T or a
+# space, HH:MM:SS, optionally '.' or ',' and one or more digits, then Z,
+# +HH:MM or +HHMM. A stamp's head is its first 19 characters and its
+# offset ends it. The digit positions, in two-digit fields (the year is
+# two), are the head's and then an offset's hours and minutes as
+# :func:`_stamp_epochs` lays them after the head; then the head's
+# separators with their positions.
+_TS_HEAD = 19
+_TS_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 22, 23]
+_TS_SEPS = [(4, "-"), (7, "-"), (13, ":"), (16, ":")]
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
 
 
@@ -432,12 +424,11 @@ def _csv_records(view, ends, crlf, at, quotes, joined, lines, bad, stats) -> lis
     even, and keeps empty fields if the reader gives other than five or
     the count is odd.
 
-    Those are the records with a quote in a head field, with a bare CR
+    Those are the records with a quote in a head field, or with a bare CR
     (one that does not end the line as CRLF), which ``csv.reader`` reads
-    as a line break, or with a NUL and a quote: Python 3.10's reader
-    refuses a NUL, 3.11's reads it. So is a record of more bytes than
-    ``csv.field_size_limit()``, quoted or not: it may hold a field of
-    more characters than that, which ``csv.reader`` refuses."""
+    as a line break. So is a record of more bytes than
+    ``csv.field_size_limit()``, quoted or not: it may hold a field of more
+    characters than that, which ``csv.reader`` refuses."""
     n = len(ends)
     firsts = np.flatnonzero(np.concatenate(([True], ~joined[:-1])))  # each record's first line
     lasts = np.append(firsts[1:], n) - 1
@@ -456,8 +447,7 @@ def _csv_records(view, ends, crlf, at, quotes, joined, lines, bad, stats) -> lis
     stats.count_error("UndecodableRecord", int(undecodable.sum()))
     rows = ~undecodable & ~(one_line & (stops == starts)[firsts])  # not blank
     row_of = np.cumsum(rows) - 1
-    nul = _per_line(np.flatnonzero(view == 0), ends) > 0
-    to_reader = np.logical_or.reduceat(bare_cr | nul, firsts) | over
+    to_reader = np.logical_or.reduceat(bare_cr, firsts) | over
     quoted = _text_quoted(view, at, commas, starts, stops, quotes, to_reader, firsts, lasts)
     quoted &= ~undecodable
     other = rows & ~plain & ~quoted
@@ -509,26 +499,6 @@ def _jsonl_fields(line: str) -> tuple[str, ...]:
     return str(uid), str(lat), str(lon), ts, text
 
 
-def _timestamp_to_epoch(s: str) -> float:
-    """Parse one ISO-8601 timestamp with a mandatory UTC offset, for a
-    stamp the vector decoder did not accept: epoch seconds, or
-    ValueError on any problem. ``datetime.fromisoformat`` reads it, so
-    every numeric field must be ASCII digits, and what it takes depends
-    on the interpreter: Python 3.10 refuses
-    ``2014-03-01T08:03:00.5+05:00``, ``2014-03-01T08:03:00.123+0500``
-    and ``20140301T080300+05:00``, which 3.11 reads."""
-    if s.endswith("Z"):
-        s = s[:-1] + "+00:00"
-    dt = datetime.fromisoformat(s)
-    if dt.tzinfo is None or dt.utcoffset() is None:
-        raise ValueError("timestamp lacks a UTC offset")
-    # fromisoformat reads +05:75 as +06:15
-    off = _OFFSET_RE.search(s)
-    if off is None or any(f is not None and int(f) > 59 for f in off.groups()):
-        raise ValueError(f"offset out of range: {s}")
-    return dt.timestamp()
-
-
 def _float_column(strings: list[str]) -> tuple[np.ndarray, list[int]]:
     """``float`` of every string, NaN where it raises, and the positions
     where it raised: a ``"nan"`` string parses, so NaN alone does not
@@ -545,47 +515,82 @@ def _float_column(strings: list[str]) -> tuple[np.ndarray, list[int]]:
             out.append(math.nan)
 
 
-def _fixed_width_epochs(stamps: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decode timestamps of one width from a byte view: (epoch seconds,
-    accepted mask). The width is 25 for ``YYYY-MM-DDTHH:MM:SS+HH:MM``, 24
-    for the ``+HHMM`` offset and 20 for the ``Z`` one; each is read in
-    its own columns (``_TS_LAYOUTS``).
+def _windows(b: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes of the uint8 array ``b`` from each position in
+    ``at``, as rows: one gather of ``width``-byte items."""
+    items = np.ndarray((len(b) - width + 1,), dtype=f"V{width}", buffer=b, strides=(1,))
+    return items[at].view(np.uint8).reshape(-1, width)
 
-    A stamp is accepted when every digit position holds an ASCII digit,
-    every separator matches, and the date, time and offset are in range;
-    the epoch is then exactly what ``oracles.timestamp_epoch_direct``
-    computes. Days come from days-from-civil arithmetic (proleptic
-    Gregorian). Digits are taken from '0' in uint8, where any other byte
-    wraps past 9, the fields are int32, and only the seconds are float64,
-    which holds every epoch of years 1-9999 exactly.
+
+def _stamp_epochs(stamps: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a block's timestamps in one pass over their bytes: (epoch
+    seconds, accepted mask).
+
+    Each stamp's head is gathered from its start and its offset read from
+    its end: ``Z``, ``+HH:MM`` where a colon is third from the end, else
+    ``+HHMM``. What lies between must be empty or a fraction. A stamp is
+    accepted when every digit position holds an ASCII digit, every
+    separator matches, and the date, time and offset are in range.
+
+    The epoch is then exactly what ``oracles.timestamp_epoch_direct``
+    computes, as Python's ``datetime`` does: the whole seconds and the
+    fraction's first six digits as microseconds (any more are dropped),
+    divided by 10**6 with one rounding. Days come from days-from-civil
+    arithmetic (proleptic Gregorian). Digits are taken from '0' in uint8,
+    where any other byte wraps past 9.
     """
-    digit_pos, seps = _TS_LAYOUTS[width]
-    b = np.frombuffer("".join(stamps).encode("ascii", "replace"), dtype=np.uint8)
-    b = b.reshape(-1, width)
-    d = b[:, digit_pos] - np.uint8(ord("0"))
-    ok = (d <= 9).all(axis=1)
-    for pos, sep in seps:
-        ok &= b[:, pos] == ord(sep)
+    lengths = np.fromiter(map(len, stamps), dtype=np.int64, count=len(stamps))
+    ends = np.cumsum(lengths) + 6
+    starts = ends - lengths
+    # one byte a character, '?' where not ASCII; the pads keep every window
+    # inside the buffer
+    b = np.frombuffer("".join([" " * 6, *stamps, " " * 26]).encode("ascii", "replace"), np.uint8)
+    head = _windows(b, starts, _TS_HEAD)
+    tail = _windows(b, ends - 6, 6)
+    zulu = tail[:, 5] == ord("Z")
+    width = np.where(zulu, 1, np.where(tail[:, 3] == ord(":"), 6, 5))  # the offset's
+    mid = lengths - _TS_HEAD - width  # the fraction's, its point included
+    # the head, then an offset's sign and hours and its minutes, which end it
+    rows = np.concatenate([head, _windows(b, ends - width, 3), tail[:, 4:]], axis=1)
+    sign = rows[:, _TS_HEAD]
+    d = rows[:, _TS_DIGITS] - np.uint8(ord("0"))
+    ok = (d[:, :-4] <= 9).all(axis=1) & ((mid == 0) | (mid >= 2))
+    for pos, sep in _TS_SEPS:
+        ok &= head[:, pos] == ord(sep)
+    ok &= (head[:, 10] == ord("T")) | (head[:, 10] == ord(" "))
     v = d[:, 0::2].astype(np.int32) * 10 + d[:, 1::2]  # two-digit fields
     year = v[:, 0] * 100 + v[:, 1]
-    month, day, hh, mi, ss = v[:, 2:7].T
+    month, day, hh, mi, ss, oh, om = v[:, 2:].T
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + ((month == 2) & leap)
     ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
     ok &= (hh <= 23) & (mi <= 59) & (ss <= 59)
-    seconds = hh * 3600 + mi * 60 + ss
-    if width != _TS_Z_WIDTH:
-        sign = b[:, _TS_SIGN_POS]
-        oh, om = v[:, 7], v[:, 8]
-        ok &= ((sign == ord("+")) | (sign == ord("-"))) & (oh <= 23) & (om <= 59)
-        off = oh * 3600 + om * 60
-        seconds -= np.where(sign == ord("-"), -off, off)
+    signed = (sign == ord("+")) | (sign == ord("-"))
+    ok &= zulu | (signed & (d[:, -4:] <= 9).all(axis=1) & (oh <= 23) & (om <= 59))
+    offset = (oh * 3600 + om * 60) * ~zulu
+    seconds = hh * 3600 + mi * 60 + ss - np.where(sign == ord("-"), -offset, offset)
     y = year - (month <= 2)  # March-based year
     era = y // 400
     yoe = y - era * 400
     doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
-    return days * 86400.0 + seconds, ok
+    whole = (era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468) * np.int64(86400)
+    whole += seconds
+    epochs = whole.astype(np.float64)
+    r = np.flatnonzero(ok & (mid >= 2))
+    if len(r):
+        point, stop = starts[r] + _TS_HEAD, ends[r] - width[r]
+        digits = b - np.uint8(ord("0"))
+        nondigit = np.concatenate(([0], np.cumsum(digits > 9)))
+        ok[r] = np.isin(b[point], [ord("."), ord(",")]) & (nondigit[stop] == nondigit[point + 1])
+        six = _windows(digits, point + 1, 6)  # the first six digits
+        kept = np.arange(6) < (stop - point - 1)[:, None]
+        micro = (np.where(kept, six, 0) * 10 ** np.arange(5, -1, -1)).sum(axis=1)
+        # one rounding of whole * 10**6 + micro over 10**6: below 2**53
+        # microseconds one float division gives it; above, where |whole| >=
+        # 2**33, no error of micro / 1e6 moves the sum past a halfway point
+        w = whole[r]
+        epochs[r] = np.where(np.abs(w) < 2**33, (w * 10**6 + micro) / 1e6, w + micro / 1e6)
+    return epochs, ok
 
 
 def _parse_chunk(cols: list[list[str]], stats: ParseStats):
@@ -604,20 +609,7 @@ def _parse_chunk(cols: list[list[str]], stats: ParseStats):
     malformed[lon_raised] = True
     in_range = (lats >= -90.0) & (lats <= 90.0) & (lons >= -180.0) & (lons <= 180.0)
     checked = in_range & ~malformed  # rows whose timestamp decides
-    epochs = np.zeros(n, dtype=np.float64)
-    ts_ok = np.zeros(n, dtype=bool)
-    lengths = np.fromiter(map(len, ts_s), dtype=np.int64, count=n)
-    for width in _TS_LAYOUTS:
-        sel = lengths == width
-        if sel.any():
-            stamps = list(compress(ts_s, sel.tolist()))
-            epochs[sel], ts_ok[sel] = _fixed_width_epochs(stamps, width)
-    for i in np.flatnonzero(checked & ~ts_ok).tolist():
-        try:
-            epochs[i] = _timestamp_to_epoch(ts_s[i])
-            ts_ok[i] = True
-        except ValueError:
-            pass
+    epochs, ts_ok = _stamp_epochs(ts_s)
     ok = checked & ts_ok
     stats.count_error("MalformedRecord", int(malformed.sum()))
     stats.count_error("OutOfRangeCoordinate", int((~in_range & ~malformed).sum()))

@@ -182,41 +182,40 @@ def assign_batch_naive(lats, lons, tracts: Iterable[Tract]):
     return out
 
 
+# RFC 3339's date-time with a space allowed for the T, any number of
+# fraction digits and a +HHMM offset too
 _STAMP_FIELDS = re.compile(
-    r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(?:Z|([+-])(\d{2}):?(\d{2}))\Z", re.ASCII
+    r"(\d{4})-(\d{2})-(\d{2})[T ](\d{2}):(\d{2}):(\d{2})(?:[.,](\d+))?"
+    r"(?:Z|([+-])(\d{2}):?(\d{2}))\Z",
+    re.ASCII,
 )
+_UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def timestamp_epoch_direct(s: str) -> float:
-    """Epoch seconds of an ISO-8601 timestamp with a UTC offset; raises
+    """Epoch seconds of a timestamp of the grammar ingest reads; raises
     ValueError on any problem.
 
-    The fixed-width ``YYYY-MM-DDTHH:MM:SS`` shape with a ``Z``,
-    ``+HH:MM`` or ``+HHMM`` offset is read field by field into a
-    ``datetime``, the reference for the vector decoder in ingest. Any
-    other shape goes to ``datetime.fromisoformat``, which must find an
-    offset; minutes and seconds of an offset must be below 60 on both
-    routes (fromisoformat reads ``+05:75`` as ``+06:15``).
+    The regex splits the stamp into its fields, a ``datetime`` is built
+    from them one by one, and the fraction's first six digits (the
+    microseconds ``datetime`` keeps; any more must be digits and are
+    dropped) are added to its whole seconds as a ``Fraction``, so the
+    float is rounded once. Minutes of an offset must be below 60, and
+    ``timezone`` refuses 24 hours or more.
     """
     m = _STAMP_FIELDS.match(s)
-    if m:
-        y, mo, d, h, mi, sec = (int(g) for g in m.groups()[:6])
-        sign, off_h, off_m = m.groups()[6:]
-        offset = timedelta()
-        if sign:  # not Z
-            if int(off_m) > 59:
-                raise ValueError(f"offset minutes out of range: {s}")
-            offset = timedelta(hours=int(off_h), minutes=int(off_m)) * (-1 if sign == "-" else 1)
-        return datetime(y, mo, d, h, mi, sec, tzinfo=timezone(offset)).timestamp()
-    if s.endswith("Z"):
-        s = s[:-1] + "+00:00"
-    dt = datetime.fromisoformat(s)
-    offset_text = re.search(r"[+-]\d\d(?::?(\d\d)(?::?(\d\d)(?:[.,]\d+)?)?)?\Z", s, re.ASCII)
-    if dt.utcoffset() is None or offset_text is None:
-        raise ValueError(f"no UTC offset: {s}")
-    if any(f is not None and int(f) > 59 for f in offset_text.groups()):
-        raise ValueError(f"offset out of range: {s}")
-    return dt.timestamp()
+    if m is None:
+        raise ValueError(f"not a timestamp of the grammar: {s!r}")
+    y, mo, d, h, mi, sec = (int(g) for g in m.groups()[:6])
+    frac, sign, off_h, off_m = m.groups()[6:]
+    offset = timedelta()
+    if sign:  # not Z
+        if int(off_m) > 59:
+            raise ValueError(f"offset minutes out of range: {s}")
+        offset = timedelta(hours=int(off_h), minutes=int(off_m)) * (-1 if sign == "-" else 1)
+    whole = datetime(y, mo, d, h, mi, sec, tzinfo=timezone(offset)) - _UNIX_EPOCH
+    micro = Fraction(int(frac[:6]), 10 ** len(frac[:6])) if frac else 0
+    return float(whole // timedelta(seconds=1) + micro)
 
 
 def validate_event_fields(fields: list[str]):

@@ -3,7 +3,6 @@ import json
 import math
 import random
 import re
-import sys
 import tracemalloc
 from collections import Counter
 from datetime import datetime, timezone
@@ -266,7 +265,7 @@ class TestParseEvents:
             validate_event_fields(["", "1", "0", "2014-03-15T14:30:00Z", ""])
 
     def test_fast_and_slow_timestamp_paths_agree(self):
-        # same instants, three spellings: fixed-width, Z, fractional
+        # same instants, three spellings: +HH:MM, Z, a fraction of zeros
         variants = [
             "2014-11-02T01:30:00-05:00",
             "2014-11-02T06:30:00Z",
@@ -331,8 +330,56 @@ class TestParseEvents:
         assert len(got) == stats.records_ok
 
 
-def _fixed_width_stamp(y, mo, d, h, mi, sec, sign, oh, om):
-    return f"{y:04d}-{mo:02d}-{d:02d}T{h:02d}:{mi:02d}:{sec:02d}{sign}{oh:02d}:{om:02d}"
+def _grammar_stamp(year, fields, sep, point, fraction, offset):
+    """A stamp of the timestamp grammar's shape; ``offset`` is Z or
+    (layout, sign, hours, minutes), and ``fraction`` may be empty."""
+    ts = "{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}".format(year, *fields[:2], sep, *fields[2:])
+    if fraction:
+        ts += point + fraction
+    if offset == "Z":
+        return ts + "Z"
+    layout, sign, oh, om = offset
+    return ts + (f"{sign}{oh:02d}:{om:02d}" if layout == "+HH:MM" else f"{sign}{oh:02d}{om:02d}")
+
+
+_FRACTIONS = st.text("0123456789", min_size=1, max_size=9)
+_OFFSETS = st.one_of(
+    st.just("Z"),
+    st.tuples(st.sampled_from(["+HH:MM", "+HHMM"]), st.sampled_from("+-"),
+              st.integers(0, 23), st.integers(0, 59)),
+)
+# every stamp of the grammar: years 1-9999, both separators, no fraction
+# or one of 1 to 9 digits after either point, and all three offsets
+_GRAMMAR_STAMPS = st.builds(
+    lambda t, sep, point, fraction, offset: _grammar_stamp(
+        t.year, (t.month, t.day, t.hour, t.minute, t.second), sep, point, fraction, offset),
+    st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)),
+    st.sampled_from("T "), st.sampled_from(".,"), st.just("") | _FRACTIONS, _OFFSETS,
+)
+
+
+@st.composite
+def _decoder_stamp(draw):
+    """A stamp of the grammar's shape with fields at and past their
+    ranges, then up to two characters replaced, by bytes next to the
+    digits ('/' and ':'), a NUL, non-ASCII letters and digits, a point,
+    a separator or a digit, or dropped."""
+    year = draw(st.sampled_from([0, 1, 2, 1900, 1969, 1970, 2000, 2014, 2016, 2100, 9999])
+                | st.integers(0, 9999))
+    fields = [draw(st.integers(lo, hi)) for lo, hi in [(0, 13), (0, 32), (0, 24), (0, 60), (0, 60)]]
+    offset = draw(st.just("Z") | st.tuples(
+        st.sampled_from(["+HH:MM", "+HHMM"]), st.sampled_from("+-"),
+        st.integers(0, 24), st.integers(0, 60)))
+    ts = list(_grammar_stamp(year, fields, draw(st.sampled_from("T ")), draw(st.sampled_from(".,")),
+                             draw(st.just("") | _FRACTIONS), offset))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(ts) - 1))
+        ts[at] = draw(st.sampled_from(["/", ":", "\x00", "\u00e9", "\u0660", "\x7f", " ", "T",
+                                       "t", "Z", "+", "-", ".", ",", "0", "9", ""]))
+    return "".join(ts)
+
+
+_DECODER_STAMPS = _decoder_stamp()
 
 
 _UIDS = st.sampled_from(["u1", "L00042", "", "ü", "a b", 'q"u', "c,d"])
@@ -367,21 +414,8 @@ _STAMPS = st.one_of(
             "",
         ]
     ),
-    st.builds(  # valid
-        lambda t, off: _fixed_width_stamp(
-            t.year, t.month, t.day, t.hour, t.minute, t.second,
-            "-" if off < 0 else "+", abs(off) // 60, abs(off) % 60,
-        ),
-        st.datetimes(datetime(1, 1, 2), datetime(9999, 12, 30)),
-        st.integers(-1439, 1439),
-    ),
-    # fixed width, in and out of range: month 0/13, day 0/32, hour 24, ...
-    st.builds(
-        _fixed_width_stamp,
-        st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
-        st.integers(0, 24), st.integers(0, 60), st.integers(0, 60),
-        st.sampled_from("+-"), st.integers(0, 24), st.integers(0, 99),
-    ),
+    _GRAMMAR_STAMPS,  # valid
+    _DECODER_STAMPS,  # fields in and out of range, bytes replaced
 )
 # hashtags right next to quotes, commas and newlines, so that a record
 # split in the wrong place changes the tags it yields
@@ -400,7 +434,7 @@ _TAG_TEXTS = st.lists(
 _RULE_EDGES = [
     ("", "abc", "abc", "never", "x"),  # MalformedRecord comes first
     ("u", "nan", "-74.0", "never", "x"),  # then OutOfRangeCoordinate: nan parses
-    ("u", "40.7", "-74.0", "2014-03-01 08:03:00-05:00", "x"),  # 25 wide, not the T shape
+    ("u", "40.7", "-74.0", "2014-03-01 08:03:00-05:00", "x"),  # a space for the T
     ("u", "40.7", "-74.0", "2014-03-01T08:03:00.5-05:00", "x"),
 ]
 _RECORDS = st.lists(
@@ -448,37 +482,14 @@ def _assert_matches_reference(batch, stats, records):
     assert stats.records_skipped == len(records) - len(rows)
 
 
-@st.composite
-def _decoder_stamp(draw):
-    """A stamp of 20, 24 or 25 characters: fields at and past their
-    ranges, then up to two characters replaced, by bytes next to the
-    digits ('/' and ':'), a NUL, non-ASCII letters and digits, or a
-    separator."""
-    year = draw(st.sampled_from([0, 1, 2, 1900, 2000, 2014, 2016, 2100, 9999])
-                | st.integers(0, 9999))
-    fields = [draw(st.integers(lo, hi)) for lo, hi in [(0, 13), (0, 32), (0, 24), (0, 60), (0, 60)]]
-    ts = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}".format(year, *fields)
-    layout = draw(st.sampled_from(["Z", "+HH:MM", "+HHMM"]))
-    if layout != "Z":
-        sign, oh, om = draw(st.sampled_from("+-")), draw(st.integers(0, 24)), draw(st.integers(0, 60))
-        layout = f"{sign}{oh:02d}:{om:02d}" if layout == "+HH:MM" else f"{sign}{oh:02d}{om:02d}"
-    ts = list(ts + layout)
-    for _ in range(draw(st.integers(0, 2))):
-        at = draw(st.integers(0, len(ts) - 1))
-        ts[at] = draw(st.sampled_from(["/", ":", "\x00", "\u00e9", "\u0660", "\x7f", " ", "T",
-                                       "Z", "+", "-", "0", "9"]))
-    return "".join(ts)
-
-
-_DECODER_STAMPS = _decoder_stamp()
 
 
 class TestColumnarParse:
     """parse_event_batch must equal the per-record reference, record by
-    record, whichever route (bulk split, vector checks, fallback) each
+    record, whichever route (bulk split, quoted text, csv.reader) each
     record takes."""
 
-    # the record rule's order and its timestamp fallback, on the bulk
+    # the record rule's order and the timestamp grammar, on the bulk
     # route and the quoted one
     @given(_RECORDS, st.booleans(), st.booleans())
     @example(drawn=[(r, 5, quote_all, False) for quote_all in (False, True) for r in _RULE_EDGES],
@@ -516,9 +527,11 @@ class TestColumnarParse:
             "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-23:59",
             "1970-01-01T00:00:00-00:00", "2000-02-29T08:03:00+00:00",
             "2016-02-29T08:03:00+00:00", "2014-03-01T08:03:00+0559",
-            "2014-03-01t08:03:00+05:00", "2014-03-01T08:03:00Z",
+            "2014-03-01T08:03:00Z", "2014-03-01 08:03:00.5+05:00",
             "2014-03-01T08:03:00+0000", "2014-03-01T08:03:00-0559",
             "2014-03-01 08:03:00Z", "2000-02-29T23:59:59Z",
+            "2014-03-01T08:03:00,123456789-0559", "1969-12-31T23:59:59.999999Z",
+            "0001-01-01T00:00:00.000001+23:59", "9999-12-31T23:59:59.9999999-23:59",
         ]
         invalid = [
             "0000-01-01T00:00:00+00:00",
@@ -534,27 +547,35 @@ class TestColumnarParse:
             "2014-03-01T08:03:00*05:00", "2014/03/01T08:03:00+05:00",
             "2014-03-01T23:59:60Z", "2014-03-01T08:03:00z", "2014-03-01T08:03:00+2400",
             "2014-03-01T08-03-00Z", "2014/03/01T08:03:00Z", "2014-02-29T08:03:00Z",
-            "2014-03-01T08:03:00*0500",
+            "2014-03-01T08:03:00*0500", "2014-03-01t08:03:00+05:00",
+            "2014-03-01T08:03:00.+05:00", "2014-03-01T08:03:00.5.5Z", "2014-03-01T08:03:00.5 Z",
+            "2014-03-01T08:03:00..5Z", "2014-03-01T08:03:00.5", "2014-03-01T08:03:00.\u0665Z",
         ]
         records = [["u", "40.7", "-74.0", ts, ""] for ts in valid + invalid]
-        stats = ParseStats()
-        batch = parse_events_file(events_csv([",".join(r) for r in records]), "csv", stats)
-        _assert_matches_reference(batch, stats, records)
-        assert stats.records_ok == len(valid)
-        assert stats.errors == Counter({"BadTimestamp": len(invalid)})
+        for fmt, data in [
+            ("csv", events_csv([_csv_line(r, False) for r in records])),
+            ("jsonl", "\n".join(json.dumps(dict(zip(EVENT_COLUMNS, r))) for r in records).encode()),
+        ]:
+            stats = ParseStats()
+            batch = parse_events_file(data, fmt, stats)
+            _assert_matches_reference(batch, stats, records)
+            assert stats.records_ok == len(valid), fmt
+            assert stats.errors == Counter({"BadTimestamp": len(invalid)}), fmt
 
     def test_vector_decoder_widths(self):
-        # the Z and +HHMM widths are decoded in bulk; what the decoder
-        # accepts, the field-by-field reference reads to the same epoch
+        # every offset layout, with and without a fraction, is decoded in
+        # the one pass; what it accepts, the field-by-field reference reads
+        # to the same epoch
         accepted = ["2014-03-01T08:03:00Z", "2014-03-01T08:03:00+0000",
-                    "2014-03-01T08:03:00-0559", "2014-03-01T08:03:00+05:59"]
-        rejected = ["2014-03-01T08:03:00z", "2014-03-01 08:03:00Z", "2014-03-01T08:03:00+2400",
-                    "2014-03-01T08:03:00+0575", "2014-03-01T08:03:00.5+05"]
-        for ts in accepted + rejected:
-            epochs, ok = ingest._fixed_width_epochs([ts], len(ts))
-            assert bool(ok[0]) == (ts in accepted), ts
-            if ok[0]:
-                assert epochs[0] == oracles.timestamp_epoch_direct(ts), ts
+                    "2014-03-01T08:03:00-0559", "2014-03-01T08:03:00+05:59",
+                    "2014-03-01 08:03:00Z", "2014-03-01T08:03:00.5Z",
+                    "2014-03-01T08:03:00,25+0530", "2014-03-01T08:03:00.123456789-05:00"]
+        rejected = ["2014-03-01T08:03:00z", "2014-03-01T08:03:00+2400",
+                    "2014-03-01T08:03:00+0575", "2014-03-01T08:03:00.5+05",
+                    "2014-03-01T08:03:00.Z", "2014-03-01T08:03:00.5+05:3"]
+        epochs, ok = ingest._stamp_epochs(accepted + rejected)
+        assert ok.tolist() == [True] * len(accepted) + [False] * len(rejected)
+        assert epochs[ok].tolist() == [oracles.timestamp_epoch_direct(ts) for ts in accepted]
 
     @given(st.lists(_DECODER_STAMPS, min_size=1, max_size=30))
     @example(["2016-02-29T00:00:00Z", "2014-02-29T00:00:00Z", "2000-02-29T12:00:00+0000",
@@ -564,37 +585,55 @@ class TestColumnarParse:
               "2014-03-01T08:03:00+23:60", "2014-03-01T08:03:/0Z", "2014-03-01T08:03:0:Z",
               "2014-03-01T08:03:00+05:/0", "2014-03-01T08:03:00+05:0:", "2014-03-01T08:03:00+0:00",
               "2014-03-01T08:03:00+05\x0000", "2014-03-01T08:03:00\u00e9", "\u00e9014-03-01T08:03:00Z",
-              "2014-03-01T08:03:00-05\u06600", "2014-03-01 08:03:00Z", "2014-03-01T08:03:00*0500"])
+              "2014-03-01T08:03:00-05\u06600", "2014-03-01 08:03:00Z", "2014-03-01T08:03:00*0500",
+              "2014-03-01T08:03:00.5Z", "2014-03-01T08:03:00.Z", "2014-03-01T08:03:00.5/Z",
+              "2014-03-01T08:03:00.12345678:Z", "1970-01-01T00:00:00.314326Z",
+              "1969-12-31T23:59:58.314326Z", "9999-12-31T23:59:59.999999-23:59",
+              "0001-01-01T00:00:00.000001+23:59", "2014-03-01T08:03:00.5", "Z", ""])
     def test_vector_decoder_matches_oracle(self, stamps):
-        # the decoder accepts exactly the stamps of its three shapes that
-        # the field-by-field reference reads, and to the same epoch; any
-        # other stamp of those widths is left to the fallback
-        for width in {len(ts) for ts in stamps}:
-            same = [ts for ts in stamps if len(ts) == width]
-            epochs, ok = ingest._fixed_width_epochs(same, width)
-            for ts, epoch, accepted in zip(same, epochs.tolist(), ok.tolist()):
-                try:
-                    want = oracles.timestamp_epoch_direct(ts)
-                except ValueError:
-                    want = None
-                if oracles._STAMP_FIELDS.match(ts) is None:  # not one of the decoder's shapes
-                    want = None
-                assert (accepted, epoch if accepted else None) == (want is not None, want), ts
+        # the decoder accepts exactly the stamps that the field-by-field
+        # reference reads, and to the same epoch
+        epochs, ok = ingest._stamp_epochs(stamps)
+        for ts, epoch, accepted in zip(stamps, epochs.tolist(), ok.tolist()):
+            try:
+                want = oracles.timestamp_epoch_direct(ts)
+            except ValueError:
+                want = None
+            assert (accepted, epoch if accepted else None) == (want is not None, want), ts
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10's fromisoformat refuses them")
-    def test_stamps_only_3_11_reads(self):
-        # a stamp outside the vector shapes is read as the interpreter's
-        # fromisoformat reads it, so these parse from Python 3.11 on
-        stamps = ["2014-03-01T08:03:00.5+05:00", "2014-03-01T08:03:00.123+0500",
-                  "20140301T080300+05:00", "2014-03-01T08:03:00.5+05:59",
-                  "2014-03-01T08:03:00+05:30:59.5"]
-        stats = ParseStats()
-        rows = [f"u,40.7,-74.0,{ts}," for ts in stamps]
-        batch = parse_events_file(events_csv(rows), "csv", stats)
-        assert (stats.records_ok, stats.errors) == (len(stamps), Counter())
-        want = [oracles.timestamp_epoch_direct(ts) for ts in stamps]
-        assert batch.epochs.tolist() == want
-        assert want[:3] == [1393642980.5, 1393642980.123, 1393642980.0]
+    @given(st.lists(_GRAMMAR_STAMPS, min_size=1, max_size=30))
+    @example(["1970-01-01T00:00:00.314326Z", "0001-01-01 00:00:00,000001+2359",
+              "9999-12-31T23:59:59.123456789-23:59", "2255-06-01T00:00:00.999999Z"])
+    def test_grammar_stamps_read_as_fromisoformat(self, stamps):
+        # every stamp of the grammar gets the epoch that Python 3.11's
+        # datetime.fromisoformat gives it, bit for bit: the reading before
+        # the grammar was declared
+        epochs, ok = ingest._stamp_epochs(stamps)
+        assert ok.all()
+        want = [datetime.fromisoformat(ts).timestamp() for ts in stamps]
+        assert epochs.tolist() == want
+        assert [oracles.timestamp_epoch_direct(ts) for ts in stamps] == want
+
+    def test_stamps_outside_grammar_refused(self):
+        # shapes that datetime.fromisoformat read before the grammar was
+        # declared, and that are now a BadTimestamp on every route
+        stamps = ["20140301T080300+05:00", "2014-03-01T080300Z", "2014-03-01T08+05:00",
+                  "2014-03-01T08:03+05:00", "2014-W09-6T08:03:00+05:00", "2014-03-01T08:03:00+05",
+                  "2014-03-01T08:03:00+05:30:59.5", "2014-03-01T08:03:00+05:00:00",
+                  "2014-03-01T08:03:00.+05:00", "2014-03-01t08:03:00+05:00",
+                  "2014-03-01X08:03:00+05:00", "2014-03-01T08:03:00.1234567a+05:00",
+                  "2014-03-01T08:03:00 Z", "2014-03-01T08:03:00:5Z", "2014-03-01T08:03,5+05:00"]
+        rows = [["u", "40.7", "-74.0", ts, ""] for ts in stamps]
+        for fmt, data in [
+            ("csv", events_csv([_csv_line(r, False) for r in rows])),
+            ("jsonl", "\n".join(json.dumps(dict(zip(EVENT_COLUMNS, r))) for r in rows).encode()),
+        ]:
+            stats = ParseStats()
+            assert len(parse_events_file(data, fmt, stats)) == 0
+            assert stats.errors == Counter({"BadTimestamp": len(stamps)}), fmt
+        for ts in stamps:
+            with pytest.raises(BadTimestamp):
+                validate_event_fields(["u", "40.7", "-74.0", ts, ""])
 
     def test_quoted_record_across_chunk_boundary(self, monkeypatch):
         # the first window ends inside the quoted record's middle line,
@@ -802,14 +841,15 @@ class TestQuotedTextRoute:
         stats = ParseStats()
         assert len(parse_body(body, "jsonl", stats)) == 0 and stats.records_total == 0
 
-    def test_quoted_text_with_nul_goes_to_csv_reader(self):
-        # Python 3.10's csv.reader refuses a NUL and 3.11's reads it, so
-        # the parse is the same as the reader's only when the reader splits it
-        line = f'{_LIMIT_HEAD},"a\x00b"'
-        spy = mock.Mock(wraps=ingest._csv_parse_quoted)
-        with mock.patch.object(ingest, "_csv_parse_quoted", spy):
-            parse_body((line + "\n").encode(), "csv", ParseStats())
-        spy.assert_called_once_with(line)
+    def test_quoted_text_with_nul_split_in_bulk(self):
+        # csv.reader reads a quoted NUL as text, and so does the bulk route,
+        # with no call to the reader
+        body = f'{_LIMIT_HEAD},"#a\x00b"\n{_LIMIT_HEAD},"\x00,""#c\x00"""\n'.encode()
+        raising = mock.Mock(side_effect=AssertionError("csv.reader called"))
+        with mock.patch.object(ingest, "_csv_parse_quoted", raising):
+            bulk = _fields_rows_tallies(body, 1 << 18, True)
+        assert bulk == _fields_rows_tallies(body, 1 << 18, False)
+        assert bulk[0][0][4] == ["#a\x00b", '\x00,"#c\x00"']
 
 
 # one stray quote or one byte that is not UTF-8 in record 5 of the city

@@ -118,10 +118,24 @@ def test_package_imports_only_what_it_uses():
     assert not unused, unused
 
 
-def test_sources_parse_as_python_3_10():
-    # pyproject.toml declares requires-python >= 3.10, which a newer
+def test_sources_parse_as_python_3_11():
+    # pyproject.toml declares requires-python >= 3.11, which a newer
     # interpreter running the tests would not hold the code to
     paths = sorted([*(_ROOT / "src").rglob("*.py"), *(_ROOT / "tests").rglob("*.py")])
     assert paths
     for p in paths:
-        ast.parse(p.read_text(encoding="utf-8"), str(p), feature_version=(3, 10))
+        ast.parse(p.read_text(encoding="utf-8"), str(p), feature_version=(3, 11))
+
+
+def test_package_calls_no_fromisoformat():
+    # ingest reads every stamp by the one grammar, and the stamp oracle by
+    # its own regex; a fromisoformat call would be a second reading in the
+    # first, and in the second the very code the oracle checks
+    calls = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(_PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "fromisoformat" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+    assert not calls, calls

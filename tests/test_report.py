@@ -934,6 +934,27 @@ class TestCli:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["run", "--tracts", "x"], 1, "the following arguments are required: --events"),
+        (["run", "--events", "x", "--tracts", "x", "--bogus"], 1, "unrecognized arguments: --bogus"),
+        (["run", "--events", "x", "--tracts", "x", "--partitions", "abc"], 1,
+         "argument --partitions: invalid int value: 'abc'"),
+        (["frobnicate"], 1, "argument command: invalid choice: 'frobnicate'"),
+        ([], 1, "the following arguments are required: command"),
+        (["--help"], 0, ""),
+        (["run", "--help"], 0, ""),
+    ], ids=["missing", "unknown", "not-an-int", "no-such-command", "no-command", "help",
+            "run-help"])
+    def test_usage_exit_codes(self, argv, code, message, capsys):
+        # a usage error is an input error, exit 1 with argparse's message;
+        # exit 2 stays for an internal invariant violation
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert f"error: {message}" in captured.err and not captured.out
+        else:
+            assert captured.out.startswith("usage: geoineq") and not captured.err
+
     def test_ingest_check(self, city_paths, capsys):
         rc = cli.main(
             ["ingest-check", "--events", city_paths["events"], "--tracts", city_paths["tracts"]]
