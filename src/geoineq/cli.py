@@ -12,26 +12,30 @@ internal invariant violation.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` in ``os.environ``
 unless it is set, for the rest of the process and every process it
-starts; ``import geoineq`` and its other modules set nothing. It also
-pauses cyclic GC while it imports numpy and the pipeline, moves what the
-imports made to the oldest generation, and leaves GC enabled or
-disabled, and the frozen count, as it found them.
+starts; ``import geoineq`` and its other modules set nothing. It leaves
+cyclic GC as it finds it: ``geoineq.__main__`` turns it off for a CLI
+process.
 
-:func:`entry` is ``main`` for a CLI process (``python -m geoineq`` and
-the ``geoineq`` script). Once ``main`` returns, it flushes stdout and
-stderr and ends the process with ``os._exit``: the interpreter's
-teardown (a last collection, module clean-up, atexit handlers) frees
-nothing that the exit itself does not. So every file that a command
-opens must be closed, and every worker joined, before ``main`` returns;
-a stats file or a log added later must be closed there too. A stdout
-that cannot be flushed makes the exit code 1 where it was 0.
-In-process callers call ``main``, which returns its exit code.
+:func:`entry` is ``main`` for a CLI process: ``geoineq.__main__`` runs
+it for ``python -m geoineq`` and the ``geoineq`` script. Once ``main``
+returns, it flushes stdout and stderr and ends the process with
+``os._exit``: the interpreter's teardown (a last collection, module
+clean-up, atexit handlers) frees nothing that the exit itself does not.
+So every file that a command opens must be closed, and every worker
+joined, before ``main`` returns; a stats file or a log added later must
+be closed there too. A stdout that cannot be flushed makes the exit code
+1 where it was 0. In-process callers call ``main``, which returns its
+exit code.
 """
 
 from __future__ import annotations
 
-import gc
+import argparse
 import os
+import re
+import sys
+from pathlib import Path
+from typing import NoReturn
 
 # numpy starts an OpenBLAS thread pool, one thread per core, as it loads.
 # That takes tens of milliseconds, and the pipeline makes no BLAS call
@@ -39,43 +43,21 @@ import os
 # numpy loads, unless the caller set a count.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-# Importing numpy and the pipeline makes some 24,000 objects that live
-# as long as the process; the 38 collections they would set off free a
-# few hundred. So collection pauses while they are made, and
-# they then go to the oldest generation, where the young collections of
-# the run do not traverse them: a freeze and an unfreeze move every
-# tracked object there without a sweep. That is skipped where the caller
-# has frozen objects, which the unfreeze would thaw.
-_gc_enabled, _gc_frozen = gc.isenabled(), gc.get_freeze_count()
-gc.disable()
-try:
-    import argparse
-    import re
-    import sys
-    from pathlib import Path
-    from typing import NoReturn
-
-    from . import jsonio, report
-    from .errors import GeoIneqError, InternalInvariantError, InvalidParams
-    from .ingest import ParseStats, events_format, parse_census, read_table
-    from .metrics import Distribution, index_suite, lorenz_curve
-    from .report import (
-        DEFAULT_CHOROPLETH_BREAKS,
-        DEFAULT_COHORTS,
-        PipelineConfig,
-        choropleth_parts,
-        emit_lorenz_svg,
-        emit_outputs,
-        run_pipeline_full,
-        suite_to_dict,
-        write_parts,
-    )
-finally:
-    if not _gc_frozen:
-        gc.freeze()
-        gc.unfreeze()
-    if _gc_enabled:
-        gc.enable()
+from . import jsonio, report
+from .errors import GeoIneqError, InternalInvariantError, InvalidParams
+from .ingest import ParseStats, events_format, parse_census, read_table
+from .metrics import Distribution, index_suite, lorenz_curve
+from .report import (
+    DEFAULT_CHOROPLETH_BREAKS,
+    DEFAULT_COHORTS,
+    PipelineConfig,
+    choropleth_parts,
+    emit_lorenz_svg,
+    emit_outputs,
+    run_pipeline_full,
+    suite_to_dict,
+    write_parts,
+)
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -307,7 +289,3 @@ def entry() -> NoReturn:
     except OSError:
         pass  # nowhere left to report it
     os._exit(code)
-
-
-if __name__ == "__main__":
-    entry()

@@ -122,6 +122,10 @@ _TS_HEAD = 19
 _TS_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 22, 23]
 _TS_SEPS = [(4, "-"), (7, "-"), (13, ":"), (16, ":")]
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
+# A stamp's instant must be from 0001-01-02T00:00:00Z up to, not
+# including, 9999-12-31T00:00:00Z. No UTC offset reaches a day, so every
+# kept event has a local date in years 1-9999, which ``datetime`` holds.
+_FIRST_EPOCH, _END_EPOCH = -62135510400, 253402214400
 
 
 class ParseStats:
@@ -371,18 +375,18 @@ def _decode_lines(
     return lines, bad
 
 
-def _text_quoted(view, at, commas, starts, stops, quotes, to_reader, firsts, lasts) -> np.ndarray:
-    """Whether each record, from line ``firsts[r]`` to ``lasts[r]``,
-    quotes its text field and nothing else: its first quote follows the
-    fourth comma of its first line, its last quote ends its last line
-    (``stops`` is where a line's content stops, before its LF or CRLF;
-    ``at`` and ``commas`` are the block's quote and comma positions),
-    the quotes between pair up as doubled quotes, and it is not marked
-    in ``to_reader`` (one flag per record). ``csv.reader`` reads such a
-    record as the four fields before the quote and the text with each
-    doubled quote made one, and so does :func:`_split_text_quoted`."""
-    first = (np.cumsum(quotes) - quotes)[firsts]  # each record's first quote in ``at``
-    count = np.add.reduceat(quotes, firsts)
+def _text_quoted(view, at, commas, starts, stops, count, to_reader, firsts, lasts) -> np.ndarray:
+    """Whether each record, from line ``firsts[r]`` to ``lasts[r]``, with
+    ``count[r]`` quotes, quotes its text field and nothing else: its
+    first quote follows the fourth comma of its first line, its last
+    quote ends its last line (``stops`` is where a line's content stops,
+    before its LF or CRLF; ``at`` and ``commas`` are the block's quote
+    and comma positions), the quotes between pair up as doubled quotes,
+    and it is not marked in ``to_reader`` (one flag per record).
+    ``csv.reader`` reads such a record as the four fields before the
+    quote and the text with each doubled quote made one, and so does
+    :func:`_split_text_quoted`."""
+    first = np.cumsum(count) - count  # each record's first quote in ``at``
     ok = (count >= 2) & (count % 2 == 0) & ~to_reader
     r = np.flatnonzero(ok)
     first, count = first[r], count[r]
@@ -448,7 +452,7 @@ def _csv_records(view, ends, crlf, at, quotes, joined, lines, bad, stats) -> lis
     rows = ~undecodable & ~(one_line & (stops == starts)[firsts])  # not blank
     row_of = np.cumsum(rows) - 1
     to_reader = np.logical_or.reduceat(bare_cr, firsts) | over
-    quoted = _text_quoted(view, at, commas, starts, stops, quotes, to_reader, firsts, lasts)
+    quoted = _text_quoted(view, at, commas, starts, stops, count, to_reader, firsts, lasts)
     quoted &= ~undecodable
     other = rows & ~plain & ~quoted
     flat = np.array(lines, dtype=object)[firsts[rows]]
@@ -530,7 +534,8 @@ def _stamp_epochs(stamps: list[str]) -> tuple[np.ndarray, np.ndarray]:
     its end: ``Z``, ``+HH:MM`` where a colon is third from the end, else
     ``+HHMM``. What lies between must be empty or a fraction. A stamp is
     accepted when every digit position holds an ASCII digit, every
-    separator matches, and the date, time and offset are in range.
+    separator matches, the date, time and offset are in range, and its
+    instant is from ``_FIRST_EPOCH`` up to ``_END_EPOCH``.
 
     The epoch is then exactly what ``oracles.timestamp_epoch_direct``
     computes, as Python's ``datetime`` does: the whole seconds and the
@@ -563,7 +568,7 @@ def _stamp_epochs(stamps: list[str]) -> tuple[np.ndarray, np.ndarray]:
     month, day, hh, mi, ss, oh, om = v[:, 2:].T
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + ((month == 2) & leap)
-    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    ok &= (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
     ok &= (hh <= 23) & (mi <= 59) & (ss <= 59)
     signed = (sign == ord("+")) | (sign == ord("-"))
     ok &= zulu | (signed & (d[:, -4:] <= 9).all(axis=1) & (oh <= 23) & (om <= 59))
@@ -575,6 +580,7 @@ def _stamp_epochs(stamps: list[str]) -> tuple[np.ndarray, np.ndarray]:
     doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
     whole = (era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468) * np.int64(86400)
     whole += seconds
+    ok &= (whole >= _FIRST_EPOCH) & (whole < _END_EPOCH)  # no fraction crosses a bound
     epochs = whole.astype(np.float64)
     r = np.flatnonzero(ok & (mid >= 2))
     if len(r):

@@ -190,6 +190,9 @@ _STAMP_FIELDS = re.compile(
     re.ASCII,
 )
 _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# the instants a stamp may name: a day inside the UTC years 1-9999
+_FIRST_INSTANT = datetime(1, 1, 2, tzinfo=timezone.utc) - _UNIX_EPOCH
+_END_INSTANT = datetime(9999, 12, 31, tzinfo=timezone.utc) - _UNIX_EPOCH
 
 
 def timestamp_epoch_direct(s: str) -> float:
@@ -201,7 +204,8 @@ def timestamp_epoch_direct(s: str) -> float:
     microseconds ``datetime`` keeps; any more must be digits and are
     dropped) are added to its whole seconds as a ``Fraction``, so the
     float is rounded once. Minutes of an offset must be below 60, and
-    ``timezone`` refuses 24 hours or more.
+    ``timezone`` refuses 24 hours or more. The instant must be from
+    0001-01-02T00:00:00Z up to, not including, 9999-12-31T00:00:00Z.
     """
     m = _STAMP_FIELDS.match(s)
     if m is None:
@@ -214,6 +218,8 @@ def timestamp_epoch_direct(s: str) -> float:
             raise ValueError(f"offset minutes out of range: {s}")
         offset = timedelta(hours=int(off_h), minutes=int(off_m)) * (-1 if sign == "-" else 1)
     whole = datetime(y, mo, d, h, mi, sec, tzinfo=timezone(offset)) - _UNIX_EPOCH
+    if not _FIRST_INSTANT <= whole < _END_INSTANT:  # no fraction crosses a bound
+        raise ValueError(f"instant out of range: {s}")
     micro = Fraction(int(frac[:6]), 10 ** len(frac[:6])) if frac else 0
     return float(whole // timedelta(seconds=1) + micro)
 

@@ -189,6 +189,10 @@ class _InProcess:
 
 
 def _worker_main(conn, *job_args):
+    # a collection would write to, and so copy, the pages the worker
+    # shares with the parent, and would reclaim nothing: the job makes no
+    # reference cycle per event, and the worker ends when it returns
+    gc.disable()
     try:
         job = _partition_job(*job_args)
         conn.send(("ok", next(job)))
@@ -202,10 +206,12 @@ def _worker_main(conn, *job_args):
 def _replies(conns, ranges, procs):
     """Each partition's next reply, in partition order. ``procs`` holds
     the worker of each partition, or nothing when the job runs here."""
+    # a job that runs here raises its own errors, whatever their type
+    worker_gone = (EOFError, ConnectionError) if procs else ()
     for i, (conn, (start, end)) in enumerate(zip(conns, ranges)):
         try:
             status, payload = conn.recv()
-        except (EOFError, ConnectionError):  # the worker ended without a reply
+        except worker_gone:  # the worker ended without a reply
             procs[i].join()
             status, payload = "err", f"no reply; the worker exited with code {procs[i].exitcode}"
         if status != "ok":
@@ -258,20 +264,13 @@ def run_pipeline_full(
         import multiprocessing as mp  # not at k=1: it loads socket, selectors and signal
 
         ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
-        # frozen objects are left out of every collection, so a forked
-        # worker's GC does not write to, and so copy, the pages it shares
-        # with the parent
-        gc.freeze()
-        try:
-            for args in job_args:
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(target=_worker_main, args=(child_conn, *args))
-                proc.start()
-                child_conn.close()
-                conns.append(parent_conn)
-                procs.append(proc)
-        finally:
-            gc.unfreeze()
+        for args in job_args:
+            parent_conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(target=_worker_main, args=(child_conn, *args))
+            proc.start()
+            child_conn.close()
+            conns.append(parent_conn)
+            procs.append(proc)
     try:
         stats = ParseStats()
         dropped_total = 0

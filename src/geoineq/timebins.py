@@ -13,7 +13,7 @@ hours are local 0..23, months are local (year, month).
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from datetime import datetime
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -21,10 +21,6 @@ import numpy as np
 from .cohort import distinct
 
 _PROBE_STEP = 6 * 3600  # assumed: no zone changes its offset twice within one step
-# the epochs datetime can hold, one day inside its range: no UTC offset
-# reaches a day, so every probe's local time is a datetime too
-_PROBE_MIN = int(datetime.min.replace(tzinfo=timezone.utc).timestamp()) + 86400
-_PROBE_MAX = int(datetime.max.replace(tzinfo=timezone.utc).timestamp()) - 86400
 _SLICE = 1 << 15  # epochs binned per step
 
 
@@ -33,7 +29,12 @@ def _offset_at(tz: ZoneInfo, epoch: int) -> int:
 
 
 class LocalClock:
-    """UTC-offset lookup table for a timezone at the given epochs."""
+    """UTC-offset lookup table for a timezone at the given epochs.
+
+    Its domain is the instants ingest keeps, from 0001-01-02T00:00:00Z up
+    to, not including, 9999-12-31T00:00:00Z: the steps that hold them
+    start and end inside it, so every probe's local time is a
+    ``datetime``."""
 
     def __init__(self, tz: str | ZoneInfo, epochs: np.ndarray):
         self.tz = ZoneInfo(tz) if isinstance(tz, str) else tz
@@ -44,7 +45,7 @@ class LocalClock:
         table = []  # (epoch, offset from then on): each step's start, each change
         end = end_offset = None  # the previous step's end and its offset
         for s in distinct(np.concatenate([[], *steps])).astype(np.int64).tolist():
-            a, b = (min(max(t * _PROBE_STEP, _PROBE_MIN), _PROBE_MAX) for t in (s, s + 1))
+            a, b = s * _PROBE_STEP, (s + 1) * _PROBE_STEP
             off_a = end_offset if a == end else _offset_at(self.tz, a)
             end, end_offset = b, _offset_at(self.tz, b)
             table.append((a, off_a))

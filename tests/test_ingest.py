@@ -6,6 +6,7 @@ import re
 import tracemalloc
 from collections import Counter
 from datetime import datetime, timezone
+from itertools import compress
 from unittest import mock
 
 import numpy as np
@@ -348,6 +349,10 @@ _OFFSETS = st.one_of(
     st.tuples(st.sampled_from(["+HH:MM", "+HHMM"]), st.sampled_from("+-"),
               st.integers(0, 23), st.integers(0, 59)),
 )
+# the instants ingest keeps: a day inside the UTC years 1-9999
+_FIRST_INSTANT = datetime(1, 1, 2, tzinfo=timezone.utc)
+_END_INSTANT = datetime(9999, 12, 31, tzinfo=timezone.utc)
+
 # every stamp of the grammar: years 1-9999, both separators, no fraction
 # or one of 1 to 9 digits after either point, and all three offsets
 _GRAMMAR_STAMPS = st.builds(
@@ -523,17 +528,23 @@ class TestColumnarParse:
         _assert_matches_reference(batch, stats, records)
 
     def test_timestamp_boundaries(self):
+        # an instant must be from 0001-01-02T00:00:00Z up to, not
+        # including, 9999-12-31T00:00:00Z
         valid = [
-            "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-23:59",
+            "0001-01-02T00:00:00Z", "0001-01-02T23:59:00+23:59",
+            "9999-12-30T23:59:59.9999999Z", "9999-12-30T00:00:00-23:59",
             "1970-01-01T00:00:00-00:00", "2000-02-29T08:03:00+00:00",
             "2016-02-29T08:03:00+00:00", "2014-03-01T08:03:00+0559",
             "2014-03-01T08:03:00Z", "2014-03-01 08:03:00.5+05:00",
             "2014-03-01T08:03:00+0000", "2014-03-01T08:03:00-0559",
             "2014-03-01 08:03:00Z", "2000-02-29T23:59:59Z",
             "2014-03-01T08:03:00,123456789-0559", "1969-12-31T23:59:59.999999Z",
-            "0001-01-01T00:00:00.000001+23:59", "9999-12-31T23:59:59.9999999-23:59",
         ]
         invalid = [
+            "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-23:59",
+            "0001-01-01T00:00:00.000001+23:59", "9999-12-31T23:59:59.9999999-23:59",
+            "0001-01-01T23:59:59.999999Z", "0001-01-02T00:00:00+00:01",
+            "9999-12-31T00:00:00Z", "9999-12-30T00:01:00-23:59",
             "0000-01-01T00:00:00+00:00",
             "2014-03-01T24:00:00+00:00", "2014-03-01T23:60:00+00:00",
             "2014-03-01T23:59:60+00:00", "2014-03-01T08:03:00+24:00",
@@ -605,14 +616,15 @@ class TestColumnarParse:
     @example(["1970-01-01T00:00:00.314326Z", "0001-01-01 00:00:00,000001+2359",
               "9999-12-31T23:59:59.123456789-23:59", "2255-06-01T00:00:00.999999Z"])
     def test_grammar_stamps_read_as_fromisoformat(self, stamps):
-        # every stamp of the grammar gets the epoch that Python 3.11's
-        # datetime.fromisoformat gives it, bit for bit: the reading before
-        # the grammar was declared
+        # every stamp of the grammar whose instant ingest keeps gets the
+        # epoch that Python 3.11's datetime.fromisoformat gives it, bit for
+        # bit: the reading before the grammar was declared
         epochs, ok = ingest._stamp_epochs(stamps)
-        assert ok.all()
-        want = [datetime.fromisoformat(ts).timestamp() for ts in stamps]
-        assert epochs.tolist() == want
-        assert [oracles.timestamp_epoch_direct(ts) for ts in stamps] == want
+        instants = [datetime.fromisoformat(ts) for ts in stamps]
+        assert ok.tolist() == [_FIRST_INSTANT <= t < _END_INSTANT for t in instants]
+        want = [t.timestamp() for t in compress(instants, ok)]
+        assert epochs[ok].tolist() == want
+        assert [oracles.timestamp_epoch_direct(ts) for ts in compress(stamps, ok)] == want
 
     def test_stamps_outside_grammar_refused(self):
         # shapes that datetime.fromisoformat read before the grammar was

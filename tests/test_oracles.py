@@ -139,3 +139,20 @@ def test_package_calls_no_fromisoformat():
         and "fromisoformat" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
     ]
     assert not calls, calls
+
+
+def test_only_the_entry_and_workers_call_gc():
+    # one GC policy for a geoineq process: geoineq.__main__ turns
+    # collection off, and so does each forked worker, for in-process
+    # callers whose GC is on; no other code calls into gc
+    calls = set()
+    for p in sorted(_PACKAGE.glob("*.py")):
+        for top in ast.parse(p.read_text(encoding="utf-8")).body:
+            where = getattr(top, "name", None)  # the function or class it is in
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                    calls.add((p.name, where, "from gc import"))
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id == "gc"):
+                    calls.add((p.name, where, node.attr))
+    assert calls == {("__main__.py", None, "disable"), ("report.py", "_worker_main", "disable")}

@@ -348,6 +348,24 @@ class TestRunPipeline:
         assert capsys.readouterr().err == f"internal error: {message}\n"
         assert multiprocessing.active_children() == []
 
+    def test_job_error_keeps_its_type_at_k1(self, city_paths, tmp_path, monkeypatch, capsys):
+        # at k=1 the job runs here, so a ConnectionError it raises (a read
+        # from a network mount, say) is its own error, not a worker's end
+        def reset(*args):
+            raise ConnectionResetError(104, "Connection reset by peer")
+
+        monkeypatch.setattr(report, "parse_event_batch", reset)
+        argv = ["run", "--events", city_paths["events"], "--tracts", city_paths["tracts"],
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: [Errno 104] Connection reset by peer\n"
+        # a worker's job fails as any worker's does
+        assert cli.main([*argv, "--partitions", "2"]) == 2
+        start, end = partition_byte_ranges(city_paths["events"], 2)[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"internal error: partition 0 (bytes {start}-{end}) failed:\n")
+        assert "ConnectionResetError: [Errno 104] Connection reset by peer" in err
+
     def test_workers_receive_masks_as_bytes(self, city_paths, monkeypatch):
         # the parent's only sends are the phase-2 messages, one per worker:
         # its users' masks as bytes and the dataset's month axis
@@ -543,29 +561,54 @@ def _module_cli(*argv: str) -> subprocess.CompletedProcess:
 
 
 class TestCliProcess:
-    """A CLI process pauses GC while it imports and ends with ``os._exit``
-    once main returns and its output is flushed; a program that imports
-    the CLI keeps its GC state, and the process entry keeps main's
-    outputs and exit codes."""
+    """A CLI process runs no collection, nor does any worker it forks,
+    and it ends with ``os._exit`` once main returns and its output is
+    flushed; a program that imports the CLI keeps its GC state, and the
+    process entry keeps main's outputs and exit codes."""
 
     @pytest.mark.parametrize("disabled", [False, True])
     @pytest.mark.parametrize("frozen", [False, True])
     def test_import_leaves_gc_as_found(self, disabled, frozen):
-        # frozen objects may die during the import, but none may thaw; and
-        # unless the caller froze some, what the import made is in the
-        # oldest generation, where no young collection traverses it
+        # frozen objects may die during the import, but none may thaw and
+        # none is added
         code = (
             "import gc\n"
             f"if {disabled}: gc.disable()\n"
             f"if {frozen}: gc.freeze()\n"
             "enabled, frozen = gc.isenabled(), gc.get_freeze_count()\n"
             "import geoineq, geoineq.cli\n"
-            "young = len(gc.get_objects(0)) + len(gc.get_objects(1))\n"
             "print(gc.isenabled() == enabled)\n"
             "print(0 < gc.get_freeze_count() <= frozen if frozen else gc.get_freeze_count() == 0)\n"
-            "print(young < 5000 or frozen > 0)\n"
         )
-        assert _fresh_interpreter(code) == ["True"] * 3
+        assert _fresh_interpreter(code) == ["True"] * 2
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_cli_process_runs_no_collection(self, city_paths, tmp_path, k):
+        # a callback set before geoineq.__main__ starts writes the pid of
+        # every collection that starts below its frame, in the process or
+        # in a worker it forks
+        log = tmp_path / "collections"
+        argv = ["geoineq", "run", "--events", city_paths["events"], "--tracts",
+                city_paths["tracts"], "--out", str(tmp_path / "out"), "--partitions", str(k)]
+        code = (
+            "import gc, os, runpy, sys\n"
+            "entry = os.path.join('geoineq', '__main__.py')\n"
+            f"fd = os.open({str(log)!r}, os.O_WRONLY | os.O_CREAT | os.O_APPEND)\n"
+            "def note(phase, info):\n"
+            "    f = sys._getframe()\n"
+            "    while f is not None and not f.f_code.co_filename.endswith(entry):\n"
+            "        f = f.f_back\n"
+            "    if phase == 'start' and f is not None:\n"
+            "        os.write(fd, b'%d\\n' % os.getpid())\n"
+            "gc.callbacks.append(note)\n"
+            f"sys.argv = {argv!r}\n"
+            "runpy.run_module('geoineq', run_name='__main__', alter_sys=True)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=_module_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert len(done.stdout.splitlines()) == 7
+        assert log.read_text() == ""
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_module_entry_writes_what_main_writes(self, city_paths, census_path, tmp_path, k):
@@ -1300,8 +1343,8 @@ class TestCli:
 
     @pytest.mark.parametrize("month", ["9999-12", "0001-01"])
     def test_edge_year_run_matches_ingest_check(self, tmp_path, capsys, month):
-        # both months have 31 days; two days past them lies outside
-        # datetime's range
+        # both months have 31 days; a stamp on 0001-01-01 or 9999-12-31
+        # (UTC) is refused, as its local date may leave the years 1-9999
         tracts = tmp_path / "t.geojson"
         tracts.write_bytes(feature_collection([square_feature("T1", 0, 0)]))
         rows = [f"u{i % 3},0.5,0.5,{month}-{i + 1:02d}T12:00:00Z,#x" for i in range(31)]
@@ -1309,7 +1352,8 @@ class TestCli:
         events.write_bytes(events_csv([*rows, "u0,0.5,0.5,not-a-time,"]))
         assert cli.main(["ingest-check", "--events", str(events)]) == 0
         want = json.loads(capsys.readouterr().out)["events"]
-        assert (want["records_ok"], want["records_skipped"]) == (31, 1)
+        assert (want["records_ok"], want["records_skipped"]) == (30, 2)
+        assert want["errors"] == {"BadTimestamp": 2}
         for k in (1, 2):
             out = tmp_path / f"out{k}"
             rc = cli.main(["run", "--events", str(events), "--tracts", str(tracts),
@@ -1324,8 +1368,8 @@ class TestCli:
         "stamps",
         [
             ["1970-01-01T12:00:00Z"],
-            # New York months 0001-01 and 9999-12: within 14 h of either
-            # end of datetime's range a stamp's local month leaves it
+            # New York months 0001-01 and 9999-12, the first and the last
+            # month a kept stamp can have
             ["0001-01-15T12:00:00Z", "9999-12-15T12:00:00Z"],
         ],
         ids=["1970", "0001-and-9999"],
@@ -1381,6 +1425,28 @@ class TestCli:
             hist = buckets[cohort]["month_histogram"] if cohort in buckets else {}
             want_monthly = {"%04d-%02d" % m: n for m, n in hist.items()}
             assert got["temporal"][cohort]["monthly"] == want_monthly, cohort
+
+    @pytest.mark.parametrize("stamp, tz", [("0001-01-01T03:00:00Z", "America/New_York"),
+                                           ("9999-12-31T20:00:00Z", "Asia/Tokyo")])
+    def test_stamp_with_local_date_outside_years_refused(self, city_paths, tmp_path, stamp, tz):
+        # local 0000-12-31 in New York and 10000-01-01 in Tokyo, which no
+        # datetime holds: the record is a BadTimestamp, and the run is the
+        # run without it
+        header, *records = Path(city_paths["events"]).read_text().splitlines()[:50]
+        lat, lon = next(csv.reader([records[0]]))[1:3]
+        reports = []
+        for extra in ([], [f"stray,{lat},{lon},{stamp},#x"]):
+            events = tmp_path / f"e{len(extra)}.csv"
+            events.write_text("\n".join([header, *records, *extra]) + "\n")
+            out = tmp_path / f"out{len(extra)}"
+            assert cli.main(["run", "--events", str(events), "--tracts", city_paths["tracts"],
+                             "--tz", tz, "--out", str(out)]) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        alone, with_stray = reports
+        assert with_stray["ingest"]["errors"] == {"BadTimestamp": 1}
+        assert with_stray["ingest"]["records_ok"] == alone["ingest"]["records_ok"] == 49
+        for key in ("tracts", "users", "events_by_cohort", "temporal"):
+            assert with_stray[key] == alone[key], key
 
     @pytest.mark.parametrize("probe", list(_PROBE_RESULTS))
     def test_probe_input_same_in_run_and_ingest_check(self, probe_city, tmp_path, capsys, probe):
