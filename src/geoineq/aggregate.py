@@ -5,17 +5,19 @@ Every number the report needs is a count per cohort bucket: a data cube
 histograms and hashtag occurrences are also per tract; day-of-week and
 month histograms are not, since only their sums over tracts are read.
 The axes are fixed before any event is counted: the tracts, the bins of
-hour and day of week, and the dataset's month axis, which
-``cohort.classify_partials`` decides and the parent sends to every
-partition with its cohort masks. Any partitioning
-of the event stream, aggregated separately and merged, must equal the
-single-pass result. In one call each, :func:`merge_aggregate_maps` adds
-every partition's counts and :func:`merge_tag_components` unions their
-(bucket, tract, tag) keys, their tags coded in one vocabulary.
+hour and day of week, the dataset's month axis, which
+``cohort.classify_partials`` decides, and the run's tag vocabulary,
+which the parent makes from every partition's; it sends each partition
+its cohort masks, the month axis and its tags' codes in that vocabulary.
+Any partitioning of the event stream, aggregated separately and merged,
+must equal the single-pass result. In one call each,
+:func:`merge_aggregate_maps` adds every partition's counts and
+:func:`merge_tag_components` unions their (bucket, tract, tag) keys.
 
-Each event arrives with its hashtags as ids into one casefolded
-vocabulary, as parse interned them (``ingest.EventBatch``), and with its
-user's cohort mask. ``cohort.COHORT_MASKS`` names the mask bits, which
+Each event arrives with its hashtags as ids into the partition's
+casefolded vocabulary, as parse interned them (``ingest.EventBatch``),
+with the table from those ids to the run's codes, and with its user's
+cohort mask. ``cohort.COHORT_MASKS`` names the mask bits, which
 this module reads and never decides. Cohort
 bucket keys are "all", "visitor", "local", and "super_local"; events by
 super-local users count in both "local" and "super_local".
@@ -30,9 +32,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cohort import COHORT_MASKS, distinct
+from .cohort import COHORT_MASKS, distinct, distinct_union
 from .errors import InternalInvariantError
-from .ingest import recode
 
 DAY_HOURS = slice(7, 19)  # 07:00:00 local inclusive to 19:00:00 exclusive
 
@@ -57,7 +58,9 @@ class TractCube(NamedTuple):
     more than 0, 5 and 10 tags, the :func:`tag_summary_from_components`
     components that ``events`` and ``tags`` do not.
     ``tag_keys`` are the distinct (bucket, tract, tag) triples, ascending,
-    as ``(bucket * n_tracts + tract) * len(vocab) + tag``."""
+    as ``tag * tags.size + bucket * n_tracts + tract``, tags by their
+    codes in the run's vocabulary ``vocab``, which a partition's cube
+    does without and :func:`merge_tag_components` fills in."""
 
     hours: np.ndarray
     dows: np.ndarray
@@ -65,7 +68,7 @@ class TractCube(NamedTuple):
     tags: np.ndarray  # hashtag occurrences
     tag_summary: np.ndarray
     tag_keys: np.ndarray
-    vocab: list[str]
+    vocab: Sequence[str] = ()
 
     @property
     def events(self) -> np.ndarray:
@@ -82,58 +85,63 @@ class TractCube(NamedTuple):
     @property
     def unique_tags(self) -> np.ndarray:
         """The number of distinct tags per (bucket, tract)."""
-        cells = self.tag_keys // max(len(self.vocab), 1)
+        cells = self.tag_keys % self.tags.size
         return np.bincount(cells, minlength=self.tags.size).reshape(self.tags.shape)
 
 
 def merge_aggregate_maps(parts: Sequence[TractCube]) -> TractCube:
-    """The first of ``parts`` with the counts of them all added; every
-    cube must have the same axes. The tag keys and vocabulary stay the
-    first cube's."""
+    """The first of ``parts`` with the counts of them all added into
+    int64, one part or many; every cube must have the same axes. A
+    partition's counts come as int32, which :func:`aggregate_batch`
+    makes sure they fit. The tag keys stay the first cube's."""
     fields = ("hours", "dows", "months", "tags", "tag_summary")
-    return parts[0]._replace(**{f: sum(getattr(p, f) for p in parts) for f in fields})
+    return parts[0]._replace(**{f: sum((getattr(p, f) for p in parts), np.int64(0))
+                                for f in fields})
 
 
-def merge_tag_components(cube: TractCube, parts: Sequence[TractCube]) -> TractCube:
+def merge_tag_components(cube: TractCube, parts: Sequence[TractCube],
+                         vocab: Sequence[str]) -> TractCube:
     """``cube`` with the union of the (bucket, tract, tag) keys of
-    ``parts``, their tags re-coded into one vocabulary. Every cube must
+    ``parts`` and ``vocab``, the run's tag vocabulary that every part
+    codes its tags in: one concatenation and one sort. Every cube must
     have the same tracts."""
-    vocab, codes = recode([p.vocab for p in parts])
-    keys = []
-    for p, code in zip(parts, codes):
-        cells, tags = np.divmod(p.tag_keys, max(len(p.vocab), 1))
-        keys.append(cells * len(vocab) + code[tags])
-    return cube._replace(tag_keys=distinct(np.concatenate(keys)), vocab=vocab)
+    return cube._replace(tag_keys=distinct(np.concatenate([p.tag_keys for p in parts])),
+                         vocab=vocab)
 
 
 def aggregate_batch(
     tract_ids: Sequence[str],
     tract_idx: np.ndarray,
     local: tuple[np.ndarray, np.ndarray, np.ndarray],
-    tags: tuple[np.ndarray, np.ndarray, Sequence[str]],
+    tags: tuple[np.ndarray, np.ndarray, np.ndarray],
     masks: np.ndarray,
     months: range,
 ) -> TractCube:
     """The cube of one batch of events, on the month axis ``months``,
-    a range of month numbers that holds every event's month.
-    ``oracles.aggregate_by_tract`` is the per-event reference.
+    a range of month numbers that holds every event's month, its counts
+    int32. ``oracles.aggregate_by_tract`` is the per-event reference.
 
     ``tract_idx`` indexes into ``tract_ids`` (every event already
     assigned), ``local`` is ``LocalClock.local_fields`` of the events'
-    epochs, ``tags`` is the events' interned hashtags as ``EventBatch``
-    holds them (tag count per event, tag id per occurrence, vocabulary),
-    and ``masks`` holds each event's cohort mask. Each event is counted
-    in its (mask, tract) cell, or for day of week and month in its mask,
-    and ``_IN_BUCKET`` sums masks into buckets.
-    Events are counted ``_SLICE`` at a time and the counts added, so the
-    temporaries stay a slice long whatever the batch size.
+    epochs, ``tags`` is the events' hashtags as ``EventBatch`` interned
+    them (tag count per event, tag id per occurrence) and each tag id's
+    code in the run's vocabulary, and ``masks`` holds each event's cohort
+    mask. Each event is counted in its (mask, tract) cell, or for day of
+    week and month in its mask, and ``_IN_BUCKET`` sums masks into
+    buckets. Events are counted ``_SLICE`` at a time and the counts
+    added, so the temporaries stay a slice long whatever the batch size.
+    No count exceeds the batch's events or tag occurrences, and a batch
+    with 2**31 of either is refused, so every count fits in int32.
     """
     n_tracts = len(tract_ids)
+    n_cells = _N_MASKS * n_tracts
     sod, dow, month_num = local
     if len(month_num) and not (months.start <= month_num.min() <= month_num.max() < months.stop):
         raise InternalInvariantError(f"an event's month lies off the month axis {months}")
-    tag_counts, tag_ids, vocab = tags
-    n_vocab = len(vocab)
+    tag_counts, tag_ids, codes = tags
+    tag_base = codes.astype(np.int64) * n_cells  # tag id -> its run code * n_cells
+    if max(len(masks), len(tag_ids)) > np.iinfo(np.int32).max:
+        raise InternalInvariantError("a batch's counts overflow int32")
     # the cube's counts per mask, in its field order: per (mask, tract)
     # cell the hour histogram; per mask the day-of-week and month
     # histograms; per cell the hashtag occurrences; per mask images with
@@ -141,45 +149,42 @@ def aggregate_batch(
     counts_per_mask = [np.zeros((_N_MASKS, *shape), dtype=np.int64)
                        for shape in ((n_tracts, 24), (7,), (len(months),), (n_tracts,), (3,))]
     hours, dows, month_hist, tag_totals, summary = counts_per_mask
-    # the distinct (cell, tag) pairs of the occurrences, as the int64 keys
-    # cell * n_vocab + tag: each slice's, unioned into ``pairs`` once they
-    # outnumber it
-    pairs, pending = np.empty(0, dtype=np.int64), []
-    tag_end = 0
 
     def add(acc: np.ndarray, keys: np.ndarray, weights=None) -> None:
         # acc's flat entry i gains the (weighted) count of key i
         counts = np.bincount(keys, weights, minlength=acc.size)
         acc += counts.reshape(acc.shape).astype(np.int64, copy=False)
 
-    for a in range(0, len(masks), _SLICE):
-        part = slice(a, a + _SLICE)
-        counts = tag_counts[part]
-        tag_start, tag_end = tag_end, tag_end + int(counts.sum())
-        mask = masks[part].astype(np.int64)
-        cell = mask * n_tracts + tract_idx[part]
-        add(hours, cell * 24 + sod[part] // 3600)
-        add(tag_totals, cell, counts)
-        add(dows, mask * 7 + dow[part])
-        add(month_hist, mask * len(months) + (month_num[part] - months.start))
-        for col, weights in enumerate((counts > 0, counts >= 6, counts >= 11)):
-            add(summary[:, col], mask, weights)
-        keys = np.repeat(cell * n_vocab, counts)
-        keys += tag_ids[tag_start:tag_end]
-        pending.append(distinct(keys))
-        if sum(map(len, pending)) > len(pairs):
-            pairs, pending = distinct(np.concatenate((pairs, *pending))), []
-    pairs = distinct(np.concatenate((pairs, *pending)))
+    def slices():
+        # adds each slice's counts and yields its occurrences' (tag, cell)
+        # pairs as int64 keys tag * n_cells + cell, tags in run codes
+        tag_end = 0
+        for a in range(0, len(masks), _SLICE):
+            part = slice(a, a + _SLICE)
+            counts = tag_counts[part]
+            tag_start, tag_end = tag_end, tag_end + int(counts.sum())
+            mask = masks[part].astype(np.int64)
+            cell = mask * n_tracts + tract_idx[part]
+            add(hours, cell * 24 + sod[part] // 3600)
+            add(tag_totals, cell, counts)
+            add(dows, mask * 7 + dow[part])
+            add(month_hist, mask * len(months) + (month_num[part] - months.start))
+            for col, weights in enumerate((counts > 0, counts >= 6, counts >= 11)):
+                add(summary[:, col], mask, weights)
+            keys = np.repeat(cell, counts)
+            keys += tag_base[tag_ids[tag_start:tag_end]]
+            yield keys
 
+    pairs = distinct_union(slices())
     # a pair counts in every bucket of its cell's mask
-    pair_cell, pair_tag = np.divmod(pairs, n_vocab)  # empty when n_vocab is 0
+    pair_tag, pair_cell = np.divmod(pairs, n_cells)
     pair_mask, pair_tract = np.divmod(pair_cell, n_tracts)
     bucket, pair = np.nonzero(_IN_BUCKET[:, pair_mask])
-    tag_keys = (bucket * n_tracts + pair_tract[pair]) * n_vocab + pair_tag[pair]
+    tag_keys = pair_tag[pair] * (len(BUCKET_KEYS) * n_tracts) + bucket * n_tracts + pair_tract[pair]
 
     # each count's mask axis summed into the buckets
-    buckets = (np.tensordot(_IN_BUCKET, c, 1) for c in counts_per_mask)
-    return TractCube(*buckets, tag_keys=distinct(tag_keys), vocab=vocab)
+    buckets = (np.tensordot(_IN_BUCKET, c, 1).astype(np.int32) for c in counts_per_mask)
+    return TractCube(*buckets, tag_keys=distinct(tag_keys))
 
 
 class TagSummary(NamedTuple):

@@ -21,7 +21,7 @@ per-event reference.
 from __future__ import annotations
 
 from itertools import compress
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ MASK_LOCAL = 2
 MASK_SUPER = 4
 # the report's cohort names and their bits; "all" has none
 COHORT_MASKS = {"visitor": MASK_VISITOR, "local": MASK_LOCAL, "super_local": MASK_SUPER}
+_SLICE = 1 << 15  # (user, month) pairs keyed per step
 
 
 class UserPartials(NamedTuple):
@@ -67,16 +68,25 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))] if len(values) else values
 
 
+def distinct_union(chunks: Iterable[np.ndarray]) -> np.ndarray:
+    """The distinct values of all ``chunks``, ascending. Each chunk's wait
+    beside the union until they outnumber it, so few are held at once."""
+    union, pending = np.empty(0, dtype=np.int64), []
+    for chunk in chunks:
+        pending.append(distinct(chunk))
+        if sum(map(len, pending)) > len(union):
+            union, pending = distinct(np.concatenate((union, *pending))), []
+    return distinct(np.concatenate((union, *pending)))
+
+
 def _distinct_pairs(codes: np.ndarray, months: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct (code, month) pairs, ordered by code, then month, as
-    int32: partitions send theirs to the parent, and both fit."""
+    int32 for the parent (both fit), keyed ``_SLICE`` pairs at a time."""
     lo, hi = (int(months.min()), int(months.max())) if len(months) else (0, 0)
     span = hi - lo + 1
-    keys = codes.astype(np.int64)
-    keys *= span
-    keys += months
-    keys -= lo
-    user, month = np.divmod(distinct(keys), span)
+    keys = (codes[a:a + _SLICE].astype(np.int64) * span + (months[a:a + _SLICE] - lo)
+            for a in range(0, len(codes), _SLICE))
+    user, month = np.divmod(distinct_union(keys), span)
     return user.astype(np.int32), (month + lo).astype(np.int32)
 
 

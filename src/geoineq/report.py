@@ -11,9 +11,10 @@ partition, and each range is processed by the same two-phase job.
 Classification is global (a user's posts can land in any partition), so
 the job first parses, assigns and summarises user activity, then waits
 for the phase-2 message: its users' cohort masks, which the parent
-classifies from every partition's summaries, and the dataset's month
-axis, which the classification fixes. It then aggregates on that axis,
-so the parent merges the partitions' cubes by adding them. With
+classifies from every partition's summaries, the dataset's month axis,
+which the classification fixes, and its tags' codes in the run's one
+vocabulary, which the parent makes from every job's. It then aggregates
+on those axes, so the parent merges the cubes by adding them. With
 ``--partitions 1`` the job runs in the parent process; otherwise each
 range gets a forked worker, which uses the spatial index it inherits
 and talks to the parent over a pipe. The parent classifies once and
@@ -64,6 +65,7 @@ from .ingest import (
     parse_tracts,
     partition_byte_ranges,
     read_byte_range,
+    recode,
 )
 from .metrics import (
     Distribution,
@@ -147,9 +149,9 @@ def _partition_job(events_path, fmt, byte_range, index, tz):
     """The two phases of one partition, as a generator.
 
     Phase 1 yields (parse stats, events outside every tract, user
-    partials); the job is then sent the cohort mask of each of its
-    partials' users as bytes and the dataset's month axis, and phase 2
-    yields the partition's aggregate cube on that axis. Its memory is
+    partials, tag vocabulary); the job is then sent as bytes its users'
+    cohort masks and its tags' int32 run codes, with the month axis, and
+    phase 2 yields the partition's cube, numbers only. Its memory is
     one parse window plus per-event columns: the range is read window by
     window, the points are dropped once assigned, and phase 2 keeps only
     the columns it reads.
@@ -163,10 +165,11 @@ def _partition_job(events_path, fmt, byte_range, index, tz):
     batch, tract_idx = batch.take(keep), tract_idx[keep]
     local = LocalClock(tz, batch.epochs).local_fields(batch.epochs)  # the partition's one clock
     partials, codes = user_partials(batch.users, batch.user_codes, batch.epochs, local[2])
-    tags = (batch.tag_counts, batch.tag_ids, batch.tags)
+    tag_counts, tag_ids, vocab = batch.tag_counts, batch.tag_ids, batch.tags
     del batch  # phase 2 needs none of its other columns
-    user_masks, months = yield stats, dropped, partials
+    user_masks, months, tag_codes = yield stats, dropped, partials, vocab
     masks = np.frombuffer(user_masks, dtype=np.uint8)[codes]
+    tags = (tag_counts, tag_ids, np.frombuffer(tag_codes, dtype=np.int32))
     yield aggregate_batch(index.tract_ids, tract_idx, local, tags, masks, months)
 
 
@@ -273,20 +276,19 @@ def run_pipeline_full(
             procs.append(proc)
     try:
         stats = ParseStats()
-        dropped_total = 0
-        partials = []
-        for p_stats, dropped, p_partials in _replies(conns, ranges, procs):
+        part_stats, dropped, partials, vocabs = zip(*_replies(conns, ranges, procs))
+        for p_stats in part_stats:
             stats.merge(p_stats)
-            dropped_total += dropped
-            partials.append(p_partials)
+        dropped_total = sum(dropped)
         cohorts = classify_partials(partials, config.window_days)
-        for conn, codes in zip(conns, cohorts.partial_codes):
+        vocab, tag_codes = recode(vocabs)  # the run's one tag vocabulary
+        for conn, codes, tags in zip(conns, cohorts.partial_codes, tag_codes):
             try:
-                conn.send((cohorts.masks[codes].tobytes(), cohorts.months))
+                conn.send((cohorts.masks[codes].tobytes(), cohorts.months, tags.tobytes()))
             except ConnectionError:
                 pass  # the worker has ended; _replies says how
         parts = list(_replies(conns, ranges, procs))
-        cube = merge_tag_components(merge_aggregate_maps(parts), parts)
+        cube = merge_tag_components(merge_aggregate_maps(parts), parts, vocab)
     except BaseException:
         # a forked worker holds copies of the parent's pipe ends, so one
         # waiting for its masks would never see them close

@@ -18,7 +18,7 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .cohort import distinct
+from .cohort import distinct_union
 
 _PROBE_STEP = 6 * 3600  # assumed: no zone changes its offset twice within one step
 _SLICE = 1 << 15  # epochs binned per step
@@ -40,11 +40,11 @@ class LocalClock:
         self.tz = ZoneInfo(tz) if isinstance(tz, str) else tz
         epochs = np.asarray(epochs, dtype=np.float64)
         # the six-hour steps that hold an epoch, found a slice at a time
-        steps = [distinct(epochs[a:a + _SLICE] // _PROBE_STEP)
-                 for a in range(0, len(epochs), _SLICE)]
+        steps = distinct_union(epochs[a:a + _SLICE] // _PROBE_STEP
+                               for a in range(0, len(epochs), _SLICE))
         table = []  # (epoch, offset from then on): each step's start, each change
         end = end_offset = None  # the previous step's end and its offset
-        for s in distinct(np.concatenate([[], *steps])).astype(np.int64).tolist():
+        for s in steps.astype(np.int64).tolist():
             a, b = s * _PROBE_STEP, (s + 1) * _PROBE_STEP
             off_a = end_offset if a == end else _offset_at(self.tz, a)
             end, end_offset = b, _offset_at(self.tz, b)

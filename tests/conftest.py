@@ -90,7 +90,7 @@ def cube_view(cube, tract_ids) -> dict:
     (see :func:`bucket_view`): only the tracts and buckets with events,
     and each bucket's distinct tags as a set."""
     tag_sets: dict[int, set[str]] = {}
-    cells, tags = np.divmod(cube.tag_keys, max(len(cube.vocab), 1))
+    tags, cells = np.divmod(cube.tag_keys, cube.tags.size)
     for cell, tag in zip(cells.tolist(), tags.tolist()):
         tag_sets.setdefault(cell, set()).add(cube.vocab[tag])
     events, tag_counts, hours, day, night = (

@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
 
@@ -15,7 +16,9 @@ from geoineq.aggregate import (
     merge_tag_components,
     tag_summary_from_components,
 )
+from geoineq.cohort import distinct
 from geoineq.errors import InternalInvariantError
+from geoineq.ingest import recode
 
 UTC = timezone.utc
 LOCAL = ("local", False)
@@ -28,23 +31,36 @@ TRACT_IDS = ("T1", "T2", "T3")
 MONTHS = range(12 * (2012 - 1970), 12 * (2016 - 1970))
 
 
+def cubes(row_lists, tz="UTC", months=MONTHS):
+    """aggregate_batch over each list of (epoch, text, tract_id, (kind,
+    super_local)) rows, the input of oracles.aggregate_by_tract, on the
+    tracts TRACT_IDS, as a run's partitions: each list's tags coded
+    through one recode of the lists' vocabularies. The cubes, then that
+    vocabulary."""
+    interned = [interned_tags([text for _, text, _, _ in rows]) for rows in row_lists]
+    vocab, codes = recode([tags for _, _, tags in interned])
+    parts = []
+    for rows, (counts, ids, _), code in zip(row_lists, interned, codes):
+        epochs = np.array([epoch for epoch, _, _, _ in rows], dtype=np.float64)
+        idx = np.array([TRACT_IDS.index(tid) for _, _, tid, _ in rows], dtype=np.int64)
+        masks = np.array([MASK_OF[c] for _, _, _, c in rows], dtype=np.uint8)
+        local = local_fields(epochs, tz)
+        parts.append(aggregate_batch(TRACT_IDS, idx, local, (counts, ids, code), masks, months))
+    return parts, vocab
+
+
+def merge(parts, vocab):
+    """The cubes merged as the pipeline's parent merges them."""
+    return merge_tag_components(merge_aggregate_maps(parts), parts, vocab)
+
+
 def aggregate(rows, tz="UTC", months=MONTHS):
-    """aggregate_batch over (epoch, text, tract_id, (kind, super_local))
-    rows, the input of oracles.aggregate_by_tract, on the tracts TRACT_IDS."""
-    epochs = np.array([epoch for epoch, _, _, _ in rows], dtype=np.float64)
-    idx = np.array([TRACT_IDS.index(tid) for _, _, tid, _ in rows], dtype=np.int64)
-    masks = np.array([MASK_OF[c] for _, _, _, c in rows], dtype=np.uint8)
-    tags = interned_tags([text for _, text, _, _ in rows])
-    return aggregate_batch(TRACT_IDS, idx, local_fields(epochs, tz), tags, masks, months)
+    """The cube of the rows as one partition's, merged as a run merges it."""
+    return merge(*cubes([rows], tz, months))
 
 
 def view(cube) -> dict:
     return cube_view(cube, TRACT_IDS)
-
-
-def merge(*parts):
-    """The cubes merged as the pipeline's parent merges them."""
-    return merge_tag_components(merge_aggregate_maps(parts), parts)
 
 
 def state(cube):
@@ -90,6 +106,15 @@ class TestAggregateByTract:
         rows = [row(datetime(*month, 15, 12, 0, tzinfo=UTC))]
         with pytest.raises(InternalInvariantError, match="off the month axis"):
             aggregate(rows)
+
+    @pytest.mark.parametrize("big", ["events", "tags"])
+    def test_batch_past_int32_counts_refused(self, big):
+        # a count never exceeds the events or tag occurrences; only their
+        # number is read, so ranges stand in for 2**31 of them
+        empty = np.empty(0, dtype=np.int32)
+        masks, tag_ids = (range(2**31), empty) if big == "events" else (empty, range(2**31))
+        with pytest.raises(InternalInvariantError, match="overflow int32"):
+            aggregate_batch(TRACT_IDS, empty, (empty,) * 3, (empty, tag_ids, empty), masks, MONTHS)
 
     def test_super_local_counts_in_both_buckets(self):
         rows = [row(datetime(2014, 3, 15, 12, 0, tzinfo=UTC), cohort=SUPER)]
@@ -184,10 +209,10 @@ class TestTagSummary:
 _TEXTS = ["", "#a", "#b #c", "#A #d", "x #e #e", "#f"]
 
 
-def random_cube(rng):
-    """The cube of a few random events in a random run of 2014's months."""
+def random_rows(rng):
+    """A few random events in a random run of 2014's months."""
     first = int(rng.integers(1, 10))
-    rows = [
+    return [
         (
             datetime(2014, int(rng.integers(first, first + 3)), int(rng.integers(1, 29)),
                      int(rng.integers(0, 24)), tzinfo=UTC).timestamp(),
@@ -197,36 +222,66 @@ def random_cube(rng):
         )
         for _ in range(int(rng.integers(1, 12)))
     ]
-    return aggregate(rows)
 
 
 class TestMerge:
     def test_identity(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            x = random_cube(rng)
-            zero = aggregate([])
-            assert state(merge(x, zero)) == state(x)
-            assert state(merge(zero, x)) == state(x)
+            (x, zero), vocab = cubes([random_rows(rng), []])
+            assert state(merge([x, zero], vocab)) == state(merge([x], vocab))
+            assert state(merge([zero, x], vocab)) == state(merge([x], vocab))
 
     def test_commutative(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            a, b = random_cube(rng), random_cube(rng)
-            assert state(merge(a, b)) == state(merge(b, a))
+            (a, b), vocab = cubes([random_rows(rng), random_rows(rng)])
+            assert state(merge([a, b], vocab)) == state(merge([b, a], vocab))
 
     def test_associative(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            a, b, c = (random_cube(rng) for _ in range(3))
-            assert state(merge(merge(a, b), c)) == state(merge(a, merge(b, c)))
-            assert state(merge(a, b, c)) == state(merge(merge(a, b), c))
+            (a, b, c), vocab = cubes([random_rows(rng) for _ in range(3)])
+
+            def m(*parts):
+                return merge(parts, vocab)
+
+            assert state(m(m(a, b), c)) == state(m(a, m(b, c)))
+            assert state(m(a, b, c)) == state(m(m(a, b), c))
+
+    def test_counts_travel_as_int32_and_merge_into_int64(self):
+        ts = datetime(2014, 3, 15, 12, 0, tzinfo=UTC)
+        parts, vocab = cubes([[row(ts, "#a")], [row(ts, "#b")]])
+        fields = ("hours", "dows", "months", "tags", "tag_summary")
+        assert {getattr(p, f).dtype for p in parts for f in fields} == {np.dtype(np.int32)}
+        for k in (1, 2):
+            merged = merge(parts[:k], vocab)
+            assert {getattr(merged, f).dtype for f in fields} == {np.dtype(np.int64)}
+
+    def test_tag_merge_peak_at_most_twice_the_keys(self):
+        # two partitions of one city share most of their keys (on the
+        # benchmark city at k=2, 37k each and 44k in the union); coded in
+        # one vocabulary, their merge holds the concatenated keys and the
+        # union, and no re-coded copy of each part
+        rng = np.random.default_rng(7)
+        keys = distinct(rng.integers(0, 1 << 40, 100_000))
+        share = rng.random(len(keys))
+        (empty,), vocab = cubes([[]])
+        parts = [empty._replace(tag_keys=keys[share < 0.85]),
+                 empty._replace(tag_keys=keys[share >= 0.15])]
+        tracemalloc.start()
+        try:
+            merged = merge_tag_components(empty, parts, vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(merged.tag_keys, keys)
+        assert peak <= 2 * sum(p.tag_keys.nbytes for p in parts)
 
     def test_unique_tags_union_vs_sum(self):
         ts = datetime(2014, 3, 15, 12, 0, tzinfo=UTC)
-        a = aggregate([row(ts, "#a #b", cohort=VISITOR)])
-        b = aggregate([row(ts, "#c #b", cohort=LOCAL)])
-        m = view(merge(a, b))["T1"]["all"]
+        parts = cubes([[row(ts, "#a #b", cohort=VISITOR)], [row(ts, "#c #b", cohort=LOCAL)]])
+        m = view(merge(*parts))["T1"]["all"]
         assert m["unique_tags"] == {"a", "b", "c"}
         assert m["tag_count"] == 4
 
@@ -283,7 +338,7 @@ class TestBatchEquivalence:
         """Rows cut into 1 to 4 parts, each aggregated alone, merge in one
         call to the whole batch's cube."""
         bounds = [0, *sorted(cuts), len(rows)]
-        parts = [aggregate(rows[lo:hi], _TZ) for lo, hi in zip(bounds, bounds[1:])]
+        parts = cubes([rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])], _TZ)
         assert state(merge(*parts)) == state(aggregate(rows, _TZ))
 
 

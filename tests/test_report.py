@@ -37,6 +37,7 @@ from geoineq.ingest import (
     parse_tracts,
     partition_byte_ranges,
     read_byte_range,
+    recode,
 )
 from geoineq.metrics import lorenz_curve
 from geoineq.report import (
@@ -179,7 +180,7 @@ class TestRunPipeline:
         # add up to the outputs of one slice
         cfg = quick_config(city_paths)
         whole = emit_outputs(*run_pipeline_full(cfg), tmp_path / "whole")
-        for size in ("aggregate._SLICE", "timebins._SLICE", "geo._POINT_BLOCK"):
+        for size in ("aggregate._SLICE", "cohort._SLICE", "timebins._SLICE", "geo._POINT_BLOCK"):
             monkeypatch.setattr(f"geoineq.{size}", 97)
         sliced = emit_outputs(*run_pipeline_full(cfg), tmp_path / "sliced")
         assert [p.name for p in whole] == [p.name for p in sliced]
@@ -368,26 +369,45 @@ class TestRunPipeline:
 
     def test_workers_receive_masks_as_bytes(self, city_paths, monkeypatch):
         # the parent's only sends are the phase-2 messages, one per worker:
-        # its users' masks as bytes and the dataset's month axis
+        # its users' masks as bytes, the dataset's month axis, and its
+        # tags' int32 codes in the run's one tag vocabulary as bytes; the
+        # phase-2 replies hold numbers only
         cfg = quick_config(city_paths)
-        sent = []
-        send = Connection.send
+        sent, received = [], []
+        send, recv = Connection.send, Connection.recv
 
-        def record(conn, obj):
+        def record_send(conn, obj):
             sent.append(obj)
             send(conn, obj)
 
-        monkeypatch.setattr(Connection, "send", record)
+        def record_recv(conn):
+            received.append(recv(conn))
+            return received[-1]
+
+        monkeypatch.setattr(Connection, "send", record_send)
+        monkeypatch.setattr(Connection, "recv", record_recv)
         rep, internals = run_pipeline_full(cfg, partitions=2)
         assert rep["ingest"]["events_outside_tracts"] == 0
         assert len(internals.months) == CITY.months
-        users = [
-            len(parse_event_batch(read_byte_range(cfg.events_path, r)).users)
-            for r in partition_byte_ranges(cfg.events_path, 2)
+        batches = [parse_event_batch(read_byte_range(cfg.events_path, r))
+                   for r in partition_byte_ranges(cfg.events_path, 2)]
+        vocab, tag_codes = recode([b.tags for b in batches])
+        assert [(type(m), len(m), months, type(t), np.frombuffer(t, np.int32).tolist())
+                for m, months, t in sent] == [
+            (bytes, len(b.users), internals.months, bytes, codes.tolist())
+            for b, codes in zip(batches, tag_codes)
         ]
-        assert [(type(m), len(m), months) for m, months in sent] == [
-            (bytes, n, internals.months) for n in users
-        ]
+        assert list(internals.aggregates.vocab) == vocab
+
+        def holds_str(obj):
+            if isinstance(obj, (tuple, list)):
+                return any(map(holds_str, obj))
+            return isinstance(obj, str) or getattr(obj, "dtype", np.int8).kind in "OSU"
+
+        assert holds_str(received[:2])  # phase 1 carries the vocabularies
+        phase2 = received[2:]
+        assert [status for status, _ in phase2] == ["ok", "ok"]
+        assert not holds_str([cube for _, cube in phase2])
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_user_outside_every_tract_not_counted(self, tmp_path, monkeypatch, k):
@@ -418,6 +438,32 @@ class TestRunPipeline:
         assert rep["users"] == {"total": 2, "visitor": 0, "local": 2, "super_local": 2}
         assert rep["ingest"]["events_outside_tracts"] == 6
         assert rep["events_by_cohort"]["all"] == 5
+
+    def test_one_tag_spelled_apart_across_ranges_counts_once(self, tmp_path):
+        # "#NYC" only in the first byte range, "#nyc" and "#solo" only in
+        # the last: each partition numbers its tags apart, and the run's
+        # one vocabulary makes NYC one tag at every k
+        tracts_path = tmp_path / "t.geojson"
+        tracts_path.write_bytes(feature_collection([square_feature("T1", 0, 0)]))
+        texts = ["#NYC"] * 8 + ["plain"] * 26 + ["#nyc #solo"] * 6
+        rows = [f"u{i % 7},0.5,0.5,2014-03-{1 + i % 28:02d}T10:00:00Z,{text}"
+                for i, text in enumerate(texts)]
+        ep = tmp_path / "e.csv"
+        ep.write_bytes(events_csv(rows))
+        data = ep.read_bytes()
+        ranges = [data[a:b] for a, b in partition_byte_ranges(ep, 4)]
+        assert len(ranges) == 4
+        assert [b"#NYC" in r for r in ranges] == [True, False, False, False]
+        assert [b"#nyc" in r and b"#solo" in r for r in ranges] == [False, False, False, True]
+        cfg = PipelineConfig(events_path=str(ep), tracts_path=str(tracts_path))
+        outputs = []
+        for k in (1, 2, 3, 4):
+            paths = emit_outputs(*run_pipeline_full(cfg, partitions=k), tmp_path / f"k{k}")
+            outputs.append({p.name: p.read_bytes() for p in paths})
+        assert all(out == outputs[0] for out in outputs[1:])
+        rows = csv.DictReader(io.StringIO(outputs[0]["tracts.csv"].decode()))
+        t1 = next(r for r in rows if r["cohort"] == "all")
+        assert (t1["tag_count"], t1["unique_tag_count"]) == ("20", "2")
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_no_locals_and_months_apart(self, tmp_path, k):
